@@ -11,8 +11,8 @@ Subcommands::
 Configs are JSON model documents (see :func:`gaussqfi.models.parse_model_config`);
 they describe physics only — sweep ranges, outputs, and oracle parameters are
 always flags.  Exit codes: 0 success, 2 config problems, 3 numerical
-precondition rejections (the message names the violated flag), 64 unknown
-subcommand.
+precondition rejections or numerical failures (the message names the
+violated flag or the failed quantity), 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +99,13 @@ def _evaluate_sweep_point(family: ModelFamily, theta: float, tol: float) -> Swee
 def sweep_rows(
     family: ModelFamily, thetas: np.ndarray, tol: float = 1e-9, jobs: int = 1
 ) -> list[SweepRow]:
-    """Evaluate a theta grid, in parallel when ``jobs > 1``.
+    """Evaluate a theta grid serially, in ascending theta order.
 
-    Rows come back in theta order regardless of completion order, so the
-    resulting CSV is byte-identical for any worker count.
+    ``jobs`` is accepted for compatibility with ``sweep --jobs`` and ignored:
+    a thread pool over these small LAPACK calls was slower than one thread.
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    if jobs <= 1 or thetas.size <= 1:
-        return [_evaluate_sweep_point(family, t, tol) for t in thetas]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_evaluate_sweep_point, family, t, tol) for t in thetas
-        ]
-        return [f.result() for f in futures]
+    return [_evaluate_sweep_point(family, t, tol) for t in thetas]
 
 
 def _csv_cell(x: float | None) -> str:
@@ -193,7 +186,10 @@ def _cmd_sweep(argv: list[str]) -> int:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 1)")
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility (>= 1); evaluation is serial (default 1)",
+    )
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
     args = p.parse_args(argv)
     if args.steps < 1:

@@ -11,9 +11,19 @@ on 2x2 mode-pair blocks: the block basis ``{I, w} / sqrt2`` carries eigenvalue
 ``nu_i nu_j - 1`` (parity +) and ``{sigma_x, sigma_z} / sqrt2`` carries
 ``nu_i nu_j + 1`` (parity -).  The kernel is therefore spanned, two dimensions
 per ordered mode pair, by the parity-+ blocks of vacuum pairs
-(``nu_i = nu_j = 1``).  All production solves run through this frame; the
-dense ``(2n)^2 x (2n)^2`` matrix representation is exposed only for
-verification at small ``n``.
+(``nu_i = nu_j = 1``).
+
+The solve is four elementwise divisions.  With ``N = nu nu^T`` and the
+QQ/QP/PQ/PP blocks of the thermal-frame input ``Xt = S^-1 X S^-T``:
+
+* ``(Xt_QQ + Xt_PP) / 2`` and ``(Xt_QP - Xt_PQ) / 2`` are divided by ``N - 1``;
+* ``(Xt_QQ - Xt_PP) / 2`` and ``(Xt_QP + Xt_PQ) / 2`` are divided by ``N + 1``;
+* entries whose divisor is below ``tol * (1 + nu_max^2)`` are zeroed (kernel).
+
+:func:`dgamma_spectrum` reads its lines and kernel dimension off the same
+divisor arrays and mask, so one kernel rule serves both.  All production
+solves run through this frame; the dense ``(2n)^2 x (2n)^2`` matrix
+representation is exposed only for verification at small ``n``.
 """
 
 from __future__ import annotations
@@ -36,14 +46,12 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
-# orthonormal block basis; parity refers to the sign picked up under
-# conjugation by the one-mode symplectic form
-_BLOCK_BASIS = (
-    (np.eye(2) / _SQ2, +1),
-    (np.array([[0.0, 1.0], [-1.0, 0.0]]) / _SQ2, +1),
-    (np.array([[0.0, 1.0], [1.0, 0.0]]) / _SQ2, -1),
-    (np.array([[1.0, 0.0], [0.0, -1.0]]) / _SQ2, -1),
-)
+# orthonormal block basis by parity, the sign picked up under conjugation by
+# the one-mode symplectic form
+_BLOCK_BASIS = {
+    +1: (np.eye(2) / _SQ2, np.array([[0.0, 1.0], [-1.0, 0.0]]) / _SQ2),
+    -1: (np.array([[0.0, 1.0], [1.0, 0.0]]) / _SQ2, np.array([[1.0, 0.0], [0.0, -1.0]]) / _SQ2),
+}
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -108,17 +116,25 @@ class DGammaSpectrum:
         """The two frame matrices ``S E S^T`` spanning ``line``'s eigenspace."""
         n = len(self.nu)
         i, j = line.modes
-        sel = 0 if line.parity > 0 else 2
         out = []
-        for E2, _ in _BLOCK_BASIS[sel : sel + 2]:
+        for E2 in _BLOCK_BASIS[line.parity]:
             E = np.zeros((2 * n, 2 * n))
             E[np.ix_([i, n + i], [j, n + j])] = E2
             out.append(self.frame @ E @ self.frame.T)
         return out[0], out[1]
 
 
-def _kernel_threshold(tol: float, nu: np.ndarray) -> float:
-    return tol * (1.0 + float(nu.max()) ** 2)
+def _block_eigenvalues(nu: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue arrays of the thermal-frame map and their kernel mask.
+
+    Returns ``(lam, kernel)``, both of shape ``(2, n, n)``: ``lam[0] = N - 1``
+    (parity +) and ``lam[1] = N + 1`` (parity -) with ``N = nu nu^T``;
+    ``kernel`` marks the entries below ``tol * (1 + nu_max^2)``.  Each entry
+    is one eigenvalue of multiplicity 2.
+    """
+    N = np.outer(nu, nu)
+    lam = np.stack([N - 1.0, N + 1.0])
+    return lam, np.abs(lam) < tol * (1.0 + float(nu.max()) ** 2)
 
 
 def dgamma_spectrum(gamma: np.ndarray, tol: float = 1e-9) -> DGammaSpectrum:
@@ -133,34 +149,21 @@ def dgamma_spectrum(gamma: np.ndarray, tol: float = 1e-9) -> DGammaSpectrum:
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    nu = dec.nu
-    cut = _kernel_threshold(tol, nu)
-    lines = []
-    kernel_dim = 0
-    n = len(nu)
-    for i in range(n):
-        for j in range(n):
-            for parity in (+1, -1):
-                value = nu[i] * nu[j] - parity
-                kernel = abs(value) < cut
-                if kernel:
-                    kernel_dim += 2
-                lines.append(
-                    SpectralLine(
-                        value=float(value),
-                        modes=(i, j),
-                        parity=parity,
-                        multiplicity=2,
-                        kernel=kernel,
-                    )
-                )
-    return DGammaSpectrum(
-        nu=nu, frame=dec.S, lines=tuple(lines), kernel_dimension=kernel_dim
+    lam, kernel = _block_eigenvalues(dec.nu, tol)
+    lines = tuple(
+        SpectralLine(
+            value=float(lam[k, i, j]),
+            modes=(i, j),
+            parity=parity,
+            multiplicity=2,
+            kernel=bool(kernel[k, i, j]),
+        )
+        for i, j in np.ndindex(*lam.shape[1:])
+        for k, parity in ((0, +1), (1, -1))
     )
-
-
-def _block(M: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    return M[np.ix_([i, n + i], [j, n + j])]
+    return DGammaSpectrum(
+        nu=dec.nu, frame=dec.S, lines=lines, kernel_dimension=2 * int(kernel.sum())
+    )
 
 
 def dgamma_pseudoinverse_apply(
@@ -168,10 +171,11 @@ def dgamma_pseudoinverse_apply(
 ) -> tuple[np.ndarray, float]:
     """Solve ``D(Y) = X`` through the Williamson frame, dropping kernel modes.
 
-    The input is transported to the thermal frame, divided componentwise by
-    the eigenvalues ``nu_i nu_j -/+ 1`` (components on eigenvalues smaller
-    than ``tol * (1 + nu_max^2)`` are zeroed), and transported back.  For
-    ``X`` in the range of the map this returns an exact solution; otherwise
+    The input is transported to the thermal frame, split into the four
+    parity combinations of its QQ/QP/PQ/PP blocks, divided elementwise by the
+    eigenvalues ``nu_i nu_j -/+ 1`` (components on eigenvalues smaller than
+    ``tol * (1 + nu_max^2)`` are zeroed), and transported back.  For ``X`` in
+    the range of the map this returns an exact solution; otherwise
     ``residual = |D(Y) - X|_F`` measures how much of ``X`` escapes the range,
     and callers should surface it.
 
@@ -184,21 +188,17 @@ def dgamma_pseudoinverse_apply(
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
     dec = williamson(gamma)
     n = len(dec.nu)
-    Si = np.linalg.inv(dec.S)
+    Si = dec.S_inv
     Xt = Si @ X @ Si.T
-    cut = _kernel_threshold(tol, dec.nu)
+    lam, kernel = _block_eigenvalues(dec.nu, tol)
 
-    Yt = np.zeros_like(Xt)
-    for i in range(n):
-        for j in range(n):
-            blk = _block(Xt, i, j, n)
-            out = np.zeros((2, 2))
-            for E2, parity in _BLOCK_BASIS:
-                lam = dec.nu[i] * dec.nu[j] - parity
-                if abs(lam) < cut:
-                    continue
-                out += (np.sum(blk * E2) / lam) * E2
-            Yt[np.ix_([i, n + i], [j, n + j])] = out
+    qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]
+    # combos[k] holds the (QQ/PP, QP/PQ) combinations that see eigenvalue lam[k];
+    # each is halved and divided by it, and zeroed on the kernel
+    combos = np.stack([[qq + pp, qp - pq], [qq - pp, qp + pq]])
+    weight = np.divide(0.5, lam, out=np.zeros_like(lam), where=~kernel)
+    (s_even, a_even), (s_odd, a_odd) = weight[:, None] * combos
+    Yt = np.block([[s_even + s_odd, a_odd + a_even], [a_odd - a_even, s_even - s_odd]])
     Y = Si.T @ Yt @ Si
     residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
     return Y, residual

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgamma import dgamma_pseudoinverse_apply
-from .exceptions import PreconditionError
+from .exceptions import ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, check_isothermal
 from .symplectic import williamson
 
@@ -138,7 +138,7 @@ def _first_moment_term(point: GaussianModelPoint) -> float:
 
 def _nonnegative(value: float, what: str) -> float:
     if value < -1e-10 * (1.0 + abs(value)):
-        raise ArithmeticError(f"{what} came out negative ({value:.3e})")
+        raise ConvergenceError(f"{what} came out negative ({value:.3e})")
     return max(value, 0.0)
 
 
@@ -148,6 +148,10 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     Valid for any admissible model point, including purity boundaries (where
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
+
+    Raises:
+        ConvergenceError: if a Fisher term comes out negative beyond
+            rounding; the message names the term.
     """
     coeffs = sld_coefficients(point, tol)
     second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
@@ -176,6 +180,8 @@ def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport
     Raises:
         PreconditionError: flag ``"is_isothermal"`` or
             ``"derivative_preserves_nu"``.
+        ConvergenceError: if a Fisher term comes out negative beyond
+            rounding.
     """
     chk = check_isothermal(point, tol)
     if not chk.is_isothermal:

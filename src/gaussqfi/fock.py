@@ -22,7 +22,7 @@ import scipy.linalg as la
 
 from .estimation import SLDCoefficients
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
-from .models import GaussianModelPoint, ModelFamily, linear_family
+from .models import GaussianModelPoint, ModelFamily
 from .symplectic import euler_decompose, symplectic_form, williamson
 
 __all__ = [
@@ -397,13 +397,24 @@ def sld_residual(
     ``(dd, dgamma)`` and returns ``|| drho - (rho L + L rho)/2 ||_1``.  A
     correct coefficient set drives this to the truncation floor; a wrong one
     leaves an O(1) residual.
+
+    The states are taken on the curve ``Gamma + t dGamma + t^2 kappa I`` with
+    ``kappa = |dGamma|_2^2 |Gamma^-1|_2``.  On a pure state the straight line
+    ``Gamma + t dGamma`` leaves the physical set at order ``t^2`` even for a
+    purity-preserving tangent; the even term lifts it back, and the central
+    difference cancels it, so the tangent is unchanged.  A tangent that
+    lowers a symplectic eigenvalue below 1 to first order still yields an
+    unphysical state, and :func:`build_state` raises ``ConvergenceError``.
     """
-    fam = linear_family(point)
+    kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
+    lift = kappa * np.eye(point.gamma.shape[0])
 
     def rho_at(t: float) -> np.ndarray:
-        d, g = fam.moments(t)
         pt = GaussianModelPoint(
-            d=d, gamma=g, dd=np.zeros_like(d), dgamma=np.zeros_like(g)
+            d=point.d + t * point.dd,
+            gamma=point.gamma + t * point.dgamma + t * t * lift,
+            dd=np.zeros_like(point.d),
+            dgamma=np.zeros_like(point.gamma),
         )
         return build_state(pt, cutoff, pad=pad, tail_bound=tail_bound).rho
 

@@ -18,14 +18,13 @@ import numpy as np
 
 from .estimation import gaussian_distribution_fisher
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
-from .models import GaussianModelPoint, check_isothermal
+from .models import GaussianModelPoint, _isothermal_gate
 from .symplectic import (
     direct_sum,
     direct_sum_vector,
     hamiltonian_eigenframe,
     is_symplectic,
     validate_covariance,
-    williamson,
 )
 
 __all__ = [
@@ -69,7 +68,7 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
         PreconditionError: flags ``"is_isothermal"``,
             ``"derivative_preserves_nu"``, or ``"static_first_moments"``.
     """
-    chk = check_isothermal(point, tol)
+    chk, Si, W = _isothermal_gate(point, tol)
     if not chk.is_isothermal:
         raise PreconditionError(
             "is_isothermal", "symplectic spectrum is not degenerate"
@@ -83,10 +82,7 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
             "static_first_moments",
             "homodyne normal-frame analysis assumes dd = 0",
         )
-    dec = williamson(point.gamma)
-    nu = float(dec.nu[0])
-    Si = np.linalg.inv(dec.S)
-    W = Si @ point.dgamma @ Si.T
+    nu = chk.nu
     W = 0.5 * (W + W.T)
     O, wlam = hamiltonian_eigenframe(W, tol)
     T = O @ Si

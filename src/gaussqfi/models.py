@@ -328,20 +328,38 @@ class IsothermalCheck:
     derivative_preserves_nu: bool
 
 
-def check_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalCheck:
-    """Classify a model point for the equal-temperature fast paths."""
+def _isothermal_gate(
+    point: GaussianModelPoint, tol: float
+) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
+    """The equal-temperature gates, plus the frame data they computed.
+
+    The spectrum gate needs no factorisation: with ``A = Gamma w`` every
+    ``nu_k^2`` is an eigenvalue of ``-A^2``, so ``nu^2 = -tr(A^2) / 2n`` and
+    the point is isothermal iff ``A^2 + nu^2 I`` vanishes.  Only an
+    isothermal point is factorised, to get ``W = S^-1 dGamma S^-T``.
+
+    Returns:
+        ``(check, S_inv, W)``; ``S_inv`` and ``W`` are None when the point
+        is not isothermal.
+    """
     w = symplectic_form(point.n)
-    dec = williamson(point.gamma)
-    nu = float(dec.nu[0])
     A = point.gamma @ w
-    iso_dev = np.abs(A @ A + nu * nu * np.eye(2 * point.n)).max()
-    if iso_dev > tol * (1.0 + nu * nu):
-        return IsothermalCheck(False, math.nan, False)
-    Si = np.linalg.inv(dec.S)
+    A2 = A @ A
+    nu2 = -float(np.trace(A2)) / (2 * point.n)
+    iso_dev = np.abs(A2 + nu2 * np.eye(2 * point.n)).max()
+    if iso_dev > tol * (1.0 + nu2):
+        return IsothermalCheck(False, math.nan, False), None, None
+    dec = williamson(point.gamma)
+    Si = dec.S_inv
     W = Si @ point.dgamma @ Si.T
     ham_dev = np.abs(W @ w + w @ W).max()
     preserves = bool(ham_dev <= tol * (1.0 + np.abs(W).max()))
-    return IsothermalCheck(True, nu, preserves)
+    return IsothermalCheck(True, float(dec.nu[0]), preserves), Si, W
+
+
+def check_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalCheck:
+    """Classify a model point for the equal-temperature fast paths."""
+    return _isothermal_gate(point, tol)[0]
 
 
 # ---------------------------------------------------------------------------

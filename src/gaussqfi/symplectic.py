@@ -145,6 +145,12 @@ class WilliamsonDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.S * self.thermal_diagonal[None, :]) @ self.S.T
 
+    @property
+    def S_inv(self) -> np.ndarray:
+        """Inverse frame ``-w S^T w``, exact for symplectic ``S`` (no linear solve)."""
+        w = symplectic_form(self.nu.size)
+        return -w @ self.S.T @ w
+
 
 def _williamson_once(gamma: np.ndarray) -> WilliamsonDecomposition:
     n = gamma.shape[0] // 2

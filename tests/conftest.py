@@ -1,10 +1,13 @@
-"""Shared seeded generators for randomised sweeps.
+"""Shared seeded generators for randomised sweeps, and shared fixtures.
 
 Everything here is deterministic given the seed argument, so failures
 reproduce exactly.
 """
 
+import sys
+
 import numpy as np
+import pytest
 
 from gaussqfi import (
     GaussianModelPoint,
@@ -90,3 +93,24 @@ def random_isothermal_point(n, seed, nu=1.0):
     return GaussianModelPoint(
         d=np.zeros(2 * n), gamma=gamma, dd=np.zeros(2 * n), dgamma=dgamma
     )
+
+
+@pytest.fixture
+def williamson_calls(monkeypatch):
+    """Count calls to ``williamson`` from every package module that binds it.
+
+    Returns a one-element list holding the running count.
+    """
+    import gaussqfi.symplectic as symplectic
+
+    original = symplectic.williamson
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaussqfi") and getattr(module, "williamson", None) is original:
+            monkeypatch.setattr(module, "williamson", counting)
+    return count

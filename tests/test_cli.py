@@ -225,6 +225,25 @@ def test_oracle_check_displacement(tmp_path, capsys):
     assert float(get_value(out, "tail_mass")) < 1e-10
 
 
+def test_oracle_check_pure_phase_squeezed(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, {"family": "phase_squeezed", "params": {"r": 0.5}, "theta": 0.7}
+    )
+    assert cli.main(["oracle-check", cfg, "--cutoff", "40"]) == 0
+    out = capsys.readouterr().out
+    assert float(get_value(out, "rel_diff")) < 1e-4
+    assert float(get_value(out, "sld_residual")) < 1e-4
+
+
+def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
+    from gaussqfi import estimation
+
+    monkeypatch.setattr(estimation, "_first_moment_term", lambda point: -1.0)
+    cfg = write_cfg(tmp_path, DISPLACEMENT)
+    assert cli.main(["qfi", cfg]) == 3
+    assert "first-moment term" in capsys.readouterr().err
+
+
 def test_console_script_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL)
     proc = subprocess.run(

@@ -206,3 +206,99 @@ def test_stein_refuses_states_at_purity_boundary():
     # One cold mode is enough to trip the guard.
     with pytest.raises(gq.PreconditionError):
         gq.stein_series_solve(thermal_diag([2.0, 1.0]), np.eye(4))
+
+
+def _dense_range_solve(gamma, X):
+    """Project ``X`` orthogonally on the range of the dense map and solve there."""
+    ev, V = np.linalg.eigh(gq.dgamma_matrix(gamma))
+    keep = np.abs(ev) > 1e-9 * (1 + np.abs(ev).max())
+    coef = (V[:, keep].T @ X.ravel()) / ev[keep]
+    return (V[:, keep] @ coef).reshape(X.shape)
+
+
+# The orthogonal projection equals the frame split whenever the kernel is
+# empty or the Williamson frame is orthogonal; squeezed frames with a kernel
+# split obliquely (see test_pseudoinverse_oblique_kernel_split_pure_state).
+_DENSE_ROUTE_CASES = {
+    "thermal": lambda: thermal_diag([2.5, 1.7]),
+    "passive": lambda: random_passive_state(3, 11)[0],
+    "squeezed": lambda: random_state(3, 12, nu_min=1.1, squeeze_cap=1.0)[0],
+    "squeezed-near-pure": lambda: random_state(2, 13, nu_min=1.0, nu_max=1.05)[0],
+    "vacuum-kernel": lambda: random_passive_state(2, 14, pure_modes=2)[0],
+    "mixed-purity": lambda: random_passive_state(3, 15, pure_modes=1)[0],
+    "mixed-purity-two-cold": lambda: random_passive_state(3, 16, pure_modes=2)[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DENSE_ROUTE_CASES))
+def test_pseudoinverse_matches_dense_range_solve(case):
+    gamma = _DENSE_ROUTE_CASES[case]()
+    rng = np.random.default_rng(7)
+    for X in (random_symmetric(gamma.shape[0], 8), rng.standard_normal(gamma.shape)):
+        Y, res = gq.dgamma_pseudoinverse_apply(gamma, X)
+        Yd = _dense_range_solve(gamma, X)
+        assert_allclose(Y, Yd, atol=1e-10 * (1 + np.abs(Yd).max()))
+        DYd = gq.apply_dgamma(gamma, Yd)
+        assert res == pytest.approx(np.linalg.norm(DYd - X), abs=1e-9 * (1 + res))
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        np.eye(2),
+        thermal_diag([3.0, 1.0]),
+        random_passive_state(3, 21, pure_modes=2)[0],
+        random_state(1, 22, nu_min=1.0, nu_max=1.0, squeeze_cap=0.8)[0],
+        random_state(2, 23, nu_min=1.5, squeeze_cap=0.8)[0],
+    ],
+)
+def test_pseudoinverse_zeroes_kernel_dimension_components(gamma):
+    # The solve is linear; its rank deficiency over all (2n)^2 inputs is the
+    # number of eigenvalue entries it zeroes, one kernel rule with the spectrum.
+    m = gamma.shape[0]
+    columns = []
+    for k in range(m * m):
+        E = np.zeros(m * m)
+        E[k] = 1.0
+        columns.append(gq.dgamma_pseudoinverse_apply(gamma, E.reshape(m, m))[0].ravel())
+    sv = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    rank = int(np.sum(sv > 1e-9 * sv.max()))
+    assert m * m - rank == gq.dgamma_spectrum(gamma).kernel_dimension
+
+
+def _block_loop_pinv(gamma, X, tol=1e-9):
+    """Reference: the mode-pair loop over the 2x2 block basis, with a dense inverse."""
+    dec = gq.williamson(gamma)
+    n = len(dec.nu)
+    Si = np.linalg.inv(dec.S)
+    Xt = Si @ X @ Si.T
+    cut = tol * (1.0 + dec.nu.max() ** 2)
+    basis = [
+        (np.eye(2), +1),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), +1),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), -1),
+        (np.array([[1.0, 0.0], [0.0, -1.0]]), -1),
+    ]
+    Yt = np.zeros_like(Xt)
+    for i in range(n):
+        for j in range(n):
+            idx = np.ix_([i, n + i], [j, n + j])
+            for E, parity in basis:
+                lam = dec.nu[i] * dec.nu[j] - parity
+                if abs(lam) >= cut:
+                    Yt[idx] += (np.sum(Xt[idx] * E) / (2.0 * lam)) * E
+    return Si.T @ Yt @ Si
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pseudoinverse_matches_block_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    S = gq.random_symplectic(n, seed=seed, squeeze_cap=0.8)
+    nu = np.sort(rng.uniform(1.0, 3.0, n))[::-1]
+    nu[rng.integers(0, n + 1):] = 1.0  # vacuum modes give the map a kernel
+    gamma = S @ thermal_diag(nu) @ S.T
+    X = rng.standard_normal((2 * n, 2 * n))
+    Y, _ = gq.dgamma_pseudoinverse_apply(gamma, X)
+    Yref = _block_loop_pinv(gamma, X)
+    assert np.abs(Y - Yref).max() <= 1e-12 * np.abs(Yref).max()

@@ -218,3 +218,8 @@ def test_photon_counting_cooling_model_flips_sign():
     assert form is not None
     assert np.all(form.alpha < 0)
     assert_allclose(form.alpha, [-1.0 / 3.0], atol=1e-10)
+
+
+def test_qfi_general_factorises_once(williamson_calls):
+    gq.qfi_general(random_model_point(3, seed=6))
+    assert williamson_calls[0] == 1

@@ -165,6 +165,22 @@ def test_sld_residual_thermal_and_negative_control():
     assert gq.sld_residual(pt, wrong, 40) > 0.05
 
 
+def test_sld_residual_pure_moving_covariance():
+    # A pure state whose covariance rotates: the straight line Gamma + t dGamma
+    # leaves the physical set at order t^2, so the residual needs the lifted curve.
+    pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7)
+    co = gq.sld_coefficients(pt)
+    assert gq.sld_residual(pt, co, 40) < 1e-4
+
+
+def test_sld_residual_refuses_purity_lowering_tangent():
+    pt = gq.GaussianModelPoint(
+        d=np.zeros(2), gamma=np.eye(2), dd=np.zeros(2), dgamma=-np.eye(2)
+    )
+    with pytest.raises(gq.ConvergenceError):
+        gq.sld_residual(pt, gq.sld_coefficients(pt), 20)
+
+
 def test_sld_observable_moments_match_engine():
     pt = gq.builtin_family("squeezing", {"nu": 1.5}).point(0.4)
     co = gq.sld_coefficients(pt)

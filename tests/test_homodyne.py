@@ -192,3 +192,9 @@ def test_ancilla_cannot_increase_information():
     for _ in range(40):
         U = gq.random_symplectic(2, seed=rng, squeeze_cap=2.0)
         assert gq.homodyne_fisher(fr_ext, U) <= best + 1e-9
+
+
+def test_frame_factorises_once(williamson_calls):
+    pt = random_isothermal_point(3, seed=4, nu=1.0)
+    gq.isothermal_frame(pt)
+    assert williamson_calls[0] == 1

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, thermal_diag
+from conftest import random_isothermal_point, random_model_point, thermal_diag
 
 
 def test_displacement_family():
@@ -259,3 +259,9 @@ def test_load_model_config(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(gq.ConfigError):
         gq.load_model_config(str(bad))
+
+
+def test_check_isothermal_skips_factorisation_off_isothermal(williamson_calls):
+    pt = random_model_point(2, seed=5)  # spread spectrum
+    assert not gq.check_isothermal(pt).is_isothermal
+    assert williamson_calls[0] == 0

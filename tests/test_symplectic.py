@@ -211,3 +211,11 @@ def test_direct_sum_of_symplectics_is_symplectic():
     SA = gq.random_symplectic(1, seed=31, squeeze_cap=1.0)
     SB = gq.random_symplectic(2, seed=32, squeeze_cap=1.0)
     assert gq.is_symplectic(direct_sum(SA, SB), tol=1e-10)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (6, 2)])
+def test_williamson_symplectic_inverse(n, seed):
+    gamma, _, _ = random_state(n, seed, squeeze_cap=1.0)
+    dec = gq.williamson(gamma)
+    assert_allclose(dec.S_inv @ dec.S, np.eye(2 * n), atol=1e-11)
+    assert_allclose(dec.S_inv, np.linalg.inv(dec.S), atol=1e-10)
