@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning
-from .symplectic import symplectic_form, validate_covariance, williamson
+from .symplectic import is_symplectic, symplectic_form, validate_covariance
 
 __all__ = [
     "GaussianModelPoint",
@@ -316,11 +316,12 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
 class IsothermalCheck:
     """Result of :func:`check_isothermal`.
 
-    ``is_isothermal``: all symplectic eigenvalues equal (``(Gamma w)^2 =
-    -nu^2 I``).  ``derivative_preserves_nu``: the Williamson-frame derivative
-    ``W = S^-1 dGamma S^-T`` anticommutes with the symplectic form, i.e. the
-    parameter moves the state along a symplectic orbit without changing its
-    temperature.  ``nu`` is NaN when not isothermal.
+    ``is_isothermal``: all symplectic eigenvalues equal ``nu``, the geometric
+    mean of the eigenvalues of ``Gamma``.  ``derivative_preserves_nu``: the
+    derivative ``W = Si dGamma Si`` in the frame ``Si = (Gamma / nu)^(-1/2)``
+    anticommutes with the symplectic form, i.e. the parameter moves the state
+    along a symplectic orbit without changing its temperature.  ``nu`` is NaN
+    when not isothermal.
     """
 
     is_isothermal: bool
@@ -331,30 +332,29 @@ class IsothermalCheck:
 def _isothermal_gate(
     point: GaussianModelPoint, tol: float
 ) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
-    """The equal-temperature gates, plus the frame data they computed.
+    """The equal-temperature gates, plus the frame they computed.
 
-    The spectrum gate needs no factorisation: with ``A = Gamma w`` every
-    ``nu_k^2`` is an eigenvalue of ``-A^2``, so ``nu^2 = -tr(A^2) / 2n`` and
-    the point is isothermal iff ``A^2 + nu^2 I`` vanishes.  Only an
-    isothermal point is factorised, to get ``W = S^-1 dGamma S^-T``.
+    One ``eigh(Gamma)``, no Williamson factorisation.  ``det Gamma = prod
+    nu_k^2``, so an isothermal point has ``nu`` = the geometric mean of the
+    eigenvalues, and ``Si = (Gamma / nu)^(-1/2)`` is symplectic iff the point
+    is isothermal (then ``Si Gamma Si = nu I``).  The test on ``|Si w Si - w|``
+    scales with ``|Si|^2``, as its rounding does.
 
     Returns:
-        ``(check, S_inv, W)``; ``S_inv`` and ``W`` are None when the point
-        is not isothermal.
+        ``(check, Si, W)``; ``Si`` and ``W`` are None when not isothermal.
     """
     w = symplectic_form(point.n)
-    A = point.gamma @ w
-    A2 = A @ A
-    nu2 = -float(np.trace(A2)) / (2 * point.n)
-    iso_dev = np.abs(A2 + nu2 * np.eye(2 * point.n)).max()
-    if iso_dev > tol * (1.0 + nu2):
+    ev, V = np.linalg.eigh(point.gamma)
+    if ev[0] <= 0:
+        raise ValueError(f"gamma is not positive definite (min eigenvalue {ev[0]:.3e})")
+    nu = float(np.exp(np.mean(np.log(ev))))
+    Si = (V * np.sqrt(nu / ev)) @ V.T
+    if not is_symplectic(Si, tol * nu / ev[0]):
         return IsothermalCheck(False, math.nan, False), None, None
-    dec = williamson(point.gamma)
-    Si = dec.S_inv
-    W = Si @ point.dgamma @ Si.T
+    W = Si @ point.dgamma @ Si
     ham_dev = np.abs(W @ w + w @ W).max()
     preserves = bool(ham_dev <= tol * (1.0 + np.abs(W).max()))
-    return IsothermalCheck(True, float(dec.nu[0]), preserves), Si, W
+    return IsothermalCheck(True, nu, preserves), Si, W
 
 
 def check_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalCheck:

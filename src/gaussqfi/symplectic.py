@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import ConvergenceError
 
@@ -75,16 +74,25 @@ def _sym_sqrt(G: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(ev)) @ V.T
 
 
+def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(root, H)``: ``root = gamma^(1/2)`` and ``H = i root w root``, whose
+    eigenvalues are ``+/- nu_k`` (``root w root`` is similar to ``gamma w``)."""
+    root = _sym_sqrt(gamma)
+    A = root @ symplectic_form(gamma.shape[0] // 2) @ root
+    return root, 0.5j * (A - A.T)  # exactly Hermitian: eigh reads one triangle
+
+
 def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive-definite matrix, descending.
 
-    Computed from the eigenvalues of ``gamma @ w``, which come in pairs
-    ``+/- i nu_k``; the ``nu_k`` are returned sorted in descending order.
+    The positive eigenvalues of ``i gamma^(1/2) w gamma^(1/2)``, the
+    eigenproblem :func:`williamson` solves, read from the symmetric part of
+    ``gamma``.  Raises ``ValueError`` if ``gamma`` is not positive definite.
     """
     n = _check_even_square(gamma, "gamma")
-    ev = np.linalg.eigvals(np.asarray(gamma, dtype=float) @ symplectic_form(n))
-    nus = np.sort(np.abs(ev.imag))[::-1]
-    return nus[: 2 * n : 2].copy()
+    gamma = np.asarray(gamma, dtype=float)
+    _, H = _hermitian_form(0.5 * (gamma + gamma.T))
+    return np.linalg.eigvalsh(H)[n:][::-1]
 
 
 @dataclass(frozen=True)
@@ -154,33 +162,24 @@ class WilliamsonDecomposition:
 
 def _williamson_once(gamma: np.ndarray) -> WilliamsonDecomposition:
     n = gamma.shape[0] // 2
-    root = _sym_sqrt(gamma)
-    A = root @ symplectic_form(n) @ root
-    T, Q = la.schur(A)
-    # A is antisymmetric, so its real Schur form is block diagonal with
-    # 2x2 blocks [[0, nu], [-nu, 0]]; orient each block so nu > 0.
-    pairs = []
-    for k in range(n):
-        b = T[2 * k, 2 * k + 1]
-        qcol, pcol = Q[:, 2 * k], Q[:, 2 * k + 1]
-        if b < 0:
-            b, qcol, pcol = -b, pcol, qcol
-        pairs.append((b, qcol, pcol))
-    pairs.sort(key=lambda p: -p[0])
-    nu = np.array([p[0] for p in pairs])
-    Qr = np.column_stack([p[1] for p in pairs] + [p[2] for p in pairs])
-    scale = np.concatenate([nu, nu])
-    S = root @ Qr / np.sqrt(scale)[None, :]
+    root, H = _hermitian_form(gamma)
+    ev, V = np.linalg.eigh(H)
+    nu = ev[n:][::-1]
+    # an eigenvector x + i y of +nu gives the orthonormal Q/P pair sqrt(2) (y, x)
+    top = V[:, n:][:, ::-1] * np.sqrt(2.0 / nu)
+    S = root @ np.concatenate([top.imag, top.real], axis=1)
     return WilliamsonDecomposition(S=S, nu=nu)
 
 
 def williamson(gamma: np.ndarray, tol: float = 1e-10) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
-    Route: Schur decomposition of ``gamma^(1/2) @ w @ gamma^(1/2)`` with
-    symplectic normalisation of the eigenvector pairs.  If the first pass
-    misses ``tol``, one refinement step is applied (re-decompose the residual
-    ``S^-1 gamma S^-T``, which is nearly diagonal, and compose).
+    Route: ``eigh(i gamma^(1/2) w gamma^(1/2))``, the Hermitian eigenproblem
+    :func:`symplectic_eigenvalues` reads.  The top ``n`` eigenvalues are
+    ``nu``; the imaginary and real parts of their eigenvectors, times
+    ``gamma^(1/2)`` and ``nu^(-1/2)``, are the Q and P columns of ``S``.  If
+    the first pass misses ``tol``, one refinement step is applied (re-decompose
+    the residual ``S^-1 gamma S^-T``, which is nearly diagonal, and compose).
 
     Args:
         gamma: symmetric positive-definite ``2n x 2n`` matrix.  Validity as a

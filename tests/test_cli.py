@@ -257,3 +257,20 @@ def test_console_script_roundtrip(tmp_path):
         [sys.executable, "-m", "gaussqfi", "bogus"], capture_output=True, text=True
     )
     assert proc2.returncode == 64
+
+
+def test_qfi_factorises_once(tmp_path, capsys, williamson_calls):
+    cfg = write_cfg(tmp_path, PHASE)
+    assert cli.main(["qfi", cfg]) == 0
+    assert get_value(capsys.readouterr().out, "homodyne_opt") != "unavailable"
+    assert williamson_calls[0] == 1
+
+
+def test_sweep_factorises_once_per_point(tmp_path, williamson_calls):
+    cfg = write_cfg(tmp_path, PHASE)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", cfg, "--from", "0", "--to", "1", "--steps", "7", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 7 and all(row.split(",")[5] for row in rows)
+    assert williamson_calls[0] == 7

@@ -195,6 +195,37 @@ def test_ancilla_cannot_increase_information():
 
 
 def test_frame_factorises_once(williamson_calls):
+    # the frame comes from the gate's eigh(Gamma): no Williamson factorisation
     pt = random_isothermal_point(3, seed=4, nu=1.0)
     gq.isothermal_frame(pt)
-    assert williamson_calls[0] == 1
+    assert williamson_calls[0] == 0
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("phase_squeezed", {"r": 5.0}),
+        ("phase_squeezed", {"r": 6.0, "nu": 1.5}),
+        ("two_mode_squeezed_phase", {"r": 6.0}),
+    ],
+)
+def test_gate_accepts_strongly_squeezed_points(family, params):
+    pt = gq.builtin_family(family, params).point(0.7)
+    chk = gq.check_isothermal(pt)
+    assert chk.is_isothermal and chk.derivative_preserves_nu
+    assert chk.nu == pytest.approx(params.get("nu", 1.0), rel=1e-5)
+
+
+def test_frame_of_strongly_squeezed_pure_point_is_optimal():
+    pt = gq.builtin_family("phase_squeezed", {"r": 5.0}).point(0.7)
+    best = gq.optimal_homodyne_fisher(gq.isothermal_frame(pt))
+    assert best == pytest.approx(gq.qfi_general(pt).qfi, rel=1e-6)
+
+
+def test_gate_rejects_small_temperature_spread():
+    S = gq.random_symplectic(2, seed=12, squeeze_cap=1.0)
+    gamma = S @ thermal_diag([1.5, 1.5 - 1e-4]) @ S.T
+    pt = gq.GaussianModelPoint(
+        np.zeros(4), 0.5 * (gamma + gamma.T), np.zeros(4), S @ S.T
+    )
+    assert not gq.check_isothermal(pt).is_isothermal

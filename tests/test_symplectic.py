@@ -96,6 +96,21 @@ def test_williamson_random_roundtrip(n):
     assert np.all(np.diff(dec.nu) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("phase_squeezed", {"r": 6.0}),
+        ("phase_squeezed", {"r": 7.0}),
+        ("two_mode_squeezed_phase", {"r": 6.0}),
+    ],
+)
+def test_spectrum_routes_agree_under_strong_squeezing(family, params):
+    gamma = gq.builtin_family(family, params).point(0.7).gamma
+    nu = gq.williamson(gamma).nu
+    assert_allclose(gq.symplectic_eigenvalues(gamma), nu, rtol=1e-12)
+    assert gq.validate_covariance(gamma).nu_min == pytest.approx(nu[-1], rel=1e-12)
+
+
 def test_williamson_degenerate_spectrum():
     S = gq.random_symplectic(2, seed=3, squeeze_cap=0.9)
     gamma = 2.0 * S @ S.T
