@@ -25,13 +25,11 @@ from .estimation import (
     FisherReport,
     PhotonCountingForm,
     SLDCoefficients,
-    centered_sld,
     gaussian_distribution_fisher,
     photon_counting_form,
     qfi_general,
     qfi_isothermal,
     sld_coefficients,
-    uncentered_sld,
     wigner_fisher,
 )
 from .exceptions import (
@@ -133,8 +131,6 @@ __all__ = [
     # estimation
     "SLDCoefficients",
     "sld_coefficients",
-    "uncentered_sld",
-    "centered_sld",
     "FisherReport",
     "qfi_general",
     "qfi_isothermal",

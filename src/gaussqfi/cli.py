@@ -157,10 +157,20 @@ def _parser(cmd: str, description: str) -> argparse.ArgumentParser:
     return p
 
 
+def _parse(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` and require any ``--tol``/``--h`` to be finite and > 0."""
+    args = p.parse_args(argv)
+    for flag in ("tol", "h"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"--{flag} must be finite and > 0, got {value:g}")
+    return args
+
+
 def _cmd_qfi(argv: list[str]) -> int:
     p = _parser("qfi", "Evaluate the quantum Fisher information of one model.")
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = p.parse_args(argv)
+    args = _parse(p, argv)
     cfg = load_model_config(args.config)
     rep = qfi_general(cfg.point, args.tol)
     print(f"# gaussqfi qfi: tol = {args.tol:g}")
@@ -191,7 +201,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         help="accepted for compatibility (>= 1); evaluation is serial (default 1)",
     )
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = p.parse_args(argv)
+    args = _parse(p, argv)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if args.jobs < 1:
@@ -212,7 +222,7 @@ def _cmd_sweep(argv: list[str]) -> int:
 def _cmd_sld(argv: list[str]) -> int:
     p = _parser("sld", "Print the SLD observable of one model.")
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = p.parse_args(argv)
+    args = _parse(p, argv)
     cfg = load_model_config(args.config)
     coeffs = sld_coefficients(cfg.point, args.tol)
     print(f"# gaussqfi sld: tol = {args.tol:g}")
@@ -242,10 +252,12 @@ def _cmd_homodyne(argv: list[str]) -> int:
     p.add_argument("--tol", type=float, default=1e-8, help="frame tolerance (default 1e-8)")
     p.add_argument(
         "--random-U", dest="random_u", type=int, default=0,
-        help="also probe N random symplectic measurement frames",
+        help="also probe N >= 0 random symplectic measurement frames (default 0)",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --random-U (default 0)")
-    args = p.parse_args(argv)
+    args = _parse(p, argv)
+    if args.random_u < 0:
+        raise ConfigError(f"--random-U must be >= 0, got {args.random_u}")
     cfg = load_model_config(args.config)
     frame = isothermal_frame(cfg.point, args.tol)
     best = optimal_homodyne_fisher(frame)
@@ -278,7 +290,7 @@ def _cmd_oracle_check(argv: list[str]) -> int:
     p.add_argument("--cutoff", type=int, required=True, help="per-mode Fock dimension")
     p.add_argument("--h", type=float, default=1e-4, help="finite-difference step (default 1e-4)")
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = p.parse_args(argv)
+    args = _parse(p, argv)
     cfg = load_model_config(args.config)
     rep = qfi_general(cfg.point, args.tol)
     probe = qfi_fock_probe(cfg.family, cfg.theta, args.cutoff, args.h)

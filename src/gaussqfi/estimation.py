@@ -9,8 +9,7 @@ We represent it in centered form
 with ``b = 2 Gamma^-1 dd`` and ``L`` solving the second-moment superoperator
 equation ``D(L) = dGamma``.  The constant offset makes ``<L_hat> = 0``
 automatic, and the centered form avoids the cancellation-prone cross terms of
-the uncentered polynomial (conversion helpers are provided and round-trip
-exactly).
+the uncentered polynomial.
 
 Quantum Fisher information then splits into a first-moment term
 ``2 dd^T Gamma^-1 dd`` and a second-moment term ``tr[dGamma L] / 2``; the
@@ -32,8 +31,6 @@ from .symplectic import williamson
 __all__ = [
     "SLDCoefficients",
     "sld_coefficients",
-    "uncentered_sld",
-    "centered_sld",
     "FisherReport",
     "qfi_general",
     "qfi_isothermal",
@@ -77,32 +74,6 @@ def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoeffic
     b = 2.0 * np.linalg.solve(point.gamma, point.dd)
     c = -0.5 * float(np.sum(L * point.gamma))
     return SLDCoefficients(L=L, b=b, c=c, range_residual=residual)
-
-
-def uncentered_sld(
-    coeffs: SLDCoefficients, d: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Convert centered coefficients to the uncentered polynomial.
-
-    Returns ``(L0, L1, L2)`` with
-    ``L_hat = L0 + sum_i L1_i R_i + sum_ij L2_ij R_i o R_j``.
-    """
-    d = np.asarray(d, dtype=float)
-    L2 = coeffs.L
-    L1 = coeffs.b - 2.0 * L2 @ d
-    L0 = float(d @ L2 @ d - coeffs.b @ d + coeffs.c)
-    return L0, L1, L2
-
-
-def centered_sld(
-    L0: float, L1: np.ndarray, L2: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Inverse of :func:`uncentered_sld`; returns ``(L, b, c)``."""
-    d = np.asarray(d, dtype=float)
-    L = np.asarray(L2, dtype=float)
-    b = np.asarray(L1, dtype=float) + 2.0 * L @ d
-    c = float(L0) - float(d @ L @ d) + float(b @ d)
-    return L, b, c
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 CSV determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -153,6 +154,31 @@ def test_sweep_rejects_bad_counts(tmp_path):
     assert cli.main(base + ["--steps", "3", "--jobs", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--from", "0", "--to", "1", "--steps", "3", "--tol", "-1"], "--tol"),
+        (["sweep", "--from", "0", "--to", "1", "--steps", "3", "--tol", "inf"], "--tol"),
+        (["qfi", "--tol", "0"], "--tol"),
+        (["sld", "--tol", "nan"], "--tol"),
+        (["homodyne", "--tol", "-0.5"], "--tol"),
+        (["oracle-check", "--cutoff", "20", "--h", "0"], "--h"),
+        (["oracle-check", "--cutoff", "20", "--h", "nan"], "--h"),
+        (["homodyne", "--random-U", "-3"], "--random-U"),
+    ],
+    ids=["sweep-tol-neg", "sweep-tol-inf", "qfi-tol-zero", "sld-tol-nan",
+         "homodyne-tol-neg", "oracle-h-zero", "oracle-h-nan", "homodyne-random-u-neg"],
+)
+def test_numeric_flags_are_validated(tmp_path, capsys, argv, flag):
+    cfg = write_cfg(
+        tmp_path, {"family": "phase_squeezed", "params": {"r": 0.5}, "theta": 0.3}
+    )
+    assert cli.main([argv[0], cfg] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be" in captured.err
+
+
 def test_sweep_family_domain_error(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL)
     code = cli.main(["sweep", cfg, "--from", "0.5", "--to", "2.0", "--steps", "3"])
@@ -257,6 +283,22 @@ def test_console_script_roundtrip(tmp_path):
         [sys.executable, "-m", "gaussqfi", "bogus"], capture_output=True, text=True
     )
     assert proc2.returncode == 64
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gaussqfi, gaussqfi.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_qfi_factorises_once(tmp_path, capsys, williamson_calls):

@@ -47,25 +47,6 @@ def test_sld_offset_identity(seed):
     assert co.c == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
 
 
-def test_sld_centered_uncentered_roundtrip():
-    pt = gq.GaussianModelPoint([1.0, -2.0], 2 * np.eye(2), [0.3, 0.1], np.eye(2))
-    co = gq.sld_coefficients(pt)
-    L0, L1, L2 = gq.uncentered_sld(co, pt.d)
-    assert_allclose(L2, co.L, atol=1e-14)
-    L, b, c = gq.centered_sld(L0, L1, L2, pt.d)
-    assert_allclose(L, co.L, atol=1e-12)
-    assert_allclose(b, co.b, atol=1e-12)
-    assert c == pytest.approx(co.c, abs=1e-12)
-    # Both parametrizations evaluate to the same quadratic at sample points.
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        x = rng.standard_normal(2)
-        dx = x - pt.d
-        centered = dx @ co.L @ dx + co.b @ dx + co.c
-        uncentered = x @ L2 @ x + L1 @ x + L0
-        assert centered == pytest.approx(uncentered, abs=1e-12)
-
-
 def test_qfi_displacement():
     rep = gq.qfi_general(gq.builtin_family("displacement").point(1.1))
     assert rep.qfi == pytest.approx(2.0, abs=1e-12)

@@ -7,9 +7,24 @@ meaningful.
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
+
+
+def _passive_from_u(u):
+    """Orthogonal symplectic ``[[c, s], [-s, c]]`` of the mode unitary ``u = c - i s``."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_NEAR_DEGENERATE = (
+    np.array([[0.8, -0.6], [0.6, 0.8]])
+    @ np.diag(np.exp(1j * np.array([0.6, 0.6 + 1e-9])))
+    @ np.array([[0.8, 0.6], [-0.6, 0.8]])
+)
+_RANDOM_O = gq.random_orthogonal_symplectic(2, np.random.default_rng(3))
 
 
 def test_quadrature_commutators_single_mode():
@@ -57,6 +72,105 @@ def test_passive_unitary_rotates_quadratures():
         lhs = U.conj().T @ R[i] @ U
         rhs = O[i, 0] * R[0] + O[i, 1] * R[1]
         assert np.abs(lhs - rhs)[: dim - 2, : dim - 2].max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "O",
+    [_RANDOM_O, -np.eye(4), np.eye(4), _passive_from_u(_SWAP)],
+    ids=["random", "minus-identity", "identity", "swap"],
+)
+def test_passive_unitary_two_modes(O):
+    dim = 10
+    U = gq.passive_unitary(O, dim)
+    assert_allclose(U @ U.conj().T, np.eye(dim**2), atol=1e-10)
+    R = gq.quadrature_operators(2, dim)
+    # The truncated generator is exact on total photon number <= dim - 1, so
+    # R -> O R holds between states with n1 + n2 <= dim - 2.
+    inner = np.add.outer(np.arange(dim), np.arange(dim)).ravel() <= dim - 2
+    block = np.ix_(inner, inner)
+    for i in range(4):
+        lhs = U.conj().T @ R[i] @ U
+        rhs = np.einsum("k,kab->ab", O[i], R)
+        assert np.abs(lhs - rhs)[block].max() < 1e-10
+
+
+@pytest.mark.parametrize("z", [0.3, -0.3])
+def test_squeeze_unitary_scales_quadratures(z):
+    dim = 60
+    U = gq.squeeze_unitary([z], dim)
+    assert_allclose(U @ U.conj().T, np.eye(dim), atol=1e-10)
+    R = gq.quadrature_operators(1, dim)
+    for k, scale in enumerate([np.exp(z), np.exp(-z)]):
+        lhs = U.conj().T @ R[k] @ U
+        assert np.abs(lhs - scale * R[k])[:12, :12].max() < 1e-10
+
+
+@pytest.mark.parametrize("d", [[1.2, -0.7], [0.4, -0.3, 0.2, 0.5]])
+def test_displacement_unitary_shifts_first_moments(d):
+    n = len(d) // 2
+    dim = 30 if n == 1 else 16
+    R = gq.quadrature_operators(n, dim)
+    one = 1 if n == 1 else dim + 1  # index of |1> or |1, 1>
+    for start in (0, one):
+        psi0 = np.eye(dim**n)[start]
+        psi = gq.displacement_unitary(d, dim) @ psi0
+        shift = [np.vdot(psi, Rk @ psi).real - np.vdot(psi0, Rk @ psi0).real for Rk in R]
+        assert_allclose(shift, d, atol=1e-10)
+
+
+def _scipy_passive_unitary(O, dim):
+    """The matrix-logarithm and matrix-exponential route, as a reference."""
+    n = O.shape[0] // 2
+    hc = 1j * la.logm(O[:n, :n] - 1j * O[:n, n:])
+    hc = 0.5 * (hc + hc.conj().T)
+    a1 = gq.destroy(dim)
+    a = [np.kron(np.kron(np.eye(dim**k), a1), np.eye(dim ** (n - 1 - k))) for k in range(n)]
+    gen = sum(hc[j, k] * (a[j].conj().T @ a[k]) for j in range(n) for k in range(n))
+    return la.expm(-1j * gen)
+
+
+def _scipy_squeeze_unitary(z, dim):
+    a = gq.destroy(dim)
+    out = np.ones((1, 1))
+    for z_k in z:
+        out = np.kron(out, la.expm(0.5 * z_k * (a.T @ a.T - a @ a)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "O",
+    [
+        _passive_from_u(np.array([[np.exp(0.9j)]])),
+        -np.eye(2),
+        _RANDOM_O,
+        -np.eye(4),
+        _passive_from_u(_SWAP),
+        _passive_from_u(_NEAR_DEGENERATE),
+    ],
+    ids=["n1-phase", "n1-minus-identity", "n2-random", "n2-minus-identity", "n2-swap",
+         "n2-near-degenerate"],
+)
+def test_passive_unitary_matches_scipy_reference(O):
+    dim = 30 if O.shape[0] == 2 else 12
+    assert np.abs(gq.passive_unitary(O, dim) - _scipy_passive_unitary(O, dim)).max() < 1e-12
+
+
+def test_squeeze_displacement_and_gaussian_unitary_match_scipy_reference():
+    dim = 12
+    z = [0.5, -0.3]
+    assert np.abs(gq.squeeze_unitary(z, dim) - _scipy_squeeze_unitary(z, dim)).max() < 1e-12
+    a = gq.destroy(dim).astype(complex)
+    alpha = (0.4 - 0.3j) / np.sqrt(2.0)
+    D = la.expm(alpha * a.conj().T - np.conj(alpha) * a)
+    assert np.abs(gq.displacement_unitary([0.4, -0.3], dim) - D).max() < 1e-12
+    S = gq.random_symplectic(2, seed=4, squeeze_cap=0.6)
+    O1, zs, O2 = gq.euler_decompose(S)
+    expected = (
+        _scipy_passive_unitary(O1, dim)
+        @ _scipy_squeeze_unitary(zs, dim)
+        @ _scipy_passive_unitary(O2, dim)
+    )
+    assert np.abs(gq.gaussian_unitary(S, dim) - expected).max() < 1e-12
 
 
 def test_build_state_vacuum_is_exact():
