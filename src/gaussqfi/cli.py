@@ -87,7 +87,9 @@ def _evaluate_sweep_point(family: ModelFamily, theta: float, tol: float) -> Swee
     point = family.point(theta)
     rep = qfi_general(point, tol)
     warn = ""
-    if rep.range_residual > tol * (1.0 + np.linalg.norm(point.dgamma)):
+    # Capped at the default: a large tol cuts every line and zeroes the QFI,
+    # and the residual that leaves behind must still be flagged.
+    if rep.range_residual > min(tol, 1e-9) * (1.0 + np.linalg.norm(point.dgamma)):
         warn = "kernel-overlap"
     try:
         hopt = optimal_homodyne_fisher(isothermal_frame(point))

@@ -14,6 +14,11 @@ States are built at ``cutoff + pad`` and then cropped back to ``cutoff``.
 The truncated exponentials are unitary on the padded space, so the cropped
 state has a genuinely missing tail; ``tail_mass`` reports it instead of
 renormalizing it away.
+
+Two shortcuts keep this affordable without changing any matrix: a passive
+generator conserves the total photon number, so it is exponentiated one
+number sector at a time, and a state is formed only on the rows and columns
+the crop keeps.  Every matrix is still the truncated operator itself.
 """
 
 from __future__ import annotations
@@ -87,20 +92,25 @@ def thermal_density(nu: np.ndarray, dim: int) -> np.ndarray:
     ``(nu_k - 1)/2``.  Weights are not renormalized after truncation, so the
     matrix has trace slightly below one for hot modes.
     """
+    return np.diag(_thermal_weights(nu, dim).astype(complex))
+
+
+def _thermal_weights(nu: np.ndarray, dim: int) -> np.ndarray:
+    """Diagonal of :func:`thermal_density`, as a real vector."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    rho = np.array([[1.0 + 0.0j]])
+    p = np.ones(1)
     ks = np.arange(dim)
     for nu_k in nu:
         nbar = 0.5 * (nu_k - 1.0)
-        weights = nbar**ks / (nbar + 1.0) ** (ks + 1)
-        rho = np.kron(rho, np.diag(weights.astype(complex)))
-    return rho
+        p = np.kron(p, nbar**ks / (nbar + 1.0) ** (ks + 1))
+    return p
 
 
 def _expi(H: np.ndarray) -> np.ndarray:
-    """``exp(-i H)`` of a Hermitian ``H`` as ``V diag(exp(-i lam)) V^H``."""
+    """``exp(-i H)`` of a Hermitian ``H``, or of a stack of them, as
+    ``V diag(exp(-i lam)) V^H``."""
     lam, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * lam)) @ V.conj().T
+    return (V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
@@ -111,6 +121,13 @@ def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
     quadratic generator whose exponential maps moments by ``R -> O R``.
     ``u`` is normal, so its orthonormalised eigenvectors diagonalise it and
     ``i log u = V diag(-arg lam) V^H`` on the principal branch.
+
+    The generator ``sum_jk hc_jk a_j† a_k`` is a sum of Kronecker products
+    of the one-mode ``a†``, ``a`` and ``a† a``, and it conserves the total
+    photon number.  Its entries are formed only inside the number sectors;
+    sectors of equal size are exponentiated in one stacked ``eigh``, and the
+    blocks are scattered into the dense result, so the entries between
+    different sectors are exactly zero.
     """
     O = np.asarray(O, dtype=float)
     n = O.shape[0] // 2
@@ -121,13 +138,30 @@ def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
     V, _ = np.linalg.qr(V)
     hc = (V * -np.angle(lam)) @ V.conj().T
     hc = 0.5 * (hc + hc.conj().T)
-    a_ops = [_embed(destroy(dim).astype(complex), k, n, dim) for k in range(n)]
-    gen = np.zeros((dim**n, dim**n), dtype=complex)
+    a = destroy(dim)
+    terms = []
     for j in range(n):
         for k in range(n):
             if hc[j, k] != 0.0:
-                gen += hc[j, k] * (a_ops[j].conj().T @ a_ops[k])
-    return _expi(gen)
+                factors = [a.T if m == j else np.eye(dim) for m in range(n)]
+                factors[k] = factors[k] @ a
+                terms.append((hc[j, k], factors))
+    levels = np.indices((dim,) * n).reshape(n, -1)
+    total = levels.sum(axis=0)
+    order = np.argsort(total, kind="stable")
+    sizes = np.bincount(total)
+    starts = np.cumsum(sizes) - sizes
+    U = np.zeros((dim**n, dim**n), dtype=complex)
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        gen = np.zeros(idx.shape + (size,), dtype=complex)
+        for coef, factors in terms:
+            entry = coef
+            for f, lv in zip(factors, levels[:, idx]):
+                entry = entry * f[lv[:, :, None], lv[:, None, :]]
+            gen += entry
+        U[idx[:, :, None], idx[:, None, :]] = _expi(gen)
+    return U
 
 
 def squeeze_unitary(z: np.ndarray, dim: int) -> np.ndarray:
@@ -165,8 +199,14 @@ def gaussian_unitary(S: np.ndarray, dim: int) -> np.ndarray:
     each layer exponentiated separately, which avoids one large
     ill-conditioned generator.
     """
+    P1, Sq, P2 = _gaussian_factors(S, dim)
+    return P1 @ Sq @ P2
+
+
+def _gaussian_factors(S: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Passive, squeeze and passive factors whose product implements ``S``."""
     O1, z, O2 = euler_decompose(S)
-    return passive_unitary(O1, dim) @ squeeze_unitary(z, dim) @ passive_unitary(O2, dim)
+    return [passive_unitary(O1, dim), squeeze_unitary(z, dim), passive_unitary(O2, dim)]
 
 
 @dataclass(frozen=True)
@@ -213,7 +253,12 @@ def build_state(
 
     Builds the thermal normal form from the Williamson factorization, applies
     the Gaussian unitary of the symplectic factor and then the displacement,
-    all on a padded basis, and finally crops to ``cutoff``.
+    all on a padded basis, and finally crops to ``cutoff``.  Only the kept
+    rows are formed: with ``X = D[keep] P1 Sq P2`` (the displacement, then
+    the passive, squeeze and passive factors of :func:`gaussian_unitary`;
+    ``D`` is the identity when ``d = 0``) and the thermal weights ``p``, the
+    cropped state is ``X diag(p) X^H``.  The weights enter as they are, not
+    through their square roots: on a pure mode they can round to -1e-16.
 
     Args:
         point: moments to realize (derivatives are ignored).
@@ -235,18 +280,16 @@ def build_state(
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     big = cutoff + pad
     dec = williamson(point.gamma)
-    rho = thermal_density(dec.nu, big)
-    U = gaussian_unitary(dec.S, big)
-    rho = U @ rho @ U.conj().T
+    factors = _gaussian_factors(dec.S, big)
     if np.abs(point.d).max(initial=0.0) > 0.0:
-        D = displacement_unitary(point.d, big)
-        rho = D @ rho @ D.conj().T
-    if n == 1:
-        rho = rho[:cutoff, :cutoff]
-    else:
-        rho = rho.reshape(big, big, big, big)[
-            :cutoff, :cutoff, :cutoff, :cutoff
-        ].reshape(cutoff**n, cutoff**n)
+        factors.insert(0, displacement_unitary(point.d, big))
+    keep = np.ravel_multi_index(
+        np.indices((cutoff,) * n).reshape(n, -1), (big,) * n
+    )
+    X = factors[0][keep]
+    for F in factors[1:]:
+        X = X @ F
+    rho = (X * _thermal_weights(dec.nu, big)) @ X.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     tail = float(1.0 - np.trace(rho).real)
     low = np.linalg.eigvalsh(rho)[0]

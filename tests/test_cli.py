@@ -198,6 +198,26 @@ def test_sweep_flags_kernel_overlap(tmp_path):
     assert row[5] == ""
 
 
+def test_sweep_flags_every_row_at_large_tol(tmp_path):
+    # --tol 10 cuts every line of the solve, so qfi reads 0; each row must say so.
+    cfg = write_cfg(tmp_path, {**PHASE, "params": {"r": 0.5}})
+    grid = ["--from", "0", "--to", "1", "--steps", "5"]
+    rows = {}
+    for tol in ("10", None):
+        out = tmp_path / f"{tol}.csv"
+        extra = [] if tol is None else ["--tol", tol]
+        assert cli.main(["sweep", cfg, *grid, "--out", str(out), *extra]) == 0
+        rows[tol] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows["10"]) == 5
+    for row in rows["10"]:
+        assert float(row[1]) == 0.0
+        assert row[8] == "kernel-overlap"
+    # At the default tol nothing is flagged and the QFI is the closed form.
+    for row in rows[None]:
+        assert float(row[1]) == pytest.approx(2 * np.sinh(1.0) ** 2, rel=1e-10)
+        assert row[8] == ""
+
+
 def test_emit_csv_empty_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     cli.emit_csv([], str(out))

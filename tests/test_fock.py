@@ -173,6 +173,64 @@ def test_squeeze_displacement_and_gaussian_unitary_match_scipy_reference():
     assert np.abs(gq.gaussian_unitary(S, dim) - expected).max() < 1e-12
 
 
+def test_passive_unitary_conserves_total_photon_number_exactly():
+    dim = 12
+    U = gq.passive_unitary(_RANDOM_O, dim)
+    total = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
+    across = total[:, None] != total[None, :]
+    assert np.count_nonzero(U[across]) == 0
+    assert np.count_nonzero(U[~across]) > 0
+
+
+def _dense_build_state(point, cutoff, pad=12):
+    """``crop(D U rho_th U^H D^H)`` from full padded matrices, as a reference."""
+    big, n = cutoff + pad, point.n
+    dec = gq.williamson(point.gamma)
+    U = gq.displacement_unitary(point.d, big) @ gq.gaussian_unitary(dec.S, big)
+    rho = U @ gq.thermal_density(dec.nu, big) @ U.conj().T
+    rho = rho.reshape((big,) * 2 * n)[(slice(cutoff),) * 2 * n]
+    rho = rho.reshape(cutoff**n, cutoff**n)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _two_mode_point():
+    S = gq.random_symplectic(2, seed=5, squeeze_cap=0.6)
+    gamma = S @ np.diag([1.5, 1.2, 1.5, 1.2]) @ S.T
+    return gq.GaussianModelPoint(
+        np.array([0.3, -0.2, 0.1, 0.4]), gamma, np.zeros(4), np.zeros((4, 4))
+    )
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (
+            gq.GaussianModelPoint(
+                np.array([0.6, -0.4]),
+                gq.builtin_family("squeezing", {"nu": 1.4}).point(0.4).gamma,
+                np.zeros(2),
+                np.zeros((2, 2)),
+            ),
+            30,
+        ),
+        (_two_mode_point(), 10),
+    ],
+    ids=["n1-mixed-squeezed-displaced", "n2-random-displaced"],
+)
+def test_build_state_matches_dense_reference(point, cutoff):
+    state = gq.build_state(point, cutoff)
+    assert np.abs(state.rho - _dense_build_state(point, cutoff)).max() < 1e-13
+
+
+def test_build_state_pure_state_is_finite():
+    # The thermal weights of a pure state can round below zero (nu = 1 - 2e-16
+    # here); the state is built from them directly, never from their roots.
+    pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7)
+    state = gq.build_state(pt, 30)
+    assert np.isfinite(state.rho).all()
+    assert state.tail_mass < 1e-10
+
+
 def test_build_state_vacuum_is_exact():
     pt = gq.GaussianModelPoint(np.zeros(2), np.eye(2), np.zeros(2), np.zeros((2, 2)))
     state = gq.build_state(pt, 12)
