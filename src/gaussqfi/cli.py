@@ -33,7 +33,7 @@ from .estimation import (
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .fock import identity_checks, qfi_fock_probe, sld_residual
 from .homodyne import homodyne_fisher, isothermal_frame, optimal_homodyne_fisher
-from .models import ModelFamily, load_model_config
+from .models import GaussianModelPoint, ModelFamily, load_model_config
 from .symplectic import random_symplectic
 
 __all__ = ["main", "emit_csv", "sweep_rows", "SweepRow", "CSV_HEADER"]
@@ -83,8 +83,11 @@ class SweepRow:
     warnings: str
 
 
-def _evaluate_sweep_point(family: ModelFamily, theta: float, tol: float) -> SweepRow:
-    point = family.point(theta)
+def _evaluate_point(
+    point: GaussianModelPoint, theta: float, tol: float
+) -> tuple[SweepRow, str | None]:
+    """Evaluate one model point: its sweep row, and the flag of the gate that
+    refused the homodyne frame (None when the row's ``homodyne_opt`` is set)."""
     rep = qfi_general(point, tol)
     warn = ""
     # Capped at the default: a large tol cuts every line and zeroes the QFI,
@@ -92,10 +95,10 @@ def _evaluate_sweep_point(family: ModelFamily, theta: float, tol: float) -> Swee
     if rep.range_residual > min(tol, 1e-9) * (1.0 + np.linalg.norm(point.dgamma)):
         warn = "kernel-overlap"
     try:
-        hopt = optimal_homodyne_fisher(isothermal_frame(point))
-    except PreconditionError:
-        hopt = None
-    return SweepRow(theta=theta, report=rep, homodyne_opt=hopt, warnings=warn)
+        hopt, gate = optimal_homodyne_fisher(isothermal_frame(point)), None
+    except PreconditionError as exc:
+        hopt, gate = None, exc.flag
+    return SweepRow(theta=theta, report=rep, homodyne_opt=hopt, warnings=warn), gate
 
 
 def sweep_rows(
@@ -107,7 +110,7 @@ def sweep_rows(
     a thread pool over these small LAPACK calls was slower than one thread.
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    return [_evaluate_sweep_point(family, t, tol) for t in thetas]
+    return [_evaluate_point(family.point(t), t, tol)[0] for t in thetas]
 
 
 def _csv_cell(x: float | None) -> str:
@@ -174,7 +177,8 @@ def _cmd_qfi(argv: list[str]) -> int:
     p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
     args = _parse(p, argv)
     cfg = load_model_config(args.config)
-    rep = qfi_general(cfg.point, args.tol)
+    row, gate = _evaluate_point(cfg.point, cfg.theta, args.tol)
+    rep = row.report
     print(f"# gaussqfi qfi: tol = {args.tol:g}")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print(f"qfi = {rep.qfi:.12g}")
@@ -184,11 +188,15 @@ def _cmd_qfi(argv: list[str]) -> int:
     print(f"ratio = {rep.ratio:.12g}")
     print(f"method = {rep.method}")
     print(f"range_residual = {rep.range_residual:.6g}")
-    try:
-        hopt = optimal_homodyne_fisher(isothermal_frame(cfg.point))
-        print(f"homodyne_opt = {hopt:.12g}")
-    except PreconditionError as exc:
-        print(f"homodyne_opt = unavailable ({exc.flag})")
+    if gate is None:
+        print(f"homodyne_opt = {row.homodyne_opt:.12g}")
+    else:
+        print(f"homodyne_opt = unavailable ({gate})")
+    if row.warnings:
+        print(
+            f"warning: {row.warnings} (range_residual = {rep.range_residual:.6g})",
+            file=sys.stderr,
+        )
     return 0
 
 

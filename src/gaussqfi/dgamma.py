@@ -20,8 +20,11 @@ QQ/QP/PQ/PP blocks of the thermal-frame input ``Xt = S^-1 X S^-T``:
 * ``(Xt_QQ - Xt_PP) / 2`` and ``(Xt_QP + Xt_PQ) / 2`` are divided by ``N + 1``;
 * entries whose divisor is below ``tol * (1 + nu_max^2)`` are zeroed (kernel).
 
-:func:`dgamma_spectrum` reads its lines and kernel dimension off the same
-divisor arrays and mask, so one kernel rule serves both.  All production
+:func:`dgamma_spectrum` returns those divisors and that mask as arrays:
+``values[k, i, j]`` is ``nu_i nu_j - 1`` for ``k = 0`` (parity +) and
+``nu_i nu_j + 1`` for ``k = 1`` (parity -), each an eigenvalue of
+multiplicity 2, and ``kernel`` of the same ``(2, n, n)`` shape marks the
+entries the solve zeroes.  So one kernel rule serves both.  All production
 solves run through this frame; the dense ``(2n)^2 x (2n)^2`` matrix
 representation is exposed only for verification at small ``n``.
 """
@@ -38,7 +41,6 @@ from .symplectic import symplectic_eigenvalues, symplectic_form, williamson
 __all__ = [
     "apply_dgamma",
     "dgamma_matrix",
-    "SpectralLine",
     "DGammaSpectrum",
     "dgamma_spectrum",
     "dgamma_pseudoinverse_apply",
@@ -46,12 +48,12 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
-# orthonormal block basis by parity, the sign picked up under conjugation by
-# the one-mode symplectic form
-_BLOCK_BASIS = {
-    +1: (np.eye(2) / _SQ2, np.array([[0.0, 1.0], [-1.0, 0.0]]) / _SQ2),
-    -1: (np.array([[0.0, 1.0], [1.0, 0.0]]) / _SQ2, np.array([[1.0, 0.0], [0.0, -1.0]]) / _SQ2),
-}
+# orthonormal block basis of parity + (index 0) and parity - (index 1), the
+# sign picked up under conjugation by the one-mode symplectic form
+_BLOCK_BASIS = (
+    (np.eye(2) / _SQ2, np.array([[0.0, 1.0], [-1.0, 0.0]]) / _SQ2),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]) / _SQ2, np.array([[1.0, 0.0], [0.0, -1.0]]) / _SQ2),
+)
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -77,47 +79,34 @@ def dgamma_matrix(gamma: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralLine:
-    """One eigenvalue of the superoperator in the Williamson frame.
-
-    Each ordered mode pair ``(i, j)`` contributes two lines (parity +1 and
-    -1), each of multiplicity 2.
-    """
-
-    value: float
-    modes: tuple[int, int]
-    parity: int
-    multiplicity: int
-    kernel: bool
-
-
-@dataclass(frozen=True)
 class DGammaSpectrum:
     """Spectral data of the superoperator, organised by Williamson frame.
 
-    ``lines`` carry the eigenvalues ``nu_i nu_j -/+ 1``; the associated
-    matrix eigendirections are ``S E S^T`` over the block basis ``E``
-    (see :meth:`basis_matrices`).  When the frame ``S`` is orthogonal these
-    are literal eigenvectors of the dense representation; in general they
-    form the congruence frame in which the map is diagonal.
+    ``values`` and ``kernel`` have shape ``(2, n, n)``: ``values[k, i, j]``
+    is the eigenvalue ``nu_i nu_j - 1`` (``k = 0``, parity +) or
+    ``nu_i nu_j + 1`` (``k = 1``, parity -) of the ordered mode pair
+    ``(i, j)``, of multiplicity 2, and ``kernel`` marks the ones treated as
+    zero.  The associated matrix eigendirections are ``S E S^T`` over the
+    block basis ``E`` (see :meth:`basis_matrices`).  When the frame ``S`` is
+    orthogonal these are literal eigenvectors of the dense representation;
+    in general they form the congruence frame in which the map is diagonal.
     """
 
     nu: np.ndarray
     frame: np.ndarray
-    lines: tuple[SpectralLine, ...]
+    values: np.ndarray
+    kernel: np.ndarray
     kernel_dimension: int
 
     def eigenvalues(self) -> np.ndarray:
         """All (2n)^2 eigenvalues with multiplicity, ascending."""
-        vals = np.concatenate([[ln.value] * ln.multiplicity for ln in self.lines])
-        return np.sort(vals)
+        return np.sort(np.repeat(self.values.ravel(), 2))
 
-    def basis_matrices(self, line: SpectralLine) -> tuple[np.ndarray, np.ndarray]:
-        """The two frame matrices ``S E S^T`` spanning ``line``'s eigenspace."""
+    def basis_matrices(self, k: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two frame matrices ``S E S^T`` spanning the eigenspace of ``values[k, i, j]``."""
         n = len(self.nu)
-        i, j = line.modes
         out = []
-        for E2 in _BLOCK_BASIS[line.parity]:
+        for E2 in _BLOCK_BASIS[k]:
             E = np.zeros((2 * n, 2 * n))
             E[np.ix_([i, n + i], [j, n + j])] = E2
             out.append(self.frame @ E @ self.frame.T)
@@ -150,19 +139,9 @@ def dgamma_spectrum(gamma: np.ndarray, tol: float = 1e-9) -> DGammaSpectrum:
     """
     dec = williamson(gamma)
     lam, kernel = _block_eigenvalues(dec.nu, tol)
-    lines = tuple(
-        SpectralLine(
-            value=float(lam[k, i, j]),
-            modes=(i, j),
-            parity=parity,
-            multiplicity=2,
-            kernel=bool(kernel[k, i, j]),
-        )
-        for i, j in np.ndindex(*lam.shape[1:])
-        for k, parity in ((0, +1), (1, -1))
-    )
     return DGammaSpectrum(
-        nu=dec.nu, frame=dec.S, lines=lines, kernel_dimension=2 * int(kernel.sum())
+        nu=dec.nu, frame=dec.S, values=lam, kernel=kernel,
+        kernel_dimension=2 * int(kernel.sum()),
     )
 
 

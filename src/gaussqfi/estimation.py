@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgamma import dgamma_pseudoinverse_apply
-from .exceptions import ConvergenceError, PreconditionError
-from .models import GaussianModelPoint, check_isothermal
+from .exceptions import ConvergenceError
+from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import williamson
 
 __all__ = [
@@ -154,17 +154,7 @@ def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """
-    chk = check_isothermal(point, tol)
-    if not chk.is_isothermal:
-        raise PreconditionError(
-            "is_isothermal",
-            "symplectic spectrum is not degenerate; use qfi_general",
-        )
-    if not chk.derivative_preserves_nu:
-        raise PreconditionError(
-            "derivative_preserves_nu",
-            "the derivative changes the temperature; use qfi_general",
-        )
+    chk = _require_isothermal(point, tol)[0]
     M = np.linalg.solve(point.gamma, point.dgamma)
     nu2 = chk.nu * chk.nu
     second = _nonnegative(
@@ -203,6 +193,14 @@ def gaussian_distribution_fisher(
 def wigner_fisher(point: GaussianModelPoint) -> float:
     """Fisher information of the model's Wigner (phase-space) distribution."""
     return gaussian_distribution_fisher(point.gamma, point.dgamma, point.dd)
+
+
+def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mean photon number of each mode of a state with moments ``(d, gamma)``:
+    ``(Gamma_kk + Gamma_{n+k,n+k}) / 4 + (d_k^2 + d_{n+k}^2) / 2 - 1/2``."""
+    n = d.size // 2
+    diag = np.diagonal(gamma)
+    return 0.25 * (diag[:n] + diag[n:]) + 0.5 * (d[:n] ** 2 + d[n:] ** 2) - 0.5
 
 
 @dataclass(frozen=True)
@@ -257,14 +255,5 @@ def photon_counting_form(
     dec = williamson(A)
     T = dec.S.T
     alpha = sign * dec.nu
-    n = point.n
-    ghat = T @ point.gamma @ T.T
-    dhat = T @ point.d
-    mean_photon = np.empty(n)
-    for k in range(n):
-        mean_photon[k] = (
-            0.25 * (ghat[k, k] + ghat[n + k, n + k])
-            + 0.5 * (dhat[k] ** 2 + dhat[n + k] ** 2)
-            - 0.5
-        )
+    mean_photon = _mean_photon(T @ point.gamma @ T.T, T @ point.d)
     return PhotonCountingForm(T=T, alpha=alpha, mean_photon=mean_photon)

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["ConfigError", "PreconditionError", "ConvergenceError", "NearSingularWarning"]
+
 
 class ConfigError(ValueError):
     """Malformed input: bad schema, bad dimensions, or parameters out of domain."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import SLDCoefficients
+from .estimation import SLDCoefficients, _mean_photon
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily
 from .symplectic import euler_decompose, symplectic_form, williamson
@@ -235,11 +235,7 @@ def suggested_cutoff(point: GaussianModelPoint) -> int:
     heuristic is sized for ``tail_mass`` only; :func:`sld_residual` needs
     far larger cutoffs on squeezed models (see there).
     """
-    n = point.n
-    diag = np.diagonal(point.gamma)
-    nbar = 0.25 * (diag[:n] + diag[n:]) + 0.5 * (
-        point.d[:n] ** 2 + point.d[n:] ** 2
-    ) - 0.5
+    nbar = _mean_photon(point.gamma, point.d)
     return int(np.ceil(10 + 8 * max(0.0, nbar.max())))
 
 

@@ -18,10 +18,10 @@ import numpy as np
 
 from .estimation import gaussian_distribution_fisher
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
-from .models import GaussianModelPoint, _isothermal_gate
+from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import (
-    direct_sum,
-    direct_sum_vector,
+    _direct_sum,
+    _direct_sum_vector,
     hamiltonian_eigenframe,
     is_symplectic,
     validate_covariance,
@@ -32,8 +32,6 @@ __all__ = [
     "isothermal_frame",
     "optimal_homodyne_fisher",
     "homodyne_fisher",
-    "HomodynePlan",
-    "homodyne_plan",
     "ancilla_extend",
 ]
 
@@ -68,15 +66,7 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
         PreconditionError: flags ``"is_isothermal"``,
             ``"derivative_preserves_nu"``, or ``"static_first_moments"``.
     """
-    chk, Si, W = _isothermal_gate(point, tol)
-    if not chk.is_isothermal:
-        raise PreconditionError(
-            "is_isothermal", "symplectic spectrum is not degenerate"
-        )
-    if not chk.derivative_preserves_nu:
-        raise PreconditionError(
-            "derivative_preserves_nu", "the derivative changes the temperature"
-        )
+    chk, Si, W = _require_isothermal(point, tol)
     if np.abs(point.dd).max(initial=0.0) > tol:
         raise PreconditionError(
             "static_first_moments",
@@ -137,45 +127,6 @@ def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray, tol: float = 1e-10) -
     return gaussian_distribution_fisher(ghat, dghat)
 
 
-@dataclass(frozen=True)
-class HomodynePlan:
-    """Passive network realising a linear combination of quadratures.
-
-    ``V`` is orthogonal symplectic with ``[V alpha]_P = 0``: after the
-    network, the target observable ``alpha . R`` is a gain-weighted sum of
-    plain Q homodyne records, ``sum_k g_k (V R)_{Q_k}``.
-    """
-
-    V: np.ndarray
-    gains: np.ndarray
-    alpha: np.ndarray
-
-
-def homodyne_plan(alpha: np.ndarray) -> HomodynePlan:
-    """Single-quadrature measurement plan for the observable ``alpha . R``.
-
-    Per mode, the rotation angle is fixed by ``(alpha_qk, alpha_pk)``; modes
-    with no support get the identity rotation and zero gain.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size % 2 or alpha.size == 0:
-        raise ConfigError(f"alpha must be a 2n vector, got shape {alpha.shape}")
-    n = alpha.size // 2
-    aq, ap = alpha[:n], alpha[n:]
-    r = np.hypot(aq, ap)
-    c = np.ones(n)
-    s = np.zeros(n)
-    live = r > 0
-    c[live] = aq[live] / r[live]
-    s[live] = ap[live] / r[live]
-    V = np.zeros((2 * n, 2 * n))
-    V[:n, :n] = np.diag(c)
-    V[:n, n:] = np.diag(s)
-    V[n:, :n] = -np.diag(s)
-    V[n:, n:] = np.diag(c)
-    return HomodynePlan(V=V, gains=r, alpha=alpha.copy())
-
-
 def ancilla_extend(
     point: GaussianModelPoint, gamma_ancilla: np.ndarray, tol: float = 1e-8
 ) -> GaussianModelPoint:
@@ -194,8 +145,8 @@ def ancilla_extend(
         )
     m2 = gamma_ancilla.shape[0]
     return GaussianModelPoint(
-        d=direct_sum_vector(point.d, np.zeros(m2)),
-        gamma=direct_sum(point.gamma, gamma_ancilla),
-        dd=direct_sum_vector(point.dd, np.zeros(m2)),
-        dgamma=direct_sum(point.dgamma, np.zeros((m2, m2))),
+        d=_direct_sum_vector(point.d, np.zeros(m2)),
+        gamma=_direct_sum(point.gamma, gamma_ancilla),
+        dd=_direct_sum_vector(point.dd, np.zeros(m2)),
+        dgamma=_direct_sum(point.dgamma, np.zeros((m2, m2))),
     )

@@ -17,16 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConfigError, NearSingularWarning
+from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import is_symplectic, symplectic_form, validate_covariance
 
 __all__ = [
     "GaussianModelPoint",
     "ModelFamily",
     "builtin_family",
-    "BUILTIN_FAMILIES",
-    "finite_difference_point",
-    "linear_family",
     "IsothermalCheck",
     "check_isothermal",
     "ModelConfig",
@@ -125,10 +122,10 @@ class ModelFamily:
                 d=d, gamma=gamma, dd=np.asarray(dd, dtype=float),
                 dgamma=0.5 * (dgamma + dgamma.T),
             )
-        return finite_difference_point(self, theta, h)
+        return _finite_difference_point(self, theta, h)
 
 
-def finite_difference_point(
+def _finite_difference_point(
     family: ModelFamily, theta: float, h: float | None = None
 ) -> GaussianModelPoint:
     """Model point with central-difference derivatives, ``dgamma`` symmetrised."""
@@ -145,7 +142,7 @@ def finite_difference_point(
     return GaussianModelPoint(d=d0, gamma=g0, dd=dd, dgamma=dgamma)
 
 
-def linear_family(point: GaussianModelPoint, name: str = "explicit") -> ModelFamily:
+def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     """Affine family through ``point``: ``Gamma(t) = Gamma + t dGamma`` etc.
 
     Lets derivative-only consumers (e.g. the number-basis oracle, which needs
@@ -159,7 +156,7 @@ def linear_family(point: GaussianModelPoint, name: str = "explicit") -> ModelFam
     def der(_t: float):
         return point.dd, point.dgamma
 
-    return ModelFamily(name=name, n=point.n, moment_fn=mom, derivative_fn=der)
+    return ModelFamily(name="explicit", n=point.n, moment_fn=mom, derivative_fn=der)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +279,7 @@ def _reject_unknown(params: dict, allowed: set, name: str, required: set | None 
             raise ConfigError(f"family {name!r} requires parameter {key!r}")
 
 
-BUILTIN_FAMILIES = {
+_BUILTIN_FAMILIES = {
     "displacement": _family_displacement,
     "thermal": _family_thermal,
     "squeezing": _family_squeezing,
@@ -300,11 +297,11 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
     ``two_mode_squeezed_phase`` (phase on one arm of a two-mode squeezed
     state, extra ``r``).
     """
-    if name not in BUILTIN_FAMILIES:
+    if name not in _BUILTIN_FAMILIES:
         raise ConfigError(
-            f"unknown family {name!r}; available: {sorted(BUILTIN_FAMILIES)}"
+            f"unknown family {name!r}; available: {sorted(_BUILTIN_FAMILIES)}"
         )
-    return BUILTIN_FAMILIES[name](params or {})
+    return _BUILTIN_FAMILIES[name](params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +357,25 @@ def _isothermal_gate(
 def check_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalCheck:
     """Classify a model point for the equal-temperature fast paths."""
     return _isothermal_gate(point, tol)[0]
+
+
+def _require_isothermal(
+    point: GaussianModelPoint, tol: float
+) -> tuple[IsothermalCheck, np.ndarray, np.ndarray]:
+    """:func:`_isothermal_gate`, raising when either gate fails.
+
+    Raises:
+        PreconditionError: flag ``"is_isothermal"``, checked first, or
+            ``"derivative_preserves_nu"``.
+    """
+    chk, Si, W = _isothermal_gate(point, tol)
+    if not chk.is_isothermal:
+        raise PreconditionError("is_isothermal", "symplectic spectrum is not degenerate")
+    if not chk.derivative_preserves_nu:
+        raise PreconditionError(
+            "derivative_preserves_nu", "the derivative changes the temperature"
+        )
+    return chk, Si, W
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +443,7 @@ def parse_model_config(doc: dict) -> ModelConfig:
                 "explicit Gamma is not an admissible covariance matrix "
                 f"(nu_min = {check.nu_min:.6g}, asymmetry = {check.asymmetry:.3g})"
             )
-        fam = linear_family(point)
+        fam = _linear_family(point)
         return ModelConfig(point=point, family=fam, theta=0.0, label="explicit")
 
     allowed = {"family", "params", "theta", "derivative", "h"}

@@ -33,8 +33,6 @@ __all__ = [
     "random_symplectic",
     "hamiltonian_eigenframe",
     "euler_decompose",
-    "direct_sum",
-    "direct_sum_vector",
 ]
 
 
@@ -335,7 +333,7 @@ def euler_decompose(S: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.nd
     return O1, z, O2
 
 
-def direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Mode-wise direct sum of two matrices in (Q.., P..) ordering.
 
     The result acts as ``A`` on the first block of modes and as ``B`` on the
@@ -353,7 +351,7 @@ def direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def direct_sum_vector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _direct_sum_vector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mode-wise direct sum of two phase-space vectors in (Q.., P..) ordering."""
     a = np.asarray(a)
     b = np.asarray(b)

@@ -218,6 +218,21 @@ def test_sweep_flags_every_row_at_large_tol(tmp_path):
         assert row[8] == ""
 
 
+def test_qfi_warns_of_kernel_overlap_at_large_tol(tmp_path, capsys):
+    # qfi applies the sweep's kernel-overlap rule and says so on stderr; its
+    # stdout and exit code stay those of an unflagged run.
+    cfg = write_cfg(tmp_path, {**PHASE, "params": {"r": 0.5}, "theta": 0.3})
+    assert cli.main(["qfi", cfg, "--tol", "10"]) == 0
+    out, err = capsys.readouterr()
+    assert get_value(out, "qfi") == "0"
+    residual = get_value(out, "range_residual")
+    assert err == f"warning: kernel-overlap (range_residual = {residual})\n"
+    assert cli.main(["qfi", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert float(get_value(out, "qfi")) == pytest.approx(2 * np.sinh(1.0) ** 2, rel=1e-10)
+
+
 def test_emit_csv_empty_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     cli.emit_csv([], str(out))

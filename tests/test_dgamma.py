@@ -60,10 +60,10 @@ def test_spectrum_vacuum_kernel():
     spec = gq.dgamma_spectrum(np.eye(2))
     assert_allclose(spec.eigenvalues(), [0.0, 0.0, 2.0, 2.0], atol=1e-12)
     assert spec.kernel_dimension == 2
-    kernel_lines = [line for line in spec.lines if line.kernel]
+    kernel_lines = np.argwhere(spec.kernel)
     assert len(kernel_lines) == 1
     # The kernel directions span {identity, symplectic form}.
-    E1, E2 = spec.basis_matrices(kernel_lines[0])
+    E1, E2 = spec.basis_matrices(*kernel_lines[0])
     span = np.stack([E1.ravel(), E2.ravel()]).T
     for target in (np.eye(2), gq.symplectic_form(1)):
         coef, *_ = np.linalg.lstsq(span, target.ravel(), rcond=None)
@@ -100,10 +100,10 @@ def test_spectrum_frame_expansion_reconstructs_dense_matrix():
     gamma, _, _ = random_state(2, seed=33, nu_min=1.0, squeeze_cap=1.0)
     spec = gq.dgamma_spectrum(gamma)
     rep = np.zeros((16, 16))
-    for line in spec.lines:
-        for E in spec.basis_matrices(line):
+    for line in np.ndindex(spec.values.shape):
+        for E in spec.basis_matrices(*line):
             v = E.ravel()
-            rep += line.value * np.outer(v, v)
+            rep += spec.values[line] * np.outer(v, v)
     dense = gq.dgamma_matrix(gamma)
     assert_allclose(rep, dense, atol=1e-9 * (1 + np.abs(dense).max()))
 

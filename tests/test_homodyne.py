@@ -111,46 +111,6 @@ def test_homodyne_fisher_rejects_bad_networks():
         gq.homodyne_fisher(fr, np.eye(4))  # wrong size
 
 
-def test_homodyne_plan_axis_cases():
-    plan = gq.homodyne_plan(np.array([1.0, 0.0]))
-    assert_allclose(plan.V, np.eye(2), atol=1e-12)
-    assert_allclose(plan.gains, [1.0], atol=1e-12)
-
-    plan90 = gq.homodyne_plan(np.array([0.0, 1.0]))
-    assert_allclose(plan90.V, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
-    assert_allclose(plan90.gains, [1.0], atol=1e-12)
-
-    diag = gq.homodyne_plan(np.array([1.0, 1.0]) / np.sqrt(2))
-    s = 1 / np.sqrt(2)
-    assert_allclose(diag.V, [[s, s], [-s, s]], atol=1e-12)
-    assert_allclose(diag.gains, [1.0], atol=1e-12)
-
-    with pytest.raises(gq.ConfigError):
-        gq.homodyne_plan(np.array([1.0, 0.0, 0.0]))
-
-
-@pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2)])
-def test_homodyne_plan_reconstruction(n, seed):
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal(2 * n)
-    plan = gq.homodyne_plan(alpha)
-    assert_allclose(plan.V @ plan.V.T, np.eye(2 * n), atol=1e-12)
-    assert gq.is_symplectic(plan.V, tol=1e-12)
-    rotated = plan.V @ alpha
-    # All the weight lands on the Q quadratures with the stated gains.
-    assert_allclose(rotated[:n], plan.gains, atol=1e-12)
-    assert_allclose(rotated[n:], np.zeros(n), atol=1e-12)
-    # The planned linear combination reproduces alpha . x for any x.
-    x = rng.standard_normal(2 * n)
-    assert plan.gains @ (plan.V @ x)[:n] == pytest.approx(alpha @ x, abs=1e-10)
-
-
-def test_homodyne_plan_dead_mode_convention():
-    plan = gq.homodyne_plan(np.array([3.0, 0.0, 0.0, 0.0]))  # mode 2 unused
-    assert_allclose(plan.gains, [3.0, 0.0], atol=1e-12)
-    assert_allclose(plan.V, np.eye(4), atol=1e-12)
-
-
 def test_ancilla_extension_pads_spectrum():
     pt = gq.builtin_family("phase_squeezed", {"r": 0.9}).point(0.0)
     ext = gq.ancilla_extend(pt, np.eye(2))  # vacuum ancilla matches nu = 1

@@ -96,18 +96,18 @@ def test_families_stay_valid_on_grid(name, params, thetas):
 def test_finite_difference_matches_analytic():
     fam = gq.builtin_family("phase_squeezed", {"r": 0.5})
     exact = fam.point(0.3)
-    fd = gq.finite_difference_point(fam, 0.3, h=1e-4)
+    fd = fam.point(0.3, derivative="fd", h=1e-4)
     assert np.abs(fd.dgamma - exact.dgamma).max() < 1e-6
     # Central differences converge at second order: halving h quarters the error.
-    e1 = np.abs(gq.finite_difference_point(fam, 0.3, h=1e-3).dgamma - exact.dgamma).max()
-    e2 = np.abs(gq.finite_difference_point(fam, 0.3, h=5e-4).dgamma - exact.dgamma).max()
+    e1 = np.abs(fam.point(0.3, derivative="fd", h=1e-3).dgamma - exact.dgamma).max()
+    e2 = np.abs(fam.point(0.3, derivative="fd", h=5e-4).dgamma - exact.dgamma).max()
     assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
 
 def test_finite_difference_exact_for_linear_families():
-    fd = gq.finite_difference_point(gq.builtin_family("displacement"), 1.3, h=0.37)
+    fd = gq.builtin_family("displacement").point(1.3, derivative="fd", h=0.37)
     assert_allclose(fd.dd, [1.0, 0.0], atol=1e-12)
-    fd2 = gq.finite_difference_point(gq.builtin_family("thermal"), 2.5, h=1e-3)
+    fd2 = gq.builtin_family("thermal").point(2.5, derivative="fd", h=1e-3)
     assert_allclose(fd2.dgamma, np.eye(2), atol=1e-9)
 
 
@@ -121,8 +121,9 @@ def test_family_point_fd_mode():
 
 
 def test_linear_family_tangent():
-    pt = gq.GaussianModelPoint([0.0, 0.0], 2 * np.eye(2), [0.5, 0.0], np.eye(2))
-    fam = gq.linear_family(pt)
+    explicit = {"n": 1, "d": [0.0, 0.0], "Gamma": 2 * np.eye(2), "dd": [0.5, 0.0],
+                "dGamma": np.eye(2)}
+    fam = gq.parse_model_config({"explicit": explicit}).family
     d, g = fam.moments(0.2)
     assert_allclose(d, [0.1, 0.0], atol=1e-12)
     assert_allclose(g, 2.2 * np.eye(2), atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from gaussqfi.symplectic import direct_sum, direct_sum_vector
+from gaussqfi.symplectic import _direct_sum as direct_sum, _direct_sum_vector as direct_sum_vector
 from conftest import random_hamiltonian, random_state, thermal_diag
 
 
