@@ -20,6 +20,13 @@ QQ/QP/PQ/PP blocks of the thermal-frame input ``Xt = S^-1 X S^-T``:
 * ``(Xt_QQ - Xt_PP) / 2`` and ``(Xt_QP + Xt_PQ) / 2`` are divided by ``N + 1``;
 * entries whose divisor is below ``tol * (1 + nu_max^2)`` are zeroed (kernel).
 
+The frame costs one Cholesky factor and one Hermitian ``eigh`` (see
+:func:`~gaussqfi.symplectic.williamson`), and ``S^-1 = -w S^T w`` needs no
+solve.  The same ``Xt`` carries the Fisher information of the Wigner
+distribution, ``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
+with ``nt = (nu, nu)``: the Wigner information pairs each entry with
+``nu_i nu_j``, where the SLD solve pairs it with ``nu_i nu_j -/+ 1``.
+
 :func:`dgamma_spectrum` returns those divisors and that mask as arrays:
 ``values[k, i, j]`` is ``nu_i nu_j - 1`` for ``k = 0`` (parity +) and
 ``nu_i nu_j + 1`` for ``k = 1`` (parity -), each an eigenvalue of
@@ -145,21 +152,14 @@ def dgamma_spectrum(gamma: np.ndarray, tol: float = 1e-9) -> DGammaSpectrum:
     )
 
 
-def dgamma_pseudoinverse_apply(
-    gamma: np.ndarray, X: np.ndarray, tol: float = 1e-9
-) -> tuple[np.ndarray, float]:
-    """Solve ``D(Y) = X`` through the Williamson frame, dropping kernel modes.
+def _frame_solve(
+    gamma: np.ndarray, X: np.ndarray, tol: float
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """:func:`dgamma_pseudoinverse_apply`, also returning the frame it read.
 
-    The input is transported to the thermal frame, split into the four
-    parity combinations of its QQ/QP/PQ/PP blocks, divided elementwise by the
-    eigenvalues ``nu_i nu_j -/+ 1`` (components on eigenvalues smaller than
-    ``tol * (1 + nu_max^2)`` are zeroed), and transported back.  For ``X`` in
-    the range of the map this returns an exact solution; otherwise
-    ``residual = |D(Y) - X|_F`` measures how much of ``X`` escapes the range,
-    and callers should surface it.
-
-    Returns:
-        ``(Y, residual)``.
+    Returns ``(Y, residual, nu, Xt)`` with ``Xt = S^-1 X S^-T``, so a caller
+    can read other thermal-frame sums off ``Xt`` without factorising
+    ``gamma`` again.
     """
     gamma = np.asarray(gamma, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -180,7 +180,26 @@ def dgamma_pseudoinverse_apply(
     Yt = np.block([[s_even + s_odd, a_odd + a_even], [a_odd - a_even, s_even - s_odd]])
     Y = Si.T @ Yt @ Si
     residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
-    return Y, residual
+    return Y, residual, dec.nu, Xt
+
+
+def dgamma_pseudoinverse_apply(
+    gamma: np.ndarray, X: np.ndarray, tol: float = 1e-9
+) -> tuple[np.ndarray, float]:
+    """Solve ``D(Y) = X`` through the Williamson frame, dropping kernel modes.
+
+    The input is transported to the thermal frame, split into the four
+    parity combinations of its QQ/QP/PQ/PP blocks, divided elementwise by the
+    eigenvalues ``nu_i nu_j -/+ 1`` (components on eigenvalues smaller than
+    ``tol * (1 + nu_max^2)`` are zeroed), and transported back.  For ``X`` in
+    the range of the map this returns an exact solution; otherwise
+    ``residual = |D(Y) - X|_F`` measures how much of ``X`` escapes the range,
+    and callers should surface it.
+
+    Returns:
+        ``(Y, residual)``.
+    """
+    return _frame_solve(gamma, X, tol)[:2]
 
 
 def stein_series_solve(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgamma import dgamma_pseudoinverse_apply
+from .dgamma import _frame_solve, dgamma_pseudoinverse_apply
 from .exceptions import ConvergenceError
 from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import williamson
@@ -120,20 +120,32 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
+    Route: one Williamson frame of ``Gamma`` (a Cholesky factor and one
+    Hermitian ``eigh``) and the thermal-frame input ``Xt = S^-1 dGamma S^-T``.
+    The SLD solve divides the entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and
+    gives ``L``, so the second-moment term is ``tr[dGamma L] / 2``; the Wigner
+    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead.  The only
+    other factorisation is one solve for the first-moment term
+    ``2 dd^T Gamma^-1 dd``, skipped when ``dd = 0``.  :func:`wigner_fisher`
+    computes the same Wigner information by linear solves.
+
     Raises:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
-    coeffs = sld_coefficients(point, tol)
-    second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
+    Y, residual, nu, Xt = _frame_solve(point.gamma, point.dgamma, tol)
+    L = 0.5 * (Y + Y.T)
+    second = _nonnegative(0.5 * float(np.sum(point.dgamma * L)), "second-moment term")
     first = _nonnegative(_first_moment_term(point), "first-moment term")
+    nt = np.concatenate([nu, nu])
+    wigner = 0.5 * float(np.sum(Xt * Xt.T / np.outer(nt, nt))) + first
     return FisherReport(
         qfi=first + second,
-        wigner_fisher=wigner_fisher(point),
+        wigner_fisher=wigner,
         first_moment_term=first,
         second_moment_term=second,
         method="general",
-        range_residual=coeffs.range_residual,
+        range_residual=residual,
     )
 
 
@@ -157,13 +169,12 @@ def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport
     chk = _require_isothermal(point, tol)[0]
     M = np.linalg.solve(point.gamma, point.dgamma)
     nu2 = chk.nu * chk.nu
-    second = _nonnegative(
-        0.5 * nu2 / (1.0 + nu2) * float(np.trace(M @ M)), "second-moment term"
-    )
+    wigner_second = 0.5 * float(np.trace(M @ M))
+    second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
     first = _nonnegative(_first_moment_term(point), "first-moment term")
     return FisherReport(
         qfi=first + second,
-        wigner_fisher=wigner_fisher(point),
+        wigner_fisher=wigner_second + first,
         first_moment_term=first,
         second_moment_term=second,
         method="isothermal",

@@ -73,19 +73,26 @@ def _sym_sqrt(G: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(root, H)``: ``root = gamma^(1/2)`` and ``H = i root w root``, whose
-    eigenvalues are ``+/- nu_k`` (``root w root`` is similar to ``gamma w``)."""
-    root = _sym_sqrt(gamma)
-    A = root @ symplectic_form(gamma.shape[0] // 2) @ root
-    return root, 0.5j * (A - A.T)  # exactly Hermitian: eigh reads one triangle
+    """``(L, H)``: the Cholesky factor ``L L^T = gamma`` and ``H = i L^T w L``,
+    whose eigenvalues are ``+/- nu_k`` (``L^T w L`` is similar to ``gamma w``).
+
+    Raises ``ValueError`` if ``gamma`` is not positive definite.
+    """
+    try:
+        L = np.linalg.cholesky(gamma)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix is not positive definite") from None
+    A = L.T @ symplectic_form(gamma.shape[0] // 2) @ L
+    return L, 0.5j * (A - A.T)  # exactly Hermitian: eigh reads one triangle
 
 
 def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive-definite matrix, descending.
 
-    The positive eigenvalues of ``i gamma^(1/2) w gamma^(1/2)``, the
-    eigenproblem :func:`williamson` solves, read from the symmetric part of
-    ``gamma``.  Raises ``ValueError`` if ``gamma`` is not positive definite.
+    The positive eigenvalues of ``i L^T w L`` with ``L`` the Cholesky factor
+    of the symmetric part of ``gamma``: the eigenproblem :func:`williamson`
+    solves, with no square root taken.  Raises ``ValueError`` if ``gamma`` is
+    not positive definite (singular included).
     """
     n = _check_even_square(gamma, "gamma")
     gamma = np.asarray(gamma, dtype=float)
@@ -127,7 +134,10 @@ def validate_covariance(gamma: np.ndarray, tol: float = 1e-10) -> CovarianceChec
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     if min_eig <= 0:
         return CovarianceCheck(False, 0.0, asym, min_eig)
-    nu_min = float(symplectic_eigenvalues(sym)[-1])
+    try:
+        nu_min = float(symplectic_eigenvalues(sym)[-1])
+    except ValueError:  # eigenvalues round to positive, the Cholesky pivots do not
+        return CovarianceCheck(False, 0.0, asym, min_eig)
     valid = asym <= tol and nu_min >= 1.0 - tol
     return CovarianceCheck(valid, nu_min, asym, min_eig)
 
@@ -160,22 +170,24 @@ class WilliamsonDecomposition:
 
 def _williamson_once(gamma: np.ndarray) -> WilliamsonDecomposition:
     n = gamma.shape[0] // 2
-    root, H = _hermitian_form(gamma)
+    L, H = _hermitian_form(gamma)
     ev, V = np.linalg.eigh(H)
     nu = ev[n:][::-1]
     # an eigenvector x + i y of +nu gives the orthonormal Q/P pair sqrt(2) (y, x)
     top = V[:, n:][:, ::-1] * np.sqrt(2.0 / nu)
-    S = root @ np.concatenate([top.imag, top.real], axis=1)
+    S = L @ np.concatenate([top.imag, top.real], axis=1)
     return WilliamsonDecomposition(S=S, nu=nu)
 
 
 def williamson(gamma: np.ndarray, tol: float = 1e-10) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
-    Route: ``eigh(i gamma^(1/2) w gamma^(1/2))``, the Hermitian eigenproblem
-    :func:`symplectic_eigenvalues` reads.  The top ``n`` eigenvalues are
-    ``nu``; the imaginary and real parts of their eigenvectors, times
-    ``gamma^(1/2)`` and ``nu^(-1/2)``, are the Q and P columns of ``S``.  If
+    Route: one Cholesky factor ``L L^T = gamma`` and ``eigh(i L^T w L)``, the
+    Hermitian eigenproblem :func:`symplectic_eigenvalues` reads.  The top
+    ``n`` eigenvalues are ``nu``; the imaginary and real parts of their
+    eigenvectors, times ``L`` and ``nu^(-1/2)``, are the Q and P columns of
+    ``S``.  Any root of ``gamma`` would do; the Cholesky factor is the
+    cheapest (the symmetric root costs an ``eigh`` of its own).  If
     the first pass misses ``tol``, one refinement step is applied (re-decompose
     the residual ``S^-1 gamma S^-T``, which is nearly diagonal, and compose).
 

@@ -204,3 +204,61 @@ def test_photon_counting_cooling_model_flips_sign():
 def test_qfi_general_factorises_once(williamson_calls):
     gq.qfi_general(random_model_point(3, seed=6))
     assert williamson_calls[0] == 1
+
+
+def _frame_read_points():
+    mixed = [random_model_point(n, seed=40 + n) for n in range(1, 11)]  # dd != 0
+    pure = [random_isothermal_point(n, seed=60 + n) for n in (1, 2, 4, 6)]
+    squeezed = [
+        gq.builtin_family("phase_squeezed", {"r": 3.0}).point(theta)
+        for theta in (0.0, 0.3, 0.5, 1.1, 2.5)
+    ]
+    return mixed + pure + squeezed
+
+
+@pytest.mark.parametrize("pt", _frame_read_points())
+def test_frame_read_terms_match_solve_route(pt):
+    # qfi_general reads the Wigner information off the Williamson frame;
+    # wigner_fisher and 2 dd^T Gamma^-1 dd are the linear-solve references.
+    # Both routes carry rounding of order eps cond(Gamma) (3.6e-11 on
+    # phase_squeezed r = 3), hence the conditioning term in the bound.
+    rtol = 1e-12 + 2 * np.finfo(float).eps * np.linalg.cond(pt.gamma)
+    rep = gq.qfi_general(pt)
+    assert rep.wigner_fisher == pytest.approx(gq.wigner_fisher(pt), rel=rtol, abs=0)
+    first = 2.0 * float(pt.dd @ np.linalg.solve(pt.gamma, pt.dd))
+    assert rep.first_moment_term == pytest.approx(first, rel=1e-12, abs=0)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls to ``np.linalg.cholesky``, ``eigh`` and ``solve``.
+
+    Returns a dict from name to running count.
+    """
+    count = {}
+    for name in ("cholesky", "eigh", "solve"):
+        original = getattr(np.linalg, name)
+        count[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            count[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "pt,solves",
+    [
+        (random_model_point(3, seed=11), 1),
+        (random_model_point(3, seed=12, with_first_moments=False), 0),
+        (random_isothermal_point(4, seed=13), 0),
+        (gq.builtin_family("phase_squeezed", {"r": 1.0}).point(0.3), 0),
+        (gq.builtin_family("displacement").point(0.5), 1),
+    ],
+    ids=["mixed-dd", "mixed-static", "pure", "phase_squeezed", "displacement"],
+)
+def test_qfi_general_factorisation_counts(linalg_calls, pt, solves):
+    gq.qfi_general(pt)
+    assert linalg_calls == {"cholesky": 1, "eigh": 1, "solve": solves}

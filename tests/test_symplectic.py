@@ -234,3 +234,27 @@ def test_williamson_symplectic_inverse(n, seed):
     dec = gq.williamson(gamma)
     assert_allclose(dec.S_inv @ dec.S, np.eye(2 * n), atol=1e-11)
     assert_allclose(dec.S_inv, np.linalg.inv(dec.S), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [np.diag([1.0, -1.0]), np.diag([2.0, 1.0, -0.5, 3.0]), np.diag([1.0, 0.0]),
+     np.ones((2, 2)), np.diag([2.0, 1.0, 0.0, 3.0])],
+    ids=["indefinite-1", "indefinite-2", "singular-1", "singular-rank1", "singular-2"],
+)
+def test_not_positive_definite_raises_value_error(gamma):
+    for func in (gq.symplectic_eigenvalues, gq.williamson):
+        with pytest.raises(ValueError, match="not positive definite") as exc:
+            func(gamma)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+    assert not gq.validate_covariance(gamma)
+
+
+def test_validate_covariance_on_numerically_singular_matrix():
+    # eigvalsh rounds the small eigenvalue to +6.9e-18 here, while the
+    # Cholesky factor meets a nonpositive pivot: a verdict, not a raise.
+    g = np.array([[0.06631800771305024, -0.24883715471372447],
+                  [-0.24883715471372447, 0.9336819922869498]])
+    check = gq.validate_covariance(g)
+    assert not check
+    assert check.nu_min < 1e-6
