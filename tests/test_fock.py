@@ -58,6 +58,17 @@ def test_passive_unitary_rejects_active_transformations():
         gq.passive_unitary(np.diag([np.e, 1 / np.e]), 10)
 
 
+@pytest.mark.parametrize(
+    "O",
+    [np.diag([1.0, -1.0]), np.array([[1.0, 0.0], [0.5, 1.0]])],
+    ids=["reflection", "shear"],
+)
+def test_passive_unitary_rejects_matrices_off_the_passive_form(O):
+    # Both have the top blocks of the identity; only the bottom blocks differ.
+    with pytest.raises(gq.ConfigError):
+        gq.passive_unitary(O, 10)
+
+
 def test_passive_unitary_rotates_quadratures():
     th = 0.7
     O = np.array(
@@ -193,6 +204,40 @@ def _dense_build_state(point, cutoff, pad=12):
     return 0.5 * (rho + rho.conj().T)
 
 
+def _scipy_displacement_unitary(d, dim):
+    """``expm`` of the full displacement generator ``sum_k alpha_k a_k† - h.c.``."""
+    n = len(d) // 2
+    a1 = gq.destroy(dim)
+    gen = np.zeros((dim**n, dim**n), dtype=complex)
+    for k in range(n):
+        a = np.kron(np.kron(np.eye(dim**k), a1), np.eye(dim ** (n - 1 - k)))
+        alpha = (d[k] + 1j * d[n + k]) / np.sqrt(2.0)
+        gen += alpha * a.T - np.conj(alpha) * a
+    return la.expm(gen)
+
+
+def _scipy_build_state(point, cutoff, pad=12):
+    """``crop(D P1 Sq P2 rho_th (D P1 Sq P2)^H)`` from scipy ``expm`` of the
+    padded generators, with the thermal weights written out here."""
+    big, n = cutoff + pad, point.n
+    dec = gq.williamson(point.gamma)
+    O1, z, O2 = gq.euler_decompose(dec.S)
+    U = (
+        _scipy_displacement_unitary(point.d, big)
+        @ _scipy_passive_unitary(O1, big)
+        @ _scipy_squeeze_unitary(z, big)
+        @ _scipy_passive_unitary(O2, big)
+    )
+    p = np.ones(1)
+    for nu in dec.nu:
+        nbar = 0.5 * (nu - 1.0)
+        p = np.kron(p, nbar ** np.arange(big) / (nbar + 1.0) ** np.arange(1, big + 1))
+    rho = (U * p) @ U.conj().T
+    rho = rho.reshape((big,) * 2 * n)[(slice(cutoff),) * 2 * n]
+    rho = rho.reshape(cutoff**n, cutoff**n)
+    return 0.5 * (rho + rho.conj().T)
+
+
 def _two_mode_point():
     S = gq.random_symplectic(2, seed=5, squeeze_cap=0.6)
     gamma = S @ np.diag([1.5, 1.2, 1.5, 1.2]) @ S.T
@@ -220,6 +265,27 @@ def _two_mode_point():
 def test_build_state_matches_dense_reference(point, cutoff):
     state = gq.build_state(point, cutoff)
     assert np.abs(state.rho - _dense_build_state(point, cutoff)).max() < 1e-13
+
+
+def _mixed_squeezed_displaced_point():
+    gamma = gq.builtin_family("squeezing", {"nu": 1.4}).point(0.4).gamma
+    return gq.GaussianModelPoint(np.array([0.6, -0.4]), gamma, np.zeros(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (_mixed_squeezed_displaced_point(), 30),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 30),
+        (_two_mode_point(), 10),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8),
+    ],
+    ids=["n1-mixed-squeezed-displaced", "n1-pure-phase-squeezed", "n2-random-displaced",
+         "n2-pure-two-mode-squeezed"],
+)
+def test_build_state_matches_scipy_expm_reference(point, cutoff):
+    state = gq.build_state(point, cutoff)
+    assert np.abs(state.rho - _scipy_build_state(point, cutoff)).max() < 1e-13
 
 
 def test_build_state_pure_state_is_finite():
@@ -326,6 +392,23 @@ def test_qfi_fock_probe_reports_stability():
     assert probe.step_shift < 1e-8
 
 
+@pytest.mark.parametrize(
+    "family, params, theta, cutoff, step",
+    [
+        ("phase_squeezed", {"r": 0.5, "nu": 1.5}, 0.7, 30, 10),
+        ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8, 2),
+    ],
+    ids=["n1", "n2"],
+)
+def test_qfi_fock_probe_equals_separate_qfi_fock_calls(family, params, theta, cutoff, step):
+    fam = gq.builtin_family(family, params)
+    h = 1e-4
+    probe = gq.qfi_fock_probe(fam, theta, cutoff, h, cutoff_step=step)
+    assert probe.value == gq.qfi_fock(fam, theta, cutoff, h)
+    assert probe.cutoff_value == gq.qfi_fock(fam, theta, cutoff + step, h)
+    assert probe.step_value == gq.qfi_fock(fam, theta, cutoff, h / 2.0)
+
+
 def test_sld_residual_thermal_and_negative_control():
     pt = gq.builtin_family("thermal").point(2.0)
     co = gq.sld_coefficients(pt)
@@ -402,3 +485,82 @@ def test_identity_checks_two_mode():
     assert rep.covariance_dev < 1e-6
     assert rep.char_dev < 1e-6
     assert rep.fourth_moment_dev < 1e-4
+
+
+def _xi_sample(m, xi_count=12, xi_radius=2.0, seed=7):
+    """The phase-space points sampled by ``identity_checks`` (its defaults)."""
+    rng = np.random.default_rng(seed)
+    xis = rng.standard_normal((xi_count, m))
+    xis *= (xi_radius * rng.random(xi_count) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
+    return xis
+
+
+def _loop_fourth_moment_dev(point, state):
+    """Symmetrised fourth moments against the pairing formula, one term at a time."""
+    n, m, cutoff = point.n, 2 * point.n, state.cutoff
+    norm = np.trace(state.rho).real
+    R = gq.quadrature_operators(n, cutoff)
+    delta = R - point.d[:, None, None] * np.eye(cutoff**n)
+    pair = np.empty((m, m), dtype=object)
+    rho_pair = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(i, m):
+            A = 0.5 * (delta[i] @ delta[j] + delta[j] @ delta[i])
+            pair[i, j] = pair[j, i] = A
+            rho_pair[i, j] = rho_pair[j, i] = state.rho @ A
+    g, w = point.gamma, gq.symplectic_form(n)
+    dev = 0.0
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(m):
+                for l in range(k, m):
+                    measured = np.sum(rho_pair[i, j].T * pair[k, l]).real / norm
+                    predicted = 0.25 * (
+                        g[i, j] * g[k, l]
+                        + g[i, k] * g[j, l]
+                        - w[i, k] * w[j, l]
+                        + g[i, l] * g[j, k]
+                        - w[i, l] * w[j, k]
+                    )
+                    dev = max(dev, abs(measured - predicted))
+    return dev
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (_mixed_squeezed_displaced_point(), 30),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.4}).point(0.2), 10),
+        (_two_mode_point(), 8),
+    ],
+    ids=["n1-mixed-squeezed-displaced", "n2-two-mode-squeezed", "n2-random-displaced"],
+)
+def test_identity_checks_fourth_moments_match_term_by_term_loop(point, cutoff):
+    rep = gq.identity_checks(point, cutoff)
+    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    assert abs(rep.fourth_moment_dev - _loop_fourth_moment_dev(point, state)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.4}).point(0.2), 8),
+        (_two_mode_point(), 8),
+    ],
+    ids=["two-mode-squeezed", "random-displaced"],
+)
+def test_identity_checks_char_dev_matches_dense_expm(point, cutoff):
+    # exp(i eta.R) from scipy's expm of the full two-mode generator -eta.R.
+    rep = gq.identity_checks(point, cutoff)
+    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    norm = np.trace(state.rho).real
+    R = gq.quadrature_operators(2, cutoff)
+    dev = 0.0
+    for xi in _xi_sample(4):
+        eta = gq.symplectic_form(2) @ xi
+        H = -np.einsum("k,kab->ab", eta, R)
+        W = la.expm(-1j * H)
+        measured = np.trace(state.rho @ W) / norm
+        predicted = np.exp(1j * eta @ point.d - 0.25 * eta @ point.gamma @ eta)
+        dev = max(dev, abs(measured - predicted))
+    assert abs(rep.char_dev - dev) < 1e-12
