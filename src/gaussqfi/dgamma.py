@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
+# Hard cap on the terms of the Stein series in stein_series_solve.
+_STEIN_MAX_TERMS = 10_000
 # orthonormal block basis of parity + (index 0) and parity - (index 1), the
 # sign picked up under conjugation by the one-mode symplectic form
 _BLOCK_BASIS = (
@@ -206,7 +208,6 @@ def stein_series_solve(
     gamma: np.ndarray,
     dgamma: np.ndarray,
     tol: float = 1e-12,
-    max_terms: int = 10_000,
 ) -> np.ndarray:
     """Solve for the SLD coefficient matrix via the Stein-equation series.
 
@@ -224,12 +225,12 @@ def stein_series_solve(
         dgamma: symmetric derivative of the covariance matrix.
         tol: terminate when a term's Frobenius norm drops below ``tol``;
             also the margin of the ``nu_min > 1 + tol`` refusal gate.
-        max_terms: hard cap on the number of series terms.
 
     Raises:
         PreconditionError: if ``nu_min <= 1 + tol`` (flag ``"nu_min"``).
-        ConvergenceError: if the cap is hit, or the partial sum fails the
-            Stein equation by more than ``10 * tol`` (relative).
+        ConvergenceError: if no term of the first 10 000 drops below
+            ``tol``, or the partial sum fails the Stein equation by more
+            than ``10 * tol`` (relative).
     """
     gamma = np.asarray(gamma, dtype=float)
     dgamma = np.asarray(dgamma, dtype=float)
@@ -249,14 +250,14 @@ def stein_series_solve(
 
     term = rhs.copy()
     Y = term.copy()
-    for _ in range(max_terms):
+    for _ in range(_STEIN_MAX_TERMS):
         term = H @ term @ H.T
         Y += term
         if np.linalg.norm(term) < tol:
             break
     else:
         raise ConvergenceError(
-            f"Stein series did not converge within {max_terms} terms "
+            f"Stein series did not converge within {_STEIN_MAX_TERMS} terms "
             f"(nu_min = {nu_min:.6g})"
         )
     check = np.linalg.norm(Y - H @ Y @ H.T - rhs)

@@ -15,22 +15,25 @@ The truncated exponentials are unitary on the padded space, so the cropped
 state has a genuinely missing tail; ``tail_mass`` reports it instead of
 renormalizing it away.
 
+States, passive maps and Gaussian unitaries have one or two modes: every
+function that builds one raises ``ConfigError`` for more.
+
 Each Gaussian factor is applied by its structure, never as a dense padded
 matrix, and a state is formed only on the rows the crop keeps.  A passive
 generator conserves the total photon number, so it is exponentiated and
-applied one number sector at a time.  Squeezers, displacements and the
-Weyl operators of the characteristic function are Kronecker products of
-one-mode exponentials, which are formed on their own; the squeezers act on
-the kept rows one mode at a time.  Every one-mode generator
-here couples level ``k`` only to ``k ± s``, as does each two-mode passive
-sector to its neighbour in ``n_1``; a diagonal level phase makes such a
-generator real symmetric, so its exponential comes from a real ``eigh``.
-Every factor is still the truncated exponential itself.
+applied one number sector at a time: a single level on one mode, a chain in
+``n_1`` on two.  Squeezers, displacements and the Weyl operators of the
+characteristic function are Kronecker products of one-mode exponentials,
+which are formed on their own; the squeezers act on the kept rows one mode
+at a time.  Every one-mode generator here couples level ``k`` only to
+``k ± s``, as does each two-mode passive sector to its neighbour in ``n_1``;
+a diagonal level phase makes such a generator real symmetric, so its
+exponential comes from a real ``eigh``.  Every factor is still the truncated
+exponential itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +124,12 @@ def _expi(lam: np.ndarray, V: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
+def _check_modes(n: int) -> None:
+    """Refuse more than two modes, the most the oracle builds."""
+    if n > 2:
+        raise ConfigError(f"Fock oracle supports at most 2 modes, got {n}")
+
+
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes of two (stacks of) matrices."""
     out = A[..., :, None, :, None] * B[..., None, :, None, :]
@@ -194,6 +203,7 @@ def _passive_sectors(
         or np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-10
     ):
         raise ConfigError("matrix is not orthogonal symplectic")
+    _check_modes(n)
     if n == 1:
         # Every sector is one level k, where the exponential is exp(-i hc k).
         k = np.arange(dim if top is None else min(dim, top + 1))
@@ -202,37 +212,27 @@ def _passive_sectors(
     V, _ = np.linalg.qr(V)
     hc = (V * -np.angle(lam)) @ V.conj().T
     hc = 0.5 * (hc + hc.conj().T)
-    # On two modes each sector is a chain in n_1, and the level phase
-    # exp(i n_1 arg hc_12) makes its generator real.
-    phi = np.zeros(n)
-    if n == 2:
-        phi[0] = np.angle(hc[0, 1])
-        hc = (hc * np.exp(-1j * np.subtract.outer(phi, phi))).real
-    levels = np.indices((dim,) * n).reshape(n, -1)
-    total = levels.sum(axis=0)
-    sizes = np.bincount(total)
-    order = np.argsort(total, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[total[order]]
-    cols = np.zeros((sizes.size, sizes.max()), dtype=int)
-    cols[total, rank] = np.arange(dim**n)
-    gen = np.zeros(cols.shape + cols.shape[-1:], dtype=hc.dtype)
-    gen[total, rank, rank] = hc.diagonal() @ levels
-    strides = dim ** np.arange(n - 1, -1, -1)
-    for j, k in itertools.permutations(range(n), 2):
-        # a_j† a_k moves one photon from mode k to mode j.
-        src = np.flatnonzero((levels[k] > 0) & (levels[j] < dim - 1))
-        dst = src + strides[j] - strides[k]
-        amp = np.sqrt((levels[j, src] + 1.0) * levels[k, src])
-        gen[total[src], rank[dst], rank[src]] = hc[j, k] * amp
-    phase = np.ones(cols.shape, dtype=complex)
-    phase[total, rank] = np.exp(1j * (phi @ levels))
-    sizes = sizes[: None if top is None else top + 1]
+    # Sector N is the chain n_1 = max(0, N - dim + 1) .. min(N, dim - 1) with
+    # n_2 = N - n_1; taking out the level phase exp(i n_1 arg hc_12) makes
+    # its generator real.
+    arg = np.angle(hc[0, 1])
+    hc = (hc * np.exp(-1j * np.array([[0.0, arg], [-arg, 0.0]]))).real
+    N = np.arange(2 * dim - 1 if top is None else min(2 * dim - 1, top + 1))
+    lo = np.maximum(0, N - dim + 1)
+    sizes = np.minimum(N, dim - 1) - lo + 1
+    # Row r of n1 and n2 is sector N[r], padded to dim levels past its end.
+    n1 = lo[:, None] + np.arange(dim)
+    n2 = np.maximum(N[:, None] - n1, 0)
+    t = np.arange(dim - 1)
+    gen = np.zeros((N.size, dim, dim))
+    gen[:, t + 1, t] = gen[:, t, t + 1] = hc[0, 1] * np.sqrt((n1[:, :-1] + 1.0) * n2[:, :-1])
+    gen[:, np.arange(dim), np.arange(dim)] = hc[0, 0] * n1 + hc[1, 1] * n2
+    phase = np.exp(1j * arg * n1)
     sectors = []
     for size in np.unique(sizes):
         sel = np.flatnonzero(sizes == size)
         lam, V = np.linalg.eigh(gen[sel, :size, :size])
-        sectors.append((cols[sel, :size], _expi(lam, V, phase[sel, :size])))
+        sectors.append(((n1 * dim + n2)[sel, :size], _expi(lam, V, phase[sel, :size])))
     return sectors
 
 
@@ -266,19 +266,24 @@ def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
     ``i log u = V diag(-arg lam) V^H`` on the principal branch.
 
     The generator ``sum_jk hc_jk a_j† a_k`` conserves the total photon
-    number.  Its entries are formed only inside the number sectors, and
-    sectors of equal size are exponentiated in one stacked ``eigh``.  On one
-    mode a sector is a single level; on two it is a chain in ``n_1``, made
-    real by a level phase, so its ``eigh`` is real.  The dense result is the
-    identity with each sector block applied, so the entries between different
-    sectors are exactly zero.
+    number, so it is formed and exponentiated one number sector at a time.
+    On one mode a sector is a single level ``k``, with exponential
+    ``exp(-i hc k)``.  On two modes sector ``N`` is the chain
+    ``n_1 = max(0, N - dim + 1) .. min(N, dim - 1)`` with ``n_2 = N - n_1``:
+    diagonal ``hc_11 n_1 + hc_22 n_2``, off-diagonal
+    ``|hc_12| sqrt((n_1 + 1) n_2)`` once the level phase
+    ``exp(i n_1 arg hc_12)`` is taken out, so it is real symmetric
+    tridiagonal.  Sectors of equal size share one stacked real ``eigh``.  The
+    dense result is the identity with each sector block applied, so the
+    entries between different sectors are exactly zero.
 
     Raises:
         ConfigError: ``O`` is not ``2n x 2n`` of the form
-            ``[[c, s], [-s, c]]`` with ``c - i s`` unitary.
+            ``[[c, s], [-s, c]]`` with ``c - i s`` unitary, or ``n > 2``.
     """
+    sectors = _passive_sectors(O, dim)
     n = np.shape(O)[0] // 2
-    return _apply_sectors(np.eye(dim**n, dtype=complex), _passive_sectors(O, dim))
+    return _apply_sectors(np.eye(dim**n, dtype=complex), sectors)
 
 
 def squeeze_unitary(z: np.ndarray, dim: int) -> np.ndarray:
@@ -301,7 +306,11 @@ def gaussian_unitary(S: np.ndarray, dim: int) -> np.ndarray:
 
     ``S`` is factored into passive + single-mode-squeeze + passive layers and
     each layer exponentiated separately, which avoids one large
-    ill-conditioned generator.
+    ill-conditioned generator.  The passive layers are the sector chains of
+    :func:`passive_unitary`.
+
+    Raises:
+        ConfigError: ``S`` has more than two modes.
     """
     O1, z, O2 = euler_decompose(S)
     return passive_unitary(O1, dim) @ squeeze_unitary(z, dim) @ passive_unitary(O2, dim)
@@ -376,8 +385,7 @@ def build_state(
             more weight than ``tail_bound``.
     """
     n = point.n
-    if n > 2:
-        raise ConfigError(f"Fock oracle supports at most 2 modes, got {n}")
+    _check_modes(n)
     if cutoff < 8:
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     big = cutoff + pad
@@ -429,68 +437,51 @@ def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     return d, gamma
 
 
-def _solve_sld_eigenbasis(
-    eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray
-) -> tuple[float, float]:
-    """QFI and excluded-subspace weight from the eigenbasis formula.
+def _solve_sld_eigenbasis(eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray) -> float:
+    """QFI ``sum 2 |<m|drho|n>|^2 / (p_m + p_n)`` from the eigenbasis formula.
 
     ``eig`` is ``np.linalg.eigh(rho)``.  Eigenpairs with
-    ``p_m + p_n <= 1e-12 * max(p)`` are excluded from the solve; the
-    derivative weight sitting on them is returned alongside so it can be
-    reported rather than hidden.
+    ``p_m + p_n <= 1e-12 * max(p)`` are left out of the sum.
     """
     p, V = eig
     M = V.conj().T @ drho @ V
     denom = p[:, None] + p[None, :]
     keep = denom > 1e-12 * p.max()
-    qfi = float(np.sum(2.0 * np.abs(M[keep]) ** 2 / denom[keep]))
-    excluded = float(np.sum(np.abs(M[~keep]) ** 2))
-    return qfi, excluded
+    return float(np.sum(2.0 * np.abs(M[keep]) ** 2 / denom[keep]))
+
+
+def _rho(d: np.ndarray, gamma: np.ndarray, cutoff: int) -> np.ndarray:
+    """:func:`build_state` density matrix, at its default ``pad`` and
+    ``tail_bound``, of the Gaussian state with moments ``(d, gamma)``."""
+    pt = GaussianModelPoint(d=d, gamma=gamma, dd=np.zeros_like(d), dgamma=np.zeros_like(gamma))
+    return build_state(pt, cutoff).rho
 
 
 def _central_qfis(
-    family: ModelFamily,
-    theta: float,
-    cutoff: int,
-    steps: tuple[float, ...],
-    pad: int,
-    tail_bound: float,
+    family: ModelFamily, theta: float, cutoff: int, steps: tuple[float, ...]
 ) -> list[float]:
     """Fock QFI at ``theta`` for each central-difference step in ``steps``.
 
     The state at ``theta`` and its eigenbasis are formed once and shared.
     """
-
-    def rho_at(t: float) -> np.ndarray:
-        d, g = family.moments(t)
-        pt = GaussianModelPoint(
-            d=d, gamma=g, dd=np.zeros_like(d), dgamma=np.zeros_like(g)
-        )
-        return build_state(pt, cutoff, pad=pad, tail_bound=tail_bound).rho
-
-    eig = np.linalg.eigh(rho_at(theta))
+    eig = np.linalg.eigh(_rho(*family.moments(theta), cutoff))
     qfis = []
     for h in steps:
-        drho = (rho_at(theta + h) - rho_at(theta - h)) / (2.0 * h)
-        qfis.append(_solve_sld_eigenbasis(eig, drho)[0])
+        drho = (
+            _rho(*family.moments(theta + h), cutoff) - _rho(*family.moments(theta - h), cutoff)
+        ) / (2.0 * h)
+        qfis.append(_solve_sld_eigenbasis(eig, drho))
     return qfis
 
 
-def qfi_fock(
-    family: ModelFamily,
-    theta: float,
-    cutoff: int,
-    h: float = 1e-4,
-    pad: int = 12,
-    tail_bound: float = 1e-3,
-) -> float:
+def qfi_fock(family: ModelFamily, theta: float, cutoff: int, h: float = 1e-4) -> float:
     """Quantum Fisher information computed entirely in the Fock basis.
 
     Builds the state at ``theta`` and ``theta ± h``, forms the derivative by
     central difference, solves the symmetric-logarithmic-derivative equation
     in the eigenbasis of the state, and returns ``tr[rho L²]``.
     """
-    return _central_qfis(family, theta, cutoff, (h,), pad, tail_bound)[0]
+    return _central_qfis(family, theta, cutoff, (h,))[0]
 
 
 @dataclass(frozen=True)
@@ -516,20 +507,14 @@ def qfi_fock_probe(
     cutoff: int,
     h: float = 1e-4,
     cutoff_step: int = 10,
-    pad: int = 12,
-    tail_bound: float = 1e-3,
 ) -> FockConvergence:
     """Oracle value plus its sensitivity to cutoff and difference step.
 
     The three values equal three :func:`qfi_fock` calls; the value and the
     halved-step value share the state at ``theta``.
     """
-    value, step_value = _central_qfis(
-        family, theta, cutoff, (h, h / 2.0), pad, tail_bound
-    )
-    cutoff_value = qfi_fock(
-        family, theta, cutoff + cutoff_step, h, pad=pad, tail_bound=tail_bound
-    )
+    value, step_value = _central_qfis(family, theta, cutoff, (h, h / 2.0))
+    cutoff_value = qfi_fock(family, theta, cutoff + cutoff_step, h)
     return FockConvergence(
         value=value,
         cutoff_value=cutoff_value,
@@ -566,8 +551,6 @@ def sld_residual(
     coeffs: SLDCoefficients,
     cutoff: int,
     h: float = 1e-4,
-    pad: int = 12,
-    tail_bound: float = 1e-3,
 ) -> float:
     """Trace-norm defect of the SLD equation for the given coefficients.
 
@@ -595,13 +578,7 @@ def sld_residual(
     lift = kappa * np.eye(point.gamma.shape[0])
 
     def rho_at(t: float) -> np.ndarray:
-        pt = GaussianModelPoint(
-            d=point.d + t * point.dd,
-            gamma=point.gamma + t * point.dgamma + t * t * lift,
-            dd=np.zeros_like(point.d),
-            dgamma=np.zeros_like(point.gamma),
-        )
-        return build_state(pt, cutoff, pad=pad, tail_bound=tail_bound).rho
+        return _rho(point.d + t * point.dd, point.gamma + t * point.dgamma + t * t * lift, cutoff)
 
     rho = rho_at(0.0)
     drho = (rho_at(h) - rho_at(-h)) / (2.0 * h)
@@ -631,23 +608,16 @@ class IdentityReport:
     tail_mass: float
 
 
-def identity_checks(
-    point: GaussianModelPoint,
-    cutoff: int,
-    pad: int = 12,
-    xi_count: int = 12,
-    xi_radius: float = 2.0,
-    seed: int = 7,
-) -> IdentityReport:
+def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     """Check the standard Gaussian-state identities on the Fock matrix.
 
-    Verifies moment recovery, the Gaussian characteristic function at a
-    deterministic sample of phase-space points with ``|xi| <= xi_radius``,
+    Verifies moment recovery, the Gaussian characteristic function at 12
+    phase-space points drawn uniformly from the ball ``|xi| <= 2`` (seed 7),
     and the factorization of symmetrized fourth moments
     ``<(dR_i o dR_j) o (dR_k o dR_l)>`` into covariance/symplectic-form
     pairs.  Never raises; truncation quality is part of the report.
     """
-    state = build_state(point, cutoff, pad=pad, tail_bound=np.inf)
+    state = build_state(point, cutoff, tail_bound=np.inf)
     n, m = state.n, 2 * point.n
     norm = np.trace(state.rho).real
     d_fock, gamma_fock = state_moments(state)
@@ -656,11 +626,9 @@ def identity_checks(
 
     # exp(i eta.R) = exp(-i H) with H = -eta.R = sum_k beta_k a_k† + h.c., a
     # sum of one-mode terms, so it is a Kronecker product over the modes.
-    rng = np.random.default_rng(seed)
-    xis = rng.standard_normal((xi_count, m))
-    xis *= (xi_radius * rng.random(xi_count) ** (1.0 / m) / np.linalg.norm(
-        xis, axis=1
-    ))[:, None]
+    rng = np.random.default_rng(7)
+    xis = rng.standard_normal((12, m))
+    xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
     etas = xis @ symplectic_form(n).T
     beta = -(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2
     W = _kron_modes(np.moveaxis(_ladder_expi(beta, 1, cutoff), 1, 0))

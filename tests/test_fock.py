@@ -564,3 +564,11 @@ def test_identity_checks_char_dev_matches_dense_expm(point, cutoff):
         predicted = np.exp(1j * eta @ point.d - 0.25 * eta @ point.gamma @ eta)
         dev = max(dev, abs(measured - predicted))
     assert abs(rep.char_dev - dev) < 1e-12
+
+
+def test_passive_and_gaussian_unitary_reject_three_modes():
+    # Like build_state, the unitaries stop at two modes.
+    with pytest.raises(gq.ConfigError, match="at most 2 modes"):
+        gq.passive_unitary(gq.random_orthogonal_symplectic(3, np.random.default_rng(0)), 4)
+    with pytest.raises(gq.ConfigError, match="at most 2 modes"):
+        gq.gaussian_unitary(gq.random_symplectic(3, seed=0, squeeze_cap=0.5), 4)

@@ -7,6 +7,8 @@ import json
 import pathlib
 import re
 
+import numpy as np
+
 import gaussqfi as gq
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -49,3 +51,22 @@ def test_traced_layer_metrics_name_exported_functions():
             obj = getattr(obj, part)
         assert callable(obj) and obj.__module__ == mod.__name__, metric["name"]
     assert not_layers == {"setup", "trace"}
+
+
+def test_tracer_annotations_bind_to_current_signatures():
+    # The traced run annotates some spans from the call's bound arguments
+    # (build_state's pad, sweep_rows' jobs); each must still bind.
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    vac = gq.GaussianModelPoint(np.zeros(4), np.eye(4), np.zeros(4), np.zeros((4, 4)))
+    calls = {
+        "fock.build_state": ((vac, 8), {}),
+        "cli.sweep_rows": ((gq.builtin_family("thermal"), np.array([2.0])), {"jobs": 2}),
+    }
+    assert set(tracer.ANNOTATIONS) == set(calls)
+    for name, note in tracer.ANNOTATIONS.items():
+        layer, qualname = name.split(".", 1)
+        fn = getattr(importlib.import_module(f"gaussqfi.{layer}"), qualname)
+        args, kwargs = calls[name]
+        assert float(note(fn, args, kwargs)) > 0, name
