@@ -251,6 +251,8 @@ def _cmd_sld(argv: list[str]) -> int:
     else:
         print("photon-counting form: L_hat = sum_k 2*alpha_k*(N_k - <N_k>)")
         print(f"  alpha = {_vector_line(form.alpha)}")
+        if form.displacement.any():
+            print(f"  displacement = {_vector_line(form.displacement)}")
         print(f"  mean_photon = {_vector_line(form.mean_photon)}")
         print("  mode frame T:")
         print(_matrix_lines(form.T, indent="    "))

@@ -57,6 +57,8 @@ __all__ = [
 _SQ2 = np.sqrt(2.0)
 # Hard cap on the terms of the Stein series in stein_series_solve.
 _STEIN_MAX_TERMS = 10_000
+_STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
+_KERNEL_TOL = 1e-9  # dgamma_spectrum's kernel cut, dgamma_pseudoinverse_apply's default
 # orthonormal block basis of parity + (index 0) and parity - (index 1), the
 # sign picked up under conjugation by the one-mode symplectic form
 _BLOCK_BASIS = (
@@ -135,19 +137,21 @@ def _block_eigenvalues(nu: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     return lam, np.abs(lam) < tol * (1.0 + float(nu.max()) ** 2)
 
 
-def dgamma_spectrum(gamma: np.ndarray, tol: float = 1e-9) -> DGammaSpectrum:
+def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
     """Spectrum of the superoperator via the Williamson frame.
+
+    Eigenvalues below ``1e-9 * (1 + nu_max^2)`` are flagged as kernel, the
+    default threshold of :func:`dgamma_pseudoinverse_apply`.
 
     Args:
         gamma: admissible covariance matrix (symmetric, ``nu_min >= 1``).
-        tol: eigenvalues below ``tol * (1 + nu_max^2)`` are flagged as kernel.
 
     Returns:
         :class:`DGammaSpectrum`; ``kernel_dimension`` counts 2 per ordered
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, kernel = _block_eigenvalues(dec.nu, tol)
+    lam, kernel = _block_eigenvalues(dec.nu, _KERNEL_TOL)
     return DGammaSpectrum(
         nu=dec.nu, frame=dec.S, values=lam, kernel=kernel,
         kernel_dimension=2 * int(kernel.sum()),
@@ -204,11 +208,7 @@ def dgamma_pseudoinverse_apply(
     return _frame_solve(gamma, X, tol)[:2]
 
 
-def stein_series_solve(
-    gamma: np.ndarray,
-    dgamma: np.ndarray,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Solve for the SLD coefficient matrix via the Stein-equation series.
 
     ``Y = D^-1(dgamma)`` satisfies the discrete-Lyapunov (Stein) equation
@@ -219,25 +219,25 @@ def stein_series_solve(
     converges geometrically iff every symplectic eigenvalue exceeds 1 (the
     spectral radius of ``H`` is ``1 / nu_min``).  Serves as an independent
     cross-check of :func:`dgamma_pseudoinverse_apply` away from purity.
+    The series stops at the first term whose Frobenius norm drops below
+    ``1e-12``, which is also the margin of the refusal gate.
 
     Args:
         gamma: admissible covariance matrix, strictly above purity.
         dgamma: symmetric derivative of the covariance matrix.
-        tol: terminate when a term's Frobenius norm drops below ``tol``;
-            also the margin of the ``nu_min > 1 + tol`` refusal gate.
 
     Raises:
-        PreconditionError: if ``nu_min <= 1 + tol`` (flag ``"nu_min"``).
+        PreconditionError: if ``nu_min <= 1 + 1e-12`` (flag ``"nu_min"``).
         ConvergenceError: if no term of the first 10 000 drops below
-            ``tol``, or the partial sum fails the Stein equation by more
-            than ``10 * tol`` (relative).
+            ``1e-12``, or the partial sum fails the Stein equation by more
+            than ``1e-11`` (relative).
     """
     gamma = np.asarray(gamma, dtype=float)
     dgamma = np.asarray(dgamma, dtype=float)
     if dgamma.shape != gamma.shape:
         raise ValueError(f"dgamma has shape {dgamma.shape}, expected {gamma.shape}")
     nu_min = float(symplectic_eigenvalues(gamma)[-1])
-    if nu_min <= 1.0 + tol:
+    if nu_min <= 1.0 + _STEIN_TOL:
         raise PreconditionError(
             "nu_min",
             f"Stein series needs nu_min > 1 (got {nu_min:.6g}); "
@@ -253,7 +253,7 @@ def stein_series_solve(
     for _ in range(_STEIN_MAX_TERMS):
         term = H @ term @ H.T
         Y += term
-        if np.linalg.norm(term) < tol:
+        if np.linalg.norm(term) < _STEIN_TOL:
             break
     else:
         raise ConvergenceError(
@@ -261,6 +261,6 @@ def stein_series_solve(
             f"(nu_min = {nu_min:.6g})"
         )
     check = np.linalg.norm(Y - H @ Y @ H.T - rhs)
-    if check > 10 * tol * (1.0 + np.linalg.norm(rhs)):
+    if check > 10 * _STEIN_TOL * (1.0 + np.linalg.norm(rhs)):
         raise ConvergenceError(f"Stein equation residual {check:.3e} exceeds tolerance")
     return Y

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dgamma import _frame_solve, dgamma_pseudoinverse_apply
 from .exceptions import ConvergenceError
-from .models import GaussianModelPoint, _require_isothermal
+from .models import _ISOTHERMAL_TOL, GaussianModelPoint, _require_isothermal
 from .symplectic import williamson
 
 __all__ = [
@@ -149,7 +149,7 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     )
 
 
-def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport:
+def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
     """Quantum Fisher information through the equal-temperature shortcut.
 
     For a model with all symplectic eigenvalues equal to ``nu`` *and* a
@@ -158,7 +158,7 @@ def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport
         ``nu^2 / (1 + nu^2) * tr[(Gamma^-1 dGamma)^2] / 2``,
 
     i.e. the Wigner-distribution information damped by ``nu^2 / (1 + nu^2)``.
-    Both gates are checked; rejection names the failed flag.
+    Both gates are checked at tolerance 1e-8; rejection names the failed flag.
 
     Raises:
         PreconditionError: flag ``"is_isothermal"`` or
@@ -166,7 +166,7 @@ def qfi_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> FisherReport
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """
-    chk = _require_isothermal(point, tol)[0]
+    chk = _require_isothermal(point, _ISOTHERMAL_TOL)[0]
     M = np.linalg.solve(point.gamma, point.dgamma)
     nu2 = chk.nu * chk.nu
     wigner_second = 0.5 * float(np.trace(M @ M))
@@ -219,18 +219,23 @@ class PhotonCountingForm:
     """Symplectic normal form of the quadratic SLD part.
 
     When ``d(Gamma^-1)/dtheta`` is semidefinite, the quadratic coefficient
-    matrix admits ``L = T^T diag(alpha, alpha) T`` with ``T`` symplectic, so
-    measuring the mode numbers ``N_k`` of the ``T``-frame modes saturates the
-    quantum bound: ``L_hat = 2 sum_k alpha_k (N_k - <N_k>)``.
+    matrix admits ``L = T^T diag(alpha, alpha) T`` with ``T`` symplectic.
+    ``L`` is then invertible, so the linear part folds into the quadratic
+    one about ``d* = d - L^-1 b / 2``, and measuring the mode numbers
+    ``N_k`` of the ``T``-frame modes of ``R - d*`` saturates the quantum
+    bound: ``L_hat = 2 sum_k alpha_k (N_k - <N_k>)``.
 
     Attributes:
         T: symplectic frame change.
         alpha: per-mode weights (sign matches the definite direction).
-        mean_photon: ``<N_k>`` of the state in the ``T`` frame.
+        displacement: the point ``d*`` the modes are counted about; ``d``
+            itself when ``b = 0``.
+        mean_photon: ``<N_k>`` of the state in the ``T`` frame, about ``d*``.
     """
 
     T: np.ndarray
     alpha: np.ndarray
+    displacement: np.ndarray
     mean_photon: np.ndarray
 
 
@@ -265,6 +270,11 @@ def photon_counting_form(
         return None  # singular quadratic part: no symplectic normal form
     dec = williamson(A)
     T = dec.S.T
-    alpha = sign * dec.nu
-    mean_photon = _mean_photon(T @ point.gamma @ T.T, T @ point.d)
-    return PhotonCountingForm(T=T, alpha=alpha, mean_photon=mean_photon)
+    # (R-d) L (R-d) + b.(R-d) is (R-d*) L (R-d*) up to a constant, d - d* = shift
+    shift = 0.5 * np.linalg.solve(coeffs.L, coeffs.b)
+    return PhotonCountingForm(
+        T=T,
+        alpha=sign * dec.nu,
+        displacement=point.d - shift,
+        mean_photon=_mean_photon(T @ point.gamma @ T.T, T @ shift),
+    )

@@ -15,14 +15,18 @@ The truncated exponentials are unitary on the padded space, so the cropped
 state has a genuinely missing tail; ``tail_mass`` reports it instead of
 renormalizing it away.
 
-States, passive maps and Gaussian unitaries have one or two modes: every
-function that builds one raises ``ConfigError`` for more.
+States and passive maps have one or two modes: every function that builds
+one raises ``ConfigError`` for more.
 
+A state's Gaussian unitary is the product of the Euler layers of its
+Williamson frame: a passive map, one-mode squeezers and a passive map.
 Each Gaussian factor is applied by its structure, never as a dense padded
-matrix, and a state is formed only on the rows the crop keeps.  A passive
-generator conserves the total photon number, so it is exponentiated and
-applied one number sector at a time: a single level on one mode, a chain in
-``n_1`` on two.  Squeezers, displacements and the Weyl operators of the
+matrix, and a state is formed only on the rows the crop keeps;
+:func:`passive_unitary`, :func:`squeeze_unitary` and
+:func:`displacement_unitary` form single layers as matrices for inspection.
+A passive generator conserves the total photon number, so it is
+exponentiated and applied one number sector at a time: a single level on
+one mode, a chain in ``n_1`` on two.  Squeezers, displacements and the Weyl operators of the
 characteristic function are Kronecker products of one-mode exponentials,
 which are formed on their own; the squeezers act on the kept rows one mode
 at a time.  Every one-mode generator here couples level ``k`` only to
@@ -46,11 +50,9 @@ from .symplectic import euler_decompose, symplectic_form, williamson
 __all__ = [
     "destroy",
     "quadrature_operators",
-    "thermal_density",
     "passive_unitary",
     "squeeze_unitary",
     "displacement_unitary",
-    "gaussian_unitary",
     "TruncatedState",
     "build_state",
     "state_moments",
@@ -72,14 +74,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def _embed(op: np.ndarray, mode: int, n: int, dim: int) -> np.ndarray:
-    """Kronecker-embed a single-mode operator at position ``mode`` of ``n``."""
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        out = np.kron(out, op if k == mode else np.eye(dim))
-    return out
-
-
 def quadrature_operators(n: int, dim: int) -> np.ndarray:
     """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of Fock matrices.
 
@@ -89,25 +83,18 @@ def quadrature_operators(n: int, dim: int) -> np.ndarray:
     a = destroy(dim).astype(complex)
     q1 = (a + a.conj().T) / _SQRT2
     p1 = 1j * (a.conj().T - a) / _SQRT2
+    eye = np.eye(dim)
     R = np.empty((2 * n, dim**n, dim**n), dtype=complex)
     for k in range(n):
-        R[k] = _embed(q1, k, n, dim)
-        R[n + k] = _embed(p1, k, n, dim)
+        R[k] = _kron_modes([q1 if j == k else eye for j in range(n)])
+        R[n + k] = _kron_modes([p1 if j == k else eye for j in range(n)])
     return R
 
 
-def thermal_density(nu: np.ndarray, dim: int) -> np.ndarray:
-    """Product of single-mode thermal states with symplectic eigenvalues ``nu``.
-
-    Mode ``k`` carries the geometric photon distribution with mean
-    ``(nu_k - 1)/2``.  Weights are not renormalized after truncation, so the
-    matrix has trace slightly below one for hot modes.
-    """
-    return np.diag(_thermal_weights(nu, dim).astype(complex))
-
-
 def _thermal_weights(nu: np.ndarray, dim: int) -> np.ndarray:
-    """Diagonal of :func:`thermal_density`, as a real vector."""
+    """Photon-number weights of the product of one-mode thermal states with
+    symplectic eigenvalues ``nu``: mode ``k`` is geometric with mean
+    ``(nu_k - 1)/2``.  Not renormalised after truncation."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     p = np.ones(1)
     ks = np.arange(dim)
@@ -301,21 +288,6 @@ def displacement_unitary(d: np.ndarray, dim: int) -> np.ndarray:
     return _kron_modes(_displacements(d, dim))
 
 
-def gaussian_unitary(S: np.ndarray, dim: int) -> np.ndarray:
-    """Fock-space unitary implementing a symplectic matrix on moments.
-
-    ``S`` is factored into passive + single-mode-squeeze + passive layers and
-    each layer exponentiated separately, which avoids one large
-    ill-conditioned generator.  The passive layers are the sector chains of
-    :func:`passive_unitary`.
-
-    Raises:
-        ConfigError: ``S`` has more than two modes.
-    """
-    O1, z, O2 = euler_decompose(S)
-    return passive_unitary(O1, dim) @ squeeze_unitary(z, dim) @ passive_unitary(O2, dim)
-
-
 @dataclass(frozen=True)
 class TruncatedState:
     """Density matrix of a Gaussian state on a truncated Fock basis.
@@ -355,14 +327,17 @@ def build_state(
     """Construct the density matrix of a Gaussian state.
 
     Builds the thermal normal form from the Williamson factorization, applies
-    the Gaussian unitary of the symplectic factor and then the displacement,
-    all on a padded basis, and finally crops to ``cutoff``.  Only the kept
-    rows are formed: with ``X = D[keep] P1 Sq P2`` (the displacement, then
-    the passive, squeeze and passive factors of :func:`gaussian_unitary`;
-    ``D`` is the identity when ``d = 0`` and ``Sq`` when ``z = 0``) and the
-    thermal weights ``p``, the cropped state is ``X diag(p) X^H``.  The
-    weights enter as they are, not through their square roots: on a pure
-    mode they can round to -1e-16.
+    the Gaussian unitary of the symplectic factor ``S`` and then the
+    displacement, all on a padded basis, and finally crops to ``cutoff``.
+    The unitary of ``S`` is applied as the three layers of its Euler
+    factorisation ``S = O1 diag(e^z, e^-z) O2``
+    (:func:`~gaussqfi.symplectic.euler_decompose`), which avoids one large
+    ill-conditioned generator.  Only the kept rows are formed: with
+    ``X = D[keep] P1 Sq P2`` (the displacement, then the passive, squeeze
+    and passive factors; ``D`` is the identity when ``d = 0`` and ``Sq``
+    when ``z = 0``) and the thermal weights ``p``, the cropped state is
+    ``X diag(p) X^H``.  The weights enter as they are, not through their
+    square roots: on a pure mode they can round to -1e-16.
 
     No ``(cutoff + pad)**n`` square factor is formed.  ``X`` starts as the
     kept rows of ``D``, the Kronecker product of one-mode displacements, or

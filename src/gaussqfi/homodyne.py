@@ -27,6 +27,9 @@ from .symplectic import (
     validate_covariance,
 )
 
+_FRAME_TOL = 1e-10  # homodyne_fisher's max-abs gates on U: symplectic, a b^T = b a^T
+_ANCILLA_TOL = 1e-8  # ancilla_extend's validate_covariance tolerance
+
 __all__ = [
     "IsothermalFrame",
     "isothermal_frame",
@@ -99,7 +102,7 @@ def optimal_homodyne_fisher(frame: IsothermalFrame) -> float:
     return 0.5 * float(np.sum(frame.lam**2))
 
 
-def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray, tol: float = 1e-10) -> float:
+def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray) -> float:
     """Fisher information of the quadratures ``(U R)_Q`` in the normal frame.
 
     ``U`` is a symplectic matrix selecting which rotated/squeezed quadratures
@@ -110,16 +113,16 @@ def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray, tol: float = 1e-10) -
 
     Raises:
         ConfigError: if ``U`` is not symplectic or the commutation constraint
-            ``a b^T = b a^T`` fails beyond ``tol``.
+            ``a b^T = b a^T`` fails beyond ``1e-10`` (max-abs).
     """
     U = np.asarray(U, dtype=float)
     n = frame.n
     if U.shape != (2 * n, 2 * n):
         raise ConfigError(f"U has shape {U.shape}, expected {(2 * n, 2 * n)}")
-    if not is_symplectic(U, max(tol, 1e-10)):
+    if not is_symplectic(U, _FRAME_TOL):
         raise ConfigError("U is not symplectic")
     a, b = U[:n, :n], U[:n, n:]
-    if np.abs(a @ b.T - b @ a.T).max() > max(tol, 1e-10):
+    if np.abs(a @ b.T - b @ a.T).max() > _FRAME_TOL:
         raise ConfigError("quadrature blocks do not commute (a b^T != b a^T)")
     lam = frame.lam
     ghat = frame.nu * (a @ a.T + b @ b.T)
@@ -127,17 +130,16 @@ def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray, tol: float = 1e-10) -
     return gaussian_distribution_fisher(ghat, dghat)
 
 
-def ancilla_extend(
-    point: GaussianModelPoint, gamma_ancilla: np.ndarray, tol: float = 1e-8
-) -> GaussianModelPoint:
+def ancilla_extend(point: GaussianModelPoint, gamma_ancilla: np.ndarray) -> GaussianModelPoint:
     """Append parameter-independent ancilla modes to a model point.
 
     The ancilla contributes no derivative, so ``lam`` just gains zeros: side
     channels cannot raise the optimal homodyne information.  The extension is
     equal-temperature only if the ancilla is thermal at the same ``nu``.
+    Raises ``ConfigError`` unless ``gamma_ancilla`` is admissible at ``1e-8``.
     """
     gamma_ancilla = np.asarray(gamma_ancilla, dtype=float)
-    chk = validate_covariance(gamma_ancilla, tol)
+    chk = validate_covariance(gamma_ancilla, _ANCILLA_TOL)
     if not chk.valid:
         raise ConfigError(
             f"ancilla covariance is not admissible (nu_min = {chk.nu_min:.6g}, "

@@ -20,6 +20,8 @@ import numpy as np
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import is_symplectic, symplectic_form, validate_covariance
 
+_ISOTHERMAL_TOL = 1e-8  # gate tolerance of check_isothermal and qfi_isothermal
+
 __all__ = [
     "GaussianModelPoint",
     "ModelFamily",
@@ -354,9 +356,9 @@ def _isothermal_gate(
     return IsothermalCheck(True, nu, preserves), Si, W
 
 
-def check_isothermal(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalCheck:
-    """Classify a model point for the equal-temperature fast paths."""
-    return _isothermal_gate(point, tol)[0]
+def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
+    """Classify a model point for the equal-temperature fast paths (tol 1e-8)."""
+    return _isothermal_gate(point, _ISOTHERMAL_TOL)[0]
 
 
 def _require_isothermal(

@@ -11,6 +11,11 @@ Conventions used throughout the package:
 A covariance matrix describes a physical state iff it is symmetric and all
 its symplectic eigenvalues ``nu_k`` (Williamson spectrum) satisfy
 ``nu_k >= 1``.
+
+Every orthogonal symplectic frame here (a passive network) is built as the
+image ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n unitary ``u`` on the
+modes: the Haar-random ones, the eigenframe of a symmetric Hamiltonian
+matrix, and through it both orthogonal factors of the Euler decomposition.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError
+
+_WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound and symmetry gate
+_EULER_TOL = 1e-8  # how far from symplectic (max-abs) euler_decompose accepts S
 
 __all__ = [
     "symplectic_form",
@@ -62,14 +70,6 @@ def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
     n = _check_even_square(S, "S")
     w = symplectic_form(n)
     return bool(np.abs(S @ w @ S.T - w).max() <= tol)
-
-
-def _sym_sqrt(G: np.ndarray) -> np.ndarray:
-    """Symmetric positive square root via eigendecomposition."""
-    ev, V = np.linalg.eigh(G)
-    if ev[0] <= 0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {ev[0]:.3e})")
-    return (V * np.sqrt(ev)) @ V.T
 
 
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +179,7 @@ def _williamson_once(gamma: np.ndarray) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(S=S, nu=nu)
 
 
-def williamson(gamma: np.ndarray, tol: float = 1e-10) -> WilliamsonDecomposition:
+def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
     Route: one Cholesky factor ``L L^T = gamma`` and ``eigh(i L^T w L)``, the
@@ -188,42 +188,53 @@ def williamson(gamma: np.ndarray, tol: float = 1e-10) -> WilliamsonDecomposition
     eigenvectors, times ``L`` and ``nu^(-1/2)``, are the Q and P columns of
     ``S``.  Any root of ``gamma`` would do; the Cholesky factor is the
     cheapest (the symmetric root costs an ``eigh`` of its own).  If
-    the first pass misses ``tol``, one refinement step is applied (re-decompose
+    the first pass misses a max-abs reconstruction error of
+    ``1e-10 max(1, |gamma|)``, one refinement step is applied (re-decompose
     the residual ``S^-1 gamma S^-T``, which is nearly diagonal, and compose).
 
     Args:
         gamma: symmetric positive-definite ``2n x 2n`` matrix.  Validity as a
             quantum state is *not* required here; the decomposition is also
             used on operator matrices whose "nu" may be < 1.
-        tol: max-abs reconstruction tolerance, relative to ``max(1, |gamma|)``.
 
     Raises:
         ValueError: if ``gamma`` is not symmetric positive definite.
-        ConvergenceError: if the reconstruction error still exceeds ``tol``
-            after refinement.
+        ConvergenceError: if the reconstruction error still exceeds that
+            bound after refinement.
     """
     gamma = np.asarray(gamma, dtype=float)
     _check_even_square(gamma, "gamma")
     asym = np.abs(gamma - gamma.T).max()
-    if asym > max(tol, 1e-10) * (1 + np.abs(gamma).max()):
+    if asym > _WILLIAMSON_TOL * (1 + np.abs(gamma).max()):
         raise ValueError(f"gamma is not symmetric (max asymmetry {asym:.3e})")
     gamma = 0.5 * (gamma + gamma.T)
 
     dec = _williamson_once(gamma)
     scale = max(1.0, float(np.abs(gamma).max()))
     err = np.abs(dec.reconstruct() - gamma).max()
-    if err > tol * scale:
+    if err > _WILLIAMSON_TOL * scale:
         # one step of iterative refinement
         Si = np.linalg.inv(dec.S)
         residual = Si @ gamma @ Si.T
         polish = _williamson_once(0.5 * (residual + residual.T))
         dec = WilliamsonDecomposition(S=dec.S @ polish.S, nu=polish.nu)
         err = np.abs(dec.reconstruct() - gamma).max()
-        if err > tol * scale:
+        if err > _WILLIAMSON_TOL * scale:
             raise ConvergenceError(
-                f"williamson reconstruction error {err:.3e} exceeds tol after refinement"
+                f"williamson reconstruction error {err:.3e} exceeds tolerance after refinement"
             )
     return dec
+
+
+def _passive(u: np.ndarray) -> np.ndarray:
+    """Orthogonal symplectic ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n
+    unitary ``u``: the passive network ``[[c, s], [-s, c]]`` of ``u = c - i s``."""
+    n = u.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = u.real
+    out[:n, n:] = -u.imag
+    out[n:, :n] = u.imag
+    return out
 
 
 def random_orthogonal_symplectic(n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
@@ -237,9 +248,7 @@ def random_orthogonal_symplectic(n: int, rng: np.random.Generator | int | None =
     Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     Qc, R = np.linalg.qr(Z)
     diag = np.diagonal(R)
-    Qc = Qc * (diag / np.abs(diag))[None, :]
-    c, s = Qc.real, -Qc.imag
-    return np.block([[c, s], [-s, c]])
+    return _passive(Qc * (diag / np.abs(diag))[None, :])
 
 
 def random_symplectic(n: int, seed: int | None = None, squeeze_cap: float = 1.0) -> np.ndarray:
@@ -268,12 +277,18 @@ def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
     ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
 
-    The pairing uses the fact that ``w`` maps eigenvectors of ``W`` with
-    eigenvalue ``+lam`` to eigenvectors with ``-lam``.
+    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
+    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
+    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
+    orthonormal in ``C^n``.  The zero eigenspace is ``w``-invariant, i.e. a
+    complex subspace; the ``m`` modes it contributes are the leading left
+    singular vectors of its eigenvectors read the same way.  ``O`` is the
+    passive image of the unitary whose rows are the conjugated modes.
 
     Raises:
         ValueError: if ``W`` is not symmetric-Hamiltonian within
-            ``tol * (1 + |W|)``.
+            ``tol * (1 + |W|)``, or its zero eigenspace has fewer than
+            ``2 m`` dimensions.
     """
     W = np.asarray(W, dtype=float)
     n = _check_even_square(W, "W")
@@ -285,64 +300,48 @@ def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
         raise ValueError("W does not anticommute with the symplectic form")
 
     ev, V = np.linalg.eigh(W)
+    cut = tol * scale
     order = np.argsort(-ev)
-    pos = [k for k in order if ev[k] > tol * scale][:n]
-    lam = list(ev[pos])
-    qrows = [V[:, k] for k in pos]
-
-    # the (numerically) zero eigenspace is w-invariant; pick symplectic pairs
-    # (v, -w v) inside it by Gram-Schmidt against the pairs already chosen
-    if len(qrows) < n:
-        null = [V[:, k] for k in order if abs(ev[k]) <= tol * scale]
-        chosen: list[np.ndarray] = []
-        for cand in null:
-            if len(qrows) == n:
-                break
-            v = cand.copy()
-            for u in chosen:
-                v -= (u @ v) * u + ((w @ u) @ v) * (w @ u)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-8:
-                continue
-            v /= nrm
-            chosen.append(v)
-            qrows.append(v)
-            lam.append(0.0)
-        if len(qrows) < n:
+    pos = order[ev[order] > cut][:n]
+    modes = V[:n, pos] + 1j * V[n:, pos]
+    lam = ev[pos]
+    m = n - pos.size
+    if m:
+        zero = np.abs(ev) <= cut
+        if np.count_nonzero(zero) < 2 * m:
             raise ValueError("failed to build a symplectic basis of the null space")
+        null = np.linalg.svd(V[:n, zero] + 1j * V[n:, zero], full_matrices=False)[0][:, :m]
+        modes = np.concatenate([modes, null], axis=1)
+        lam = np.concatenate([lam, np.zeros(m)])
+    return _passive(modes.conj().T), lam
 
-    prows = [-(w @ v) for v in qrows]
-    O = np.vstack([np.array(qrows), np.array(prows)])
-    return O, np.array(lam)
 
-
-def euler_decompose(S: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def euler_decompose(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler (Bloch-Messiah) factorisation ``S = O1 @ diag(e^z, e^-z) @ O2``.
 
     ``O1, O2`` are orthogonal symplectic and ``z`` are the squeeze parameters,
-    descending.  Built from the polar decomposition ``S = P O`` followed by an
-    orthogonal-symplectic eigenframe of ``log P`` (which is symmetric
-    Hamiltonian because ``P^t`` is symplectic for all ``t``).
+    descending.  One ``eigh(S S^T)`` gives ``X = log P = log(S S^T) / 2``,
+    the logarithm of the polar factor ``S = P O``; it is symmetric
+    Hamiltonian because ``P^t`` is symplectic for all ``t``.  Its eigenframe
+    ``F X F^T = diag(z, -z)`` gives ``O1 = F^T`` and
+    ``O2 = diag(e^-z, e^z) F S``.
 
     Raises:
-        ValueError: if ``S`` is not symplectic within ``tol``.
+        ValueError: if ``S`` is not symplectic within ``1e-8``.
     """
     S = np.asarray(S, dtype=float)
     n = _check_even_square(S, "S")
-    if not is_symplectic(S, tol):
+    if not is_symplectic(S, _EULER_TOL):
         raise ValueError("S is not symplectic")
     w = symplectic_form(n)
 
-    P = _sym_sqrt(S @ S.T)
-    O_polar = np.linalg.solve(P, S)
-    ev, V = np.linalg.eigh(P)
-    X = (V * np.log(ev)) @ V.T
+    ev, V = np.linalg.eigh(S @ S.T)
+    X = (V * (0.5 * np.log(ev))) @ V.T
     X = 0.5 * (X + X.T)
     X = 0.5 * (X + w @ X @ w)  # project onto the Hamiltonian subspace
-    frame, z = hamiltonian_eigenframe(X, tol)
-    O1 = frame.T
-    O2 = frame @ O_polar
-    return O1, z, O2
+    frame, z = hamiltonian_eigenframe(X)
+    O2 = np.concatenate([np.exp(-z), np.exp(z)])[:, None] * (frame @ S)
+    return frame.T, z, O2
 
 
 def _direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:

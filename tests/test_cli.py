@@ -246,7 +246,16 @@ def test_sld_thermal_output(tmp_path, capsys):
     assert "photon-counting form: L_hat" in out
     assert "alpha = [0.333333333333]" in out
     assert "mean_photon = [0.5]" in out
+    assert "displacement" not in out  # counted about d = 0
     assert get_value(out, "c (offset)") == "-0.666666666667"
+
+
+def test_sld_prints_the_counting_displacement(tmp_path, capsys):
+    doc = {"explicit": dict(VACUUM_HEATING["explicit"], d=[0.5, 0.0], dd=[1.0, 0.0],
+                            Gamma=[[2.0, 0.0], [0.0, 2.0]])}
+    assert cli.main(["sld", write_cfg(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "  displacement = [-1, 0]\n  mean_photon = [1.625]" in out
 
 
 def test_sld_displacement_output(tmp_path, capsys):

@@ -201,6 +201,52 @@ def test_photon_counting_cooling_model_flips_sign():
     assert_allclose(form.alpha, [-1.0 / 3.0], atol=1e-10)
 
 
+def _displaced_heating_point(dd):
+    """``d = (0.5, 0)``, ``Gamma = 2 I``, ``dGamma = I``: QFI 1/3, plus 2 dd^2 / 2."""
+    return gq.GaussianModelPoint(
+        np.array([0.5, 0.0]), 2.0 * np.eye(2), np.asarray(dd, dtype=float), np.eye(2)
+    )
+
+
+def test_photon_counting_counts_about_the_mean():
+    # With b = 0 the modes are counted about d: the thermal mean 0.5, not the
+    # 0.625 of counting about the origin.
+    pt = _displaced_heating_point([0.0, 0.0])
+    form = gq.photon_counting_form(gq.sld_coefficients(pt), pt)
+    assert_allclose(form.displacement, pt.d, atol=0)
+    assert_allclose(form.mean_photon, [0.5], atol=1e-12)
+
+
+def test_photon_counting_folds_the_linear_part_into_the_displacement():
+    # b = 2 Gamma^-1 dd = (1, 0) and L = I / 3, so d* = d - L^-1 b / 2 = (-1, 0).
+    pt = _displaced_heating_point([1.0, 0.0])
+    form = gq.photon_counting_form(gq.sld_coefficients(pt), pt)
+    assert_allclose(form.displacement, [-1.0, 0.0], atol=1e-12)
+    assert_allclose(form.mean_photon, [0.5 + 0.5 * 1.5**2], atol=1e-12)
+
+
+@pytest.mark.parametrize("dd, qfi", [([0.0, 0.0], 1.0 / 3.0), ([1.0, 0.0], 4.0 / 3.0)])
+def test_photon_counting_attains_the_qfi(dd, qfi):
+    # The Fisher information of the photon numbers of the T-frame modes of
+    # R - d*, with the measurement fixed at theta = 0, from the Fock oracle.
+    pt = _displaced_heating_point(dd)
+    form = gq.photon_counting_form(gq.sld_coefficients(pt), pt)
+    T, h, cutoff = form.T, 1e-4, 60
+
+    def counts(t):
+        d, gamma = pt.d + t * pt.dd, pt.gamma + t * pt.dgamma
+        moved = gq.GaussianModelPoint(
+            T @ (d - form.displacement), T @ gamma @ T.T, np.zeros(2), np.zeros((2, 2))
+        )
+        return np.diagonal(gq.build_state(moved, cutoff).rho).real
+
+    p, dp = counts(0.0), (counts(h) - counts(-h)) / (2.0 * h)
+    keep = p > 1e-300
+    fisher = float(np.sum(dp[keep] ** 2 / p[keep]))
+    assert gq.qfi_general(pt).qfi == pytest.approx(qfi, rel=1e-12)
+    assert fisher == pytest.approx(qfi, rel=1e-6)
+
+
 def test_qfi_general_factorises_once(williamson_calls):
     gq.qfi_general(random_model_point(3, seed=6))
     assert williamson_calls[0] == 1

@@ -1,5 +1,6 @@
-"""Property tests of the symplectic spectrum, the Williamson frame and the
-equal-temperature frame over seeded random states.
+"""Property tests of the symplectic spectrum, the Williamson frame, the
+equal-temperature frame, the Hamiltonian eigenframe and the Euler
+factorisation over seeded random states.
 
 Hypothesis draws the seeds, mode counts and squeeze caps; every drawn case is
 reproducible from them through the ``conftest`` generators, and the search is
@@ -59,3 +60,55 @@ def test_isothermal_frame_is_symplectic_and_thermal(n, seed, nu):
     np.testing.assert_allclose(
         fr.T @ pt.gamma @ fr.T.T, nu * np.eye(2 * n), atol=1e-9 * nu
     )
+
+
+def _spectrum_with_zeros(rng, n, zeros, repeat):
+    """``n`` values, ``zeros`` of them 0 and the rest in [0.1, 3] (all equal
+    if ``repeat``), descending."""
+    vals = rng.uniform(0.1, 3.0, n - zeros)
+    if repeat:
+        vals[:] = vals[:1]
+    return np.sort(np.concatenate([vals, np.zeros(zeros)]))[::-1]
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=1, max_value=5), data=st.data(), seed=seeds, repeat=st.booleans())
+def test_hamiltonian_eigenframe_with_a_planted_zero_block(n, data, seed, repeat):
+    zeros = data.draw(st.integers(min_value=0, max_value=n))
+    rng = np.random.default_rng(seed)
+    lam_in = _spectrum_with_zeros(rng, n, zeros, repeat)
+    O = gq.random_orthogonal_symplectic(n, rng)
+    W = O @ np.diag(np.concatenate([lam_in, -lam_in])) @ O.T
+    W = 0.5 * (W + W.T)
+    frame, lam = gq.hamiltonian_eigenframe(W)
+    w = gq.symplectic_form(n)
+    assert np.abs(frame @ frame.T - np.eye(2 * n)).max() < 1e-12
+    assert np.abs(frame @ w @ frame.T - w).max() < 1e-12
+    np.testing.assert_allclose(
+        frame @ W @ frame.T, np.diag(np.concatenate([lam, -lam])), atol=1e-12
+    )
+    assert np.all(np.diff(lam) <= 0.0)
+    assert np.count_nonzero(lam == 0.0) == zeros
+    np.testing.assert_allclose(lam, lam_in, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=1, max_value=5), data=st.data(), seed=seeds, repeat=st.booleans())
+def test_euler_round_trip_with_repeated_and_zero_squeezes(n, data, seed, repeat):
+    zeros = data.draw(st.integers(min_value=0, max_value=n))
+    rng = np.random.default_rng(seed)
+    z_in = 0.5 * _spectrum_with_zeros(rng, n, zeros, repeat)
+    S = (
+        gq.random_orthogonal_symplectic(n, rng)
+        @ np.diag(np.exp(np.concatenate([z_in, -z_in])))
+        @ gq.random_orthogonal_symplectic(n, rng)
+    )
+    O1, z, O2 = gq.euler_decompose(S)
+    w = gq.symplectic_form(n)
+    for O in (O1, O2):
+        assert np.abs(O @ O.T - np.eye(2 * n)).max() < 1e-10
+        assert np.abs(O @ w @ O.T - w).max() < 1e-10
+    np.testing.assert_allclose(z, z_in, atol=1e-12)
+    assert np.all(np.diff(z) <= 0.0)
+    D = np.diag(np.exp(np.concatenate([z, -z])))
+    assert np.abs(O1 @ D @ O2 - S).max() < 1e-10 * np.abs(S).max()
