@@ -11,8 +11,9 @@ Subcommands::
 Configs are JSON model documents (see :func:`gaussqfi.models.parse_model_config`);
 they describe physics only — sweep ranges, outputs, and oracle parameters are
 always flags.  Exit codes: 0 success, 2 config problems, 3 numerical
-precondition rejections or numerical failures (the message names the
-violated flag or the failed quantity), 64 unknown subcommand.
+precondition rejections (``precondition failed: [flag] ...``) or numerical
+failures (``numerical failure: ...``: a non-convergence, a matrix that is not
+positive definite in floating point, an overflow), 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -361,12 +362,14 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, ValueError, ArithmeticError) as exc:
+        # below ConfigError, itself a ValueError: what is left is a failed
+        # factorisation (LinAlgError, "not positive definite") or an overflow
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

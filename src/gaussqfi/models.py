@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -75,10 +76,6 @@ class GaussianModelPoint:
         return self.d.size // 2
 
 
-def _default_step(theta: float) -> float:
-    return 1e-5 * max(1.0, abs(theta))
-
-
 @dataclass
 class ModelFamily:
     """A one-parameter family ``theta -> (d(theta), Gamma(theta))``.
@@ -86,7 +83,6 @@ class ModelFamily:
     Attributes:
         name: family label (appears in CLI output).
         n: number of modes.
-        params: fixed family parameters.
         moment_fn: callable ``theta -> (d, gamma)``.
         derivative_fn: optional callable ``theta -> (dd, dgamma)``; when
             absent, :meth:`point` falls back to central finite differences.
@@ -96,7 +92,6 @@ class ModelFamily:
     n: int
     moment_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
     derivative_fn: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
-    params: dict = field(default_factory=dict)
 
     def moments(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         d, gamma = self.moment_fn(theta)
@@ -113,35 +108,24 @@ class ModelFamily:
                 derivative when available, else falls back to finite
                 differences) or ``"fd"`` (forces central differences).
             h: finite-difference step; default ``1e-5 * max(1, |theta|)``.
+
+        ``dgamma`` is stored symmetrised on either route.
         """
         if derivative not in ("analytic", "fd"):
             raise ConfigError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
+        d, gamma = self.moments(theta)
         if derivative == "analytic" and self.derivative_fn is not None:
-            d, gamma = self.moments(theta)
             dd, dgamma = self.derivative_fn(theta)
-            dgamma = np.asarray(dgamma, dtype=float)
-            return GaussianModelPoint(
-                d=d, gamma=gamma, dd=np.asarray(dd, dtype=float),
-                dgamma=0.5 * (dgamma + dgamma.T),
-            )
-        return _finite_difference_point(self, theta, h)
-
-
-def _finite_difference_point(
-    family: ModelFamily, theta: float, h: float | None = None
-) -> GaussianModelPoint:
-    """Model point with central-difference derivatives, ``dgamma`` symmetrised."""
-    if h is None:
-        h = _default_step(theta)
-    if h <= 0:
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
-    d0, g0 = family.moments(theta)
-    dp, gp = family.moments(theta + h)
-    dm, gm = family.moments(theta - h)
-    dd = (dp - dm) / (2 * h)
-    dgamma = (gp - gm) / (2 * h)
-    dgamma = 0.5 * (dgamma + dgamma.T)
-    return GaussianModelPoint(d=d0, gamma=g0, dd=dd, dgamma=dgamma)
+        else:
+            h = 1e-5 * max(1.0, abs(theta)) if h is None else h
+            if h <= 0:
+                raise ConfigError(f"finite-difference step must be positive, got {h}")
+            (dp, gp), (dm, gm) = self.moments(theta + h), self.moments(theta - h)
+            dd, dgamma = (dp - dm) / (2 * h), (gp - gm) / (2 * h)
+        dgamma = np.asarray(dgamma, dtype=float)
+        return GaussianModelPoint(
+            d=d, gamma=gamma, dd=np.asarray(dd, dtype=float), dgamma=0.5 * (dgamma + dgamma.T)
+        )
 
 
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
@@ -175,7 +159,7 @@ _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # d/dtheta of _rot2 at 0, i.e. _rot2'
 
 
 def _family_displacement(params: dict) -> ModelFamily:
-    _reject_unknown(params, set(), "displacement")
+    _family_params(params, "displacement")
 
     def mom(theta: float):
         return np.array([theta, 0.0]), np.eye(2)
@@ -183,11 +167,11 @@ def _family_displacement(params: dict) -> ModelFamily:
     def der(_theta: float):
         return np.array([1.0, 0.0]), np.zeros((2, 2))
 
-    return ModelFamily("displacement", 1, mom, der, dict(params))
+    return ModelFamily("displacement", 1, mom, der)
 
 
 def _family_thermal(params: dict) -> ModelFamily:
-    _reject_unknown(params, set(), "thermal")
+    _family_params(params, "thermal")
 
     def mom(theta: float):
         if theta < 1.0:
@@ -204,7 +188,7 @@ def _family_thermal(params: dict) -> ModelFamily:
     def der(_theta: float):
         return np.zeros(2), np.eye(2)
 
-    return ModelFamily("thermal", 1, mom, der, dict(params))
+    return ModelFamily("thermal", 1, mom, der)
 
 
 def _squeeze_diag(r: float) -> np.ndarray:
@@ -212,10 +196,7 @@ def _squeeze_diag(r: float) -> np.ndarray:
 
 
 def _family_squeezing(params: dict) -> ModelFamily:
-    _reject_unknown(params, {"nu"}, "squeezing")
-    nu = float(params.get("nu", 1.0))
-    if nu < 1.0:
-        raise ConfigError(f"squeezing family requires nu >= 1, got {nu}")
+    (nu,) = _family_params(params, "squeezing", nu=1.0)
 
     def mom(theta: float):
         return np.zeros(2), nu * _squeeze_diag(theta)
@@ -225,15 +206,11 @@ def _family_squeezing(params: dict) -> ModelFamily:
             [2 * math.exp(2 * theta), -2 * math.exp(-2 * theta)]
         )
 
-    return ModelFamily("squeezing", 1, mom, der, {"nu": nu})
+    return ModelFamily("squeezing", 1, mom, der)
 
 
 def _family_phase_squeezed(params: dict) -> ModelFamily:
-    _reject_unknown(params, {"r", "nu"}, "phase_squeezed", required={"r"})
-    r = float(params["r"])
-    nu = float(params.get("nu", 1.0))
-    if nu < 1.0:
-        raise ConfigError(f"phase_squeezed family requires nu >= 1, got {nu}")
+    r, nu = _family_params(params, "phase_squeezed", r=None, nu=1.0)
     Z = nu * _squeeze_diag(r)
 
     def mom(theta: float):
@@ -244,12 +221,11 @@ def _family_phase_squeezed(params: dict) -> ModelFamily:
         _, g = mom(theta)
         return np.zeros(2), _J2 @ g - g @ _J2
 
-    return ModelFamily("phase_squeezed", 1, mom, der, {"r": r, "nu": nu})
+    return ModelFamily("phase_squeezed", 1, mom, der)
 
 
 def _family_two_mode_squeezed_phase(params: dict) -> ModelFamily:
-    _reject_unknown(params, {"r"}, "two_mode_squeezed_phase", required={"r"})
-    r = float(params["r"])
+    (r,) = _family_params(params, "two_mode_squeezed_phase", r=None)
     ch, sh = math.cosh(2 * r), math.sinh(2 * r)
     base = np.zeros((4, 4))
     base[:2, :2] = [[ch, sh], [sh, ch]]
@@ -269,16 +245,54 @@ def _family_two_mode_squeezed_phase(params: dict) -> ModelFamily:
         _, g = mom(theta)
         return np.zeros(4), J1 @ g + g @ J1.T
 
-    return ModelFamily("two_mode_squeezed_phase", 2, mom, der, {"r": r})
+    return ModelFamily("two_mode_squeezed_phase", 2, mom, der)
 
 
-def _reject_unknown(params: dict, allowed: set, name: str, required: set | None = None):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}")
-    for key in required or set():
-        if key not in params:
-            raise ConfigError(f"family {name!r} requires parameter {key!r}")
+def _reject_unknown(doc, allowed: set, where: str, required: set = frozenset()) -> None:
+    """Require ``doc`` to be an object with keys in ``allowed``, ``required`` among them."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {doc!r}")
+    for problem, keys in (("unknown", set(doc) - allowed), ("missing", required - set(doc))):
+        if keys:
+            raise ConfigError(f"{where}: {problem} key(s) {sorted(keys)}")
+
+
+def _is_finite_number(value) -> bool:
+    """A finite real number as JSON writes it: no bool, no string, no null."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _number(
+    doc: dict, key: str, where: str, default: float | None = None, minimum: float = -math.inf
+) -> float:
+    """``doc[key]`` as a finite float ``>= minimum``; ``default`` when absent,
+    and absent is an error when there is no default."""
+    if key not in doc:
+        if default is None:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        return default
+    value = doc[key]
+    if not _is_finite_number(value):
+        raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{where}: {key!r} must be >= {minimum:g}, got {value!r}")
+    return float(value)
+
+
+def _family_params(params: dict, name: str, **defaults: float | None) -> list[float]:
+    """The values of the named parameters, in order; ``None`` marks a required
+    one, and ``nu`` (a symplectic eigenvalue) must be at least 1."""
+    where = f"family {name!r} params"
+    _reject_unknown(params, set(defaults), where)
+    return [
+        _number(params, key, where, default, 1.0 if key == "nu" else -math.inf)
+        for key, default in defaults.items()
+    ]
 
 
 _BUILTIN_FAMILIES = {
@@ -299,11 +313,11 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
     ``two_mode_squeezed_phase`` (phase on one arm of a two-mode squeezed
     state, extra ``r``).
     """
-    if name not in _BUILTIN_FAMILIES:
+    if not isinstance(name, str) or name not in _BUILTIN_FAMILIES:
         raise ConfigError(
             f"unknown family {name!r}; available: {sorted(_BUILTIN_FAMILIES)}"
         )
-    return _BUILTIN_FAMILIES[name](params or {})
+    return _BUILTIN_FAMILIES[name]({} if params is None else params)
 
 
 # ---------------------------------------------------------------------------
@@ -395,80 +409,76 @@ class ModelConfig:
     label: str
 
 
+_CONFIG_TOL = 1e-8  # explicit models: asymmetry of Gamma and dGamma, and nu_min >= 1 - tol
+_EXPLICIT_KEYS = {"n", "d", "Gamma", "dd", "dGamma"}
+
+
+def _explicit_array(body: dict, key: str) -> np.ndarray:
+    """``body[key]`` as a float array; every entry must be a finite JSON number."""
+    try:
+        entries = np.array(body[key], dtype=object)
+    except ValueError as exc:
+        raise ConfigError(f"explicit model: {key!r} is malformed ({exc})") from exc
+    if not all(_is_finite_number(x) for x in entries.flat):
+        raise ConfigError(f"explicit model: {key!r} must hold finite numbers only")
+    return entries.astype(float)
+
+
+def _parse_explicit(doc: dict) -> ModelConfig:
+    _reject_unknown(doc, {"explicit"}, "model config")
+    body = doc["explicit"]
+    _reject_unknown(body, _EXPLICIT_KEYS, "explicit model", required=_EXPLICIT_KEYS)
+    n = body["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"explicit model: 'n' must be a positive integer, got {n!r}")
+    point = GaussianModelPoint(
+        *(_explicit_array(body, key) for key in ("d", "Gamma", "dd", "dGamma"))
+    )
+    if point.n != n:
+        raise ConfigError(
+            f"explicit model: declares n = {n} but arrays describe {point.n} mode(s)"
+        )
+    symmetric = {}
+    for key, m in (("Gamma", point.gamma), ("dGamma", point.dgamma)):
+        asym = float(np.abs(m - m.T).max())
+        if asym > _CONFIG_TOL:
+            raise ConfigError(f"explicit model: {key!r} is not symmetric (asymmetry {asym:.3g})")
+        symmetric[key.lower()] = 0.5 * (m + m.T)
+    point = replace(point, **symmetric)
+    check = validate_covariance(point.gamma, tol=_CONFIG_TOL)
+    if not check.valid:
+        raise ConfigError(
+            f"explicit model: 'Gamma' is not an admissible covariance matrix "
+            f"(nu_min = {check.nu_min:.6g})"
+        )
+    return ModelConfig(point=point, family=_linear_family(point), theta=0.0, label="explicit")
+
+
 def parse_model_config(doc: dict) -> ModelConfig:
     """Build a model from a config document.
 
     Two schemas are accepted::
 
-        {"family": "thermal", "params": {...}, "theta": 2.0,
-         "derivative": "analytic" | "fd", "h": 1e-5}
+        {"family": "thermal", "params": {...}, "theta": 2.0}
 
         {"explicit": {"n": 1, "d": [...], "Gamma": [[...]],
                       "dd": [...], "dGamma": [[...]]}}
 
-    Arrays are row-major nested lists; dimensions are validated strictly.
+    Unknown keys raise ``ConfigError``, as does any ``theta``, family
+    parameter or array entry that is not a finite JSON number (bools and
+    strings are not), an ``n`` that is not a positive integer, and arrays of
+    the wrong shape.  Explicit ``Gamma`` and ``dGamma`` may be asymmetric by
+    at most 1e-8 and are stored symmetrised; ``Gamma`` must be admissible.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("model config must be a JSON object")
-    if "explicit" in doc:
-        extra = set(doc) - {"explicit"}
-        if extra:
-            raise ConfigError(f"unexpected key(s) {sorted(extra)} alongside 'explicit'")
-        body = doc["explicit"]
-        if not isinstance(body, dict):
-            raise ConfigError("'explicit' must be an object")
-        missing = {"n", "d", "Gamma", "dd", "dGamma"} - set(body)
-        if missing:
-            raise ConfigError(f"explicit model missing key(s) {sorted(missing)}")
-        extra = set(body) - {"n", "d", "Gamma", "dd", "dGamma"}
-        if extra:
-            raise ConfigError(f"unexpected key(s) {sorted(extra)} in explicit model")
-        n = body["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"explicit model 'n' must be a positive integer, got {n!r}")
-        try:
-            point = GaussianModelPoint(
-                d=np.array(body["d"], dtype=float),
-                gamma=np.array(body["Gamma"], dtype=float),
-                dd=np.array(body["dd"], dtype=float),
-                dgamma=np.array(body["dGamma"], dtype=float),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"explicit model arrays malformed: {exc}") from exc
-        if point.n != n:
-            raise ConfigError(
-                f"explicit model declares n = {n} but arrays describe {point.n} mode(s)"
-            )
-        check = validate_covariance(point.gamma, tol=1e-8)
-        if not check.valid:
-            raise ConfigError(
-                "explicit Gamma is not an admissible covariance matrix "
-                f"(nu_min = {check.nu_min:.6g}, asymmetry = {check.asymmetry:.3g})"
-            )
-        fam = _linear_family(point)
-        return ModelConfig(point=point, family=fam, theta=0.0, label="explicit")
-
-    allowed = {"family", "params", "theta", "derivative", "h"}
-    extra = set(doc) - allowed
-    if extra:
-        raise ConfigError(f"unexpected key(s) {sorted(extra)} in model config")
-    if "family" not in doc or "theta" not in doc:
-        raise ConfigError("model config requires 'family' and 'theta' (or 'explicit')")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object")
-    family = builtin_family(doc["family"], params)
-    try:
-        theta = float(doc["theta"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"'theta' must be a number, got {doc['theta']!r}") from None
-    derivative = doc.get("derivative", "analytic")
-    h = doc.get("h")
-    if h is not None:
-        h = float(h)
-    point = family.point(theta, derivative=derivative, h=h)
+    if isinstance(doc, dict) and "explicit" in doc:
+        return _parse_explicit(doc)
+    _reject_unknown(
+        doc, {"family", "params", "theta"}, "model config", required={"family", "theta"}
+    )
+    family = builtin_family(doc["family"], doc.get("params", {}))
+    theta = _number(doc, "theta", "model config")
     label = f"{family.name}(theta={theta:g})"
-    return ModelConfig(point=point, family=family, theta=theta, label=label)
+    return ModelConfig(point=family.point(theta), family=family, theta=theta, label=label)
 
 
 def load_model_config(path: str) -> ModelConfig:
@@ -476,6 +486,6 @@ def load_model_config(path: str) -> ModelConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_model_config(doc)

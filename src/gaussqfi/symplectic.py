@@ -168,17 +168,6 @@ class WilliamsonDecomposition:
         return -w @ self.S.T @ w
 
 
-def _williamson_once(gamma: np.ndarray) -> WilliamsonDecomposition:
-    n = gamma.shape[0] // 2
-    L, H = _hermitian_form(gamma)
-    ev, V = np.linalg.eigh(H)
-    nu = ev[n:][::-1]
-    # an eigenvector x + i y of +nu gives the orthonormal Q/P pair sqrt(2) (y, x)
-    top = V[:, n:][:, ::-1] * np.sqrt(2.0 / nu)
-    S = L @ np.concatenate([top.imag, top.real], axis=1)
-    return WilliamsonDecomposition(S=S, nu=nu)
-
-
 def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
@@ -187,10 +176,9 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     ``n`` eigenvalues are ``nu``; the imaginary and real parts of their
     eigenvectors, times ``L`` and ``nu^(-1/2)``, are the Q and P columns of
     ``S``.  Any root of ``gamma`` would do; the Cholesky factor is the
-    cheapest (the symmetric root costs an ``eigh`` of its own).  If
-    the first pass misses a max-abs reconstruction error of
-    ``1e-10 max(1, |gamma|)``, one refinement step is applied (re-decompose
-    the residual ``S^-1 gamma S^-T``, which is nearly diagonal, and compose).
+    cheapest (the symmetric root costs an ``eigh`` of its own).  The result
+    must reconstruct ``gamma`` within a max-abs error of
+    ``1e-10 max(1, |gamma|)``.
 
     Args:
         gamma: symmetric positive-definite ``2n x 2n`` matrix.  Validity as a
@@ -199,8 +187,7 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
 
     Raises:
         ValueError: if ``gamma`` is not symmetric positive definite.
-        ConvergenceError: if the reconstruction error still exceeds that
-            bound after refinement.
+        ConvergenceError: if the reconstruction error exceeds that bound.
     """
     gamma = np.asarray(gamma, dtype=float)
     _check_even_square(gamma, "gamma")
@@ -209,20 +196,16 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
         raise ValueError(f"gamma is not symmetric (max asymmetry {asym:.3e})")
     gamma = 0.5 * (gamma + gamma.T)
 
-    dec = _williamson_once(gamma)
-    scale = max(1.0, float(np.abs(gamma).max()))
+    n = gamma.shape[0] // 2
+    L, H = _hermitian_form(gamma)
+    ev, V = np.linalg.eigh(H)
+    nu = ev[n:][::-1]
+    # an eigenvector x + i y of +nu gives the orthonormal Q/P pair sqrt(2) (y, x)
+    top = V[:, n:][:, ::-1] * np.sqrt(2.0 / nu)
+    dec = WilliamsonDecomposition(S=L @ np.concatenate([top.imag, top.real], axis=1), nu=nu)
     err = np.abs(dec.reconstruct() - gamma).max()
-    if err > _WILLIAMSON_TOL * scale:
-        # one step of iterative refinement
-        Si = np.linalg.inv(dec.S)
-        residual = Si @ gamma @ Si.T
-        polish = _williamson_once(0.5 * (residual + residual.T))
-        dec = WilliamsonDecomposition(S=dec.S @ polish.S, nu=polish.nu)
-        err = np.abs(dec.reconstruct() - gamma).max()
-        if err > _WILLIAMSON_TOL * scale:
-            raise ConvergenceError(
-                f"williamson reconstruction error {err:.3e} exceeds tolerance after refinement"
-            )
+    if err > _WILLIAMSON_TOL * max(1.0, float(np.abs(gamma).max())):
+        raise ConvergenceError(f"williamson reconstruction error {err:.3e} exceeds tolerance")
     return dec
 
 

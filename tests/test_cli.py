@@ -314,6 +314,46 @@ def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
     assert "first-moment term" in capsys.readouterr().err
 
 
+R20 = {"family": "phase_squeezed", "params": {"r": 20.0}, "theta": 0.3}
+R1000 = {"family": "phase_squeezed", "params": {"r": 1000.0}, "theta": 0.3}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (R20, ["qfi"]),
+        (R20, ["sld"]),
+        (R20, ["homodyne"]),
+        (R20, ["oracle-check", "--cutoff", "10"]),
+        (R1000, ["qfi"]),
+        (R1000, ["sweep", "--from", "0", "--to", "1", "--steps", "3"]),
+        pytest.param({"family": "thermal", "theta": 1e300}, ["qfi"],
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ],
+    ids=["r20-qfi", "r20-sld", "r20-homodyne", "r20-oracle", "r1000-qfi", "r1000-sweep",
+         "thermal-1e300-qfi"],
+)
+def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
+    # Gamma that is not positive definite in floating point, or an overflow:
+    # one line on stderr and exit 3, no traceback.
+    assert cli.main([argv[0], write_cfg(tmp_path, doc), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_nearly_symmetric_gamma_reads_as_its_symmetric_part(tmp_path, capsys):
+    # Asymmetry 1e-9 passes the config gate but not williamson's 1e-10 one;
+    # the config stores the symmetric part, so both give the same report.
+    outputs = []
+    for off in ([1e-9, 0.0], [5e-10, 5e-10]):
+        doc = {"explicit": dict(VACUUM_HEATING["explicit"],
+                                Gamma=[[2.0, off[0]], [off[1], 2.0]])}
+        assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_console_script_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL)
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Tests for model points, built-in families, derivative handling, and the
 JSON model-config loader."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,15 @@ from numpy.testing import assert_allclose
 
 import gaussqfi as gq
 from conftest import random_isothermal_point, random_model_point, thermal_diag
+from gaussqfi import cli
+
+_EXPLICIT = {
+    "n": 1,
+    "d": [0.0, 0.0],
+    "Gamma": [[1.0, 0.0], [0.0, 1.0]],
+    "dd": [0.0, 0.0],
+    "dGamma": [[1.0, 0.0], [0.0, 1.0]],
+}
 
 
 def test_displacement_family():
@@ -243,11 +253,47 @@ def test_parse_explicit_config():
                 "dGamma": [[0.0, 0.0], [0.0, 0.0]],
             }
         },
+        {"family": "phase_squeezed", "params": {"r": None}, "theta": 0.0},
+        {"family": "squeezing", "params": {"nu": [1]}, "theta": 0.0},
+        {"family": "squeezing", "params": {"nu": "x"}, "theta": 0.0},
+        {"family": ["thermal"], "theta": 2.0},
+        {"family": "thermal", "theta": 2.0, "h": "abc"},
+        {"family": "thermal", "theta": True},
+        {"explicit": dict(_EXPLICIT, n=True)},
+        {"explicit": dict(_EXPLICIT, dGamma=[[1.0, 0.5], [0.0, 1.0]])},
     ],
 )
-def test_parse_config_rejections(doc):
+def test_parse_config_rejections(doc, tmp_path, capsys):
     with pytest.raises(gq.ConfigError):
         gq.parse_model_config(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["qfi", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parse_config_reads_numbers_as_json_numbers():
+    # numpy reals are numbers; their values pass through unchanged.
+    for theta in (np.float64(2.5), np.float32(2.5), 2.5):
+        assert gq.parse_model_config({"family": "thermal", "theta": theta}).theta == 2.5
+    for bad in ("2.5", False, float("nan"), float("inf"), 10**400):
+        with pytest.raises(gq.ConfigError, match="'theta' must be a finite number"):
+            gq.parse_model_config({"family": "thermal", "theta": bad})
+    with pytest.raises(gq.ConfigError, match="'nu' must be >= 1"):
+        gq.parse_model_config({"family": "squeezing", "params": {"nu": 0.5}, "theta": 0.0})
+    for d in ([0.0, "0"], [0.0, 10**400], [0.0, [0.0]]):
+        with pytest.raises(gq.ConfigError, match="must hold finite numbers only"):
+            gq.parse_model_config({"explicit": dict(_EXPLICIT, d=d)})
+    with pytest.raises(gq.ConfigError, match="malformed"):
+        gq.parse_model_config({"explicit": dict(_EXPLICIT, Gamma=[np.eye(2), np.ones((2, 3))])})
+
+
+def test_explicit_matrices_are_stored_symmetrised():
+    asym = [[2.0, 1e-9], [0.0, 2.0]]
+    cfg = gq.parse_model_config({"explicit": dict(_EXPLICIT, Gamma=asym, dGamma=asym)})
+    sym = 0.5 * (np.array(asym) + np.array(asym).T)
+    assert np.array_equal(cfg.point.gamma, sym)
+    assert np.array_equal(cfg.point.dgamma, sym)
 
 
 def test_load_model_config(tmp_path):

@@ -1,6 +1,6 @@
 """Property tests of the symplectic spectrum, the Williamson frame, the
-equal-temperature frame, the Hamiltonian eigenframe and the Euler
-factorisation over seeded random states.
+equal-temperature frame, the Hamiltonian eigenframe, the Euler
+factorisation and the QFI under loss over seeded random states.
 
 Hypothesis draws the seeds, mode counts and squeeze caps; every drawn case is
 reproducible from them through the ``conftest`` generators, and the search is
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_state
+from conftest import random_isothermal_point, random_model_point, random_state
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -112,3 +112,25 @@ def test_euler_round_trip_with_repeated_and_zero_squeezes(n, data, seed, repeat)
     assert np.all(np.diff(z) <= 0.0)
     D = np.diag(np.exp(np.concatenate([z, -z])))
     assert np.abs(O1 @ D @ O2 - S).max() < 1e-10 * np.abs(S).max()
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    seed=seeds,
+    isothermal=st.booleans(),
+    nu=st.floats(min_value=1.0, max_value=3.0),
+    eta=st.floats(min_value=0.1, max_value=0.99),
+)
+def test_qfi_does_not_increase_under_loss(n, seed, isothermal, nu, eta):
+    # A beam splitter of transmissivity eta onto vacuum maps the moments to
+    # (sqrt(eta) d, eta Gamma + (1 - eta) I), and their derivatives alike.
+    pt = random_isothermal_point(n, seed, nu=nu) if isothermal else random_model_point(n, seed)
+    lossy = gq.GaussianModelPoint(
+        d=np.sqrt(eta) * pt.d,
+        gamma=eta * pt.gamma + (1.0 - eta) * np.eye(2 * n),
+        dd=np.sqrt(eta) * pt.dd,
+        dgamma=eta * pt.dgamma,
+    )
+    before = gq.qfi_general(pt).qfi
+    assert gq.qfi_general(lossy).qfi <= before + 1e-10 * (1.0 + before)

@@ -119,6 +119,21 @@ def test_williamson_degenerate_spectrum():
     assert_allclose(dec.reconstruct(), gamma, atol=1e-9 * np.abs(gamma).max())
 
 
+def test_williamson_raises_past_its_reconstruction_bound(monkeypatch):
+    # Eigenvectors 1e-6 too long scale S, so S diag(nu, nu) S^T misses gamma by
+    # about 2e-6 |gamma|, far past the 1e-10 bound.
+    gamma, _, _ = random_state(2, seed=4)
+    eigh = np.linalg.eigh
+
+    def long_eigenvectors(a):
+        ev, V = eigh(a)
+        return ev, V * (1.0 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "eigh", long_eigenvectors)
+    with pytest.raises(gq.ConvergenceError, match="reconstruction error"):
+        gq.williamson(gamma)
+
+
 def test_williamson_rejects_bad_input():
     g = np.eye(2)
     g[0, 1] = 0.5
