@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, PreconditionError
-from .symplectic import symplectic_eigenvalues, symplectic_form, williamson
+from .symplectic import _w_left, _w_right, symplectic_eigenvalues, symplectic_form, williamson
 
 __all__ = [
     "apply_dgamma",
@@ -73,8 +73,7 @@ def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != gamma.shape:
         raise ValueError(f"Y has shape {Y.shape}, expected {gamma.shape}")
-    w = symplectic_form(gamma.shape[0] // 2)
-    return gamma @ Y @ gamma.T - w @ Y @ w.T
+    return gamma @ Y @ gamma.T + _w_right(_w_left(Y))  # w^T = -w
 
 
 def dgamma_matrix(gamma: np.ndarray) -> np.ndarray:
@@ -132,9 +131,11 @@ def _block_eigenvalues(nu: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     ``kernel`` marks the entries below ``tol * (1 + nu_max^2)``.  Each entry
     is one eigenvalue of multiplicity 2.
     """
+    # the Python-float square raises OverflowError before np.outer would warn
+    cut = tol * (1.0 + float(nu.max()) ** 2)
     N = np.outer(nu, nu)
     lam = np.stack([N - 1.0, N + 1.0])
-    return lam, np.abs(lam) < tol * (1.0 + float(nu.max()) ** 2)
+    return lam, np.abs(lam) < cut
 
 
 def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
@@ -183,7 +184,11 @@ def _frame_solve(
     combos = np.stack([[qq + pp, qp - pq], [qq - pp, qp + pq]])
     weight = np.divide(0.5, lam, out=np.zeros_like(lam), where=~kernel)
     (s_even, a_even), (s_odd, a_odd) = weight[:, None] * combos
-    Yt = np.block([[s_even + s_odd, a_odd + a_even], [a_odd - a_even, s_even - s_odd]])
+    Yt = np.empty_like(Xt)
+    Yt[:n, :n] = s_even + s_odd
+    Yt[:n, n:] = a_odd + a_even
+    Yt[n:, :n] = a_odd - a_even
+    Yt[n:, n:] = s_even - s_odd
     Y = Si.T @ Yt @ Si
     residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
     return Y, residual, dec.nu, Xt

@@ -8,6 +8,12 @@ symplectic frame ``T`` in which the state looks fully thermal
 measurement is simply "measure every Q": it achieves
 ``I* = sum_k lam_k^2 / 2``, and no other homodyne frame beats it.  For pure
 states ``I*`` equals the quantum Fisher information.
+
+``T = O Si`` is built in two steps.  ``Si``, the symplectic inverse of a
+block-triangular factor of ``Gamma / nu`` read off one Cholesky factor of
+``Gamma``, takes the state to ``nu I``; ``O``, the orthogonal symplectic
+eigenframe of the Hamiltonian ``W = Si dGamma Si^T``, then diagonalises the
+derivative and leaves ``nu I`` in place.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
     """Construct the measurement normal frame of a model point.
 
     Requires the two equal-temperature gates plus static first moments;
-    rejection names the flag that failed.
+    rejection names the flag that failed.  ``T = O Si`` as in the module
+    docstring: one Cholesky factor of ``Gamma`` and one ``eigh``, of ``W``.
 
     Raises:
         PreconditionError: flags ``"is_isothermal"``,

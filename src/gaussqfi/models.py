@@ -19,9 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
-from .symplectic import is_symplectic, symplectic_form, validate_covariance
+from .symplectic import _hamiltonian_deviation, validate_covariance
 
 _ISOTHERMAL_TOL = 1e-8  # gate tolerance of check_isothermal and qfi_isothermal
+_ROUNDING = 16 * np.finfo(float).eps  # per unit of |Si|_F^2 max|Gamma / nu|
 
 __all__ = [
     "GaussianModelPoint",
@@ -330,11 +331,12 @@ class IsothermalCheck:
     """Result of :func:`check_isothermal`.
 
     ``is_isothermal``: all symplectic eigenvalues equal ``nu``, the geometric
-    mean of the eigenvalues of ``Gamma``.  ``derivative_preserves_nu``: the
-    derivative ``W = Si dGamma Si`` in the frame ``Si = (Gamma / nu)^(-1/2)``
-    anticommutes with the symplectic form, i.e. the parameter moves the state
-    along a symplectic orbit without changing its temperature.  ``nu`` is NaN
-    when not isothermal.
+    mean of the symplectic eigenvalues, ``det(Gamma)^(1/2n)``.
+    ``derivative_preserves_nu``: the derivative ``W = Si dGamma Si^T``, read
+    in a symplectic frame ``Si`` with ``Si Gamma Si^T = nu I``, anticommutes
+    with the symplectic form, i.e. the parameter moves the state along a
+    symplectic orbit without changing its temperature.  ``nu`` is NaN when
+    not isothermal.
     """
 
     is_isothermal: bool
@@ -347,26 +349,49 @@ def _isothermal_gate(
 ) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
     """The equal-temperature gates, plus the frame they computed.
 
-    One ``eigh(Gamma)``, no Williamson factorisation.  ``det Gamma = prod
-    nu_k^2``, so an isothermal point has ``nu`` = the geometric mean of the
-    eigenvalues, and ``Si = (Gamma / nu)^(-1/2)`` is symplectic iff the point
-    is isothermal (then ``Si Gamma Si = nu I``).  The test on ``|Si w Si - w|``
-    scales with ``|Si|^2``, as its rounding does.
+    One Cholesky factor ``Lc`` of ``Gamma`` and the inverse of its leading
+    block ``X = Lc[:n, :n]``; no eigendecomposition, no Williamson
+    factorisation.  ``det Gamma = prod nu_k^2``, so an isothermal point has
+    ``nu = exp(2 mean log diag Lc)``.  With ``C = Lc[n:, :n] X^-1``,
+
+        ``Si = [[sqrt(nu) X^-1, 0], [-X^T C / sqrt(nu), X^T / sqrt(nu)]]``
+
+    is the symplectic inverse of the block-triangular factor
+    ``[[A, 0], [C A, A^-T]]``, ``A = X / sqrt(nu)``, of ``Gamma / nu``, and it
+    is symplectic iff ``C`` is symmetric.  The point is isothermal iff ``C``
+    is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
+    compared with ``tol`` plus the rounding of that product,
+    ``16 eps |Si|_F^2 max|Gamma / nu|``.
 
     Returns:
         ``(check, Si, W)``; ``Si`` and ``W`` are None when not isothermal.
+
+    Raises:
+        ValueError: if ``Gamma`` is not positive definite.
     """
-    w = symplectic_form(point.n)
-    ev, V = np.linalg.eigh(point.gamma)
-    if ev[0] <= 0:
-        raise ValueError(f"gamma is not positive definite (min eigenvalue {ev[0]:.3e})")
-    nu = float(np.exp(np.mean(np.log(ev))))
-    Si = (V * np.sqrt(nu / ev)) @ V.T
-    if not is_symplectic(Si, tol * nu / ev[0]):
+    n = point.n
+    try:
+        Lc = np.linalg.cholesky(point.gamma)
+    except np.linalg.LinAlgError:
+        raise ValueError("gamma is not positive definite") from None
+    nu = float(np.exp(2.0 * np.mean(np.log(np.diagonal(Lc)))))
+    X = Lc[:n, :n]
+    Xi = np.linalg.inv(X)
+    C = Lc[n:, :n] @ Xi
+    rs = math.sqrt(nu)
+    Si = np.zeros_like(Lc)
+    Si[:n, :n] = rs * Xi
+    Si[n:, :n] = -(X.T @ C) / rs
+    Si[n:, n:] = X.T / rs
+    G = point.gamma / nu
+    cut = tol + _ROUNDING * float(np.sum(Si * Si)) * float(np.abs(G).max())
+    if (
+        np.abs(C - C.T).max() > cut
+        or np.abs(Si @ G @ Si.T - np.eye(2 * n)).max() > cut
+    ):
         return IsothermalCheck(False, math.nan, False), None, None
-    W = Si @ point.dgamma @ Si
-    ham_dev = np.abs(W @ w + w @ W).max()
-    preserves = bool(ham_dev <= tol * (1.0 + np.abs(W).max()))
+    W = Si @ point.dgamma @ Si.T
+    preserves = bool(_hamiltonian_deviation(W) <= tol * (1.0 + np.abs(W).max()))
     return IsothermalCheck(True, nu, preserves), Si, W
 
 

@@ -58,6 +58,19 @@ def symplectic_form(n: int) -> np.ndarray:
     return w
 
 
+def _w_left(M: np.ndarray) -> np.ndarray:
+    """``w @ M`` by rows: ``[M_P; -M_Q]``.  Exact, as every entry of ``w`` is
+    0 or +/-1, so it equals the dense product."""
+    n = M.shape[0] // 2
+    return np.concatenate([M[n:], -M[:n]])
+
+
+def _w_right(M: np.ndarray) -> np.ndarray:
+    """``M @ w`` by columns: ``[-M_P, M_Q]``, exact like :func:`_w_left`."""
+    n = M.shape[1] // 2
+    return np.concatenate([-M[:, n:], M[:, :n]], axis=1)
+
+
 def _check_even_square(M: np.ndarray, name: str) -> int:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0 or M.shape[0] == 0:
@@ -68,8 +81,7 @@ def _check_even_square(M: np.ndarray, name: str) -> int:
 def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff ``S @ w @ S.T == w`` within ``tol`` (max-abs deviation)."""
     n = _check_even_square(S, "S")
-    w = symplectic_form(n)
-    return bool(np.abs(S @ w @ S.T - w).max() <= tol)
+    return bool(np.abs(_w_right(S) @ S.T - symplectic_form(n)).max() <= tol)
 
 
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +94,7 @@ def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         L = np.linalg.cholesky(gamma)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive definite") from None
-    A = L.T @ symplectic_form(gamma.shape[0] // 2) @ L
+    A = _w_right(L.T) @ L
     return L, 0.5j * (A - A.T)  # exactly Hermitian: eigh reads one triangle
 
 
@@ -164,8 +176,7 @@ class WilliamsonDecomposition:
     @property
     def S_inv(self) -> np.ndarray:
         """Inverse frame ``-w S^T w``, exact for symplectic ``S`` (no linear solve)."""
-        w = symplectic_form(self.nu.size)
-        return -w @ self.S.T @ w
+        return _w_right(_w_left(-self.S.T))
 
 
 def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
@@ -249,8 +260,9 @@ def random_symplectic(n: int, seed: int | None = None, squeeze_cap: float = 1.0)
     return (O1 * np.concatenate([np.exp(z), np.exp(-z)])[None, :]) @ O2
 
 
-def _hamiltonian_deviation(W: np.ndarray, w: np.ndarray) -> float:
-    return float(np.abs(W @ w + w @ W).max())
+def _hamiltonian_deviation(W: np.ndarray) -> float:
+    """``max |W w + w W|``: zero iff ``W`` anticommutes with ``w``."""
+    return float(np.abs(_w_right(W) + _w_left(W)).max())
 
 
 def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +287,10 @@ def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     """
     W = np.asarray(W, dtype=float)
     n = _check_even_square(W, "W")
-    w = symplectic_form(n)
     scale = 1.0 + float(np.abs(W).max())
     if np.abs(W - W.T).max() > tol * scale:
         raise ValueError("W is not symmetric")
-    if _hamiltonian_deviation(W, w) > tol * scale:
+    if _hamiltonian_deviation(W) > tol * scale:
         raise ValueError("W does not anticommute with the symplectic form")
 
     ev, V = np.linalg.eigh(W)
@@ -313,15 +324,14 @@ def euler_decompose(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ValueError: if ``S`` is not symplectic within ``1e-8``.
     """
     S = np.asarray(S, dtype=float)
-    n = _check_even_square(S, "S")
+    _check_even_square(S, "S")
     if not is_symplectic(S, _EULER_TOL):
         raise ValueError("S is not symplectic")
-    w = symplectic_form(n)
 
     ev, V = np.linalg.eigh(S @ S.T)
     X = (V * (0.5 * np.log(ev))) @ V.T
     X = 0.5 * (X + X.T)
-    X = 0.5 * (X + w @ X @ w)  # project onto the Hamiltonian subspace
+    X = 0.5 * (X + _w_right(_w_left(X)))  # project onto the Hamiltonian subspace
     frame, z = hamiltonian_eigenframe(X)
     O2 = np.concatenate([np.exp(-z), np.exp(z)])[:, None] * (frame @ S)
     return frame.T, z, O2

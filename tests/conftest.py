@@ -114,3 +114,22 @@ def williamson_calls(monkeypatch):
         if name.startswith("gaussqfi") and getattr(module, "williamson", None) is original:
             monkeypatch.setattr(module, "williamson", counting)
     return count
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls to ``np.linalg.cholesky``, ``eigh`` and ``solve``.
+
+    Returns a dict from name to running count.
+    """
+    count = {}
+    for name in ("cholesky", "eigh", "solve"):
+        original = getattr(np.linalg, name)
+        count[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            count[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return count

@@ -3,7 +3,7 @@ decomposition, pseudoinverse, and the fixed-point series solver."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_lyapunov
 
 import gaussqfi as gq
@@ -14,6 +14,14 @@ from conftest import (
     random_symmetric,
     thermal_diag,
 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_apply_dgamma_equals_dense_form(n):
+    rng = np.random.default_rng(n)
+    gamma, Y = rng.standard_normal((2, 2 * n, 2 * n))
+    w = gq.symplectic_form(n)
+    assert_array_equal(gq.apply_dgamma(gamma, Y), gamma @ Y @ gamma.T - w @ Y @ w.T)
 
 
 def test_apply_dgamma_basics():

@@ -275,25 +275,6 @@ def test_frame_read_terms_match_solve_route(pt):
     assert rep.first_moment_term == pytest.approx(first, rel=1e-12, abs=0)
 
 
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    """Count calls to ``np.linalg.cholesky``, ``eigh`` and ``solve``.
-
-    Returns a dict from name to running count.
-    """
-    count = {}
-    for name in ("cholesky", "eigh", "solve"):
-        original = getattr(np.linalg, name)
-        count[name] = 0
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            count[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return count
-
-
 @pytest.mark.parametrize(
     "pt,solves",
     [

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_state, thermal_diag
+from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
 
 
 def test_frame_phase_squeezed():
@@ -155,10 +155,25 @@ def test_ancilla_cannot_increase_information():
 
 
 def test_frame_factorises_once(williamson_calls):
-    # the frame comes from the gate's eigh(Gamma): no Williamson factorisation
+    # the frame comes from the gate's Cholesky factor: no Williamson factorisation
     pt = random_isothermal_point(3, seed=4, nu=1.0)
     gq.isothermal_frame(pt)
     assert williamson_calls[0] == 0
+
+
+def test_frame_eigendecomposes_only_the_derivative(linalg_calls):
+    # a rejected point takes no eigh, an accepted one only the eigh of W
+    with pytest.raises(gq.PreconditionError) as exc:
+        gq.isothermal_frame(random_model_point(5, seed=3))
+    assert exc.value.flag == "is_isothermal"
+    assert linalg_calls["eigh"] == 0
+    gq.isothermal_frame(random_isothermal_point(5, seed=3))
+    assert linalg_calls["eigh"] == 1
+
+
+def test_check_isothermal_makes_no_eigendecomposition(linalg_calls):
+    assert gq.check_isothermal(random_isothermal_point(5, seed=3)).is_isothermal
+    assert linalg_calls["eigh"] == 0
 
 
 @pytest.mark.parametrize(
@@ -189,3 +204,16 @@ def test_gate_rejects_small_temperature_spread():
         np.zeros(4), 0.5 * (gamma + gamma.T), np.zeros(4), S @ S.T
     )
     assert not gq.check_isothermal(pt).is_isothermal
+
+
+@pytest.mark.parametrize("spread, accepted", [(0.0, True), (1e-6, False), (1e-5, False)])
+def test_gate_rejects_small_spread_under_strong_squeezing(spread, accepted):
+    # The rounding allowance scales with |Si|_F^2 max|Gamma / nu|, the scale
+    # of the gate's own product, so strong squeezing (|S|_2^2 ~ 334 here) does
+    # not widen the tolerance on the temperatures themselves.
+    S = gq.random_symplectic(2, seed=0, squeeze_cap=4.0)
+    gamma = S @ thermal_diag([1.5, 1.5 - spread]) @ S.T
+    pt = gq.GaussianModelPoint(
+        np.zeros(4), 0.5 * (gamma + gamma.T), np.zeros(4), np.zeros((4, 4))
+    )
+    assert gq.check_isothermal(pt).is_isothermal is accepted

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_model_point, random_state
+from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -60,6 +60,31 @@ def test_isothermal_frame_is_symplectic_and_thermal(n, seed, nu):
     np.testing.assert_allclose(
         fr.T @ pt.gamma @ fr.T.T, nu * np.eye(2 * n), atol=1e-9 * nu
     )
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=modes,
+    seed=seeds,
+    cap=st.floats(min_value=0.0, max_value=2.0),
+    nu=st.floats(min_value=1.0, max_value=4.0),
+    k=st.integers(min_value=0, max_value=5),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_gate_accepts_equal_and_rejects_spread_temperatures(n, seed, cap, nu, k, sign):
+    S = gq.random_symplectic(n, seed=seed, squeeze_cap=cap)
+
+    def is_isothermal(nus):
+        gamma = S @ thermal_diag(nus) @ S.T
+        zero = np.zeros(2 * n)
+        pt = gq.GaussianModelPoint(zero, 0.5 * (gamma + gamma.T), zero, np.zeros((2 * n, 2 * n)))
+        return gq.check_isothermal(pt).is_isothermal
+
+    nus = np.full(n, nu)
+    assert is_isothermal(nus)
+    if n > 1:  # one mode is always isothermal
+        nus[k % n] *= 1.0 + sign * 1e-4
+        assert not is_isothermal(nus)
 
 
 def _spectrum_with_zeros(rng, n, zeros, repeat):

@@ -3,10 +3,11 @@ validation, normal-mode decompositions, and random generators."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import gaussqfi as gq
 from gaussqfi.symplectic import _direct_sum as direct_sum, _direct_sum_vector as direct_sum_vector
+from gaussqfi.symplectic import _w_left, _w_right
 from conftest import random_hamiltonian, random_state, thermal_diag
 
 
@@ -20,6 +21,20 @@ def test_symplectic_form_convention():
     assert_allclose(w3 + w3.T, np.zeros((6, 6)))
     with pytest.raises(ValueError):
         gq.symplectic_form(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_form_by_index_equals_dense_products(n):
+    # every entry of w is 0 or +/-1, so the index forms are exact
+    M = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    w = gq.symplectic_form(n)
+    assert_array_equal(_w_left(M), w @ M)
+    assert_array_equal(_w_right(M), M @ w)
+    dev = np.abs(M @ w @ M.T - w).max()
+    assert gq.is_symplectic(M, tol=dev)
+    assert not gq.is_symplectic(M, tol=np.nextafter(dev, 0.0))
+    dec = gq.WilliamsonDecomposition(S=M, nu=np.ones(n))
+    assert_array_equal(dec.S_inv, -w @ M.T @ w)
 
 
 def test_validate_covariance_verdicts():
