@@ -44,7 +44,7 @@ import numpy as np
 
 from .estimation import SLDCoefficients, _mean_photon
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
-from .models import GaussianModelPoint, ModelFamily
+from .models import GaussianModelPoint, ModelFamily, _linear_family
 from .symplectic import euler_decompose, symplectic_form, williamson
 
 __all__ = [
@@ -390,6 +390,11 @@ def build_state(
     return TruncatedState(n=n, cutoff=cutoff, rho=rho, tail_mass=tail)
 
 
+def _centred(R: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The centred quadratures ``R - d I`` of a stack ``R``."""
+    return R - d[:, None, None] * np.eye(R.shape[-1])
+
+
 def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments ``(d, gamma)`` extracted from the matrix.
 
@@ -400,16 +405,9 @@ def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     R = quadrature_operators(state.n, state.cutoff)
     norm = np.trace(state.rho).real
     d = np.array([np.trace(state.rho @ Rk).real for Rk in R]) / norm
-    delta = R - d[:, None, None] * np.eye(state.cutoff**state.n)
-    m = 2 * state.n
-    gamma = np.empty((m, m))
-    for i in range(m):
-        rd = state.rho @ delta[i]
-        for j in range(i, m):
-            gamma[i, j] = gamma[j, i] = (
-                np.trace(rd @ delta[j]).real * 2.0 / norm
-            )
-    return d, gamma
+    delta = _centred(R, d)
+    gamma = np.einsum("iab,jba->ij", state.rho @ delta, delta).real * 2.0 / norm
+    return d, 0.5 * (gamma + gamma.T)
 
 
 def _solve_sld_eigenbasis(eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray) -> float:
@@ -432,6 +430,13 @@ def _rho(d: np.ndarray, gamma: np.ndarray, cutoff: int) -> np.ndarray:
     return build_state(pt, cutoff).rho
 
 
+def _drho(family: ModelFamily, theta: float, h: float, cutoff: int) -> np.ndarray:
+    """Central difference with step ``h`` of the family's state at ``theta``."""
+    return (
+        _rho(*family.moments(theta + h), cutoff) - _rho(*family.moments(theta - h), cutoff)
+    ) / (2.0 * h)
+
+
 def _central_qfis(
     family: ModelFamily, theta: float, cutoff: int, steps: tuple[float, ...]
 ) -> list[float]:
@@ -440,13 +445,7 @@ def _central_qfis(
     The state at ``theta`` and its eigenbasis are formed once and shared.
     """
     eig = np.linalg.eigh(_rho(*family.moments(theta), cutoff))
-    qfis = []
-    for h in steps:
-        drho = (
-            _rho(*family.moments(theta + h), cutoff) - _rho(*family.moments(theta - h), cutoff)
-        ) / (2.0 * h)
-        qfis.append(_solve_sld_eigenbasis(eig, drho))
-    return qfis
+    return [_solve_sld_eigenbasis(eig, _drho(family, theta, h, cutoff)) for h in steps]
 
 
 def qfi_fock(family: ModelFamily, theta: float, cutoff: int, h: float = 1e-4) -> float:
@@ -463,7 +462,7 @@ def qfi_fock(family: ModelFamily, theta: float, cutoff: int, h: float = 1e-4) ->
 class FockConvergence:
     """Convergence probe around a single oracle evaluation.
 
-    ``cutoff_shift`` is the change when the basis grows by ``cutoff + step``;
+    ``cutoff_shift`` is the change when the basis grows to ``cutoff + 10``;
     ``step_shift`` is the change when the finite-difference step is halved.
     Small shifts certify that neither truncation nor differencing dominates
     the reported value.
@@ -477,19 +476,16 @@ class FockConvergence:
 
 
 def qfi_fock_probe(
-    family: ModelFamily,
-    theta: float,
-    cutoff: int,
-    h: float = 1e-4,
-    cutoff_step: int = 10,
+    family: ModelFamily, theta: float, cutoff: int, h: float = 1e-4
 ) -> FockConvergence:
     """Oracle value plus its sensitivity to cutoff and difference step.
 
-    The three values equal three :func:`qfi_fock` calls; the value and the
-    halved-step value share the state at ``theta``.
+    The three values equal :func:`qfi_fock` at ``(cutoff, h)``,
+    ``(cutoff + 10, h)`` and ``(cutoff, h / 2)``; the first and the last
+    share the state at ``theta``.
     """
     value, step_value = _central_qfis(family, theta, cutoff, (h, h / 2.0))
-    cutoff_value = qfi_fock(family, theta, cutoff + cutoff_step, h)
+    cutoff_value = qfi_fock(family, theta, cutoff + 10, h)
     return FockConvergence(
         value=value,
         cutoff_value=cutoff_value,
@@ -508,17 +504,9 @@ def sld_matrix(
     quadratic term is automatically Hermitian because ``L`` is symmetric).
     """
     d = np.asarray(d, dtype=float)
-    n = d.size // 2
-    R = quadrature_operators(n, cutoff)
-    eye = np.eye(cutoff**n)
-    delta = R - d[:, None, None] * eye
-    out = coeffs.c * eye.astype(complex)
-    for i in range(2 * n):
-        out += coeffs.b[i] * delta[i]
-        for j in range(2 * n):
-            if coeffs.L[i, j] != 0.0:
-                out += coeffs.L[i, j] * (delta[i] @ delta[j])
-    return out
+    delta = _centred(quadrature_operators(d.size // 2, cutoff), d)
+    quadratic = (delta @ np.tensordot(coeffs.L, delta, 1)).sum(0)
+    return quadratic + np.tensordot(coeffs.b, delta, 1) + coeffs.c * np.eye(delta.shape[-1])
 
 
 def sld_residual(
@@ -530,17 +518,10 @@ def sld_residual(
     """Trace-norm defect of the SLD equation for the given coefficients.
 
     Differentiates the state numerically along the point's own tangent
-    ``(dd, dgamma)`` and returns ``|| drho - (rho L + L rho)/2 ||_1``.  A
-    correct coefficient set drives this to the truncation floor; a wrong one
-    leaves an O(1) residual.
-
-    The states are taken on the curve ``Gamma + t dGamma + t^2 kappa I`` with
-    ``kappa = |dGamma|_2^2 |Gamma^-1|_2``.  On a pure state the straight line
-    ``Gamma + t dGamma`` leaves the physical set at order ``t^2`` even for a
-    purity-preserving tangent; the even term lifts it back, and the central
-    difference cancels it, so the tangent is unchanged.  A tangent that
-    lowers a symplectic eigenvalue below 1 to first order still yields an
-    unphysical state, and :func:`build_state` raises ``ConvergenceError``.
+    ``(dd, dgamma)``, on the lifted curve through the point that an explicit
+    model follows (:func:`~gaussqfi.models._linear_family`), and returns
+    ``|| drho - (rho L + L rho)/2 ||_1``.  A correct coefficient set drives
+    this to the truncation floor; a wrong one leaves an O(1) residual.
 
     On squeezed models the residual converges far more slowly in the cutoff
     than ``tail_mass``, so it needs cutoffs well beyond
@@ -549,14 +530,9 @@ def sld_residual(
     on the pure state (suggested cutoff 22), and 0.029, 2.9e-3 and 3.5e-4
     with ``nu = 1.5`` (suggested cutoff 29); the step ``h`` does not matter.
     """
-    kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
-    lift = kappa * np.eye(point.gamma.shape[0])
-
-    def rho_at(t: float) -> np.ndarray:
-        return _rho(point.d + t * point.dd, point.gamma + t * point.dgamma + t * t * lift, cutoff)
-
-    rho = rho_at(0.0)
-    drho = (rho_at(h) - rho_at(-h)) / (2.0 * h)
+    family = _linear_family(point)
+    rho = _rho(*family.moments(0.0), cutoff)
+    drho = _drho(family, 0.0, h, cutoff)
     Lhat = sld_matrix(coeffs, point.d, cutoff)
     resid = drho - 0.5 * (rho @ Lhat + Lhat @ rho)
     return float(np.linalg.svd(resid, compute_uv=False).sum())
@@ -615,8 +591,7 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
 
     # The symmetrised pairs A_ij = (dR_i dR_j + dR_j dR_i)/2 for i <= j, with
     # dR_j dR_i = (dR_i dR_j)^H, and every tr[rho A_ij A_kl] from one product.
-    R = quadrature_operators(n, cutoff)
-    delta = R - point.d[:, None, None] * np.eye(cutoff**n)
+    delta = _centred(quadrature_operators(n, cutoff), point.d)
     i, j = np.triu_indices(m)
     prod = delta[i] @ delta[j]
     pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))

@@ -85,44 +85,24 @@ class ModelFamily:
         name: family label (appears in CLI output).
         n: number of modes.
         moment_fn: callable ``theta -> (d, gamma)``.
-        derivative_fn: optional callable ``theta -> (dd, dgamma)``; when
-            absent, :meth:`point` falls back to central finite differences.
+        derivative_fn: callable ``theta -> (dd, dgamma)``, the closed-form
+            derivative of ``moment_fn``; required.
     """
 
     name: str
     n: int
     moment_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
-    derivative_fn: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
+    derivative_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
 
     def moments(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         d, gamma = self.moment_fn(theta)
         return np.asarray(d, dtype=float), np.asarray(gamma, dtype=float)
 
-    def point(
-        self, theta: float, derivative: str = "analytic", h: float | None = None
-    ) -> GaussianModelPoint:
-        """Evaluate the family at ``theta``.
-
-        Args:
-            theta: parameter value.
-            derivative: ``"analytic"`` (uses the family's closed-form
-                derivative when available, else falls back to finite
-                differences) or ``"fd"`` (forces central differences).
-            h: finite-difference step; default ``1e-5 * max(1, |theta|)``.
-
-        ``dgamma`` is stored symmetrised on either route.
-        """
-        if derivative not in ("analytic", "fd"):
-            raise ConfigError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
+    def point(self, theta: float) -> GaussianModelPoint:
+        """Evaluate the family and its derivative at ``theta``; ``dgamma`` is
+        stored symmetrised."""
         d, gamma = self.moments(theta)
-        if derivative == "analytic" and self.derivative_fn is not None:
-            dd, dgamma = self.derivative_fn(theta)
-        else:
-            h = 1e-5 * max(1.0, abs(theta)) if h is None else h
-            if h <= 0:
-                raise ConfigError(f"finite-difference step must be positive, got {h}")
-            (dp, gp), (dm, gm) = self.moments(theta + h), self.moments(theta - h)
-            dd, dgamma = (dp - dm) / (2 * h), (gp - gm) / (2 * h)
+        dd, dgamma = self.derivative_fn(theta)
         dgamma = np.asarray(dgamma, dtype=float)
         return GaussianModelPoint(
             d=d, gamma=gamma, dd=np.asarray(dd, dtype=float), dgamma=0.5 * (dgamma + dgamma.T)
@@ -130,18 +110,28 @@ class ModelFamily:
 
 
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
-    """Affine family through ``point``: ``Gamma(t) = Gamma + t dGamma`` etc.
+    """Lifted tangent curve through ``point``, which sits at ``t = 0``.
 
-    Lets derivative-only consumers (e.g. the number-basis oracle, which needs
-    states at ``theta +/- h``) work with explicitly supplied model points.
-    The point sits at ``t = 0``.
+    The curve is ``(d + t dd, Gamma + t dGamma + t^2 kappa I)`` with
+    ``kappa = |dGamma|_2^2 |Gamma^-1|_2``, and its derivative is
+    ``(dd, dGamma + 2 t kappa I)``.  It lets consumers that need states at
+    ``t = +/- h`` (the number-basis oracle, a sweep) work with explicitly
+    supplied model points.  On a pure state the straight line
+    ``Gamma + t dGamma`` leaves the physical set at order ``t^2`` even for a
+    purity-preserving tangent; the even term lifts it back, and a central
+    difference at ``t = 0`` cancels it, so the tangent is unchanged.  A
+    tangent that lowers a symplectic eigenvalue below 1 to first order still
+    leaves the physical set, and the oracle's
+    :func:`~gaussqfi.fock.build_state` raises ``ConvergenceError`` there.
     """
+    kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
+    lift = kappa * np.eye(point.gamma.shape[0])
 
     def mom(t: float):
-        return point.d + t * point.dd, point.gamma + t * point.dgamma
+        return point.d + t * point.dd, point.gamma + t * point.dgamma + t * t * lift
 
-    def der(_t: float):
-        return point.dd, point.dgamma
+    def der(t: float):
+        return point.dd, point.dgamma + 2 * t * lift
 
     return ModelFamily(name="explicit", n=point.n, moment_fn=mom, derivative_fn=der)
 

@@ -95,6 +95,13 @@ def random_isothermal_point(n, seed, nu=1.0):
     )
 
 
+
+def explicit_doc(point):
+    """The model document ``{"explicit": ...}`` holding ``point``'s arrays."""
+    arrays = {"d": point.d, "Gamma": point.gamma, "dd": point.dd, "dGamma": point.dgamma}
+    return {"explicit": {"n": point.n, **{k: v.tolist() for k, v in arrays.items()}}}
+
+
 @pytest.fixture
 def williamson_calls(monkeypatch):
     """Count calls to ``williamson`` from every package module that binds it.

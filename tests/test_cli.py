@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+import gaussqfi as gq
+from conftest import explicit_doc
 from gaussqfi import cli
 
 THERMAL = {"family": "thermal", "theta": 2.0}
@@ -303,6 +305,43 @@ def test_oracle_check_pure_phase_squeezed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert float(get_value(out, "rel_diff")) < 1e-4
     assert float(get_value(out, "sld_residual")) < 1e-4
+
+
+PURE_EXPLICIT = {  # pure phase_squeezed at e^{2r} = 4, theta = 0; QFI 7.03125
+    "explicit": {
+        "n": 1,
+        "d": [0, 0],
+        "Gamma": [[4, 0], [0, 0.25]],
+        "dd": [0, 0],
+        "dGamma": [[0, 3.75], [3.75, 0]],
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "doc, cutoff",
+    [
+        (PURE_EXPLICIT, 40),
+        (explicit_doc(gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4)), 12),
+    ],
+    ids=["n1", "n2"],
+)
+def test_oracle_check_pure_explicit(tmp_path, capsys, doc, cutoff):
+    # The oracle's states at t = +/- h lie on the lifted curve, which stays
+    # physical on a pure point; the straight line Gamma + t dGamma does not.
+    assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", str(cutoff)]) == 0
+    out = capsys.readouterr().out
+    assert float(get_value(out, "rel_diff")) < 1e-4
+
+
+def test_sweep_pure_explicit(tmp_path):
+    cfg = write_cfg(tmp_path, PURE_EXPLICIT)
+    out = tmp_path / "pure.csv"
+    argv = ["sweep", cfg, "--from", "-0.1", "--to", "0.1", "--steps", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert float(rows[2][1]) == pytest.approx(7.03125, rel=1e-10)  # theta = 0
 
 
 def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):

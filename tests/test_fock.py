@@ -11,6 +11,7 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
+from conftest import explicit_doc
 
 
 def _passive_from_u(u):
@@ -337,26 +338,26 @@ def test_qfi_fock_displacement():
 
 
 def test_qfi_fock_probe_reports_stability():
-    probe = gq.qfi_fock_probe(gq.builtin_family("thermal"), 2.0, 30, cutoff_step=10)
+    probe = gq.qfi_fock_probe(gq.builtin_family("thermal"), 2.0, 30)
     assert probe.value == pytest.approx(1.0 / 3.0, rel=1e-6)
     assert probe.cutoff_shift < 1e-8
     assert probe.step_shift < 1e-8
 
 
 @pytest.mark.parametrize(
-    "family, params, theta, cutoff, step",
+    "family, params, theta, cutoff",
     [
-        ("phase_squeezed", {"r": 0.5, "nu": 1.5}, 0.7, 30, 10),
-        ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8, 2),
+        ("phase_squeezed", {"r": 0.5, "nu": 1.5}, 0.7, 30),
+        ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8),
     ],
     ids=["n1", "n2"],
 )
-def test_qfi_fock_probe_equals_separate_qfi_fock_calls(family, params, theta, cutoff, step):
+def test_qfi_fock_probe_equals_separate_qfi_fock_calls(family, params, theta, cutoff):
     fam = gq.builtin_family(family, params)
     h = 1e-4
-    probe = gq.qfi_fock_probe(fam, theta, cutoff, h, cutoff_step=step)
+    probe = gq.qfi_fock_probe(fam, theta, cutoff, h)
     assert probe.value == gq.qfi_fock(fam, theta, cutoff, h)
-    assert probe.cutoff_value == gq.qfi_fock(fam, theta, cutoff + step, h)
+    assert probe.cutoff_value == gq.qfi_fock(fam, theta, cutoff + 10, h)
     assert probe.step_value == gq.qfi_fock(fam, theta, cutoff, h / 2.0)
 
 
@@ -377,6 +378,15 @@ def test_sld_residual_pure_moving_covariance():
     pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7)
     co = gq.sld_coefficients(pt)
     assert gq.sld_residual(pt, co, 40) < 1e-4
+
+
+def test_sld_residual_equals_that_of_the_explicit_twin():
+    # A built-in point and the same arrays written as an explicit config give
+    # the same residual: both are differentiated along one lifted curve.
+    pt = gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7)
+    twin = gq.parse_model_config(explicit_doc(pt)).point
+    co = gq.sld_coefficients(pt)
+    assert gq.sld_residual(twin, co, 30) == gq.sld_residual(pt, co, 30)
 
 
 def test_sld_residual_refuses_purity_lowering_tangent():
@@ -490,6 +500,61 @@ def test_identity_checks_fourth_moments_match_term_by_term_loop(point, cutoff):
     rep = gq.identity_checks(point, cutoff)
     state = gq.build_state(point, cutoff, tail_bound=np.inf)
     assert abs(rep.fourth_moment_dev - _loop_fourth_moment_dev(point, state)) < 1e-14
+
+
+def _loop_state_moments(state):
+    """``state_moments`` one mode pair at a time."""
+    R = gq.quadrature_operators(state.n, state.cutoff)
+    norm = np.trace(state.rho).real
+    d = np.array([np.trace(state.rho @ Rk).real for Rk in R]) / norm
+    delta = R - d[:, None, None] * np.eye(state.cutoff**state.n)
+    m = 2 * state.n
+    gamma = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            gamma[i, j] = gamma[j, i] = (
+                np.trace(state.rho @ delta[i] @ delta[j]).real * 2.0 / norm
+            )
+    return d, gamma
+
+
+def _loop_sld_matrix(coeffs, d, cutoff):
+    """``sld_matrix`` one term ``L_ij dR_i dR_j`` at a time."""
+    n = d.size // 2
+    eye = np.eye(cutoff**n)
+    delta = gq.quadrature_operators(n, cutoff) - d[:, None, None] * eye
+    out = coeffs.c * eye.astype(complex)
+    for i in range(2 * n):
+        out += coeffs.b[i] * delta[i]
+        for j in range(2 * n):
+            out += coeffs.L[i, j] * (delta[i] @ delta[j])
+    return out
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (_mixed_squeezed_displaced_point(), 30),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.4}).point(0.2), 10),
+        (_two_mode_point(), 8),
+    ],
+    ids=["n1-mixed-squeezed-displaced", "n2-two-mode-squeezed", "n2-random-displaced"],
+)
+def test_state_moments_and_sld_matrix_match_term_by_term_loops(point, cutoff):
+    # The sums run in another order, so agreement is to rounding: 64 eps of
+    # the largest entry.
+    tol = 64 * np.finfo(float).eps
+    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    d, gamma = gq.state_moments(state)
+    d_loop, gamma_loop = _loop_state_moments(state)
+    np.testing.assert_array_equal(d, d_loop)
+    assert np.abs(gamma - gamma_loop).max() <= tol * np.abs(gamma_loop).max()
+    rng = np.random.default_rng(3)
+    m = 2 * point.n
+    L = rng.standard_normal((m, m))
+    co = gq.SLDCoefficients(L=L + L.T, b=rng.standard_normal(m), c=0.7, range_residual=0.0)
+    ref = _loop_sld_matrix(co, point.d, cutoff)
+    assert np.abs(gq.sld_matrix(co, point.d, cutoff) - ref).max() <= tol * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(

@@ -103,31 +103,37 @@ def test_families_stay_valid_on_grid(name, params, thetas):
         assert gq.validate_covariance(g).valid
 
 
-def test_finite_difference_matches_analytic():
-    fam = gq.builtin_family("phase_squeezed", {"r": 0.5})
-    exact = fam.point(0.3)
-    fd = fam.point(0.3, derivative="fd", h=1e-4)
-    assert np.abs(fd.dgamma - exact.dgamma).max() < 1e-6
-    # Central differences converge at second order: halving h quarters the error.
-    e1 = np.abs(fam.point(0.3, derivative="fd", h=1e-3).dgamma - exact.dgamma).max()
-    e2 = np.abs(fam.point(0.3, derivative="fd", h=5e-4).dgamma - exact.dgamma).max()
-    assert e1 / e2 == pytest.approx(4.0, rel=0.2)
+_PURE_EXPLICIT = {  # pure squeezed state, rotating and displaced
+    "n": 1,
+    "d": [0.0, 0.0],
+    "Gamma": [[4.0, 0.0], [0.0, 0.25]],
+    "dd": [0.5, -0.2],
+    "dGamma": [[0.0, 3.75], [3.75, 0.0]],
+}
 
 
-def test_finite_difference_exact_for_linear_families():
-    fd = gq.builtin_family("displacement").point(1.3, derivative="fd", h=0.37)
-    assert_allclose(fd.dd, [1.0, 0.0], atol=1e-12)
-    fd2 = gq.builtin_family("thermal").point(2.5, derivative="fd", h=1e-3)
-    assert_allclose(fd2.dgamma, np.eye(2), atol=1e-9)
-
-
-def test_family_point_fd_mode():
-    fam = gq.builtin_family("phase_squeezed", {"r": 0.4})
-    a = fam.point(0.1)
-    b = fam.point(0.1, derivative="fd", h=1e-5)
-    assert np.abs(a.dgamma - b.dgamma).max() < 1e-8
-    with pytest.raises(gq.ConfigError):
-        fam.point(0.1, derivative="autodiff")
+@pytest.mark.parametrize(
+    "doc, thetas",
+    [
+        ({"family": "displacement"}, (-0.7, 1.3)),
+        ({"family": "thermal"}, (1.5, 3.2)),
+        ({"family": "squeezing", "params": {"nu": 1.5}}, (-0.8, 0.6)),
+        ({"family": "phase_squeezed", "params": {"r": 1.0}}, (0.3, 2.5)),
+        ({"family": "two_mode_squeezed_phase", "params": {"r": 0.6}}, (0.4, 2.9)),
+        ({"explicit": _PURE_EXPLICIT}, (-0.1, 0.1)),
+    ],
+    ids=["displacement", "thermal", "squeezing", "phase_squeezed",
+         "two_mode_squeezed_phase", "explicit"],
+)
+def test_derivative_matches_central_difference(doc, thetas):
+    cfg = gq.parse_model_config({**doc, "theta": thetas[0]} if "family" in doc else doc)
+    fam, h = cfg.family, 1e-5
+    for theta in thetas:
+        dd, dgamma = fam.derivative_fn(theta)
+        (dp, gp), (dm, gm) = fam.moments(theta + h), fam.moments(theta - h)
+        tol = 1e-6 * (1.0 + np.abs(dgamma).max())
+        assert np.abs((dp - dm) / (2 * h) - dd).max() <= tol
+        assert np.abs((gp - gm) / (2 * h) - dgamma).max() <= tol
 
 
 def test_linear_family_tangent():
@@ -136,7 +142,8 @@ def test_linear_family_tangent():
     fam = gq.parse_model_config({"explicit": explicit}).family
     d, g = fam.moments(0.2)
     assert_allclose(d, [0.1, 0.0], atol=1e-12)
-    assert_allclose(g, 2.2 * np.eye(2), atol=1e-12)
+    # Gamma + t dGamma + t^2 kappa I with kappa = |dGamma|_2^2 |Gamma^-1|_2 = 1/2
+    assert_allclose(g, 2.22 * np.eye(2), atol=1e-12)
     back = fam.point(0.0)
     assert_allclose(back.dgamma, np.eye(2))
     assert_allclose(back.dd, [0.5, 0.0])
@@ -213,9 +220,9 @@ def test_parse_explicit_config():
     cfg = gq.parse_model_config(doc)
     assert cfg.label == "explicit"
     assert cfg.theta == 0.0
-    # The wrapped family is the tangent line through the point.
+    # The wrapped family is the lifted tangent curve through the point.
     _, g = cfg.family.moments(0.1)
-    assert_allclose(g, 2.1 * np.eye(2), atol=1e-12)
+    assert_allclose(g, 2.105 * np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize(
