@@ -245,10 +245,7 @@ def _cmd_sld(argv: list[str]) -> int:
     print(f"range_residual = {coeffs.range_residual:.6g}")
     form = photon_counting_form(coeffs, cfg.point, args.tol)
     if form is None:
-        print(
-            "photon-counting form: none "
-            "(linear model, indefinite d(Gamma^-1), or degenerate L)"
-        )
+        print("photon-counting form: none (linear model, or L indefinite or singular)")
     else:
         print("photon-counting form: L_hat = sum_k 2*alpha_k*(N_k - <N_k>)")
         print(f"  alpha = {_vector_line(form.alpha)}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgamma import _frame_solve, dgamma_pseudoinverse_apply
+from .dgamma import _frame_solve
 from .exceptions import ConvergenceError
 from .models import _ISOTHERMAL_TOL, GaussianModelPoint, _require_isothermal
 from .symplectic import williamson
@@ -62,6 +62,24 @@ class SLDCoefficients:
     range_residual: float
 
 
+def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
+    """``b = 2 Gamma^-1 dd``; zero, with no solve, when ``dd = 0``."""
+    if not np.any(point.dd):
+        return np.zeros_like(point.dd)
+    return 2.0 * np.linalg.solve(point.gamma, point.dd)
+
+
+def _solve(
+    point: GaussianModelPoint, tol: float
+) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
+    """The SLD coefficients, with the symplectic spectrum ``nu`` and the
+    thermal-frame input ``Xt`` of the Williamson frame that solved them."""
+    Y, residual, nu, Xt = _frame_solve(point.gamma, point.dgamma, tol)
+    L = 0.5 * (Y + Y.T)
+    c = -0.5 * float(np.sum(L * point.gamma))
+    return SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual), nu, Xt
+
+
 def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoefficients:
     """Solve for the centered SLD coefficients of a model point.
 
@@ -69,11 +87,7 @@ def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoeffic
         point: model point with an admissible covariance matrix.
         tol: kernel threshold passed to the superoperator pseudoinverse.
     """
-    L, residual = dgamma_pseudoinverse_apply(point.gamma, point.dgamma, tol)
-    L = 0.5 * (L + L.T)
-    b = 2.0 * np.linalg.solve(point.gamma, point.dd)
-    c = -0.5 * float(np.sum(L * point.gamma))
-    return SLDCoefficients(L=L, b=b, c=c, range_residual=residual)
+    return _solve(point, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -101,12 +115,6 @@ class FisherReport:
         return self.qfi / self.wigner_fisher
 
 
-def _first_moment_term(point: GaussianModelPoint) -> float:
-    if not np.any(point.dd):
-        return 0.0
-    return 2.0 * float(point.dd @ np.linalg.solve(point.gamma, point.dd))
-
-
 def _nonnegative(value: float, what: str) -> float:
     if value < -1e-10 * (1.0 + abs(value)):
         raise ConvergenceError(f"{what} came out negative ({value:.3e})")
@@ -120,23 +128,23 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
-    Route: one Williamson frame of ``Gamma`` (a Cholesky factor and one
-    Hermitian ``eigh``) and the thermal-frame input ``Xt = S^-1 dGamma S^-T``.
-    The SLD solve divides the entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and
-    gives ``L``, so the second-moment term is ``tr[dGamma L] / 2``; the Wigner
-    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead.  The only
-    other factorisation is one solve for the first-moment term
-    ``2 dd^T Gamma^-1 dd``, skipped when ``dd = 0``.  :func:`wigner_fisher`
-    computes the same Wigner information by linear solves.
+    Route: the solve of :func:`sld_coefficients`, one Williamson frame of
+    ``Gamma`` (a Cholesky factor and one Hermitian ``eigh``) and the
+    thermal-frame input ``Xt = S^-1 dGamma S^-T``.  The SLD solve divides the
+    entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and gives ``L``, so the
+    second-moment term is ``tr[dGamma L] / 2``, and the first-moment term
+    ``2 dd^T Gamma^-1 dd`` is ``dd . b`` (``b`` costs the only other
+    factorisation, one solve, skipped when ``dd = 0``).  The Wigner
+    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead;
+    :func:`wigner_fisher` computes it by linear solves.
 
     Raises:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
-    Y, residual, nu, Xt = _frame_solve(point.gamma, point.dgamma, tol)
-    L = 0.5 * (Y + Y.T)
-    second = _nonnegative(0.5 * float(np.sum(point.dgamma * L)), "second-moment term")
-    first = _nonnegative(_first_moment_term(point), "first-moment term")
+    coeffs, nu, Xt = _solve(point, tol)
+    second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
+    first = _nonnegative(float(point.dd @ coeffs.b), "first-moment term")
     nt = np.concatenate([nu, nu])
     wigner = 0.5 * float(np.sum(Xt * Xt.T / np.outer(nt, nt))) + first
     return FisherReport(
@@ -145,7 +153,7 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
         first_moment_term=first,
         second_moment_term=second,
         method="general",
-        range_residual=residual,
+        range_residual=coeffs.range_residual,
     )
 
 
@@ -167,11 +175,10 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
             rounding.
     """
     chk = _require_isothermal(point, _ISOTHERMAL_TOL)[0]
-    M = np.linalg.solve(point.gamma, point.dgamma)
     nu2 = chk.nu * chk.nu
-    wigner_second = 0.5 * float(np.trace(M @ M))
+    wigner_second = gaussian_distribution_fisher(point.gamma, point.dgamma)
     second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
-    first = _nonnegative(_first_moment_term(point), "first-moment term")
+    first = _nonnegative(float(point.dd @ _linear_coefficients(point)), "first-moment term")
     return FisherReport(
         qfi=first + second,
         wigner_fisher=wigner_second + first,
@@ -218,16 +225,16 @@ def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:
 class PhotonCountingForm:
     """Symplectic normal form of the quadratic SLD part.
 
-    When ``d(Gamma^-1)/dtheta`` is semidefinite, the quadratic coefficient
-    matrix admits ``L = T^T diag(alpha, alpha) T`` with ``T`` symplectic.
-    ``L`` is then invertible, so the linear part folds into the quadratic
-    one about ``d* = d - L^-1 b / 2``, and measuring the mode numbers
-    ``N_k`` of the ``T``-frame modes of ``R - d*`` saturates the quantum
-    bound: ``L_hat = 2 sum_k alpha_k (N_k - <N_k>)``.
+    When ``L`` is definite, Williamson's theorem applied to ``+/- L`` gives
+    ``L = T^T diag(alpha, alpha) T`` with ``T`` symplectic.  ``L`` is then
+    invertible, so the linear part folds into the quadratic one about
+    ``d* = d - L^-1 b / 2``, and measuring the mode numbers ``N_k`` of the
+    ``T``-frame modes of ``R - d*`` measures the SLD's eigenbasis, which
+    saturates the quantum bound: ``L_hat = 2 sum_k alpha_k (N_k - <N_k>)``.
 
     Attributes:
         T: symplectic frame change.
-        alpha: per-mode weights (sign matches the definite direction).
+        alpha: per-mode weights, of the sign of ``L``.
         displacement: the point ``d*`` the modes are counted about; ``d``
             itself when ``b = 0``.
         mean_photon: ``<N_k>`` of the state in the ``T`` frame, about ``d*``.
@@ -244,31 +251,23 @@ def photon_counting_form(
 ) -> PhotonCountingForm | None:
     """Attempt the photon-counting normal form of the SLD.
 
-    Returns None when the form does not exist: for a purely linear model
-    (``L = 0``, first moments carry all information), when
-    ``d(Gamma^-1)/dtheta = -Gamma^-1 dGamma Gamma^-1`` is indefinite, or when
-    ``L`` is semidefinite but singular (no strictly symplectic normal form).
+    The form exists exactly when ``L`` is definite: every eigenvalue of
+    ``L`` exceeds ``tol max|L|`` in one sign.  Returns None otherwise: for a
+    purely linear model (``max|L| <= tol``, first moments carry all
+    information), and when ``L`` is indefinite or singular (no strictly
+    symplectic normal form).
     """
     scaleL = float(np.abs(coeffs.L).max())
     if scaleL <= tol:
         return None  # linear model
-    gi_d = np.linalg.solve(point.gamma, point.dgamma)
-    dginv = -np.linalg.solve(point.gamma, gi_d.T).T
-    dginv = 0.5 * (dginv + dginv.T)
-    ev = np.linalg.eigvalsh(dginv)
-    cut = tol * (1.0 + np.abs(ev).max())
-    if ev[0] >= -cut and ev[-1] > cut:
-        sign = -1.0  # dGamma^-1 >= 0  ->  L <= 0
-    elif ev[-1] <= cut and ev[0] < -cut:
+    ev = np.linalg.eigvalsh(coeffs.L)
+    if ev[0] > tol * scaleL:
         sign = +1.0
+    elif ev[-1] < -tol * scaleL:
+        sign = -1.0
     else:
-        return None  # indefinite
-    A = sign * coeffs.L
-    A = 0.5 * (A + A.T)
-    evA = np.linalg.eigvalsh(A)
-    if evA[0] <= tol * scaleL:
-        return None  # singular quadratic part: no symplectic normal form
-    dec = williamson(A)
+        return None  # indefinite or singular
+    dec = williamson(sign * coeffs.L)
     T = dec.S.T
     # (R-d) L (R-d) + b.(R-d) is (R-d*) L (R-d*) up to a constant, d - d* = shift
     shift = 0.5 * np.linalg.solve(coeffs.L, coeffs.b)

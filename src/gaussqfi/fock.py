@@ -356,8 +356,12 @@ def build_state(
 
     Raises:
         ConfigError: more than two modes, or ``cutoff < 8``.
-        PreconditionError: flag ``"tail_mass"`` when the truncation loses
-            more weight than ``tail_bound``.
+        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
+            is below ``1 - 1e-8`` (the moments are not a state), or flag
+            ``"tail_mass"`` when the truncation loses more weight than
+            ``tail_bound``.
+        ConvergenceError: if the constructed matrix has an eigenvalue below
+            ``-1e-10``.
     """
     n = point.n
     _check_modes(n)
@@ -365,6 +369,10 @@ def build_state(
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     big = cutoff + pad
     dec = williamson(point.gamma)
+    if dec.nu[-1] < 1.0 - 1e-8:
+        raise PreconditionError(
+            "nu_min", f"moments are not a physical state (nu_min = {dec.nu[-1]:.6g})"
+        )
     O1, z, O2 = euler_decompose(dec.S)
     if np.abs(point.d).max(initial=0.0) > 0.0:
         X, top = _kron_modes(_displacements(point.d, big)[:, :cutoff]), None

@@ -122,7 +122,8 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     difference at ``t = 0`` cancels it, so the tangent is unchanged.  A
     tangent that lowers a symplectic eigenvalue below 1 to first order still
     leaves the physical set, and the oracle's
-    :func:`~gaussqfi.fock.build_state` raises ``ConvergenceError`` there.
+    :func:`~gaussqfi.fock.build_state` raises ``PreconditionError`` (flag
+    ``"nu_min"``) there.
     """
     kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
     lift = kappa * np.eye(point.gamma.shape[0])
@@ -139,14 +140,6 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
-
-
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # d/dtheta of _rot2 at 0, i.e. _rot2' = J r
 
 
 def _family_displacement(params: dict) -> ModelFamily:
@@ -200,19 +193,31 @@ def _family_squeezing(params: dict) -> ModelFamily:
     return ModelFamily("squeezing", 1, mom, der)
 
 
-def _family_phase_squeezed(params: dict) -> ModelFamily:
-    r, nu = _family_params(params, "phase_squeezed", r=None, nu=1.0)
-    Z = nu * _squeeze_diag(r)
+def _phase_family(name: str, gamma0: np.ndarray) -> ModelFamily:
+    """The phase of mode 1 of the state with covariance ``gamma0``:
+    ``Gamma = R gamma0 R^T`` with ``R(theta)`` the rotation of ``(Q_1, P_1)``,
+    and tangent ``J Gamma - Gamma J`` with ``J = R'(0)``."""
+    n = gamma0.shape[0] // 2
+    J = np.zeros_like(gamma0)
+    J[0, n], J[n, 0] = -1.0, 1.0
 
     def mom(theta: float):
-        R = _rot2(theta)
-        return np.zeros(2), R @ Z @ R.T
+        c, s = math.cos(theta), math.sin(theta)
+        R = np.eye(2 * n)
+        R[0, 0] = R[n, n] = c
+        R[0, n], R[n, 0] = -s, s
+        return np.zeros(2 * n), R @ gamma0 @ R.T
 
     def der(theta: float):
         _, g = mom(theta)
-        return np.zeros(2), _J2 @ g - g @ _J2
+        return np.zeros(2 * n), J @ g - g @ J
 
-    return ModelFamily("phase_squeezed", 1, mom, der)
+    return ModelFamily(name, n, mom, der)
+
+
+def _family_phase_squeezed(params: dict) -> ModelFamily:
+    r, nu = _family_params(params, "phase_squeezed", r=None, nu=1.0)
+    return _phase_family("phase_squeezed", nu * _squeeze_diag(r))
 
 
 def _family_two_mode_squeezed_phase(params: dict) -> ModelFamily:
@@ -221,22 +226,7 @@ def _family_two_mode_squeezed_phase(params: dict) -> ModelFamily:
     base = np.zeros((4, 4))
     base[:2, :2] = [[ch, sh], [sh, ch]]
     base[2:, 2:] = [[ch, -sh], [-sh, ch]]
-    # phase rotation on mode 1 only: generator of (Q1, P1) rotation
-    J1 = np.zeros((4, 4))
-    J1[0, 2], J1[2, 0] = -1.0, 1.0
-
-    def mom(theta: float):
-        c, s = math.cos(theta), math.sin(theta)
-        M = np.eye(4)
-        M[0, 0] = M[2, 2] = c
-        M[0, 2], M[2, 0] = -s, s
-        return np.zeros(4), M @ base @ M.T
-
-    def der(theta: float):
-        _, g = mom(theta)
-        return np.zeros(4), J1 @ g + g @ J1.T
-
-    return ModelFamily("two_mode_squeezed_phase", 2, mom, der)
+    return _phase_family("two_mode_squeezed_phase", base)
 
 
 def _reject_unknown(doc, allowed: set, where: str, required: set = frozenset()) -> None:

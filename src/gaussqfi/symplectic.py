@@ -119,7 +119,6 @@ class CovarianceCheck:
     valid: bool
     nu_min: float
     asymmetry: float
-    min_eigenvalue: float
 
     def __bool__(self) -> bool:
         return self.valid
@@ -135,23 +134,21 @@ def validate_covariance(gamma: np.ndarray, tol: float = 1e-10) -> CovarianceChec
     Returns:
         :class:`CovarianceCheck` with the verdict and the measured
         ``nu_min`` / asymmetry, so callers can report *why* a matrix was
-        rejected.
+        rejected.  The Cholesky factor of :func:`symplectic_eigenvalues`
+        decides positive definiteness; a matrix it refuses gets
+        ``nu_min = 0``.
     """
     gamma = np.asarray(gamma, dtype=float)
     _check_even_square(gamma, "gamma")
     if not np.all(np.isfinite(gamma)):
-        return CovarianceCheck(False, np.nan, np.inf, np.nan)
+        return CovarianceCheck(False, np.nan, np.inf)
     asym = float(np.abs(gamma - gamma.T).max())
-    sym = 0.5 * (gamma + gamma.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig <= 0:
-        return CovarianceCheck(False, 0.0, asym, min_eig)
     try:
-        nu_min = float(symplectic_eigenvalues(sym)[-1])
-    except ValueError:  # eigenvalues round to positive, the Cholesky pivots do not
-        return CovarianceCheck(False, 0.0, asym, min_eig)
+        nu_min = float(symplectic_eigenvalues(gamma)[-1])
+    except ValueError:  # not positive definite
+        return CovarianceCheck(False, 0.0, asym)
     valid = asym <= tol and nu_min >= 1.0 - tol
-    return CovarianceCheck(valid, nu_min, asym, min_eig)
+    return CovarianceCheck(valid, nu_min, asym)
 
 
 @dataclass(frozen=True)

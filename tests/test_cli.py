@@ -347,7 +347,7 @@ def test_sweep_pure_explicit(tmp_path):
 def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
     from gaussqfi import estimation
 
-    monkeypatch.setattr(estimation, "_first_moment_term", lambda point: -1.0)
+    monkeypatch.setattr(estimation, "_linear_coefficients", lambda point: -point.dd)
     cfg = write_cfg(tmp_path, DISPLACEMENT)
     assert cli.main(["qfi", cfg]) == 3
     assert "first-moment term" in capsys.readouterr().err

@@ -173,7 +173,7 @@ def test_photon_counting_absent_for_linear_model():
 
 
 def test_photon_counting_absent_for_phase_model():
-    # d(Gamma^-1) carries both signs here, so no counting form exists.
+    # On a pure state L has a spectrum symmetric about 0, so no counting form exists.
     pt = gq.builtin_family("phase_squeezed", {"r": 0.8}).point(0.0)
     assert gq.photon_counting_form(gq.sld_coefficients(pt), pt) is None
 
@@ -225,11 +225,21 @@ def test_photon_counting_folds_the_linear_part_into_the_displacement():
     assert_allclose(form.mean_photon, [0.5 + 0.5 * 1.5**2], atol=1e-12)
 
 
-@pytest.mark.parametrize("dd, qfi", [([0.0, 0.0], 1.0 / 3.0), ([1.0, 0.0], 4.0 / 3.0)])
-def test_photon_counting_attains_the_qfi(dd, qfi):
+@pytest.mark.parametrize(
+    "pt, qfi",
+    [
+        (_displaced_heating_point([0.0, 0.0]), 1.0 / 3.0),
+        (_displaced_heating_point([1.0, 0.0]), 4.0 / 3.0),
+        # d(Gamma^-1) = -diag(-0.5, 2) / 2.25 is indefinite, but the SLD
+        # solve gives L = diag(14, 64) / 65, which is definite.
+        (gq.GaussianModelPoint(np.zeros(2), 1.5 * np.eye(2), np.zeros(2),
+                               np.diag([-0.5, 2.0])), 121.0 / 130.0),
+    ],
+    ids=["heating", "displaced-heating", "definite-L-only"],
+)
+def test_photon_counting_attains_the_qfi(pt, qfi):
     # The Fisher information of the photon numbers of the T-frame modes of
     # R - d*, with the measurement fixed at theta = 0, from the Fock oracle.
-    pt = _displaced_heating_point(dd)
     form = gq.photon_counting_form(gq.sld_coefficients(pt), pt)
     T, h, cutoff = form.T, 1e-4, 60
 
@@ -245,6 +255,24 @@ def test_photon_counting_attains_the_qfi(dd, qfi):
     fisher = float(np.sum(dp[keep] ** 2 / p[keep]))
     assert gq.qfi_general(pt).qfi == pytest.approx(qfi, rel=1e-12)
     assert fisher == pytest.approx(qfi, rel=1e-6)
+
+
+def test_photon_counting_form_solves_only_with_L(linalg_calls):
+    # One Williamson frame of L (a Cholesky factor and one eigh) and the
+    # solve for d*; nothing is solved with Gamma.
+    pt = _displaced_heating_point([1.0, 0.0])
+    co = gq.sld_coefficients(pt)
+    before = dict(linalg_calls)
+    assert gq.photon_counting_form(co, pt) is not None
+    assert {k: linalg_calls[k] - before[k] for k in before} == {
+        "cholesky": 1, "eigh": 1, "solve": 1,
+    }
+
+
+def test_first_moment_term_is_read_off_b():
+    pt = random_model_point(3, seed=31)
+    assert np.any(pt.dd)
+    assert gq.qfi_general(pt).first_moment_term == float(pt.dd @ gq.sld_coefficients(pt).b)
 
 
 def test_qfi_general_factorises_once(williamson_calls):

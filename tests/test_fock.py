@@ -393,8 +393,9 @@ def test_sld_residual_refuses_purity_lowering_tangent():
     pt = gq.GaussianModelPoint(
         d=np.zeros(2), gamma=np.eye(2), dd=np.zeros(2), dgamma=-np.eye(2)
     )
-    with pytest.raises(gq.ConvergenceError):
+    with pytest.raises(gq.PreconditionError) as exc:
         gq.sld_residual(pt, gq.sld_coefficients(pt), 20)
+    assert exc.value.flag == "nu_min"
 
 
 def test_sld_observable_moments_match_engine():

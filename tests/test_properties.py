@@ -1,6 +1,8 @@
 """Property tests of the symplectic spectrum, the Williamson frame, the
 equal-temperature frame, the Hamiltonian eigenframe, the Euler
-factorisation and the QFI under loss over seeded random states.
+factorisation, the photon-counting form, and the QFI (under loss, over
+independent systems and under a rescaled parameter), over seeded random
+states.
 
 Hypothesis draws the seeds, mode counts and squeeze caps; every drawn case is
 reproducible from them through the ``conftest`` generators, and the search is
@@ -8,6 +10,7 @@ derandomised so the suite runs the same cases every time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,3 +162,75 @@ def test_qfi_does_not_increase_under_loss(n, seed, isothermal, nu, eta):
     )
     before = gq.qfi_general(pt).qfi
     assert gq.qfi_general(lossy).qfi <= before + 1e-10 * (1.0 + before)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    seed=seeds,
+    data=st.data(),
+    tangent=st.sampled_from(["heating", "cooling", "random"]),
+)
+def test_counting_form_exists_exactly_when_L_is_definite(n, seed, data, tangent):
+    pure = data.draw(st.integers(min_value=0, max_value=n))
+    rng = np.random.default_rng(seed)
+    S = gq.random_symplectic(n, seed=rng, squeeze_cap=0.8)
+    nu = rng.uniform(1.2, 3.0, n)
+    nu[:pure] = 1.0
+    gamma = S @ thermal_diag(np.sort(nu)[::-1]) @ S.T
+    M = rng.standard_normal((2 * n, 2 * n))
+    dgamma = {"heating": M @ M.T, "cooling": -M @ M.T, "random": M + M.T}[tangent]
+    pt = gq.GaussianModelPoint(
+        rng.standard_normal(2 * n), 0.5 * (gamma + gamma.T),
+        rng.standard_normal(2 * n), 0.5 * (dgamma + dgamma.T),
+    )
+    co = gq.sld_coefficients(pt)
+    form = gq.photon_counting_form(co, pt)
+    scale = np.abs(co.L).max()
+    ev = np.linalg.eigvalsh(co.L)
+    definite = scale > 1e-9 and (ev[0] > 1e-9 * scale or ev[-1] < -1e-9 * scale)
+    assert (form is not None) == definite
+    if form is None:
+        return
+    assert np.all(form.alpha > 0) or np.all(form.alpha < 0)
+    D = np.diag(np.concatenate([form.alpha, form.alpha]))
+    np.testing.assert_allclose(form.T.T @ D @ form.T, co.L, atol=1e-8 * scale)
+    # d(Gamma^-1) = -Gamma^-1 dGamma Gamma^-1 has the sign opposite to dGamma;
+    # where it is semidefinite, L has the opposite sign to it.
+    if tangent != "random":
+        assert np.all(np.sign(form.alpha) == (1.0 if tangent == "heating" else -1.0))
+
+
+def _random_point(n, seed):
+    return random_model_point(n, seed) if seed % 2 else random_isothermal_point(n, seed)
+
+
+@PROPERTY_SETTINGS
+@given(n_a=st.integers(min_value=1, max_value=3), n_b=st.integers(min_value=1, max_value=3),
+       seed=seeds)
+def test_qfi_is_additive_over_independent_systems(n_a, n_b, seed):
+    from gaussqfi.symplectic import _direct_sum, _direct_sum_vector
+
+    a, b = _random_point(n_a, seed), _random_point(n_b, seed + 1)
+    joint = gq.GaussianModelPoint(
+        _direct_sum_vector(a.d, b.d), _direct_sum(a.gamma, b.gamma),
+        _direct_sum_vector(a.dd, b.dd), _direct_sum(a.dgamma, b.dgamma),
+    )
+    parts = gq.qfi_general(a).qfi + gq.qfi_general(b).qfi
+    assert gq.qfi_general(joint).qfi == pytest.approx(parts, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=1, max_value=4), seed=seeds,
+       k=st.floats(min_value=-10.0, max_value=10.0))
+def test_fisher_informations_scale_with_the_square_of_the_tangent(n, seed, k):
+    pt = _random_point(n, seed)
+    scaled = gq.GaussianModelPoint(pt.d, pt.gamma, k * pt.dd, k * pt.dgamma)
+    rep, rep_k = gq.qfi_general(pt), gq.qfi_general(scaled)
+    k2 = k * k
+    assert rep_k.qfi == pytest.approx(k2 * rep.qfi, rel=1e-9, abs=1e-12)
+    assert rep_k.wigner_fisher == pytest.approx(k2 * rep.wigner_fisher, rel=1e-9, abs=1e-12)
+    if seed % 2 == 0:  # equal temperature, temperature-preserving tangent
+        hom = gq.optimal_homodyne_fisher(gq.isothermal_frame(pt))
+        hom_k = gq.optimal_homodyne_fisher(gq.isothermal_frame(scaled))
+        assert hom_k == pytest.approx(k2 * hom, rel=1e-9, abs=1e-12)
