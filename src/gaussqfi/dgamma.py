@@ -43,7 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, PreconditionError
-from .symplectic import _w_left, _w_right, symplectic_eigenvalues, symplectic_form, williamson
+from .symplectic import (
+    WilliamsonDecomposition,
+    _w_left,
+    _w_right,
+    symplectic_eigenvalues,
+    symplectic_form,
+    williamson,
+)
 
 __all__ = [
     "apply_dgamma",
@@ -54,17 +61,10 @@ __all__ = [
     "stein_series_solve",
 ]
 
-_SQ2 = np.sqrt(2.0)
 # Hard cap on the terms of the Stein series in stein_series_solve.
 _STEIN_MAX_TERMS = 10_000
 _STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
 _KERNEL_TOL = 1e-9  # dgamma_spectrum's kernel cut, dgamma_pseudoinverse_apply's default
-# orthonormal block basis of parity + (index 0) and parity - (index 1), the
-# sign picked up under conjugation by the one-mode symplectic form
-_BLOCK_BASIS = (
-    (np.eye(2) / _SQ2, np.array([[0.0, 1.0], [-1.0, 0.0]]) / _SQ2),
-    (np.array([[0.0, 1.0], [1.0, 0.0]]) / _SQ2, np.array([[1.0, 0.0], [0.0, -1.0]]) / _SQ2),
-)
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -96,14 +96,15 @@ class DGammaSpectrum:
     is the eigenvalue ``nu_i nu_j - 1`` (``k = 0``, parity +) or
     ``nu_i nu_j + 1`` (``k = 1``, parity -) of the ordered mode pair
     ``(i, j)``, of multiplicity 2, and ``kernel`` marks the ones treated as
-    zero.  The associated matrix eigendirections are ``S E S^T`` over the
-    block basis ``E`` (see :meth:`basis_matrices`).  When the frame ``S`` is
-    orthogonal these are literal eigenvectors of the dense representation;
-    in general they form the congruence frame in which the map is diagonal.
+    zero.  The associated matrix eigendirections are ``S E S^T``, with ``S``
+    the Williamson frame and ``E`` the block basis of the module docstring
+    placed on the rows and columns ``(i, n + i)``, ``(j, n + j)``.  When
+    ``S`` is orthogonal these are literal eigenvectors of the dense
+    representation; in general they form the congruence frame in which the
+    map is diagonal.
     """
 
     nu: np.ndarray
-    frame: np.ndarray
     values: np.ndarray
     kernel: np.ndarray
     kernel_dimension: int
@@ -111,16 +112,6 @@ class DGammaSpectrum:
     def eigenvalues(self) -> np.ndarray:
         """All (2n)^2 eigenvalues with multiplicity, ascending."""
         return np.sort(np.repeat(self.values.ravel(), 2))
-
-    def basis_matrices(self, k: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The two frame matrices ``S E S^T`` spanning the eigenspace of ``values[k, i, j]``."""
-        n = len(self.nu)
-        out = []
-        for E2 in _BLOCK_BASIS[k]:
-            E = np.zeros((2 * n, 2 * n))
-            E[np.ix_([i, n + i], [j, n + j])] = E2
-            out.append(self.frame @ E @ self.frame.T)
-        return out[0], out[1]
 
 
 def _block_eigenvalues(nu: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -154,19 +145,18 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
     dec = williamson(gamma)
     lam, kernel = _block_eigenvalues(dec.nu, _KERNEL_TOL)
     return DGammaSpectrum(
-        nu=dec.nu, frame=dec.S, values=lam, kernel=kernel,
-        kernel_dimension=2 * int(kernel.sum()),
+        nu=dec.nu, values=lam, kernel=kernel, kernel_dimension=2 * int(kernel.sum())
     )
 
 
 def _frame_solve(
     gamma: np.ndarray, X: np.ndarray, tol: float
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float, WilliamsonDecomposition, np.ndarray]:
     """:func:`dgamma_pseudoinverse_apply`, also returning the frame it read.
 
-    Returns ``(Y, residual, nu, Xt)`` with ``Xt = S^-1 X S^-T``, so a caller
-    can read other thermal-frame sums off ``Xt`` without factorising
-    ``gamma`` again.
+    Returns ``(Y, residual, dec, Xt)`` with ``dec = williamson(gamma)`` and
+    ``Xt = S^-1 X S^-T``, so a caller can read the spectrum, the frame and
+    other thermal-frame sums without factorising ``gamma`` again.
     """
     gamma = np.asarray(gamma, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -191,7 +181,7 @@ def _frame_solve(
     Yt[n:, n:] = s_even - s_odd
     Y = Si.T @ Yt @ Si
     residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
-    return Y, residual, dec.nu, Xt
+    return Y, residual, dec, Xt
 
 
 def dgamma_pseudoinverse_apply(

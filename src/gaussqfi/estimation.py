@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgamma import _frame_solve
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, PreconditionError
 from .models import _ISOTHERMAL_TOL, GaussianModelPoint, _require_isothermal
 from .symplectic import williamson
+
+_NU_MIN_TOL = 1e-8  # _solve refuses nu_min below 1 - _NU_MIN_TOL - rounding
 
 __all__ = [
     "SLDCoefficients",
@@ -73,11 +75,26 @@ def _solve(
     point: GaussianModelPoint, tol: float
 ) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
     """The SLD coefficients, with the symplectic spectrum ``nu`` and the
-    thermal-frame input ``Xt`` of the Williamson frame that solved them."""
-    Y, residual, nu, Xt = _frame_solve(point.gamma, point.dgamma, tol)
+    thermal-frame input ``Xt`` of the Williamson frame that solved them.
+
+    Raises:
+        PreconditionError: flag ``"nu_min"`` when ``1 - nu_min`` exceeds
+            ``1e-8`` plus the rounding of the frame,
+            ``eps |S|_F^2 |S^-1|_F^2`` (the moments are not a state).
+    """
+    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, tol)
+    nu_min = float(dec.nu[-1])
+    if nu_min < 1.0 - _NU_MIN_TOL:
+        # S^-1 = -w S^T w, so |S^-1|_F = |S|_F
+        rounding = np.finfo(float).eps * float(np.sum(dec.S * dec.S)) ** 2
+        if 1.0 - nu_min > _NU_MIN_TOL + rounding:
+            raise PreconditionError(
+                "nu_min", f"moments are not a physical state (nu_min = {nu_min:.6g})"
+            )
     L = 0.5 * (Y + Y.T)
     c = -0.5 * float(np.sum(L * point.gamma))
-    return SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual), nu, Xt
+    coeffs = SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
+    return coeffs, dec.nu, Xt
 
 
 def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoefficients:
@@ -86,6 +103,11 @@ def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoeffic
     Args:
         point: model point with an admissible covariance matrix.
         tol: kernel threshold passed to the superoperator pseudoinverse.
+
+    Raises:
+        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
+            lies below 1 by more than ``1e-8`` plus the rounding of the
+            Williamson frame, ``eps |S|_F^2 |S^-1|_F^2``.
     """
     return _solve(point, tol)[0]
 
@@ -139,6 +161,9 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     :func:`wigner_fisher` computes it by linear solves.
 
     Raises:
+        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
+            lies below 1 by more than ``1e-8`` plus the rounding of the
+            Williamson frame, ``eps |S|_F^2 |S^-1|_F^2``.
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """

@@ -48,7 +48,6 @@ from .models import GaussianModelPoint, ModelFamily, _linear_family
 from .symplectic import euler_decompose, symplectic_form, williamson
 
 __all__ = [
-    "destroy",
     "quadrature_operators",
     "passive_unitary",
     "squeeze_unitary",
@@ -59,7 +58,6 @@ __all__ = [
     "qfi_fock",
     "FockConvergence",
     "qfi_fock_probe",
-    "sld_matrix",
     "sld_residual",
     "IdentityReport",
     "identity_checks",
@@ -69,7 +67,7 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def destroy(dim: int) -> np.ndarray:
+def _destroy(dim: int) -> np.ndarray:
     """Single-mode annihilation operator on a ``dim``-dimensional basis."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
@@ -80,7 +78,7 @@ def quadrature_operators(n: int, dim: int) -> np.ndarray:
     ``Q = (a + a†)/sqrt(2)`` so the vacuum has ``<Q²> = 1/2`` and covariance
     matrix equal to the identity in the scaling used throughout.
     """
-    a = destroy(dim).astype(complex)
+    a = _destroy(dim).astype(complex)
     q1 = (a + a.conj().T) / _SQRT2
     p1 = 1j * (a.conj().T - a) / _SQRT2
     eye = np.eye(dim)
@@ -431,17 +429,11 @@ def _solve_sld_eigenbasis(eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray) 
     return float(np.sum(2.0 * np.abs(M[keep]) ** 2 / denom[keep]))
 
 
-def _rho(d: np.ndarray, gamma: np.ndarray, cutoff: int) -> np.ndarray:
-    """:func:`build_state` density matrix, at its default ``pad`` and
-    ``tail_bound``, of the Gaussian state with moments ``(d, gamma)``."""
-    pt = GaussianModelPoint(d=d, gamma=gamma, dd=np.zeros_like(d), dgamma=np.zeros_like(gamma))
-    return build_state(pt, cutoff).rho
-
-
 def _drho(family: ModelFamily, theta: float, h: float, cutoff: int) -> np.ndarray:
     """Central difference with step ``h`` of the family's state at ``theta``."""
     return (
-        _rho(*family.moments(theta + h), cutoff) - _rho(*family.moments(theta - h), cutoff)
+        build_state(family.point(theta + h), cutoff).rho
+        - build_state(family.point(theta - h), cutoff).rho
     ) / (2.0 * h)
 
 
@@ -452,7 +444,7 @@ def _central_qfis(
 
     The state at ``theta`` and its eigenbasis are formed once and shared.
     """
-    eig = np.linalg.eigh(_rho(*family.moments(theta), cutoff))
+    eig = np.linalg.eigh(build_state(family.point(theta), cutoff).rho)
     return [_solve_sld_eigenbasis(eig, _drho(family, theta, h, cutoff)) for h in steps]
 
 
@@ -503,9 +495,7 @@ def qfi_fock_probe(
     )
 
 
-def sld_matrix(
-    coeffs: SLDCoefficients, d: np.ndarray, cutoff: int
-) -> np.ndarray:
+def _sld_matrix(coeffs: SLDCoefficients, d: np.ndarray, cutoff: int) -> np.ndarray:
     """Assemble the SLD observable as a Fock matrix.
 
     Returns ``sum_ij L_ij (R-d)_i (R-d)_j + sum_i b_i (R-d)_i + c`` (the
@@ -525,11 +515,13 @@ def sld_residual(
 ) -> float:
     """Trace-norm defect of the SLD equation for the given coefficients.
 
-    Differentiates the state numerically along the point's own tangent
-    ``(dd, dgamma)``, on the lifted curve through the point that an explicit
-    model follows (:func:`~gaussqfi.models._linear_family`), and returns
-    ``|| drho - (rho L + L rho)/2 ||_1``.  A correct coefficient set drives
-    this to the truncation floor; a wrong one leaves an O(1) residual.
+    Builds ``rho`` from ``point`` itself and differentiates it numerically
+    along the point's own tangent ``(dd, dgamma)``, by a central difference
+    on the lifted curve through the point that an explicit model follows
+    (:func:`~gaussqfi.models._linear_family`, whose point at ``t = 0`` is
+    ``point``).  Returns ``|| drho - (rho L + L rho)/2 ||_1``.  A correct
+    coefficient set drives this to the truncation floor; a wrong one leaves
+    an O(1) residual.
 
     On squeezed models the residual converges far more slowly in the cutoff
     than ``tail_mass``, so it needs cutoffs well beyond
@@ -538,10 +530,9 @@ def sld_residual(
     on the pure state (suggested cutoff 22), and 0.029, 2.9e-3 and 3.5e-4
     with ``nu = 1.5`` (suggested cutoff 29); the step ``h`` does not matter.
     """
-    family = _linear_family(point)
-    rho = _rho(*family.moments(0.0), cutoff)
-    drho = _drho(family, 0.0, h, cutoff)
-    Lhat = sld_matrix(coeffs, point.d, cutoff)
+    rho = build_state(point, cutoff).rho
+    drho = _drho(_linear_family(point), 0.0, h, cutoff)
+    Lhat = _sld_matrix(coeffs, point.d, cutoff)
     resid = drho - 0.5 * (rho @ Lhat + Lhat @ rho)
     return float(np.linalg.svd(resid, compute_uv=False).sum())
 
@@ -574,7 +565,15 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     phase-space points drawn uniformly from the ball ``|xi| <= 2`` (seed 7),
     and the factorization of symmetrized fourth moments
     ``<(dR_i o dR_j) o (dR_k o dR_l)>`` into covariance/symplectic-form
-    pairs.  Never raises; truncation quality is part of the report.
+    pairs.  The state is built with no tail bound; truncation quality is
+    part of the report.
+
+    Raises:
+        ConfigError: more than two modes, or ``cutoff < 8``.
+        PreconditionError: flag ``"nu_min"`` when the moments are not a
+            state (see :func:`build_state`).
+        ConvergenceError: if the constructed matrix has an eigenvalue below
+            ``-1e-10``.
     """
     state = build_state(point, cutoff, tail_bound=np.inf)
     n, m = state.n, 2 * point.n

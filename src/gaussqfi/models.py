@@ -79,34 +79,22 @@ class GaussianModelPoint:
 
 @dataclass
 class ModelFamily:
-    """A one-parameter family ``theta -> (d(theta), Gamma(theta))``.
+    """A one-parameter family ``theta -> (d, Gamma, dd, dGamma)``.
 
     Attributes:
         name: family label (appears in CLI output).
-        n: number of modes.
-        moment_fn: callable ``theta -> (d, gamma)``.
-        derivative_fn: callable ``theta -> (dd, dgamma)``, the closed-form
-            derivative of ``moment_fn``; required.
+        fn: callable ``theta -> (d, gamma, dd, dgamma)``, the moments at
+            ``theta`` and their closed-form derivatives.
     """
 
     name: str
-    n: int
-    moment_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
-    derivative_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
-
-    def moments(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        d, gamma = self.moment_fn(theta)
-        return np.asarray(d, dtype=float), np.asarray(gamma, dtype=float)
+    fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
     def point(self, theta: float) -> GaussianModelPoint:
-        """Evaluate the family and its derivative at ``theta``; ``dgamma`` is
-        stored symmetrised."""
-        d, gamma = self.moments(theta)
-        dd, dgamma = self.derivative_fn(theta)
+        """Evaluate the family at ``theta``; ``dgamma`` is stored symmetrised."""
+        d, gamma, dd, dgamma = self.fn(theta)
         dgamma = np.asarray(dgamma, dtype=float)
-        return GaussianModelPoint(
-            d=d, gamma=gamma, dd=np.asarray(dd, dtype=float), dgamma=0.5 * (dgamma + dgamma.T)
-        )
+        return GaussianModelPoint(d=d, gamma=gamma, dd=dd, dgamma=0.5 * (dgamma + dgamma.T))
 
 
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
@@ -114,7 +102,8 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 
     The curve is ``(d + t dd, Gamma + t dGamma + t^2 kappa I)`` with
     ``kappa = |dGamma|_2^2 |Gamma^-1|_2``, and its derivative is
-    ``(dd, dGamma + 2 t kappa I)``.  It lets consumers that need states at
+    ``(dd, dGamma + 2 t kappa I)``; its ``fn`` returns both.  At ``t = 0``
+    it returns ``point`` itself.  It lets consumers that need states at
     ``t = +/- h`` (the number-basis oracle, a sweep) work with explicitly
     supplied model points.  On a pure state the straight line
     ``Gamma + t dGamma`` leaves the physical set at order ``t^2`` even for a
@@ -128,13 +117,15 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
     lift = kappa * np.eye(point.gamma.shape[0])
 
-    def mom(t: float):
-        return point.d + t * point.dd, point.gamma + t * point.dgamma + t * t * lift
+    def fn(t: float):
+        return (
+            point.d + t * point.dd,
+            point.gamma + t * point.dgamma + t * t * lift,
+            point.dd,
+            point.dgamma + 2 * t * lift,
+        )
 
-    def der(t: float):
-        return point.dd, point.dgamma + 2 * t * lift
-
-    return ModelFamily(name="explicit", n=point.n, moment_fn=mom, derivative_fn=der)
+    return ModelFamily("explicit", fn)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +136,16 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 def _family_displacement(params: dict) -> ModelFamily:
     _family_params(params, "displacement")
 
-    def mom(theta: float):
-        return np.array([theta, 0.0]), np.eye(2)
+    def fn(theta: float):
+        return np.array([theta, 0.0]), np.eye(2), np.array([1.0, 0.0]), np.zeros((2, 2))
 
-    def der(_theta: float):
-        return np.array([1.0, 0.0]), np.zeros((2, 2))
-
-    return ModelFamily("displacement", 1, mom, der)
+    return ModelFamily("displacement", fn)
 
 
 def _family_thermal(params: dict) -> ModelFamily:
     _family_params(params, "thermal")
 
-    def mom(theta: float):
+    def fn(theta: float):
         if theta < 1.0:
             raise ConfigError(f"thermal family requires theta >= 1, got {theta}")
         if theta <= 1.0 + 1e-12:
@@ -167,12 +155,9 @@ def _family_thermal(params: dict) -> ModelFamily:
                 NearSingularWarning,
                 stacklevel=2,
             )
-        return np.zeros(2), theta * np.eye(2)
+        return np.zeros(2), theta * np.eye(2), np.zeros(2), np.eye(2)
 
-    def der(_theta: float):
-        return np.zeros(2), np.eye(2)
-
-    return ModelFamily("thermal", 1, mom, der)
+    return ModelFamily("thermal", fn)
 
 
 def _squeeze_diag(r: float) -> np.ndarray:
@@ -182,15 +167,11 @@ def _squeeze_diag(r: float) -> np.ndarray:
 def _family_squeezing(params: dict) -> ModelFamily:
     (nu,) = _family_params(params, "squeezing", nu=1.0)
 
-    def mom(theta: float):
-        return np.zeros(2), nu * _squeeze_diag(theta)
+    def fn(theta: float):
+        dgamma = nu * np.diag([2 * math.exp(2 * theta), -2 * math.exp(-2 * theta)])
+        return np.zeros(2), nu * _squeeze_diag(theta), np.zeros(2), dgamma
 
-    def der(theta: float):
-        return np.zeros(2), nu * np.diag(
-            [2 * math.exp(2 * theta), -2 * math.exp(-2 * theta)]
-        )
-
-    return ModelFamily("squeezing", 1, mom, der)
+    return ModelFamily("squeezing", fn)
 
 
 def _phase_family(name: str, gamma0: np.ndarray) -> ModelFamily:
@@ -201,18 +182,15 @@ def _phase_family(name: str, gamma0: np.ndarray) -> ModelFamily:
     J = np.zeros_like(gamma0)
     J[0, n], J[n, 0] = -1.0, 1.0
 
-    def mom(theta: float):
+    def fn(theta: float):
         c, s = math.cos(theta), math.sin(theta)
         R = np.eye(2 * n)
         R[0, 0] = R[n, n] = c
         R[0, n], R[n, 0] = -s, s
-        return np.zeros(2 * n), R @ gamma0 @ R.T
+        g = R @ gamma0 @ R.T
+        return np.zeros(2 * n), g, np.zeros(2 * n), J @ g - g @ J
 
-    def der(theta: float):
-        _, g = mom(theta)
-        return np.zeros(2 * n), J @ g - g @ J
-
-    return ModelFamily(name, n, mom, der)
+    return ModelFamily(name, fn)
 
 
 def _family_phase_squeezed(params: dict) -> ModelFamily:

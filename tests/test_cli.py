@@ -344,6 +344,27 @@ def test_sweep_pure_explicit(tmp_path):
     assert float(rows[2][1]) == pytest.approx(7.03125, rel=1e-10)  # theta = 0
 
 
+SUB_VACUUM = {  # the tangent lowers both symplectic eigenvalues below 1 for t < 0
+    "explicit": {
+        "n": 2,
+        "d": [0, 0, 0, 0],
+        "Gamma": np.diag([1.0, 1.05, 1.0, 1.05]).tolist(),
+        "dd": [0, 0, 0, 0],
+        "dGamma": np.diag([0.2, 3.0, 0.2, 3.0]).tolist(),
+    }
+}
+
+
+def test_sweep_refuses_sub_vacuum_points(tmp_path, capsys):
+    # nu_min is 0.80-0.86 on this grid: no QFI, exit 3 naming the gate.
+    cfg = write_cfg(tmp_path, SUB_VACUUM)
+    argv = ["sweep", cfg, "--from", "-0.25", "--to", "-0.1", "--steps", "4"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "precondition failed: [nu_min]" in err
+
+
 def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
     from gaussqfi import estimation
 

@@ -57,6 +57,25 @@ def test_apply_dgamma_self_adjoint_and_symmetry_preserving():
     assert_allclose(gq.apply_dgamma(gamma, X.T), gq.apply_dgamma(gamma, X).T, atol=1e-12)
 
 
+def _basis_matrices(gamma, k, i, j):
+    """The two frame matrices ``S E S^T`` spanning the eigenspace of
+    ``values[k, i, j]``: ``E`` is the block basis ``{I, w} / sqrt2``
+    (``k = 0``, parity +) or ``{sigma_x, sigma_z} / sqrt2`` (``k = 1``,
+    parity -) on rows ``(i, n + i)`` and columns ``(j, n + j)``."""
+    S = gq.williamson(gamma).S
+    n = S.shape[0] // 2
+    blocks = (
+        (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])),
+    )[k]
+    out = []
+    for E2 in blocks:
+        E = np.zeros((2 * n, 2 * n))
+        E[np.ix_([i, n + i], [j, n + j])] = E2 / np.sqrt(2.0)
+        out.append(S @ E @ S.T)
+    return out
+
+
 def test_spectrum_single_thermal():
     spec = gq.dgamma_spectrum(2 * np.eye(2))
     assert_allclose(spec.eigenvalues(), [3.0, 3.0, 5.0, 5.0], atol=1e-12)
@@ -71,7 +90,7 @@ def test_spectrum_vacuum_kernel():
     kernel_lines = np.argwhere(spec.kernel)
     assert len(kernel_lines) == 1
     # The kernel directions span {identity, symplectic form}.
-    E1, E2 = spec.basis_matrices(*kernel_lines[0])
+    E1, E2 = _basis_matrices(np.eye(2), *kernel_lines[0])
     span = np.stack([E1.ravel(), E2.ravel()]).T
     for target in (np.eye(2), gq.symplectic_form(1)):
         coef, *_ = np.linalg.lstsq(span, target.ravel(), rcond=None)
@@ -109,7 +128,7 @@ def test_spectrum_frame_expansion_reconstructs_dense_matrix():
     spec = gq.dgamma_spectrum(gamma)
     rep = np.zeros((16, 16))
     for line in np.ndindex(spec.values.shape):
-        for E in spec.basis_matrices(*line):
+        for E in _basis_matrices(gamma, *line):
             v = E.ravel()
             rep += spec.values[line] * np.outer(v, v)
     dense = gq.dgamma_matrix(gamma)

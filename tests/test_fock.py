@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import gaussqfi as gq
 from conftest import explicit_doc
+from gaussqfi.fock import _destroy, _sld_matrix
 
 
 def _passive_from_u(u):
@@ -126,14 +127,14 @@ def _scipy_passive_unitary(O, dim):
     n = O.shape[0] // 2
     hc = 1j * la.logm(O[:n, :n] - 1j * O[:n, n:])
     hc = 0.5 * (hc + hc.conj().T)
-    a1 = gq.destroy(dim)
+    a1 = _destroy(dim)
     a = [np.kron(np.kron(np.eye(dim**k), a1), np.eye(dim ** (n - 1 - k))) for k in range(n)]
     gen = sum(hc[j, k] * (a[j].conj().T @ a[k]) for j in range(n) for k in range(n))
     return la.expm(-1j * gen)
 
 
 def _scipy_squeeze_unitary(z, dim):
-    a = gq.destroy(dim)
+    a = _destroy(dim)
     out = np.ones((1, 1))
     for z_k in z:
         out = np.kron(out, la.expm(0.5 * z_k * (a.T @ a.T - a @ a)))
@@ -162,7 +163,7 @@ def test_squeeze_and_displacement_unitaries_match_scipy_reference():
     dim = 12
     z = [0.5, -0.3]
     assert np.abs(gq.squeeze_unitary(z, dim) - _scipy_squeeze_unitary(z, dim)).max() < 1e-12
-    a = gq.destroy(dim).astype(complex)
+    a = _destroy(dim).astype(complex)
     alpha = (0.4 - 0.3j) / np.sqrt(2.0)
     D = la.expm(alpha * a.conj().T - np.conj(alpha) * a)
     assert np.abs(gq.displacement_unitary([0.4, -0.3], dim) - D).max() < 1e-12
@@ -180,7 +181,7 @@ def test_passive_unitary_conserves_total_photon_number_exactly():
 def _scipy_displacement_unitary(d, dim):
     """``expm`` of the full displacement generator ``sum_k alpha_k a_k† - h.c.``."""
     n = len(d) // 2
-    a1 = gq.destroy(dim)
+    a1 = _destroy(dim)
     gen = np.zeros((dim**n, dim**n), dtype=complex)
     for k in range(n):
         a = np.kron(np.kron(np.eye(dim**k), a1), np.eye(dim ** (n - 1 - k)))
@@ -403,7 +404,7 @@ def test_sld_observable_moments_match_engine():
     co = gq.sld_coefficients(pt)
     state = gq.build_state(pt, 40)
     norm = np.trace(state.rho).real
-    Lhat = gq.sld_matrix(co, pt.d, 40)
+    Lhat = _sld_matrix(co, pt.d, 40)
     mean = np.trace(state.rho @ Lhat).real / norm
     second = np.trace(state.rho @ Lhat @ Lhat).real / norm
     assert mean == pytest.approx(0.0, abs=1e-6)
@@ -555,7 +556,7 @@ def test_state_moments_and_sld_matrix_match_term_by_term_loops(point, cutoff):
     L = rng.standard_normal((m, m))
     co = gq.SLDCoefficients(L=L + L.T, b=rng.standard_normal(m), c=0.7, range_residual=0.0)
     ref = _loop_sld_matrix(co, point.d, cutoff)
-    assert np.abs(gq.sld_matrix(co, point.d, cutoff) - ref).max() <= tol * np.abs(ref).max()
+    assert np.abs(_sld_matrix(co, point.d, cutoff) - ref).max() <= tol * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(

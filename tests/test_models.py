@@ -1,12 +1,13 @@
 """Tests for model points, built-in families, derivative handling, and the
 JSON model-config loader."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import gaussqfi as gq
 from conftest import random_isothermal_point, random_model_point, thermal_diag
@@ -99,8 +100,33 @@ def test_family_parameter_guards():
 def test_families_stay_valid_on_grid(name, params, thetas):
     fam = gq.builtin_family(name, params)
     for t in thetas:
-        _, g = fam.moments(t)
-        assert gq.validate_covariance(g).valid
+        assert gq.validate_covariance(fam.point(t).gamma).valid
+
+
+@pytest.mark.parametrize(
+    "name, params, theta",
+    [
+        ("displacement", {}, 0.4),
+        ("thermal", {}, 2.5),
+        ("squeezing", {"nu": 1.5}, -0.3),
+        ("phase_squeezed", {"r": 1.0, "nu": 1.2}, 0.7),
+        ("two_mode_squeezed_phase", {"r": 0.6}, 1.1),
+    ],
+)
+def test_point_calls_the_family_function_once(name, params, theta):
+    assert [f.name for f in dataclasses.fields(gq.ModelFamily)] == ["name", "fn"]
+    fam = gq.builtin_family(name, params)
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return fam.fn(t)
+
+    pt = dataclasses.replace(fam, fn=counting).point(theta)
+    assert calls == [theta]
+    d, gamma, dd, dgamma = fam.fn(theta)
+    for got, want in ((pt.d, d), (pt.gamma, gamma), (pt.dd, dd), (pt.dgamma, dgamma)):
+        assert_array_equal(got, want)
 
 
 _PURE_EXPLICIT = {  # pure squeezed state, rotating and displaced
@@ -129,21 +155,20 @@ def test_derivative_matches_central_difference(doc, thetas):
     cfg = gq.parse_model_config({**doc, "theta": thetas[0]} if "family" in doc else doc)
     fam, h = cfg.family, 1e-5
     for theta in thetas:
-        dd, dgamma = fam.derivative_fn(theta)
-        (dp, gp), (dm, gm) = fam.moments(theta + h), fam.moments(theta - h)
-        tol = 1e-6 * (1.0 + np.abs(dgamma).max())
-        assert np.abs((dp - dm) / (2 * h) - dd).max() <= tol
-        assert np.abs((gp - gm) / (2 * h) - dgamma).max() <= tol
+        pt, plus, minus = fam.point(theta), fam.point(theta + h), fam.point(theta - h)
+        tol = 1e-6 * (1.0 + np.abs(pt.dgamma).max())
+        assert np.abs((plus.d - minus.d) / (2 * h) - pt.dd).max() <= tol
+        assert np.abs((plus.gamma - minus.gamma) / (2 * h) - pt.dgamma).max() <= tol
 
 
 def test_linear_family_tangent():
     explicit = {"n": 1, "d": [0.0, 0.0], "Gamma": 2 * np.eye(2), "dd": [0.5, 0.0],
                 "dGamma": np.eye(2)}
     fam = gq.parse_model_config({"explicit": explicit}).family
-    d, g = fam.moments(0.2)
-    assert_allclose(d, [0.1, 0.0], atol=1e-12)
+    pt = fam.point(0.2)
+    assert_allclose(pt.d, [0.1, 0.0], atol=1e-12)
     # Gamma + t dGamma + t^2 kappa I with kappa = |dGamma|_2^2 |Gamma^-1|_2 = 1/2
-    assert_allclose(g, 2.22 * np.eye(2), atol=1e-12)
+    assert_allclose(pt.gamma, 2.22 * np.eye(2), atol=1e-12)
     back = fam.point(0.0)
     assert_allclose(back.dgamma, np.eye(2))
     assert_allclose(back.dd, [0.5, 0.0])
@@ -221,8 +246,7 @@ def test_parse_explicit_config():
     assert cfg.label == "explicit"
     assert cfg.theta == 0.0
     # The wrapped family is the lifted tangent curve through the point.
-    _, g = cfg.family.moments(0.1)
-    assert_allclose(g, 2.105 * np.eye(2), atol=1e-12)
+    assert_allclose(cfg.family.point(0.1).gamma, 2.105 * np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize(

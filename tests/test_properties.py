@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
+from conftest import (
+    random_isothermal_point,
+    random_model_point,
+    random_state,
+    random_symmetric,
+    thermal_diag,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -199,6 +205,34 @@ def test_counting_form_exists_exactly_when_L_is_definite(n, seed, data, tangent)
     # where it is semidefinite, L has the opposite sign to it.
     if tangent != "random":
         assert np.all(np.sign(form.alpha) == (1.0 if tangent == "heating" else -1.0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=modes,
+    seed=seeds,
+    cap=squeeze_caps,
+    k=st.integers(min_value=0, max_value=5),
+    pure=st.booleans(),
+    low=st.floats(min_value=0.5, max_value=1.0 - 1e-6),
+)
+def test_solve_refuses_exactly_the_sub_vacuum_moments(n, seed, cap, k, pure, low):
+    gamma, S, nu = random_state(n, seed, squeeze_cap=cap)
+    zero, dgamma = np.zeros(2 * n), random_symmetric(2 * n, seed + 1)
+
+    def point(nus):
+        g = S @ thermal_diag(nus) @ S.T
+        return gq.GaussianModelPoint(zero, 0.5 * (g + g.T), zero, dgamma)
+
+    if pure:
+        nu[k % n] = 1.0
+    gq.sld_coefficients(point(nu))
+    gq.qfi_general(point(nu))
+    nu[k % n] = low
+    for solve in (gq.sld_coefficients, gq.qfi_general):
+        with pytest.raises(gq.PreconditionError) as exc:
+            solve(point(nu))
+        assert exc.value.flag == "nu_min"
 
 
 def _random_point(n, seed):
