@@ -26,9 +26,7 @@ import numpy as np
 from .dgamma import _frame_solve
 from .exceptions import ConvergenceError, PreconditionError
 from .models import _ISOTHERMAL_TOL, GaussianModelPoint, _require_isothermal
-from .symplectic import williamson
-
-_NU_MIN_TOL = 1e-8  # _solve refuses nu_min below 1 - _NU_MIN_TOL - rounding
+from .symplectic import _require_state, williamson
 
 __all__ = [
     "SLDCoefficients",
@@ -78,19 +76,11 @@ def _solve(
     thermal-frame input ``Xt`` of the Williamson frame that solved them.
 
     Raises:
-        PreconditionError: flag ``"nu_min"`` when ``1 - nu_min`` exceeds
-            ``1e-8`` plus the rounding of the frame,
-            ``eps |S|_F^2 |S^-1|_F^2`` (the moments are not a state).
+        PreconditionError: flag ``"nu_min"`` when the moments are not a
+            state (:func:`~gaussqfi.symplectic._is_state`).
     """
     Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, tol)
-    nu_min = float(dec.nu[-1])
-    if nu_min < 1.0 - _NU_MIN_TOL:
-        # S^-1 = -w S^T w, so |S^-1|_F = |S|_F
-        rounding = np.finfo(float).eps * float(np.sum(dec.S * dec.S)) ** 2
-        if 1.0 - nu_min > _NU_MIN_TOL + rounding:
-            raise PreconditionError(
-                "nu_min", f"moments are not a physical state (nu_min = {nu_min:.6g})"
-            )
+    _require_state(float(dec.nu[-1]), point.gamma)
     L = 0.5 * (Y + Y.T)
     c = -0.5 * float(np.sum(L * point.gamma))
     coeffs = SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
@@ -105,9 +95,8 @@ def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoeffic
         tol: kernel threshold passed to the superoperator pseudoinverse.
 
     Raises:
-        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
-            lies below 1 by more than ``1e-8`` plus the rounding of the
-            Williamson frame, ``eps |S|_F^2 |S^-1|_F^2``.
+        PreconditionError: flag ``"nu_min"`` when the moments are not a
+            state: ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``.
     """
     return _solve(point, tol)[0]
 
@@ -161,9 +150,8 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
     :func:`wigner_fisher` computes it by linear solves.
 
     Raises:
-        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
-            lies below 1 by more than ``1e-8`` plus the rounding of the
-            Williamson frame, ``eps |S|_F^2 |S^-1|_F^2``.
+        PreconditionError: flag ``"nu_min"`` when the moments are not a
+            state: ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``.
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
@@ -194,8 +182,10 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
     Both gates are checked at tolerance 1e-8; rejection names the failed flag.
 
     Raises:
-        PreconditionError: flag ``"is_isothermal"`` or
-            ``"derivative_preserves_nu"``.
+        PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (an
+            equal-temperature point that is not a state, by the rule of
+            :func:`qfi_general`) or ``"derivative_preserves_nu"``, in that
+            order.
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """

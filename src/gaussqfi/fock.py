@@ -45,10 +45,16 @@ import numpy as np
 from .estimation import SLDCoefficients, _mean_photon
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily, _linear_family
-from .symplectic import euler_decompose, symplectic_form, williamson
+from .symplectic import (
+    _frame_rounding,
+    _passive,
+    _require_state,
+    euler_decompose,
+    symplectic_form,
+    williamson,
+)
 
 __all__ = [
-    "quadrature_operators",
     "passive_unitary",
     "squeeze_unitary",
     "displacement_unitary",
@@ -65,6 +71,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_PASSIVE_TOL = 1e-10  # passive_unitary's max-abs gate; build_state adds rounding
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -72,7 +79,7 @@ def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def quadrature_operators(n: int, dim: int) -> np.ndarray:
+def _quadrature_operators(n: int, dim: int) -> np.ndarray:
     """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of Fock matrices.
 
     ``Q = (a + a†)/sqrt(2)`` so the vacuum has ``<Q²> = 1/2`` and covariance
@@ -92,12 +99,14 @@ def quadrature_operators(n: int, dim: int) -> np.ndarray:
 def _thermal_weights(nu: np.ndarray, dim: int) -> np.ndarray:
     """Photon-number weights of the product of one-mode thermal states with
     symplectic eigenvalues ``nu``: mode ``k`` is geometric with mean
-    ``(nu_k - 1)/2``.  Not renormalised after truncation."""
+    ``(nu_k - 1)/2``, and zero for a ``nu_k`` the state rule accepted below
+    1 (rounding), so no weight is negative.  Not renormalised after
+    truncation."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     p = np.ones(1)
     ks = np.arange(dim)
     for nu_k in nu:
-        nbar = 0.5 * (nu_k - 1.0)
+        nbar = max(0.5 * (nu_k - 1.0), 0.0)
         p = np.kron(p, nbar**ks / (nbar + 1.0) ** (ks + 1))
     return p
 
@@ -168,6 +177,14 @@ def _displacements(d: np.ndarray, dim: int) -> np.ndarray:
     return _ladder_expi(1j * (d[:n] + 1j * d[n:]) / _SQRT2, 1, dim)
 
 
+def _passive_deviation(O: np.ndarray) -> float:
+    """Max-abs distance of the ``2n x 2n`` matrix ``O`` from the form
+    ``[[c, s], [-s, c]]`` with ``u = c - i s`` unitary."""
+    n = O.shape[0] // 2
+    u = O[:n, :n] - 1j * O[:n, n:]
+    return float(max(np.abs(O - _passive(u)).max(), np.abs(u @ u.conj().T - np.eye(n)).max()))
+
+
 def _passive_sectors(
     O: np.ndarray, dim: int, top: int | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -177,17 +194,10 @@ def _passive_sectors(
     default) and returns one ``(cols, blocks)`` pair per sector size: row
     ``i`` of ``cols`` lists the flat ``dim**n`` indices of one sector, and
     ``blocks[i]`` is the exponential on it.  See :func:`passive_unitary`.
+    ``O`` is used as given: callers check it with :func:`_passive_deviation`.
     """
-    O = np.asarray(O, dtype=float)
     n = O.shape[0] // 2
     u = O[:n, :n] - 1j * O[:n, n:]
-    if (
-        O.shape != (2 * n, 2 * n)
-        or np.abs(O[n:, n:] - O[:n, :n]).max() > 1e-10
-        or np.abs(O[n:, :n] + O[:n, n:]).max() > 1e-10
-        or np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-10
-    ):
-        raise ConfigError("matrix is not orthogonal symplectic")
     _check_modes(n)
     if n == 1:
         # Every sector is one level k, where the exponential is exp(-i hc k).
@@ -266,8 +276,11 @@ def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
         ConfigError: ``O`` is not ``2n x 2n`` of the form
             ``[[c, s], [-s, c]]`` with ``c - i s`` unitary, or ``n > 2``.
     """
+    O = np.asarray(O, dtype=float)
+    n = O.shape[0] // 2
+    if O.shape != (2 * n, 2 * n) or _passive_deviation(O) > _PASSIVE_TOL:
+        raise ConfigError("matrix is not orthogonal symplectic")
     sectors = _passive_sectors(O, dim)
-    n = np.shape(O)[0] // 2
     return _apply_sectors(np.eye(dim**n, dtype=complex), sectors)
 
 
@@ -334,8 +347,7 @@ def build_state(
     ``X = D[keep] P1 Sq P2`` (the displacement, then the passive, squeeze
     and passive factors; ``D`` is the identity when ``d = 0`` and ``Sq``
     when ``z = 0``) and the thermal weights ``p``, the cropped state is
-    ``X diag(p) X^H``.  The weights enter as they are, not through their
-    square roots: on a pure mode they can round to -1e-16.
+    ``X diag(p) X^H``.
 
     No ``(cutoff + pad)**n`` square factor is formed.  ``X`` starts as the
     kept rows of ``D``, the Kronecker product of one-mode displacements, or
@@ -354,12 +366,14 @@ def build_state(
 
     Raises:
         ConfigError: more than two modes, or ``cutoff < 8``.
-        PreconditionError: flag ``"nu_min"`` when a symplectic eigenvalue
-            is below ``1 - 1e-8`` (the moments are not a state), or flag
-            ``"tail_mass"`` when the truncation loses more weight than
+        PreconditionError: flag ``"nu_min"`` when the moments are not a
+            state, ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``, or
+            flag ``"tail_mass"`` when the truncation loses more weight than
             ``tail_bound``.
-        ConvergenceError: if the constructed matrix has an eigenvalue below
-            ``-1e-10``.
+        ConvergenceError: if an Euler factor deviates from orthogonal
+            symplectic by more than ``1e-10`` plus the rounding
+            ``eps (tr Gamma / nu_min)^2``, or (after the tail) the
+            constructed matrix has an eigenvalue below ``-1e-10``.
     """
     n = point.n
     _check_modes(n)
@@ -367,11 +381,12 @@ def build_state(
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     big = cutoff + pad
     dec = williamson(point.gamma)
-    if dec.nu[-1] < 1.0 - 1e-8:
-        raise PreconditionError(
-            "nu_min", f"moments are not a physical state (nu_min = {dec.nu[-1]:.6g})"
-        )
+    nu_min = float(dec.nu[-1])
+    _require_state(nu_min, point.gamma)
     O1, z, O2 = euler_decompose(dec.S)
+    dev = max(_passive_deviation(O1), _passive_deviation(O2))
+    if dev > _PASSIVE_TOL + _frame_rounding(nu_min, point.gamma):
+        raise ConvergenceError(f"Euler factor is {dev:.3e} from orthogonal symplectic")
     if np.abs(point.d).max(initial=0.0) > 0.0:
         X, top = _kron_modes(_displacements(point.d, big)[:, :cutoff]), None
     else:
@@ -384,15 +399,15 @@ def build_state(
     rho = (X * _thermal_weights(dec.nu, big)) @ X.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     tail = float(1.0 - np.trace(rho).real)
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < -1e-10:
-        raise ConvergenceError(f"constructed state has eigenvalue {low:.3e} < 0")
     if tail > tail_bound:
         raise PreconditionError(
             "tail_mass",
             f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; "
             f"suggested cutoff is {suggested_cutoff(point)}",
         )
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < -1e-10:
+        raise ConvergenceError(f"constructed state has eigenvalue {low:.3e} < 0")
     return TruncatedState(n=n, cutoff=cutoff, rho=rho, tail_mass=tail)
 
 
@@ -408,7 +423,7 @@ def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     support, so deviations from the exact values measure truncation error
     only.
     """
-    R = quadrature_operators(state.n, state.cutoff)
+    R = _quadrature_operators(state.n, state.cutoff)
     norm = np.trace(state.rho).real
     d = np.array([np.trace(state.rho @ Rk).real for Rk in R]) / norm
     delta = _centred(R, d)
@@ -502,7 +517,7 @@ def _sld_matrix(coeffs: SLDCoefficients, d: np.ndarray, cutoff: int) -> np.ndarr
     quadratic term is automatically Hermitian because ``L`` is symmetric).
     """
     d = np.asarray(d, dtype=float)
-    delta = _centred(quadrature_operators(d.size // 2, cutoff), d)
+    delta = _centred(_quadrature_operators(d.size // 2, cutoff), d)
     quadratic = (delta @ np.tensordot(coeffs.L, delta, 1)).sum(0)
     return quadratic + np.tensordot(coeffs.b, delta, 1) + coeffs.c * np.eye(delta.shape[-1])
 
@@ -598,7 +613,7 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
 
     # The symmetrised pairs A_ij = (dR_i dR_j + dR_j dR_i)/2 for i <= j, with
     # dR_j dR_i = (dR_i dR_j)^H, and every tr[rho A_ij A_kl] from one product.
-    delta = _centred(quadrature_operators(n, cutoff), point.d)
+    delta = _centred(_quadrature_operators(n, cutoff), point.d)
     i, j = np.triu_indices(m)
     prod = delta[i] @ delta[j]
     pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))

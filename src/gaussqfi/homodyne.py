@@ -34,7 +34,6 @@ from .symplectic import (
 )
 
 _FRAME_TOL = 1e-10  # homodyne_fisher's max-abs gates on U: symplectic, a b^T = b a^T
-_ANCILLA_TOL = 1e-8  # ancilla_extend's validate_covariance tolerance
 
 __all__ = [
     "IsothermalFrame",
@@ -68,13 +67,16 @@ class IsothermalFrame:
 def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalFrame:
     """Construct the measurement normal frame of a model point.
 
-    Requires the two equal-temperature gates plus static first moments;
-    rejection names the flag that failed.  ``T = O Si`` as in the module
-    docstring: one Cholesky factor of ``Gamma`` and one ``eigh``, of ``W``.
+    Requires the two equal-temperature gates, a state, and static first
+    moments; rejection names the flag that failed.  ``T = O Si`` as in the
+    module docstring: one Cholesky factor of ``Gamma`` and one ``eigh``, of
+    ``W``.
 
     Raises:
-        PreconditionError: flags ``"is_isothermal"``,
-            ``"derivative_preserves_nu"``, or ``"static_first_moments"``.
+        PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (an
+            equal-temperature point that is not a state, ``1 - nu >
+            1e-8 + eps (tr Gamma / nu)^2``), ``"derivative_preserves_nu"``,
+            or ``"static_first_moments"``, in that order.
     """
     chk, Si, W = _require_isothermal(point, tol)
     if np.abs(point.dd).max(initial=0.0) > tol:
@@ -143,13 +145,14 @@ def ancilla_extend(point: GaussianModelPoint, gamma_ancilla: np.ndarray) -> Gaus
     The ancilla contributes no derivative, so ``lam`` just gains zeros: side
     channels cannot raise the optimal homodyne information.  The extension is
     equal-temperature only if the ancilla is thermal at the same ``nu``.
-    Raises ``ConfigError`` unless ``gamma_ancilla`` is admissible at ``1e-8``.
+    Raises ``ConfigError`` unless ``gamma_ancilla`` is admissible
+    (:func:`~gaussqfi.symplectic.validate_covariance`).
     """
     gamma_ancilla = np.asarray(gamma_ancilla, dtype=float)
-    chk = validate_covariance(gamma_ancilla, _ANCILLA_TOL)
+    chk = validate_covariance(gamma_ancilla)
     if not chk.valid:
         raise ConfigError(
-            f"ancilla covariance is not admissible (nu_min = {chk.nu_min:.6g}, "
+            f"ancilla covariance is not admissible (1 - nu_min = {1.0 - chk.nu_min:.3g}, "
             f"asymmetry = {chk.asymmetry:.3g})"
         )
     m2 = gamma_ancilla.shape[0]

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
-from .symplectic import _hamiltonian_deviation, validate_covariance
+from .symplectic import _hamiltonian_deviation, _require_state, validate_covariance
 
 _ISOTHERMAL_TOL = 1e-8  # gate tolerance of check_isothermal and qfi_isothermal
 _ROUNDING = 16 * np.finfo(float).eps  # per unit of |Si|_F^2 max|Gamma / nu|
@@ -319,13 +319,16 @@ def _isothermal_gate(
     is symplectic iff ``C`` is symmetric.  The point is isothermal iff ``C``
     is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
     compared with ``tol`` plus the rounding of that product,
-    ``16 eps |Si|_F^2 max|Gamma / nu|``.
+    ``16 eps |Si|_F^2 max|Gamma / nu|``.  An isothermal point must then be a
+    state, by the rule of every entry point on its ``nu``.
 
     Returns:
         ``(check, Si, W)``; ``Si`` and ``W`` are None when not isothermal.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite.
+        PreconditionError: flag ``"nu_min"`` when the point is isothermal
+            but not a state (:func:`~gaussqfi.symplectic._is_state`).
     """
     n = point.n
     try:
@@ -348,13 +351,21 @@ def _isothermal_gate(
         or np.abs(Si @ G @ Si.T - np.eye(2 * n)).max() > cut
     ):
         return IsothermalCheck(False, math.nan, False), None, None
+    _require_state(nu, point.gamma)
     W = Si @ point.dgamma @ Si.T
     preserves = bool(_hamiltonian_deviation(W) <= tol * (1.0 + np.abs(W).max()))
     return IsothermalCheck(True, nu, preserves), Si, W
 
 
 def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
-    """Classify a model point for the equal-temperature fast paths (tol 1e-8)."""
+    """Classify a model point for the equal-temperature fast paths (tol 1e-8).
+
+    Raises:
+        ValueError: if ``Gamma`` is not positive definite.
+        PreconditionError: flag ``"nu_min"`` when the point is isothermal
+            but not a state, ``1 - nu > 1e-8 + eps (tr Gamma / nu)^2``;
+            spread temperatures read ``is_isothermal=False`` first.
+    """
     return _isothermal_gate(point, _ISOTHERMAL_TOL)[0]
 
 
@@ -364,8 +375,8 @@ def _require_isothermal(
     """:func:`_isothermal_gate`, raising when either gate fails.
 
     Raises:
-        PreconditionError: flag ``"is_isothermal"``, checked first, or
-            ``"derivative_preserves_nu"``.
+        PreconditionError: flag ``"is_isothermal"``, checked first, then
+            ``"nu_min"`` and ``"derivative_preserves_nu"``.
     """
     chk, Si, W = _isothermal_gate(point, tol)
     if not chk.is_isothermal:
@@ -392,7 +403,7 @@ class ModelConfig:
     label: str
 
 
-_CONFIG_TOL = 1e-8  # explicit models: asymmetry of Gamma and dGamma, and nu_min >= 1 - tol
+_CONFIG_TOL = 1e-8  # explicit models: asymmetry of Gamma and dGamma
 _EXPLICIT_KEYS = {"n", "d", "Gamma", "dd", "dGamma"}
 
 
@@ -428,11 +439,11 @@ def _parse_explicit(doc: dict) -> ModelConfig:
             raise ConfigError(f"explicit model: {key!r} is not symmetric (asymmetry {asym:.3g})")
         symmetric[key.lower()] = 0.5 * (m + m.T)
     point = replace(point, **symmetric)
-    check = validate_covariance(point.gamma, tol=_CONFIG_TOL)
+    check = validate_covariance(point.gamma)
     if not check.valid:
         raise ConfigError(
             f"explicit model: 'Gamma' is not an admissible covariance matrix "
-            f"(nu_min = {check.nu_min:.6g})"
+            f"(1 - nu_min = {1.0 - check.nu_min:.3g})"
         )
     return ModelConfig(point=point, family=_linear_family(point), theta=0.0, label="explicit")
 
@@ -451,7 +462,9 @@ def parse_model_config(doc: dict) -> ModelConfig:
     parameter or array entry that is not a finite JSON number (bools and
     strings are not), an ``n`` that is not a positive integer, and arrays of
     the wrong shape.  Explicit ``Gamma`` and ``dGamma`` may be asymmetric by
-    at most 1e-8 and are stored symmetrised; ``Gamma`` must be admissible.
+    at most 1e-8 and are stored symmetrised; ``Gamma`` must be admissible
+    (:func:`~gaussqfi.symplectic.validate_covariance`, the state rule of every
+    entry point).
     """
     if isinstance(doc, dict) and "explicit" in doc:
         return _parse_explicit(doc)

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 
 A covariance matrix describes a physical state iff it is symmetric and all
 its symplectic eigenvalues ``nu_k`` (Williamson spectrum) satisfy
-``nu_k >= 1``.
+``nu_k >= 1``; every entry point decides it, within rounding, by the one
+rule of :func:`_is_state`.
 
 Every orthogonal symplectic frame here (a passive network) is built as the
 image ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n unitary ``u`` on the
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, PreconditionError
 
 _WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound and symmetry gate
+_STATE_TOL = 1e-8  # state rule: allowance beyond rounding; also the asymmetry bound
 _EULER_TOL = 1e-8  # how far from symplectic (max-abs) euler_decompose accepts S
 
 __all__ = [
@@ -112,6 +114,28 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(H)[n:][::-1]
 
 
+def _frame_rounding(nu_min: float, gamma: np.ndarray) -> float:
+    """``eps (tr Gamma / nu_min)^2``, the rounding of what is read in a
+    symplectic frame of ``gamma``: a Williamson frame ``S`` has ``tr Gamma >=
+    nu_min |S|_F^2``, so this bounds ``eps |S|_F^4`` (equal on a pure state)."""
+    return np.finfo(float).eps * (float(np.trace(gamma)) / nu_min) ** 2
+
+
+def _is_state(nu_min: float, gamma: np.ndarray) -> bool:
+    """The state rule, applied by every entry point that reads moments:
+    ``gamma`` is a state unless ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``."""
+    return bool(1.0 - nu_min <= _STATE_TOL + _frame_rounding(nu_min, gamma))
+
+
+def _require_state(nu_min: float, gamma: np.ndarray) -> None:
+    """Raise ``PreconditionError`` (flag ``"nu_min"``, giving ``1 - nu_min``)
+    unless :func:`_is_state`."""
+    if not _is_state(nu_min, gamma):
+        raise PreconditionError(
+            "nu_min", f"moments are not a physical state (1 - nu_min = {1.0 - nu_min:.3g})"
+        )
+
+
 @dataclass(frozen=True)
 class CovarianceCheck:
     """Diagnostics produced by :func:`validate_covariance`."""
@@ -124,12 +148,12 @@ class CovarianceCheck:
         return self.valid
 
 
-def validate_covariance(gamma: np.ndarray, tol: float = 1e-10) -> CovarianceCheck:
+def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     """Check that ``gamma`` is an admissible covariance matrix.
 
-    Admissible means symmetric (within ``tol``), positive definite, and with
-    symplectic spectrum ``nu_min >= 1 - tol`` (the uncertainty relation
-    ``gamma + i w >= 0``).
+    Admissible means symmetric (within 1e-8), positive definite, and a state
+    by the rule of every entry point (the uncertainty relation
+    ``gamma + i w >= 0`` up to ``1e-8 + eps (tr gamma / nu_min)^2``).
 
     Returns:
         :class:`CovarianceCheck` with the verdict and the measured
@@ -147,8 +171,7 @@ def validate_covariance(gamma: np.ndarray, tol: float = 1e-10) -> CovarianceChec
         nu_min = float(symplectic_eigenvalues(gamma)[-1])
     except ValueError:  # not positive definite
         return CovarianceCheck(False, 0.0, asym)
-    valid = asym <= tol and nu_min >= 1.0 - tol
-    return CovarianceCheck(valid, nu_min, asym)
+    return CovarianceCheck(asym <= _STATE_TOL and _is_state(nu_min, gamma), nu_min, asym)
 
 
 @dataclass(frozen=True)

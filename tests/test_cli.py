@@ -2,6 +2,7 @@
 CSV determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -332,6 +333,23 @@ def test_oracle_check_pure_explicit(tmp_path, capsys, doc, cutoff):
     assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", str(cutoff)]) == 0
     out = capsys.readouterr().out
     assert float(get_value(out, "rel_diff")) < 1e-4
+
+
+def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
+    # Its nu_min rounds to 1 - 2.8e-7, within the state rule's rounding, so
+    # the config reader accepts what the family accepts.
+    pt = gq.builtin_family("phase_squeezed", {"r": 6.0}).point(0.3)
+    assert cli.main(["qfi", write_cfg(tmp_path, explicit_doc(pt))]) == 0
+    qfi = float(get_value(capsys.readouterr().out, "qfi"))
+    assert qfi == pytest.approx(2.0 * math.sinh(12.0) ** 2, rel=1e-4)
+
+
+def test_oracle_check_strong_squeezing_exits_3_on_the_tail(tmp_path, capsys):
+    # The Euler factors are within rounding of orthogonal; the cutoff fails.
+    cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 5.0}, "theta": 0.3})
+    assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: [tail_mass]") and "suggested cutoff" in err
 
 
 def test_sweep_pure_explicit(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_model_point, thermal_diag
+from conftest import explicit_doc, random_isothermal_point, random_model_point, thermal_diag
 
 
 def test_sld_shift_model():
@@ -109,6 +109,38 @@ def test_qfi_isothermal_gates():
     with pytest.raises(gq.PreconditionError) as e2:
         gq.qfi_isothermal(mixed)
     assert e2.value.flag == "is_isothermal"
+
+
+def test_half_vacuum_is_refused_by_every_entry_point():
+    # Gamma = I / 2 is equal-temperature at nu = 1/2 and diag(1, -1) keeps it
+    # so: both equal-temperature gates pass, and only the state rule refuses.
+    pt = gq.GaussianModelPoint(np.zeros(2), 0.5 * np.eye(2), np.zeros(2), np.diag([1.0, -1.0]))
+    for call in (gq.check_isothermal, gq.isothermal_frame, gq.qfi_isothermal,
+                 gq.qfi_general, gq.sld_coefficients, lambda p: gq.build_state(p, 8)):
+        with pytest.raises(gq.PreconditionError, match=r"\(1 - nu_min = 0\.5\)") as exc:
+            call(pt)
+        assert exc.value.flag == "nu_min"
+    assert not gq.validate_covariance(pt.gamma).valid
+    with pytest.raises(gq.ConfigError, match=r"admissible covariance matrix \(1 - nu_min = 0\.5\)"):
+        gq.parse_model_config(explicit_doc(pt))
+
+
+@pytest.mark.parametrize(
+    "family, r",
+    [("phase_squeezed", r) for r in range(1, 9)]
+    + [("two_mode_squeezed_phase", r) for r in (0.6, 2.0, 4.0, 6.0)],
+)
+def test_strongly_squeezed_pure_points_are_states_at_every_entry_point(family, r):
+    # Their Williamson nu_min rounds to as low as 1 - 2.8e-7 (phase_squeezed
+    # r = 6), within the state rule's eps (tr Gamma / nu_min)^2.
+    pt = gq.builtin_family(family, {"r": r}).point(0.3)
+    gq.qfi_general(pt)
+    gq.qfi_isothermal(pt)
+    gq.isothermal_frame(pt)
+    assert gq.check_isothermal(pt).is_isothermal
+    assert gq.validate_covariance(pt.gamma).valid
+    gq.parse_model_config(explicit_doc(pt))
+    gq.build_state(pt, 8, tail_bound=np.inf)
 
 
 def test_qfi_zero_at_stationary_point():

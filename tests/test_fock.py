@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import gaussqfi as gq
 from conftest import explicit_doc
-from gaussqfi.fock import _destroy, _sld_matrix
+from gaussqfi.fock import _destroy, _quadrature_operators, _sld_matrix
 
 
 def _passive_from_u(u):
@@ -30,7 +30,7 @@ _RANDOM_O = gq.random_orthogonal_symplectic(2, np.random.default_rng(3))
 
 
 def test_quadrature_commutators_single_mode():
-    R = gq.quadrature_operators(1, 12)
+    R = _quadrature_operators(1, 12)
     comm = R[0] @ R[1] - R[1] @ R[0]
     # Canonical commutator holds away from the truncation corner.
     assert_allclose(comm[:11, :11], 1j * np.eye(11), atol=1e-12)
@@ -38,7 +38,7 @@ def test_quadrature_commutators_single_mode():
 
 
 def test_quadrature_commutators_two_modes():
-    R = gq.quadrature_operators(2, 5)
+    R = _quadrature_operators(2, 5)
     assert R.shape == (4, 25, 25)
     # Different modes commute exactly, even truncated.
     assert_allclose(R[0] @ R[3] - R[3] @ R[0], np.zeros((25, 25)), atol=1e-12)
@@ -70,7 +70,7 @@ def test_passive_unitary_rotates_quadratures():
     dim = 14
     U = gq.passive_unitary(O, dim)
     assert_allclose(U @ U.conj().T, np.eye(dim), atol=1e-10)
-    R = gq.quadrature_operators(1, dim)
+    R = _quadrature_operators(1, dim)
     # Heisenberg action R -> O R on the interior block.
     for i in range(2):
         lhs = U.conj().T @ R[i] @ U
@@ -87,7 +87,7 @@ def test_passive_unitary_two_modes(O):
     dim = 10
     U = gq.passive_unitary(O, dim)
     assert_allclose(U @ U.conj().T, np.eye(dim**2), atol=1e-10)
-    R = gq.quadrature_operators(2, dim)
+    R = _quadrature_operators(2, dim)
     # The truncated generator is exact on total photon number <= dim - 1, so
     # R -> O R holds between states with n1 + n2 <= dim - 2.
     inner = np.add.outer(np.arange(dim), np.arange(dim)).ravel() <= dim - 2
@@ -103,7 +103,7 @@ def test_squeeze_unitary_scales_quadratures(z):
     dim = 60
     U = gq.squeeze_unitary([z], dim)
     assert_allclose(U @ U.conj().T, np.eye(dim), atol=1e-10)
-    R = gq.quadrature_operators(1, dim)
+    R = _quadrature_operators(1, dim)
     for k, scale in enumerate([np.exp(z), np.exp(-z)]):
         lhs = U.conj().T @ R[k] @ U
         assert np.abs(lhs - scale * R[k])[:12, :12].max() < 1e-10
@@ -113,7 +113,7 @@ def test_squeeze_unitary_scales_quadratures(z):
 def test_displacement_unitary_shifts_first_moments(d):
     n = len(d) // 2
     dim = 30 if n == 1 else 16
-    R = gq.quadrature_operators(n, dim)
+    R = _quadrature_operators(n, dim)
     one = 1 if n == 1 else dim + 1  # index of |1> or |1, 1>
     for start in (0, one):
         psi0 = np.eye(dim**n)[start]
@@ -242,12 +242,42 @@ def test_build_state_matches_scipy_expm_reference(point, cutoff):
 
 
 def test_build_state_pure_state_is_finite():
-    # The thermal weights of a pure state can round below zero (nu = 1 - 2e-16
-    # here); the state is built from them directly, never from their roots.
+    # The Williamson nu of this pure state rounds to 1 - 2e-16; the state rule
+    # accepts it, and its thermal weights read it as 1, so none is negative.
     pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7)
     state = gq.build_state(pt, 30)
     assert np.isfinite(state.rho).all()
     assert state.tail_mass < 1e-10
+
+
+@pytest.mark.parametrize("r", [5.0, 6.0])
+def test_build_state_on_strongly_squeezed_pure_points(r):
+    # The Euler factor O2 misses orthogonality by 1.6e-9 (r = 5) and 2.2e-7
+    # (r = 6), and nu_min rounds to 1 - 2.8e-7 at r = 6: all within the
+    # rounding eps (tr Gamma / nu_min)^2, so only the cutoff can fail.
+    pt = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3)
+    state = gq.build_state(pt, 10, tail_bound=np.inf)
+    assert np.isfinite(state.rho).all()
+    with pytest.raises(gq.PreconditionError, match="suggested cutoff") as exc:
+        gq.build_state(pt, 10)
+    assert exc.value.flag == "tail_mass"
+    # User input to passive_unitary is still held to 1e-10.
+    O2 = gq.euler_decompose(gq.williamson(pt.gamma).S)[2]
+    with pytest.raises(gq.ConfigError, match="not orthogonal symplectic"):
+        gq.passive_unitary(O2, 8)
+
+
+def test_build_state_refuses_euler_factors_beyond_rounding(monkeypatch):
+    from gaussqfi import fock
+
+    def skewed(S):
+        O1, z, O2 = gq.euler_decompose(S)
+        return O1, z, O2 * (1.0 + 1e-6)
+
+    monkeypatch.setattr(fock, "euler_decompose", skewed)
+    pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.3)
+    with pytest.raises(gq.ConvergenceError, match="Euler factor"):
+        gq.build_state(pt, 10)
 
 
 def test_build_state_vacuum_is_exact():
@@ -462,7 +492,7 @@ def _loop_fourth_moment_dev(point, state):
     """Symmetrised fourth moments against the pairing formula, one term at a time."""
     n, m, cutoff = point.n, 2 * point.n, state.cutoff
     norm = np.trace(state.rho).real
-    R = gq.quadrature_operators(n, cutoff)
+    R = _quadrature_operators(n, cutoff)
     delta = R - point.d[:, None, None] * np.eye(cutoff**n)
     pair = np.empty((m, m), dtype=object)
     rho_pair = np.empty((m, m), dtype=object)
@@ -506,7 +536,7 @@ def test_identity_checks_fourth_moments_match_term_by_term_loop(point, cutoff):
 
 def _loop_state_moments(state):
     """``state_moments`` one mode pair at a time."""
-    R = gq.quadrature_operators(state.n, state.cutoff)
+    R = _quadrature_operators(state.n, state.cutoff)
     norm = np.trace(state.rho).real
     d = np.array([np.trace(state.rho @ Rk).real for Rk in R]) / norm
     delta = R - d[:, None, None] * np.eye(state.cutoff**state.n)
@@ -524,7 +554,7 @@ def _loop_sld_matrix(coeffs, d, cutoff):
     """``sld_matrix`` one term ``L_ij dR_i dR_j`` at a time."""
     n = d.size // 2
     eye = np.eye(cutoff**n)
-    delta = gq.quadrature_operators(n, cutoff) - d[:, None, None] * eye
+    delta = _quadrature_operators(n, cutoff) - d[:, None, None] * eye
     out = coeffs.c * eye.astype(complex)
     for i in range(2 * n):
         out += coeffs.b[i] * delta[i]
@@ -572,7 +602,7 @@ def test_identity_checks_char_dev_matches_dense_expm(point, cutoff):
     rep = gq.identity_checks(point, cutoff)
     state = gq.build_state(point, cutoff, tail_bound=np.inf)
     norm = np.trace(state.rho).real
-    R = gq.quadrature_operators(2, cutoff)
+    R = _quadrature_operators(2, cutoff)
     dev = 0.0
     for xi in _xi_sample(4):
         eta = gq.symplectic_form(2) @ xi

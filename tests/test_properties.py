@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import gaussqfi as gq
 from conftest import (
+    explicit_doc,
+    random_hamiltonian,
     random_isothermal_point,
     random_model_point,
     random_state,
@@ -217,22 +219,40 @@ def test_counting_form_exists_exactly_when_L_is_definite(n, seed, data, tangent)
     low=st.floats(min_value=0.5, max_value=1.0 - 1e-6),
 )
 def test_solve_refuses_exactly_the_sub_vacuum_moments(n, seed, cap, k, pure, low):
+    # One state rule, so one verdict from every entry point that reads
+    # moments: the solve, the Fock oracle (n <= 2), the config reader and
+    # validate_covariance, and on equal-temperature points also the gate,
+    # the homodyne frame and the shortcut QFI.
     gamma, S, nu = random_state(n, seed, squeeze_cap=cap)
-    zero, dgamma = np.zeros(2 * n), random_symmetric(2 * n, seed + 1)
+    zero = np.zeros(2 * n)
+    tangent = random_symmetric(2 * n, seed + 1)
+    orbit = S @ random_hamiltonian(n, seed + 2) @ S.T  # keeps equal nu equal
 
-    def point(nus):
+    def point(nus, dgamma):
         g = S @ thermal_diag(nus) @ S.T
-        return gq.GaussianModelPoint(zero, 0.5 * (g + g.T), zero, dgamma)
+        return gq.GaussianModelPoint(zero, 0.5 * (g + g.T), zero, 0.5 * (dgamma + dgamma.T))
+
+    raising = [gq.sld_coefficients, gq.qfi_general]
+    if n <= 2:  # the oracle's limit; unpadded, as only its verdict is tested
+        raising.append(lambda pt: gq.build_state(pt, 8, pad=0, tail_bound=np.inf))
+    equal = raising[1:] + [gq.check_isothermal, gq.isothermal_frame, gq.qfi_isothermal]
 
     if pure:
         nu[k % n] = 1.0
-    gq.sld_coefficients(point(nu))
-    gq.qfi_general(point(nu))
+    for pt, calls in ((point(nu, tangent), raising), (point(np.ones(n), orbit), equal)):
+        for call in calls:
+            call(pt)
+        gq.parse_model_config(explicit_doc(pt))
+        assert gq.validate_covariance(pt.gamma).valid
     nu[k % n] = low
-    for solve in (gq.sld_coefficients, gq.qfi_general):
-        with pytest.raises(gq.PreconditionError) as exc:
-            solve(point(nu))
-        assert exc.value.flag == "nu_min"
+    for pt, calls in ((point(nu, tangent), raising), (point(np.full(n, low), orbit), equal)):
+        for call in calls:
+            with pytest.raises(gq.PreconditionError) as exc:
+                call(pt)
+            assert exc.value.flag == "nu_min"
+        with pytest.raises(gq.ConfigError, match="not an admissible covariance"):
+            gq.parse_model_config(explicit_doc(pt))
+        assert not gq.validate_covariance(pt.gamma).valid
 
 
 def _random_point(n, seed):
