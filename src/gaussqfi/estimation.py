@@ -77,10 +77,10 @@ def _solve(
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
-            state (:func:`~gaussqfi.symplectic._is_state`).
+            state (see ``validate_covariance``).
     """
     Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, tol)
-    _require_state(float(dec.nu[-1]), point.gamma)
+    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
     L = 0.5 * (Y + Y.T)
     c = -0.5 * float(np.sum(L * point.gamma))
     coeffs = SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
@@ -96,7 +96,7 @@ def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoeffic
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
-            state: ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``.
+            state (see ``validate_covariance``).
     """
     return _solve(point, tol)[0]
 
@@ -151,7 +151,7 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
-            state: ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``.
+            state (see ``validate_covariance``).
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
@@ -182,10 +182,9 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
     Both gates are checked at tolerance 1e-8; rejection names the failed flag.
 
     Raises:
-        PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (an
-            equal-temperature point that is not a state, by the rule of
-            :func:`qfi_general`) or ``"derivative_preserves_nu"``, in that
-            order.
+        PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (not a
+            state; see ``validate_covariance``) or
+            ``"derivative_preserves_nu"``, in that order.
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """

@@ -367,13 +367,13 @@ def build_state(
     Raises:
         ConfigError: more than two modes, or ``cutoff < 8``.
         PreconditionError: flag ``"nu_min"`` when the moments are not a
-            state, ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``, or
+            state (see ``validate_covariance``), or
             flag ``"tail_mass"`` when the truncation loses more weight than
             ``tail_bound``.
         ConvergenceError: if an Euler factor deviates from orthogonal
-            symplectic by more than ``1e-10`` plus the rounding
-            ``eps (tr Gamma / nu_min)^2``, or (after the tail) the
-            constructed matrix has an eigenvalue below ``-1e-10``.
+            symplectic by more than ``1e-10`` plus the rounding of the
+            state rule, or (after the tail) the constructed matrix has an
+            eigenvalue below ``-1e-10``.
     """
     n = point.n
     _check_modes(n)
@@ -381,11 +381,10 @@ def build_state(
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     big = cutoff + pad
     dec = williamson(point.gamma)
-    nu_min = float(dec.nu[-1])
-    _require_state(nu_min, point.gamma)
+    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
     O1, z, O2 = euler_decompose(dec.S)
     dev = max(_passive_deviation(O1), _passive_deviation(O2))
-    if dev > _PASSIVE_TOL + _frame_rounding(nu_min, point.gamma):
+    if dev > _PASSIVE_TOL + _frame_rounding(dec.S, point.gamma):
         raise ConvergenceError(f"Euler factor is {dev:.3e} from orthogonal symplectic")
     if np.abs(point.d).max(initial=0.0) > 0.0:
         X, top = _kron_modes(_displacements(point.d, big)[:, :cutoff]), None

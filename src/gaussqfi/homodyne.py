@@ -73,9 +73,8 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
     ``W``.
 
     Raises:
-        PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (an
-            equal-temperature point that is not a state, ``1 - nu >
-            1e-8 + eps (tr Gamma / nu)^2``), ``"derivative_preserves_nu"``,
+        PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
+            state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
     """
     chk, Si, W = _require_isothermal(point, tol)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
-from .symplectic import _hamiltonian_deviation, _require_state, validate_covariance
+from .symplectic import _ASYMMETRY_TOL, _hamiltonian_deviation, _require_state, validate_covariance
 
 _ISOTHERMAL_TOL = 1e-8  # gate tolerance of check_isothermal and qfi_isothermal
 _ROUNDING = 16 * np.finfo(float).eps  # per unit of |Si|_F^2 max|Gamma / nu|
@@ -320,7 +320,7 @@ def _isothermal_gate(
     is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
     compared with ``tol`` plus the rounding of that product,
     ``16 eps |Si|_F^2 max|Gamma / nu|``.  An isothermal point must then be a
-    state, by the rule of every entry point on its ``nu``.
+    state, read in the frame ``Si``.
 
     Returns:
         ``(check, Si, W)``; ``Si`` and ``W`` are None when not isothermal.
@@ -328,7 +328,7 @@ def _isothermal_gate(
     Raises:
         ValueError: if ``Gamma`` is not positive definite.
         PreconditionError: flag ``"nu_min"`` when the point is isothermal
-            but not a state (:func:`~gaussqfi.symplectic._is_state`).
+            but not a state (see ``validate_covariance``).
     """
     n = point.n
     try:
@@ -351,7 +351,7 @@ def _isothermal_gate(
         or np.abs(Si @ G @ Si.T - np.eye(2 * n)).max() > cut
     ):
         return IsothermalCheck(False, math.nan, False), None, None
-    _require_state(nu, point.gamma)
+    _require_state(nu, Si, point.gamma)
     W = Si @ point.dgamma @ Si.T
     preserves = bool(_hamiltonian_deviation(W) <= tol * (1.0 + np.abs(W).max()))
     return IsothermalCheck(True, nu, preserves), Si, W
@@ -363,8 +363,8 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     Raises:
         ValueError: if ``Gamma`` is not positive definite.
         PreconditionError: flag ``"nu_min"`` when the point is isothermal
-            but not a state, ``1 - nu > 1e-8 + eps (tr Gamma / nu)^2``;
-            spread temperatures read ``is_isothermal=False`` first.
+            but not a state (see ``validate_covariance``); spread
+            temperatures read ``is_isothermal=False`` first.
     """
     return _isothermal_gate(point, _ISOTHERMAL_TOL)[0]
 
@@ -403,19 +403,27 @@ class ModelConfig:
     label: str
 
 
-_CONFIG_TOL = 1e-8  # explicit models: asymmetry of Gamma and dGamma
 _EXPLICIT_KEYS = {"n", "d", "Gamma", "dd", "dGamma"}
 
 
 def _explicit_array(body: dict, key: str) -> np.ndarray:
-    """``body[key]`` as a float array; every entry must be a finite JSON number."""
+    """``body[key]`` as a float array; every entry must be a finite JSON number.
+
+    As :func:`_is_finite_number`, but each distinct type is checked once and
+    the values as one array."""
     try:
         entries = np.array(body[key], dtype=object)
     except ValueError as exc:
         raise ConfigError(f"explicit model: {key!r} is malformed ({exc})") from exc
-    if not all(_is_finite_number(x) for x in entries.flat):
+    values = None
+    if all(k is not bool and issubclass(k, numbers.Real) for k in set(map(type, entries.flat))):
+        try:
+            values = entries.astype(float)
+        except OverflowError:  # an integer too large for a float
+            pass
+    if values is None or not np.isfinite(values).all():
         raise ConfigError(f"explicit model: {key!r} must hold finite numbers only")
-    return entries.astype(float)
+    return values
 
 
 def _parse_explicit(doc: dict) -> ModelConfig:
@@ -435,7 +443,7 @@ def _parse_explicit(doc: dict) -> ModelConfig:
     symmetric = {}
     for key, m in (("Gamma", point.gamma), ("dGamma", point.dgamma)):
         asym = float(np.abs(m - m.T).max())
-        if asym > _CONFIG_TOL:
+        if asym > _ASYMMETRY_TOL:
             raise ConfigError(f"explicit model: {key!r} is not symmetric (asymmetry {asym:.3g})")
         symmetric[key.lower()] = 0.5 * (m + m.T)
     point = replace(point, **symmetric)
@@ -463,8 +471,7 @@ def parse_model_config(doc: dict) -> ModelConfig:
     strings are not), an ``n`` that is not a positive integer, and arrays of
     the wrong shape.  Explicit ``Gamma`` and ``dGamma`` may be asymmetric by
     at most 1e-8 and are stored symmetrised; ``Gamma`` must be admissible
-    (:func:`~gaussqfi.symplectic.validate_covariance`, the state rule of every
-    entry point).
+    (:func:`~gaussqfi.symplectic.validate_covariance`).
     """
     if isinstance(doc, dict) and "explicit" in doc:
         return _parse_explicit(doc)

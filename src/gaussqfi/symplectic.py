@@ -11,7 +11,7 @@ Conventions used throughout the package:
 A covariance matrix describes a physical state iff it is symmetric and all
 its symplectic eigenvalues ``nu_k`` (Williamson spectrum) satisfy
 ``nu_k >= 1``; every entry point decides it, within rounding, by the one
-rule of :func:`_is_state`.
+rule stated in :func:`validate_covariance`.
 
 Every orthogonal symplectic frame here (a passive network) is built as the
 image ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n unitary ``u`` on the
@@ -28,7 +28,8 @@ import numpy as np
 from .exceptions import ConvergenceError, PreconditionError
 
 _WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound and symmetry gate
-_STATE_TOL = 1e-8  # state rule: allowance beyond rounding; also the asymmetry bound
+_STATE_TOL = 1e-8  # state rule: how far below 1 nu_min may lie beyond rounding
+_ASYMMETRY_TOL = 1e-8  # max |Gamma - Gamma^T| of validate_covariance and explicit configs
 _EULER_TOL = 1e-8  # how far from symplectic (max-abs) euler_decompose accepts S
 
 __all__ = [
@@ -114,23 +115,27 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(H)[n:][::-1]
 
 
-def _frame_rounding(nu_min: float, gamma: np.ndarray) -> float:
-    """``eps (tr Gamma / nu_min)^2``, the rounding of what is read in a
-    symplectic frame of ``gamma``: a Williamson frame ``S`` has ``tr Gamma >=
-    nu_min |S|_F^2``, so this bounds ``eps |S|_F^4`` (equal on a pure state)."""
-    return np.finfo(float).eps * (float(np.trace(gamma)) / nu_min) ** 2
+def _frame_rounding(S: np.ndarray, gamma: np.ndarray) -> float:
+    """``eps |S|_F^2 tr gamma``: to first order, how far rounding moves what
+    is read in the symplectic frame ``S`` of ``gamma`` (a Williamson frame or
+    its inverse; ``|S^-1|_F = |S|_F``).  Rounding ``gamma`` by ``E`` moves a
+    ``nu`` by at most ``|E| |S|_F^2``, and ``|E| ~ eps |gamma| <= eps tr gamma``."""
+    return np.finfo(float).eps * float(np.sum(S * S)) * float(np.trace(gamma))
 
 
-def _is_state(nu_min: float, gamma: np.ndarray) -> bool:
-    """The state rule, applied by every entry point that reads moments:
-    ``gamma`` is a state unless ``1 - nu_min > 1e-8 + eps (tr Gamma / nu_min)^2``."""
-    return bool(1.0 - nu_min <= _STATE_TOL + _frame_rounding(nu_min, gamma))
+def _is_state(nu_min: float, S: np.ndarray, gamma: np.ndarray) -> bool:
+    """The state rule of :func:`validate_covariance`, given ``nu_min`` and a
+    symplectic frame ``S`` of ``gamma``; the rounding is only formed when
+    ``nu_min`` lies below ``1 - 1e-8``."""
+    return bool(
+        1.0 - nu_min <= _STATE_TOL or 1.0 - nu_min <= _STATE_TOL + _frame_rounding(S, gamma)
+    )
 
 
-def _require_state(nu_min: float, gamma: np.ndarray) -> None:
+def _require_state(nu_min: float, S: np.ndarray, gamma: np.ndarray) -> None:
     """Raise ``PreconditionError`` (flag ``"nu_min"``, giving ``1 - nu_min``)
     unless :func:`_is_state`."""
-    if not _is_state(nu_min, gamma):
+    if not _is_state(nu_min, S, gamma):
         raise PreconditionError(
             "nu_min", f"moments are not a physical state (1 - nu_min = {1.0 - nu_min:.3g})"
         )
@@ -151,16 +156,28 @@ class CovarianceCheck:
 def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     """Check that ``gamma`` is an admissible covariance matrix.
 
-    Admissible means symmetric (within 1e-8), positive definite, and a state
-    by the rule of every entry point (the uncertainty relation
-    ``gamma + i w >= 0`` up to ``1e-8 + eps (tr gamma / nu_min)^2``).
+    Admissible means symmetric (within 1e-8), positive definite, and a state:
+    the uncertainty relation ``gamma + i w >= 0``, i.e. ``nu_min >= 1``, up
+    to rounding.  This is the state rule of every entry point that reads
+    moments (the SLD solve, the config reader, the equal-temperature gate,
+    the Fock oracle): ``gamma`` is refused when
+
+        ``1 - nu_min > 1e-8 + eps |S|_F^2 tr gamma``
+
+    with ``S`` the symplectic frame in which ``nu_min`` was read (here the
+    Williamson frame; the equal-temperature gate uses its own).  The second
+    term is how far rounding moves ``nu_min`` in that frame; on a pure state
+    it is ``eps |S|_F^4``.
 
     Returns:
         :class:`CovarianceCheck` with the verdict and the measured
         ``nu_min`` / asymmetry, so callers can report *why* a matrix was
-        rejected.  The Cholesky factor of :func:`symplectic_eigenvalues`
-        decides positive definiteness; a matrix it refuses gets
-        ``nu_min = 0``.
+        rejected.  The Cholesky factor of :func:`williamson` decides
+        positive definiteness; a matrix it refuses gets ``nu_min = 0``.
+
+    Raises:
+        ConvergenceError: if the Williamson frame does not reconstruct
+            ``gamma`` (see :func:`williamson`).
     """
     gamma = np.asarray(gamma, dtype=float)
     _check_even_square(gamma, "gamma")
@@ -168,10 +185,13 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
         return CovarianceCheck(False, np.nan, np.inf)
     asym = float(np.abs(gamma - gamma.T).max())
     try:
-        nu_min = float(symplectic_eigenvalues(gamma)[-1])
+        dec = williamson(0.5 * (gamma + gamma.T))
     except ValueError:  # not positive definite
         return CovarianceCheck(False, 0.0, asym)
-    return CovarianceCheck(asym <= _STATE_TOL and _is_state(nu_min, gamma), nu_min, asym)
+    nu_min = float(dec.nu[-1])
+    return CovarianceCheck(
+        asym <= _ASYMMETRY_TOL and _is_state(nu_min, dec.S, gamma), nu_min, asym
+    )
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,26 @@ def test_half_vacuum_is_refused_by_every_entry_point():
         gq.parse_model_config(explicit_doc(pt))
 
 
+@pytest.mark.parametrize("hot, low", [(3e7, 0.5), (2e6 + 1.0, 1.0 - 1e-3)])
+def test_a_hot_mode_does_not_hide_a_sub_vacuum_mode(hot, low):
+    # Rounding grows with the hottest mode, linearly: here the allowance is
+    # eps |S|_F^2 tr Gamma = 4 eps (2 hot + 2 low), far below 1 - low.
+    pt = gq.GaussianModelPoint(np.zeros(4), thermal_diag([hot, low]), np.zeros(4), np.eye(4))
+    for call in (gq.qfi_general, gq.sld_coefficients, lambda p: gq.build_state(p, 8)):
+        with pytest.raises(gq.PreconditionError) as exc:
+            call(pt)
+        assert exc.value.flag == "nu_min"
+    assert not gq.validate_covariance(pt.gamma).valid
+    with pytest.raises(gq.ConfigError, match="not an admissible covariance"):
+        gq.parse_model_config(explicit_doc(pt))
+    # The temperatures are spread, so the equal-temperature paths refuse first.
+    assert not gq.check_isothermal(pt).is_isothermal
+    for call in (gq.isothermal_frame, gq.qfi_isothermal):
+        with pytest.raises(gq.PreconditionError) as exc:
+            call(pt)
+        assert exc.value.flag == "is_isothermal"
+
+
 @pytest.mark.parametrize(
     "family, r",
     [("phase_squeezed", r) for r in range(1, 9)]
@@ -132,7 +152,7 @@ def test_half_vacuum_is_refused_by_every_entry_point():
 )
 def test_strongly_squeezed_pure_points_are_states_at_every_entry_point(family, r):
     # Their Williamson nu_min rounds to as low as 1 - 2.8e-7 (phase_squeezed
-    # r = 6), within the state rule's eps (tr Gamma / nu_min)^2.
+    # r = 6), within the state rule's eps |S|_F^2 tr Gamma = eps |S|_F^4.
     pt = gq.builtin_family(family, {"r": r}).point(0.3)
     gq.qfi_general(pt)
     gq.qfi_isothermal(pt)

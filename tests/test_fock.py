@@ -254,7 +254,7 @@ def test_build_state_pure_state_is_finite():
 def test_build_state_on_strongly_squeezed_pure_points(r):
     # The Euler factor O2 misses orthogonality by 1.6e-9 (r = 5) and 2.2e-7
     # (r = 6), and nu_min rounds to 1 - 2.8e-7 at r = 6: all within the
-    # rounding eps (tr Gamma / nu_min)^2, so only the cutoff can fail.
+    # rounding eps |S|_F^4 of a pure state, so only the cutoff can fail.
     pt = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3)
     state = gq.build_state(pt, 10, tail_bound=np.inf)
     assert np.isfinite(state.rho).all()

@@ -216,14 +216,20 @@ def test_counting_form_exists_exactly_when_L_is_definite(n, seed, data, tangent)
     cap=squeeze_caps,
     k=st.integers(min_value=0, max_value=5),
     pure=st.booleans(),
-    low=st.floats(min_value=0.5, max_value=1.0 - 1e-6),
+    depth=st.floats(min_value=np.log10(2.0), max_value=6.0),
+    heat=st.floats(min_value=0.0, max_value=6.0),
 )
-def test_solve_refuses_exactly_the_sub_vacuum_moments(n, seed, cap, k, pure, low):
+def test_solve_refuses_exactly_the_sub_vacuum_moments(n, seed, cap, k, pure, depth, heat):
     # One state rule, so one verdict from every entry point that reads
-    # moments: the solve, the Fock oracle (n <= 2), the config reader and
-    # validate_covariance, and on equal-temperature points also the gate,
-    # the homodyne frame and the shortcut QFI.
+    # moments: the solve, the Fock oracle (one mode, to keep the run short),
+    # the config reader and validate_covariance, and on equal-temperature
+    # points also the gate, the homodyne frame and the shortcut QFI.  Beside
+    # the mode at 1 or at `low`, between 1/2 and 1 - 1e-6, sits one mode at
+    # up to nu = 1e6: its heat may neither hide the deficit nor refuse the
+    # state.  Both are drawn on a log scale.
     gamma, S, nu = random_state(n, seed, squeeze_cap=cap)
+    nu[(k + 1) % n] = 10.0**heat
+    low = 1.0 - 10.0**-depth
     zero = np.zeros(2 * n)
     tangent = random_symmetric(2 * n, seed + 1)
     orbit = S @ random_hamiltonian(n, seed + 2) @ S.T  # keeps equal nu equal
@@ -233,7 +239,7 @@ def test_solve_refuses_exactly_the_sub_vacuum_moments(n, seed, cap, k, pure, low
         return gq.GaussianModelPoint(zero, 0.5 * (g + g.T), zero, 0.5 * (dgamma + dgamma.T))
 
     raising = [gq.sld_coefficients, gq.qfi_general]
-    if n <= 2:  # the oracle's limit; unpadded, as only its verdict is tested
+    if n == 1:  # unpadded, as only its verdict is tested
         raising.append(lambda pt: gq.build_state(pt, 8, pad=0, tail_bound=np.inf))
     equal = raising[1:] + [gq.check_isothermal, gq.isothermal_frame, gq.qfi_isothermal]
 
