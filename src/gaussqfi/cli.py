@@ -39,6 +39,8 @@ from .symplectic import random_symplectic
 
 __all__ = ["main", "emit_csv", "sweep_rows", "SweepRow", "CSV_HEADER"]
 
+_OVERLAP_TOL = 1e-9  # kernel-overlap flag: range_residual above this times 1 + |dGamma|_F
+
 CSV_HEADER = (
     "theta,qfi,qfi_first_moment,qfi_second_moment,"
     "wigner_fisher,homodyne_opt,ratio,method,warnings"
@@ -84,16 +86,12 @@ class SweepRow:
     warnings: str
 
 
-def _evaluate_point(
-    point: GaussianModelPoint, theta: float, tol: float
-) -> tuple[SweepRow, str | None]:
+def _evaluate_point(point: GaussianModelPoint, theta: float) -> tuple[SweepRow, str | None]:
     """Evaluate one model point: its sweep row, and the flag of the gate that
     refused the homodyne frame (None when the row's ``homodyne_opt`` is set)."""
-    rep = qfi_general(point, tol)
+    rep = qfi_general(point)
     warn = ""
-    # Capped at the default: a large tol cuts every line and zeroes the QFI,
-    # and the residual that leaves behind must still be flagged.
-    if rep.range_residual > min(tol, 1e-9) * (1.0 + np.linalg.norm(point.dgamma)):
+    if rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point.dgamma)):
         warn = "kernel-overlap"
     try:
         hopt, gate = optimal_homodyne_fisher(isothermal_frame(point)), None
@@ -102,16 +100,14 @@ def _evaluate_point(
     return SweepRow(theta=theta, report=rep, homodyne_opt=hopt, warnings=warn), gate
 
 
-def sweep_rows(
-    family: ModelFamily, thetas: np.ndarray, tol: float = 1e-9, jobs: int = 1
-) -> list[SweepRow]:
+def sweep_rows(family: ModelFamily, thetas: np.ndarray, jobs: int = 1) -> list[SweepRow]:
     """Evaluate a theta grid serially, in ascending theta order.
 
     ``jobs`` is accepted for compatibility with ``sweep --jobs`` and ignored:
     a thread pool over these small LAPACK calls was slower than one thread.
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))
-    return [_evaluate_point(family.point(t), t, tol)[0] for t in thetas]
+    return [_evaluate_point(family.point(t), t)[0] for t in thetas]
 
 
 def _csv_cell(x: float | None) -> str:
@@ -163,24 +159,13 @@ def _parser(cmd: str, description: str) -> argparse.ArgumentParser:
     return p
 
 
-def _parse(p: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` and require any ``--tol``/``--h`` to be finite and > 0."""
-    args = p.parse_args(argv)
-    for flag in ("tol", "h"):
-        value = getattr(args, flag, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"--{flag} must be finite and > 0, got {value:g}")
-    return args
-
-
 def _cmd_qfi(argv: list[str]) -> int:
     p = _parser("qfi", "Evaluate the quantum Fisher information of one model.")
-    p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = _parse(p, argv)
+    args = p.parse_args(argv)
     cfg = load_model_config(args.config)
-    row, gate = _evaluate_point(cfg.point, cfg.theta, args.tol)
+    row, gate = _evaluate_point(cfg.point, cfg.theta)
     rep = row.report
-    print(f"# gaussqfi qfi: tol = {args.tol:g}")
+    print("# gaussqfi qfi")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print(f"qfi = {rep.qfi:.12g}")
     print(f"qfi_first_moment = {rep.first_moment_term:.12g}")
@@ -211,8 +196,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         "--jobs", type=int, default=1,
         help="accepted for compatibility (>= 1); evaluation is serial (default 1)",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = _parse(p, argv)
+    args = p.parse_args(argv)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if args.jobs < 1:
@@ -220,30 +204,28 @@ def _cmd_sweep(argv: list[str]) -> int:
     cfg = load_model_config(args.config)
     print(
         f"# gaussqfi sweep: model = {cfg.label}, from = {args.start:g}, "
-        f"to = {args.stop:g}, steps = {args.steps}, tol = {args.tol:g}, "
-        f"jobs = {args.jobs}",
+        f"to = {args.stop:g}, steps = {args.steps}, jobs = {args.jobs}",
         file=sys.stderr,
     )
     thetas = np.linspace(args.start, args.stop, args.steps)
-    rows = sweep_rows(cfg.family, thetas, tol=args.tol, jobs=args.jobs)
+    rows = sweep_rows(cfg.family, thetas, jobs=args.jobs)
     emit_csv(rows, sys.stdout if args.out is None else args.out)
     return 0
 
 
 def _cmd_sld(argv: list[str]) -> int:
     p = _parser("sld", "Print the SLD observable of one model.")
-    p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = _parse(p, argv)
+    args = p.parse_args(argv)
     cfg = load_model_config(args.config)
-    coeffs = sld_coefficients(cfg.point, args.tol)
-    print(f"# gaussqfi sld: tol = {args.tol:g}")
+    coeffs = sld_coefficients(cfg.point)
+    print("# gaussqfi sld")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print("L (quadratic coefficients, centered variables):")
     print(_matrix_lines(coeffs.L))
     print(f"b (linear coefficients) = {_vector_line(coeffs.b)}")
     print(f"c (offset) = {coeffs.c:.12g}")
     print(f"range_residual = {coeffs.range_residual:.6g}")
-    form = photon_counting_form(coeffs, cfg.point, args.tol)
+    form = photon_counting_form(coeffs, cfg.point)
     if form is None:
         print("photon-counting form: none (linear model, or L indefinite or singular)")
     else:
@@ -259,19 +241,18 @@ def _cmd_sld(argv: list[str]) -> int:
 
 def _cmd_homodyne(argv: list[str]) -> int:
     p = _parser("homodyne", "Optimal homodyne analysis of an equal-temperature model.")
-    p.add_argument("--tol", type=float, default=1e-8, help="frame tolerance (default 1e-8)")
     p.add_argument(
         "--random-U", dest="random_u", type=int, default=0,
         help="also probe N >= 0 random symplectic measurement frames (default 0)",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --random-U (default 0)")
-    args = _parse(p, argv)
+    args = p.parse_args(argv)
     if args.random_u < 0:
         raise ConfigError(f"--random-U must be >= 0, got {args.random_u}")
     cfg = load_model_config(args.config)
-    frame = isothermal_frame(cfg.point, args.tol)
+    frame = isothermal_frame(cfg.point)
     best = optimal_homodyne_fisher(frame)
-    print(f"# gaussqfi homodyne: tol = {args.tol:g}")
+    print("# gaussqfi homodyne")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print(f"nu = {frame.nu:.12g}")
     print(f"lam = {_vector_line(frame.lam)}")
@@ -299,17 +280,18 @@ def _cmd_oracle_check(argv: list[str]) -> int:
     p = _parser("oracle-check", "Cross-check the engine against the Fock oracle.")
     p.add_argument("--cutoff", type=int, required=True, help="per-mode Fock dimension")
     p.add_argument("--h", type=float, default=1e-4, help="finite-difference step (default 1e-4)")
-    p.add_argument("--tol", type=float, default=1e-9, help="kernel threshold (default 1e-9)")
-    args = _parse(p, argv)
+    args = p.parse_args(argv)
+    if not (math.isfinite(args.h) and args.h > 0.0):
+        raise ConfigError(f"--h must be finite and > 0, got {args.h:g}")
     cfg = load_model_config(args.config)
-    rep = qfi_general(cfg.point, args.tol)
+    rep = qfi_general(cfg.point)
     probe = qfi_fock_probe(cfg.family, cfg.theta, args.cutoff, args.h)
-    coeffs = sld_coefficients(cfg.point, args.tol)
+    coeffs = sld_coefficients(cfg.point)
     resid = sld_residual(cfg.point, coeffs, args.cutoff, args.h)
     ident = identity_checks(cfg.point, args.cutoff)
     gap = abs(rep.qfi - probe.value)
     rel = gap / abs(rep.qfi) if rep.qfi != 0.0 else math.nan
-    print(f"# gaussqfi oracle-check: cutoff = {args.cutoff}, h = {args.h:g}, tol = {args.tol:g}")
+    print(f"# gaussqfi oracle-check: cutoff = {args.cutoff}, h = {args.h:g}")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print(f"engine_qfi = {rep.qfi:.12g}")
     print(f"oracle_qfi = {probe.value:.12g}")

@@ -18,7 +18,13 @@ QQ/QP/PQ/PP blocks of the thermal-frame input ``Xt = S^-1 X S^-T``:
 
 * ``(Xt_QQ + Xt_PP) / 2`` and ``(Xt_QP - Xt_PQ) / 2`` are divided by ``N - 1``;
 * ``(Xt_QQ - Xt_PP) / 2`` and ``(Xt_QP + Xt_PQ) / 2`` are divided by ``N + 1``;
-* entries whose divisor is below ``tol * (1 + nu_max^2)`` are zeroed (kernel).
+* the parity-+ entries of vacuum pairs are zeroed (kernel).
+
+A mode is vacuum when ``nu_k - 1 <= 16 eps |S|_F^2 tr Gamma``, sixteen times
+the rounding the state rule (:func:`~gaussqfi.symplectic.validate_covariance`)
+allows in the same frame, whatever the other modes' temperatures.  The rule
+is one-sided: a mode the state rule accepted below 1 is vacuum, and reads as
+1 in ``N - 1``.
 
 The frame costs one Cholesky factor and one Hermitian ``eigh`` (see
 :func:`~gaussqfi.symplectic.williamson`), and ``S^-1 = -w S^T w`` needs no
@@ -31,7 +37,7 @@ with ``nt = (nu, nu)``: the Wigner information pairs each entry with
 ``values[k, i, j]`` is ``nu_i nu_j - 1`` for ``k = 0`` (parity +) and
 ``nu_i nu_j + 1`` for ``k = 1`` (parity -), each an eigenvalue of
 multiplicity 2, and ``kernel`` of the same ``(2, n, n)`` shape marks the
-entries the solve zeroes.  So one kernel rule serves both.  All production
+entries the solve zeroes; one function decides both.  All production
 solves run through this frame; the dense ``(2n)^2 x (2n)^2`` matrix
 representation is exposed only for verification at small ``n``.
 """
@@ -45,6 +51,7 @@ import numpy as np
 from .exceptions import ConvergenceError, PreconditionError
 from .symplectic import (
     WilliamsonDecomposition,
+    _frame_rounding,
     _w_left,
     _w_right,
     symplectic_eigenvalues,
@@ -64,7 +71,7 @@ __all__ = [
 # Hard cap on the terms of the Stein series in stein_series_solve.
 _STEIN_MAX_TERMS = 10_000
 _STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
-_KERNEL_TOL = 1e-9  # dgamma_spectrum's kernel cut, dgamma_pseudoinverse_apply's default
+_VACUUM_ROUNDING = 16  # a mode is vacuum within this many times the state rule's rounding
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -95,8 +102,9 @@ class DGammaSpectrum:
     ``values`` and ``kernel`` have shape ``(2, n, n)``: ``values[k, i, j]``
     is the eigenvalue ``nu_i nu_j - 1`` (``k = 0``, parity +) or
     ``nu_i nu_j + 1`` (``k = 1``, parity -) of the ordered mode pair
-    ``(i, j)``, of multiplicity 2, and ``kernel`` marks the ones treated as
-    zero.  The associated matrix eigendirections are ``S E S^T``, with ``S``
+    ``(i, j)``, of multiplicity 2, and ``kernel`` marks the ones the solve
+    zeroes, the parity-+ entries of vacuum pairs (see the module docstring).
+    The associated matrix eigendirections are ``S E S^T``, with ``S``
     the Williamson frame and ``E`` the block basis of the module docstring
     placed on the rows and columns ``(i, n + i)``, ``(j, n + j)``.  When
     ``S`` is orthogonal these are literal eigenvectors of the dense
@@ -114,43 +122,58 @@ class DGammaSpectrum:
         return np.sort(np.repeat(self.values.ravel(), 2))
 
 
-def _block_eigenvalues(nu: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _block_eigenvalues(
+    dec: WilliamsonDecomposition, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue arrays of the thermal-frame map and their kernel mask.
 
     Returns ``(lam, kernel)``, both of shape ``(2, n, n)``: ``lam[0] = N - 1``
     (parity +) and ``lam[1] = N + 1`` (parity -) with ``N = nu nu^T``;
-    ``kernel`` marks the entries below ``tol * (1 + nu_max^2)``.  Each entry
-    is one eigenvalue of multiplicity 2.
+    ``kernel`` marks the parity-+ entries whose two modes are both vacuum,
+    ``nu_k - 1 <= 16 eps |S|_F^2 tr gamma``.  Each entry is one eigenvalue of
+    multiplicity 2.  In ``lam[0]`` a ``nu`` below 1 reads as 1: a mode the
+    state rule accepted below the vacuum meets a warmer one through
+    ``nu_j - 1``, not through a difference that may vanish.
+
+    Raises:
+        FloatingPointError: if ``N`` overflows.
     """
-    # the Python-float square raises OverflowError before np.outer would warn
-    cut = tol * (1.0 + float(nu.max()) ** 2)
-    N = np.outer(nu, nu)
+    nu = dec.nu
+    with np.errstate(over="raise"):
+        N = np.outer(nu, nu)
     lam = np.stack([N - 1.0, N + 1.0])
-    return lam, np.abs(lam) < cut
+    if nu[-1] < 1.0:
+        cold = np.maximum(nu, 1.0)
+        lam[0] = np.outer(cold, cold) - 1.0
+    vacuum = nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(dec.S, gamma)
+    kernel = np.zeros_like(lam, dtype=bool)
+    kernel[0] = np.outer(vacuum, vacuum)
+    return lam, kernel
 
 
 def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
     """Spectrum of the superoperator via the Williamson frame.
 
-    Eigenvalues below ``1e-9 * (1 + nu_max^2)`` are flagged as kernel, the
-    default threshold of :func:`dgamma_pseudoinverse_apply`.
+    The kernel is the one the solve of :func:`dgamma_pseudoinverse_apply`
+    zeroes: the parity-+ entries of vacuum mode pairs.
 
     Args:
-        gamma: admissible covariance matrix (symmetric, ``nu_min >= 1``).
+        gamma: covariance matrix of a state (symmetric, ``nu_min >= 1``);
+            a mode below the vacuum counts as vacuum.
 
     Returns:
         :class:`DGammaSpectrum`; ``kernel_dimension`` counts 2 per ordered
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, kernel = _block_eigenvalues(dec.nu, _KERNEL_TOL)
+    lam, kernel = _block_eigenvalues(dec, gamma)
     return DGammaSpectrum(
         nu=dec.nu, values=lam, kernel=kernel, kernel_dimension=2 * int(kernel.sum())
     )
 
 
 def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray, tol: float
+    gamma: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, float, WilliamsonDecomposition, np.ndarray]:
     """:func:`dgamma_pseudoinverse_apply`, also returning the frame it read.
 
@@ -166,7 +189,7 @@ def _frame_solve(
     n = len(dec.nu)
     Si = dec.S_inv
     Xt = Si @ X @ Si.T
-    lam, kernel = _block_eigenvalues(dec.nu, tol)
+    lam, kernel = _block_eigenvalues(dec, gamma)
 
     qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]
     # combos[k] holds the (QQ/PP, QP/PQ) combinations that see eigenvalue lam[k];
@@ -184,23 +207,29 @@ def _frame_solve(
     return Y, residual, dec, Xt
 
 
-def dgamma_pseudoinverse_apply(
-    gamma: np.ndarray, X: np.ndarray, tol: float = 1e-9
-) -> tuple[np.ndarray, float]:
+def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``D(Y) = X`` through the Williamson frame, dropping kernel modes.
 
     The input is transported to the thermal frame, split into the four
     parity combinations of its QQ/QP/PQ/PP blocks, divided elementwise by the
-    eigenvalues ``nu_i nu_j -/+ 1`` (components on eigenvalues smaller than
-    ``tol * (1 + nu_max^2)`` are zeroed), and transported back.  For ``X`` in
-    the range of the map this returns an exact solution; otherwise
-    ``residual = |D(Y) - X|_F`` measures how much of ``X`` escapes the range,
-    and callers should surface it.
+    eigenvalues ``nu_i nu_j -/+ 1`` (the parity-+ components of vacuum mode
+    pairs, the kernel of :func:`dgamma_spectrum`, are zeroed), and
+    transported back.  For ``X`` in the range of the map this returns an
+    exact solution; otherwise ``residual = |D(Y) - X|_F`` measures how much
+    of ``X`` escapes the range, and callers should surface it.
+
+    Args:
+        gamma: covariance matrix of a state (symmetric, ``nu_min >= 1``);
+            a mode below the vacuum counts as vacuum.
+        X: right-hand side, of the shape of ``gamma``.
 
     Returns:
         ``(Y, residual)``.
+
+    Raises:
+        FloatingPointError: if ``nu_i nu_j`` overflows.
     """
-    return _frame_solve(gamma, X, tol)[:2]
+    return _frame_solve(gamma, X)[:2]
 
 
 def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ import numpy as np
 
 from .dgamma import _frame_solve
 from .exceptions import ConvergenceError, PreconditionError
-from .models import _ISOTHERMAL_TOL, GaussianModelPoint, _require_isothermal
+from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import _require_state, williamson
+
+_DEFINITE_TOL = 1e-9  # photon_counting_form: eigenvalues of L beyond this times max|L|
 
 __all__ = [
     "SLDCoefficients",
@@ -69,9 +71,7 @@ def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
     return 2.0 * np.linalg.solve(point.gamma, point.dd)
 
 
-def _solve(
-    point: GaussianModelPoint, tol: float
-) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
+def _solve(point: GaussianModelPoint) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
     """The SLD coefficients, with the symplectic spectrum ``nu`` and the
     thermal-frame input ``Xt`` of the Williamson frame that solved them.
 
@@ -79,7 +79,7 @@ def _solve(
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
     """
-    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, tol)
+    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma)
     _require_state(float(dec.nu[-1]), dec.S, point.gamma)
     L = 0.5 * (Y + Y.T)
     c = -0.5 * float(np.sum(L * point.gamma))
@@ -87,18 +87,20 @@ def _solve(
     return coeffs, dec.nu, Xt
 
 
-def sld_coefficients(point: GaussianModelPoint, tol: float = 1e-9) -> SLDCoefficients:
+def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """Solve for the centered SLD coefficients of a model point.
+
+    ``L`` is the solve of :func:`~gaussqfi.dgamma.dgamma_pseudoinverse_apply`,
+    whose kernel is the parity-+ entries of vacuum mode pairs.
 
     Args:
         point: model point with an admissible covariance matrix.
-        tol: kernel threshold passed to the superoperator pseudoinverse.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
     """
-    return _solve(point, tol)[0]
+    return _solve(point)[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def _nonnegative(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
+def qfi_general(point: GaussianModelPoint) -> FisherReport:
     """Quantum Fisher information via the superoperator pseudoinverse.
 
     Valid for any admissible model point, including purity boundaries (where
@@ -155,7 +157,7 @@ def qfi_general(point: GaussianModelPoint, tol: float = 1e-9) -> FisherReport:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
-    coeffs, nu, Xt = _solve(point, tol)
+    coeffs, nu, Xt = _solve(point)
     second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
     first = _nonnegative(float(point.dd @ coeffs.b), "first-moment term")
     nt = np.concatenate([nu, nu])
@@ -188,7 +190,7 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """
-    chk = _require_isothermal(point, _ISOTHERMAL_TOL)[0]
+    chk = _require_isothermal(point)[0]
     nu2 = chk.nu * chk.nu
     wigner_second = gaussian_distribution_fisher(point.gamma, point.dgamma)
     second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
@@ -261,23 +263,23 @@ class PhotonCountingForm:
 
 
 def photon_counting_form(
-    coeffs: SLDCoefficients, point: GaussianModelPoint, tol: float = 1e-9
+    coeffs: SLDCoefficients, point: GaussianModelPoint
 ) -> PhotonCountingForm | None:
     """Attempt the photon-counting normal form of the SLD.
 
     The form exists exactly when ``L`` is definite: every eigenvalue of
-    ``L`` exceeds ``tol max|L|`` in one sign.  Returns None otherwise: for a
-    purely linear model (``max|L| <= tol``, first moments carry all
+    ``L`` exceeds ``1e-9 max|L|`` in one sign.  Returns None otherwise: for a
+    purely linear model (``max|L| <= 1e-9``, first moments carry all
     information), and when ``L`` is indefinite or singular (no strictly
     symplectic normal form).
     """
     scaleL = float(np.abs(coeffs.L).max())
-    if scaleL <= tol:
+    if scaleL <= _DEFINITE_TOL:
         return None  # linear model
     ev = np.linalg.eigvalsh(coeffs.L)
-    if ev[0] > tol * scaleL:
+    if ev[0] > _DEFINITE_TOL * scaleL:
         sign = +1.0
-    elif ev[-1] < -tol * scaleL:
+    elif ev[-1] < -_DEFINITE_TOL * scaleL:
         sign = -1.0
     else:
         return None  # indefinite or singular

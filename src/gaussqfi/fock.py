@@ -329,6 +329,16 @@ def suggested_cutoff(point: GaussianModelPoint) -> int:
     return int(np.ceil(10 + 8 * max(0.0, nbar.max())))
 
 
+def _dense_size(cutoff: int, n: int) -> str:
+    """Memory of one dense ``cutoff^n`` square complex matrix, e.g. ``31 GB``."""
+    size = float(cutoff) ** (2 * n) * 16
+    for unit in ("B", "kB", "MB", "GB", "TB"):
+        if size < 1000.0:
+            break
+        size /= 1000.0
+    return f"{size:.0f} {unit}" if size >= 10.0 else f"{size:.2g} {unit}"
+
+
 def build_state(
     point: GaussianModelPoint,
     cutoff: int,
@@ -369,7 +379,8 @@ def build_state(
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``), or
             flag ``"tail_mass"`` when the truncation loses more weight than
-            ``tail_bound``.
+            ``tail_bound`` (the message suggests a cutoff and gives the
+            memory of a dense state at it).
         ConvergenceError: if an Euler factor deviates from orthogonal
             symplectic by more than ``1e-10`` plus the rounding of the
             state rule, or (after the tail) the constructed matrix has an
@@ -399,10 +410,11 @@ def build_state(
     rho = 0.5 * (rho + rho.conj().T)
     tail = float(1.0 - np.trace(rho).real)
     if tail > tail_bound:
+        suggested = suggested_cutoff(point)
         raise PreconditionError(
             "tail_mass",
             f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; "
-            f"suggested cutoff is {suggested_cutoff(point)}",
+            f"suggested cutoff is {suggested} ({_dense_size(suggested, n)} dense state)",
         )
     low = np.linalg.eigvalsh(rho)[0]
     if low < -1e-10:

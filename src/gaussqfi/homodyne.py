@@ -26,6 +26,7 @@ from .estimation import gaussian_distribution_fisher
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import (
+    _ISOTHERMAL_TOL,
     _direct_sum,
     _direct_sum_vector,
     hamiltonian_eigenframe,
@@ -64,11 +65,13 @@ class IsothermalFrame:
         return self.lam.size
 
 
-def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> IsothermalFrame:
+def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
     """Construct the measurement normal frame of a model point.
 
     Requires the two equal-temperature gates, a state, and static first
-    moments; rejection names the flag that failed.  ``T = O Si`` as in the
+    moments (``max|dd| <= 1e-8``); rejection names the flag that failed.
+    The gates are those of :func:`~gaussqfi.models.check_isothermal`, at the
+    same fixed tolerance, so both give one verdict.  ``T = O Si`` as in the
     module docstring: one Cholesky factor of ``Gamma`` and one ``eigh``, of
     ``W``.
 
@@ -77,15 +80,15 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
     """
-    chk, Si, W = _require_isothermal(point, tol)
-    if np.abs(point.dd).max(initial=0.0) > tol:
+    chk, Si, W = _require_isothermal(point)
+    if np.abs(point.dd).max(initial=0.0) > _ISOTHERMAL_TOL:
         raise PreconditionError(
             "static_first_moments",
             "homodyne normal-frame analysis assumes dd = 0",
         )
     nu = chk.nu
     W = 0.5 * (W + W.T)
-    O, wlam = hamiltonian_eigenframe(W, tol)
+    O, wlam = hamiltonian_eigenframe(W)
     T = O @ Si
     lam = wlam / nu
 
@@ -95,7 +98,7 @@ def isothermal_frame(point: GaussianModelPoint, tol: float = 1e-8) -> Isothermal
         np.abs(T @ point.gamma @ T.T - nu * np.eye(2 * n)).max(),
         np.abs(T @ point.dgamma @ T.T - np.diag(np.concatenate([wlam, -wlam]))).max(),
     )
-    if dev > 1e3 * tol * scale:
+    if dev > 1e3 * _ISOTHERMAL_TOL * scale:
         raise ConvergenceError(f"normal-frame residual {dev:.3e} exceeds tolerance")
     return IsothermalFrame(T=T, lam=lam, nu=nu)
 

@@ -19,9 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
-from .symplectic import _ASYMMETRY_TOL, _hamiltonian_deviation, _require_state, validate_covariance
+from .symplectic import (
+    _ASYMMETRY_TOL,
+    _ISOTHERMAL_TOL,
+    _hamiltonian_deviation,
+    _require_state,
+    validate_covariance,
+)
 
-_ISOTHERMAL_TOL = 1e-8  # gate tolerance of check_isothermal and qfi_isothermal
 _ROUNDING = 16 * np.finfo(float).eps  # per unit of |Si|_F^2 max|Gamma / nu|
 
 __all__ = [
@@ -303,7 +308,7 @@ class IsothermalCheck:
 
 
 def _isothermal_gate(
-    point: GaussianModelPoint, tol: float
+    point: GaussianModelPoint,
 ) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
     """The equal-temperature gates, plus the frame they computed.
 
@@ -318,7 +323,7 @@ def _isothermal_gate(
     ``[[A, 0], [C A, A^-T]]``, ``A = X / sqrt(nu)``, of ``Gamma / nu``, and it
     is symplectic iff ``C`` is symmetric.  The point is isothermal iff ``C``
     is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
-    compared with ``tol`` plus the rounding of that product,
+    compared with ``1e-8`` plus the rounding of that product,
     ``16 eps |Si|_F^2 max|Gamma / nu|``.  An isothermal point must then be a
     state, read in the frame ``Si``.
 
@@ -345,7 +350,7 @@ def _isothermal_gate(
     Si[n:, :n] = -(X.T @ C) / rs
     Si[n:, n:] = X.T / rs
     G = point.gamma / nu
-    cut = tol + _ROUNDING * float(np.sum(Si * Si)) * float(np.abs(G).max())
+    cut = _ISOTHERMAL_TOL + _ROUNDING * float(np.sum(Si * Si)) * float(np.abs(G).max())
     if (
         np.abs(C - C.T).max() > cut
         or np.abs(Si @ G @ Si.T - np.eye(2 * n)).max() > cut
@@ -353,7 +358,7 @@ def _isothermal_gate(
         return IsothermalCheck(False, math.nan, False), None, None
     _require_state(nu, Si, point.gamma)
     W = Si @ point.dgamma @ Si.T
-    preserves = bool(_hamiltonian_deviation(W) <= tol * (1.0 + np.abs(W).max()))
+    preserves = bool(_hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + np.abs(W).max()))
     return IsothermalCheck(True, nu, preserves), Si, W
 
 
@@ -366,11 +371,11 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
             but not a state (see ``validate_covariance``); spread
             temperatures read ``is_isothermal=False`` first.
     """
-    return _isothermal_gate(point, _ISOTHERMAL_TOL)[0]
+    return _isothermal_gate(point)[0]
 
 
 def _require_isothermal(
-    point: GaussianModelPoint, tol: float
+    point: GaussianModelPoint,
 ) -> tuple[IsothermalCheck, np.ndarray, np.ndarray]:
     """:func:`_isothermal_gate`, raising when either gate fails.
 
@@ -378,7 +383,7 @@ def _require_isothermal(
         PreconditionError: flag ``"is_isothermal"``, checked first, then
             ``"nu_min"`` and ``"derivative_preserves_nu"``.
     """
-    chk, Si, W = _isothermal_gate(point, tol)
+    chk, Si, W = _isothermal_gate(point)
     if not chk.is_isothermal:
         raise PreconditionError("is_isothermal", "symplectic spectrum is not degenerate")
     if not chk.derivative_preserves_nu:

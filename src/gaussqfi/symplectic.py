@@ -31,6 +31,8 @@ _WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound and symmetry gate
 _STATE_TOL = 1e-8  # state rule: how far below 1 nu_min may lie beyond rounding
 _ASYMMETRY_TOL = 1e-8  # max |Gamma - Gamma^T| of validate_covariance and explicit configs
 _EULER_TOL = 1e-8  # how far from symplectic (max-abs) euler_decompose accepts S
+_ISOTHERMAL_TOL = 1e-8  # equal-temperature gates, their normal frame and hamiltonian_eigenframe
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "symplectic_form",
@@ -120,7 +122,7 @@ def _frame_rounding(S: np.ndarray, gamma: np.ndarray) -> float:
     is read in the symplectic frame ``S`` of ``gamma`` (a Williamson frame or
     its inverse; ``|S^-1|_F = |S|_F``).  Rounding ``gamma`` by ``E`` moves a
     ``nu`` by at most ``|E| |S|_F^2``, and ``|E| ~ eps |gamma| <= eps tr gamma``."""
-    return np.finfo(float).eps * float(np.sum(S * S)) * float(np.trace(gamma))
+    return _EPS * float(np.vdot(S, S)) * float(np.trace(gamma))
 
 
 def _is_state(nu_min: float, S: np.ndarray, gamma: np.ndarray) -> bool:
@@ -305,7 +307,7 @@ def _hamiltonian_deviation(W: np.ndarray) -> float:
     return float(np.abs(_w_right(W) + _w_left(W)).max())
 
 
-def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise a symmetric Hamiltonian matrix by an orthogonal symplectic.
 
     A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
@@ -320,21 +322,22 @@ def hamiltonian_eigenframe(W: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     singular vectors of its eigenvectors read the same way.  ``O`` is the
     passive image of the unitary whose rows are the conjugated modes.
 
+    Eigenvalues within ``1e-8 (1 + max|W|)`` of 0 count as zero.
+
     Raises:
         ValueError: if ``W`` is not symmetric-Hamiltonian within
-            ``tol * (1 + |W|)``, or its zero eigenspace has fewer than
+            ``1e-8 (1 + max|W|)``, or its zero eigenspace has fewer than
             ``2 m`` dimensions.
     """
     W = np.asarray(W, dtype=float)
     n = _check_even_square(W, "W")
-    scale = 1.0 + float(np.abs(W).max())
-    if np.abs(W - W.T).max() > tol * scale:
+    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
+    if np.abs(W - W.T).max() > cut:
         raise ValueError("W is not symmetric")
-    if _hamiltonian_deviation(W) > tol * scale:
+    if _hamiltonian_deviation(W) > cut:
         raise ValueError("W does not anticommute with the symplectic form")
 
     ev, V = np.linalg.eigh(W)
-    cut = tol * scale
     order = np.argsort(-ev)
     pos = order[ev[order] > cut][:n]
     modes = V[:n, pos] + 1j * V[n:, pos]

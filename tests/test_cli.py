@@ -160,17 +160,11 @@ def test_sweep_rejects_bad_counts(tmp_path):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["sweep", "--from", "0", "--to", "1", "--steps", "3", "--tol", "-1"], "--tol"),
-        (["sweep", "--from", "0", "--to", "1", "--steps", "3", "--tol", "inf"], "--tol"),
-        (["qfi", "--tol", "0"], "--tol"),
-        (["sld", "--tol", "nan"], "--tol"),
-        (["homodyne", "--tol", "-0.5"], "--tol"),
         (["oracle-check", "--cutoff", "20", "--h", "0"], "--h"),
         (["oracle-check", "--cutoff", "20", "--h", "nan"], "--h"),
         (["homodyne", "--random-U", "-3"], "--random-U"),
     ],
-    ids=["sweep-tol-neg", "sweep-tol-inf", "qfi-tol-zero", "sld-tol-nan",
-         "homodyne-tol-neg", "oracle-h-zero", "oracle-h-nan", "homodyne-random-u-neg"],
+    ids=["oracle-h-zero", "oracle-h-nan", "homodyne-random-u-neg"],
 )
 def test_numeric_flags_are_validated(tmp_path, capsys, argv, flag):
     cfg = write_cfg(
@@ -201,35 +195,37 @@ def test_sweep_flags_kernel_overlap(tmp_path):
     assert row[5] == ""
 
 
-def test_sweep_flags_every_row_at_large_tol(tmp_path):
-    # --tol 10 cuts every line of the solve, so qfi reads 0; each row must say so.
-    cfg = write_cfg(tmp_path, {**PHASE, "params": {"r": 0.5}})
-    grid = ["--from", "0", "--to", "1", "--steps", "5"]
+def test_sweep_flags_every_row_on_the_kernel(tmp_path):
+    # Heating the vacuum, dGamma = I at Gamma = I, lies in the kernel, so the
+    # QFI reads 0 at t = 0; each row there must say so.
+    grid = ["--steps", "5", "--out"]
     rows = {}
-    for tol in ("10", None):
-        out = tmp_path / f"{tol}.csv"
-        extra = [] if tol is None else ["--tol", tol]
-        assert cli.main(["sweep", cfg, *grid, "--out", str(out), *extra]) == 0
-        rows[tol] = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows["10"]) == 5
-    for row in rows["10"]:
+    for name, doc, span in (
+        ("vacuum", VACUUM_HEATING, ["--from", "0", "--to", "0"]),
+        ("squeezed", {**PHASE, "params": {"r": 0.5}}, ["--from", "0", "--to", "1"]),
+    ):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["sweep", write_cfg(tmp_path, doc), *span, *grid, str(out)]) == 0
+        rows[name] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows["vacuum"]) == 5
+    for row in rows["vacuum"]:
         assert float(row[1]) == 0.0
         assert row[8] == "kernel-overlap"
-    # At the default tol nothing is flagged and the QFI is the closed form.
-    for row in rows[None]:
+    # Off the kernel nothing is flagged and the QFI is the closed form.
+    for row in rows["squeezed"]:
         assert float(row[1]) == pytest.approx(2 * np.sinh(1.0) ** 2, rel=1e-10)
         assert row[8] == ""
 
 
-def test_qfi_warns_of_kernel_overlap_at_large_tol(tmp_path, capsys):
+def test_qfi_warns_of_kernel_overlap(tmp_path, capsys):
     # qfi applies the sweep's kernel-overlap rule and says so on stderr; its
     # stdout and exit code stay those of an unflagged run.
-    cfg = write_cfg(tmp_path, {**PHASE, "params": {"r": 0.5}, "theta": 0.3})
-    assert cli.main(["qfi", cfg, "--tol", "10"]) == 0
+    assert cli.main(["qfi", write_cfg(tmp_path, VACUUM_HEATING)]) == 0
     out, err = capsys.readouterr()
     assert get_value(out, "qfi") == "0"
     residual = get_value(out, "range_residual")
     assert err == f"warning: kernel-overlap (range_residual = {residual})\n"
+    cfg = write_cfg(tmp_path, {**PHASE, "params": {"r": 0.5}, "theta": 0.3})
     assert cli.main(["qfi", cfg]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -349,7 +345,9 @@ def test_oracle_check_strong_squeezing_exits_3_on_the_tail(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 5.0}, "theta": 0.3})
     assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("precondition failed: [tail_mass]") and "suggested cutoff" in err
+    assert err.startswith("precondition failed: [tail_mass]")
+    # The advice says what the suggested cutoff would cost: 44059^2 * 16 bytes.
+    assert "suggested cutoff is 44059 (31 GB dense state)" in err
 
 
 def test_sweep_pure_explicit(tmp_path):

@@ -293,13 +293,14 @@ def test_pseudoinverse_zeroes_kernel_dimension_components(gamma):
     assert m * m - rank == gq.dgamma_spectrum(gamma).kernel_dimension
 
 
-def _block_loop_pinv(gamma, X, tol=1e-9):
-    """Reference: the mode-pair loop over the 2x2 block basis, with a dense inverse."""
+def _block_loop_pinv(gamma, X):
+    """Reference: the mode-pair loop over the 2x2 block basis, with a dense
+    inverse; the parity-+ blocks of vacuum pairs (within 1e-9) are dropped."""
     dec = gq.williamson(gamma)
     n = len(dec.nu)
     Si = np.linalg.inv(dec.S)
     Xt = Si @ X @ Si.T
-    cut = tol * (1.0 + dec.nu.max() ** 2)
+    vacuum = np.abs(dec.nu - 1.0) <= 1e-9
     basis = [
         (np.eye(2), +1),
         (np.array([[0.0, 1.0], [-1.0, 0.0]]), +1),
@@ -311,9 +312,10 @@ def _block_loop_pinv(gamma, X, tol=1e-9):
         for j in range(n):
             idx = np.ix_([i, n + i], [j, n + j])
             for E, parity in basis:
+                if parity == +1 and vacuum[i] and vacuum[j]:
+                    continue
                 lam = dec.nu[i] * dec.nu[j] - parity
-                if abs(lam) >= cut:
-                    Yt[idx] += (np.sum(Xt[idx] * E) / (2.0 * lam)) * E
+                Yt[idx] += (np.sum(Xt[idx] * E) / (2.0 * lam)) * E
     return Si.T @ Yt @ Si
 
 

@@ -369,3 +369,63 @@ def test_frame_read_terms_match_solve_route(pt):
 def test_qfi_general_factorisation_counts(linalg_calls, pt, solves):
     gq.qfi_general(pt)
     assert linalg_calls == {"cholesky": 1, "eigh": 1, "solve": solves}
+
+
+def _heated_point(gamma_diag, heating_diag):
+    zero = np.zeros(len(gamma_diag))
+    return gq.GaussianModelPoint(zero, np.diag(gamma_diag), zero, np.diag(heating_diag))
+
+
+@pytest.mark.parametrize("cold", [1.5, 1.04, 1.0 + 1e-6])
+@pytest.mark.parametrize("hot", [1e4, 1e5, 1e6, 1e7])
+def test_cold_mode_beside_a_hot_one_keeps_its_qfi(cold, hot):
+    # Only vacuum pairs are kernel, whatever the hottest mode: heating the
+    # cold mode has the thermal QFI 1 / (nu^2 - 1) (0.8 at nu = 1.5).
+    pt = _heated_point([hot, cold, hot, cold], [0.0, 1.0, 0.0, 1.0])
+    rep = gq.qfi_general(pt)
+    assert rep.qfi == pytest.approx(1.0 / (cold * cold - 1.0), rel=1e-8)
+    assert rep.range_residual <= 1e-9 * (1.0 + np.linalg.norm(pt.dgamma))  # not flagged
+
+
+def test_mode_accepted_below_the_vacuum_reads_as_vacuum():
+    # The state rule accepts nu = 1 - 5e-9; beside a mode at 1 + 5e-9 the
+    # pair's nu_i nu_j - 1 would vanish, so the sub-vacuum mode reads as 1.
+    low, warm = 1.0 - 5e-9, 1.0 + 5e-9
+    rep = gq.qfi_general(_heated_point([low, warm, low, warm], [0.0, 1.0, 0.0, 1.0]))
+    assert rep.qfi == pytest.approx(1.0 / (warm * warm - 1.0), rel=1e-6)
+    assert rep.range_residual == 0.0
+
+
+@pytest.mark.parametrize("excess", [1e-12, 1e-10])
+def test_thermal_just_above_the_vacuum_keeps_its_qfi(excess):
+    theta = 1.0 + excess
+    rep = gq.qfi_general(_heated_point([theta, theta], [1.0, 1.0]))
+    assert rep.qfi == pytest.approx(1.0 / (theta * theta - 1.0), rel=1e-9)
+
+
+def _squeezed6_explicit():
+    # phase_squeezed r = 6 at theta = 0.3, as the explicit config of the CLI checks
+    gamma = [[148541.05863768855, 45949.133990125076],
+             [45949.133990125076, 14213.732787459565]]
+    dgamma = [[-91898.26798025015, 134327.32585022898],
+              [134327.32585022898, 91898.26798025015]]
+    zero = np.zeros(2)
+    return gq.GaussianModelPoint(zero, np.array(gamma), zero, np.array(dgamma))
+
+
+@pytest.mark.parametrize(
+    "pt, rtol",
+    [
+        (_squeezed6_explicit(), 1e-5),
+        (gq.builtin_family("phase_squeezed", {"r": 1.0}).point(0.3), 1e-13),
+    ],
+    ids=["r6-explicit", "r1"],
+)
+def test_pure_phase_sld_carries_no_kernel_component(pt, rtol):
+    # On a pure state the kernel is spanned by Gamma and S w S^T; the SLD of a
+    # phase rotation is L = dGamma / 2, with no rounding noise divided by
+    # nu^2 - 1 along Gamma, and so c = -tr[L Gamma] / 2 = 0.
+    co = gq.sld_coefficients(pt)
+    scale = np.abs(co.L).max()
+    assert np.abs(co.L - pt.dgamma / 2).max() <= rtol * scale
+    assert abs(co.c) <= rtol * scale

@@ -351,6 +351,14 @@ def test_state_moments_two_mode_squeezed():
     assert_allclose(d, np.zeros(4), atol=1e-8)
 
 
+def test_tail_refusal_names_the_memory_of_its_advice():
+    # 116^4 complex entries: the suggested two-mode state would need 2.9 GB.
+    pt = gq.builtin_family("two_mode_squeezed_phase", {"r": 2.0}).point(0.3)
+    with pytest.raises(gq.PreconditionError, match=r"is 116 \(2\.9 GB dense state\)") as exc:
+        gq.build_state(pt, 10)
+    assert exc.value.flag == "tail_mass"
+
+
 def test_suggested_cutoff():
     assert gq.suggested_cutoff(gq.builtin_family("thermal").point(2.0)) == 14
     vac = gq.GaussianModelPoint(np.zeros(2), np.eye(2), np.zeros(2), np.zeros((2, 2)))

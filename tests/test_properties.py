@@ -294,3 +294,31 @@ def test_fisher_informations_scale_with_the_square_of_the_tangent(n, seed, k):
         hom = gq.optimal_homodyne_fisher(gq.isothermal_frame(pt))
         hom_k = gq.optimal_homodyne_fisher(gq.isothermal_frame(scaled))
         assert hom_k == pytest.approx(k2 * hom, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    k=st.integers(min_value=0, max_value=3),
+    colds=st.lists(st.floats(min_value=-3.0, max_value=0.3), min_size=1, max_size=3),
+    heat=st.floats(min_value=0.5, max_value=6.0),
+    cap=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_kernel_is_the_vacuum_pairs_beside_any_heat(seed, k, colds, heat, cap):
+    # k vacuum modes, cold modes at 1 + 10^u and one mode at 10^0.5 to 1e6,
+    # in a squeezed frame: the kernel is the 2 k^2 parity-+ lines of the
+    # vacuum pairs whatever the hottest mode, and heating a cold mode has the
+    # thermal QFI 1 / (nu^2 - 1), however close to 1 it sits.
+    nu = np.concatenate([np.ones(k), 1.0 + 10.0 ** np.array(colds), [10.0**heat]])
+    n = nu.size
+    S = gq.random_symplectic(n, seed=seed, squeeze_cap=cap)
+    gamma = S @ thermal_diag(nu) @ S.T
+    gamma = 0.5 * (gamma + gamma.T)
+    assert gq.dgamma_spectrum(gamma).kernel_dimension == 2 * k * k
+    heating = np.zeros(n)
+    heating[k] = 1.0
+    dgamma = S @ thermal_diag(heating) @ S.T
+    zero = np.zeros(2 * n)
+    pt = gq.GaussianModelPoint(zero, gamma, zero, 0.5 * (dgamma + dgamma.T))
+    cold = nu[k]
+    assert gq.qfi_general(pt).qfi == pytest.approx(1.0 / (cold * cold - 1.0), rel=1e-6)
