@@ -51,7 +51,9 @@ import numpy as np
 from .exceptions import ConvergenceError, PreconditionError
 from .symplectic import (
     WilliamsonDecomposition,
+    _check_even_square,
     _frame_rounding,
+    _symmetric_part,
     _w_left,
     _w_right,
     symplectic_eigenvalues,
@@ -248,18 +250,24 @@ def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 
     Args:
         gamma: admissible covariance matrix, strictly above purity.
-        dgamma: symmetric derivative of the covariance matrix.
+        dgamma: symmetric derivative of the covariance matrix.  Both are
+            held to the symmetry rule of
+            :func:`~gaussqfi.symplectic.validate_covariance` and read as
+            their symmetric parts.
 
     Raises:
+        ValueError: if either matrix fails the symmetry rule (not finite, or
+            not symmetric) or the shapes differ.
         PreconditionError: if ``nu_min <= 1 + 1e-12`` (flag ``"nu_min"``).
         ConvergenceError: if no term of the first 10 000 drops below
             ``1e-12``, or the partial sum fails the Stein equation by more
             than ``1e-11`` (relative).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    dgamma = np.asarray(dgamma, dtype=float)
-    if dgamma.shape != gamma.shape:
-        raise ValueError(f"dgamma has shape {dgamma.shape}, expected {gamma.shape}")
+    n = _check_even_square(gamma, "gamma")
+    if np.shape(dgamma) != np.shape(gamma):
+        raise ValueError(f"dgamma has shape {np.shape(dgamma)}, expected {np.shape(gamma)}")
+    gamma = _symmetric_part(gamma, "gamma")
+    dgamma = _symmetric_part(dgamma, "dgamma")
     nu_min = float(symplectic_eigenvalues(gamma)[-1])
     if nu_min <= 1.0 + _STEIN_TOL:
         raise PreconditionError(
@@ -267,7 +275,6 @@ def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
             f"Stein series needs nu_min > 1 (got {nu_min:.6g}); "
             "use the pseudoinverse route at or near purity",
         )
-    n = gamma.shape[0] // 2
     H = np.linalg.solve(gamma, symplectic_form(n))
     rhs = np.linalg.solve(gamma, np.linalg.solve(gamma, dgamma).T).T
     rhs = 0.5 * (rhs + rhs.T)

@@ -87,7 +87,6 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
             "homodyne normal-frame analysis assumes dd = 0",
         )
     nu = chk.nu
-    W = 0.5 * (W + W.T)
     O, wlam = hamiltonian_eigenframe(W)
     T = O @ Si
     lam = wlam / nu

@@ -13,17 +13,17 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import (
-    _ASYMMETRY_TOL,
     _ISOTHERMAL_TOL,
     _hamiltonian_deviation,
     _require_state,
+    _symmetric_part,
     validate_covariance,
 )
 
@@ -45,11 +45,20 @@ __all__ = [
 class GaussianModelPoint:
     """Moments and moment derivatives of a Gaussian model at one parameter value.
 
+    ``gamma`` and ``dgamma`` are held to the symmetry rule of
+    :func:`~gaussqfi.symplectic.validate_covariance` (finite, and
+    ``max|M - M^T| <= 1e-8 (1 + max|M|)``) and stored as their symmetric
+    parts, so every consumer of a point reads symmetric matrices.
+
     Attributes:
         d: first moments, length 2n, ordering (Q.., P..).
-        gamma: covariance matrix, 2n x 2n, vacuum-normalised.
+        gamma: covariance matrix, 2n x 2n, vacuum-normalised, symmetric.
         dd: parameter derivative of ``d``.
-        dgamma: parameter derivative of ``gamma`` (symmetric).
+        dgamma: parameter derivative of ``gamma``, symmetric.
+
+    Raises:
+        ConfigError: on inconsistent shapes, non-finite entries, or a
+            ``gamma`` or ``dgamma`` the symmetry rule refuses.
     """
 
     d: np.ndarray
@@ -73,9 +82,14 @@ class GaussianModelPoint:
             raise ConfigError(
                 f"dgamma shape {self.dgamma.shape} inconsistent with d length {m}"
             )
-        for name in ("d", "gamma", "dd", "dgamma"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("d", "dd"):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} contains non-finite entries")
+        for name in ("gamma", "dgamma"):
+            try:
+                object.__setattr__(self, name, _symmetric_part(getattr(self, name), name))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def n(self) -> int:
@@ -96,10 +110,8 @@ class ModelFamily:
     fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
     def point(self, theta: float) -> GaussianModelPoint:
-        """Evaluate the family at ``theta``; ``dgamma`` is stored symmetrised."""
-        d, gamma, dd, dgamma = self.fn(theta)
-        dgamma = np.asarray(dgamma, dtype=float)
-        return GaussianModelPoint(d=d, gamma=gamma, dd=dd, dgamma=0.5 * (dgamma + dgamma.T))
+        """Evaluate the family at ``theta``."""
+        return GaussianModelPoint(*self.fn(theta))
 
 
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
@@ -153,10 +165,10 @@ def _family_thermal(params: dict) -> ModelFamily:
     def fn(theta: float):
         if theta < 1.0:
             raise ConfigError(f"thermal family requires theta >= 1, got {theta}")
-        if theta <= 1.0 + 1e-12:
+        if theta == 1.0:
             warnings.warn(
-                "thermal family at theta = 1 is a pure state; the Stein route "
-                "and 1/(nu^2 - 1) scaling are singular here",
+                "thermal family at theta = 1 is a pure state; its QFI "
+                "1/(theta^2 - 1) diverges here",
                 NearSingularWarning,
                 stacklevel=2,
             )
@@ -445,13 +457,6 @@ def _parse_explicit(doc: dict) -> ModelConfig:
         raise ConfigError(
             f"explicit model: declares n = {n} but arrays describe {point.n} mode(s)"
         )
-    symmetric = {}
-    for key, m in (("Gamma", point.gamma), ("dGamma", point.dgamma)):
-        asym = float(np.abs(m - m.T).max())
-        if asym > _ASYMMETRY_TOL:
-            raise ConfigError(f"explicit model: {key!r} is not symmetric (asymmetry {asym:.3g})")
-        symmetric[key.lower()] = 0.5 * (m + m.T)
-    point = replace(point, **symmetric)
     check = validate_covariance(point.gamma)
     if not check.valid:
         raise ConfigError(
@@ -474,8 +479,9 @@ def parse_model_config(doc: dict) -> ModelConfig:
     Unknown keys raise ``ConfigError``, as does any ``theta``, family
     parameter or array entry that is not a finite JSON number (bools and
     strings are not), an ``n`` that is not a positive integer, and arrays of
-    the wrong shape.  Explicit ``Gamma`` and ``dGamma`` may be asymmetric by
-    at most 1e-8 and are stored symmetrised; ``Gamma`` must be admissible
+    the wrong shape.  Explicit ``Gamma`` and ``dGamma`` are held to the
+    symmetry rule of :class:`GaussianModelPoint` and stored as their
+    symmetric parts; ``Gamma`` must be admissible
     (:func:`~gaussqfi.symplectic.validate_covariance`).
     """
     if isinstance(doc, dict) and "explicit" in doc:

@@ -10,8 +10,8 @@ Conventions used throughout the package:
 
 A covariance matrix describes a physical state iff it is symmetric and all
 its symplectic eigenvalues ``nu_k`` (Williamson spectrum) satisfy
-``nu_k >= 1``; every entry point decides it, within rounding, by the one
-rule stated in :func:`validate_covariance`.
+``nu_k >= 1``; every entry point decides both, within rounding, by the
+symmetry rule and the state rule stated in :func:`validate_covariance`.
 
 Every orthogonal symplectic frame here (a passive network) is built as the
 image ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n unitary ``u`` on the
@@ -21,16 +21,17 @@ matrix, and through it both orthogonal factors of the Euler decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError, PreconditionError
 
-_WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound and symmetry gate
+_WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound
 _STATE_TOL = 1e-8  # state rule: how far below 1 nu_min may lie beyond rounding
-_ASYMMETRY_TOL = 1e-8  # max |Gamma - Gamma^T| of validate_covariance and explicit configs
-_EULER_TOL = 1e-8  # how far from symplectic (max-abs) euler_decompose accepts S
+_SYMMETRY_TOL = 1e-8  # symmetry rule: max |M - M^T| per unit of 1 + max|M|
+_EULER_TOL = 1e-8  # euler_decompose: max-abs symplectic defect of S; zero squeeze per 1 + z_max
 _ISOTHERMAL_TOL = 1e-8  # equal-temperature gates, their normal frame and hamiltonian_eigenframe
 _EPS = float(np.finfo(float).eps)
 
@@ -89,6 +90,24 @@ def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.abs(_w_right(S) @ S.T - symplectic_form(n)).max() <= tol)
 
 
+def _symmetric_part(M: np.ndarray, name: str) -> np.ndarray:
+    """The symmetry rule of every entry point that reads ``gamma`` or
+    ``dgamma``: ``M`` must be finite with ``max|M - M^T| <= 1e-8 (1 + max|M|)``,
+    and the caller works on the returned ``(M + M^T) / 2``.
+
+    Raises:
+        ValueError: naming ``name``, if ``M`` is not finite or not symmetric.
+    """
+    M = np.asarray(M, dtype=float)
+    scale = float(np.abs(M).max(initial=0.0))
+    if not math.isfinite(scale):  # max|M| is NaN or inf exactly when M is not finite
+        raise ValueError(f"{name} contains non-finite entries")
+    asym = float(np.abs(M - M.T).max(initial=0.0))
+    if asym > _SYMMETRY_TOL * (1.0 + scale):
+        raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3g})")
+    return 0.5 * (M + M.T)
+
+
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(L, H)``: the Cholesky factor ``L L^T = gamma`` and ``H = i L^T w L``,
     whose eigenvalues are ``+/- nu_k`` (``L^T w L`` is similar to ``gamma w``).
@@ -108,12 +127,12 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
 
     The positive eigenvalues of ``i L^T w L`` with ``L`` the Cholesky factor
     of the symmetric part of ``gamma``: the eigenproblem :func:`williamson`
-    solves, with no square root taken.  Raises ``ValueError`` if ``gamma`` is
-    not positive definite (singular included).
+    solves, with no square root taken.  Raises ``ValueError`` if ``gamma``
+    fails the symmetry rule of :func:`validate_covariance` or is not positive
+    definite (singular included).
     """
     n = _check_even_square(gamma, "gamma")
-    gamma = np.asarray(gamma, dtype=float)
-    _, H = _hermitian_form(0.5 * (gamma + gamma.T))
+    _, H = _hermitian_form(_symmetric_part(gamma, "gamma"))
     return np.linalg.eigvalsh(H)[n:][::-1]
 
 
@@ -158,11 +177,18 @@ class CovarianceCheck:
 def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     """Check that ``gamma`` is an admissible covariance matrix.
 
-    Admissible means symmetric (within 1e-8), positive definite, and a state:
-    the uncertainty relation ``gamma + i w >= 0``, i.e. ``nu_min >= 1``, up
-    to rounding.  This is the state rule of every entry point that reads
-    moments (the SLD solve, the config reader, the equal-temperature gate,
-    the Fock oracle): ``gamma`` is refused when
+    Admissible means symmetric, positive definite, and a state: the
+    uncertainty relation ``gamma + i w >= 0``, i.e. ``nu_min >= 1``, up to
+    rounding.  Symmetric is the symmetry rule of every entry point that reads
+    ``gamma`` or ``dgamma`` (a model point, the config reader,
+    :func:`williamson`, :func:`symplectic_eigenvalues`, the Stein series):
+    the matrix is finite with
+
+        ``max|gamma - gamma^T| <= 1e-8 (1 + max|gamma|)``
+
+    and is read as its symmetric part.  A state is the state rule of every
+    entry point that reads moments (the SLD solve, the config reader, the
+    equal-temperature gate, the Fock oracle): ``gamma`` is refused when
 
         ``1 - nu_min > 1e-8 + eps |S|_F^2 tr gamma``
 
@@ -173,9 +199,11 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
 
     Returns:
         :class:`CovarianceCheck` with the verdict and the measured
-        ``nu_min`` / asymmetry, so callers can report *why* a matrix was
-        rejected.  The Cholesky factor of :func:`williamson` decides
-        positive definiteness; a matrix it refuses gets ``nu_min = 0``.
+        ``nu_min`` / ``max|gamma - gamma^T|``, so callers can report *why* a
+        matrix was rejected.  A matrix that is not finite gets
+        ``nu_min = NaN`` and asymmetry ``inf``; :func:`williamson` applies
+        the symmetry rule and its Cholesky factor decides positive
+        definiteness, and a matrix it refuses gets ``nu_min = 0``.
 
     Raises:
         ConvergenceError: if the Williamson frame does not reconstruct
@@ -183,17 +211,15 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     """
     gamma = np.asarray(gamma, dtype=float)
     _check_even_square(gamma, "gamma")
-    if not np.all(np.isfinite(gamma)):
+    if not np.isfinite(gamma).all():
         return CovarianceCheck(False, np.nan, np.inf)
     asym = float(np.abs(gamma - gamma.T).max())
     try:
-        dec = williamson(0.5 * (gamma + gamma.T))
-    except ValueError:  # not positive definite
+        dec = williamson(gamma)
+    except ValueError:  # not symmetric, or not positive definite
         return CovarianceCheck(False, 0.0, asym)
     nu_min = float(dec.nu[-1])
-    return CovarianceCheck(
-        asym <= _ASYMMETRY_TOL and _is_state(nu_min, dec.S, gamma), nu_min, asym
-    )
+    return CovarianceCheck(_is_state(nu_min, dec.S, gamma), nu_min, asym)
 
 
 @dataclass(frozen=True)
@@ -230,26 +256,23 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     eigenvectors, times ``L`` and ``nu^(-1/2)``, are the Q and P columns of
     ``S``.  Any root of ``gamma`` would do; the Cholesky factor is the
     cheapest (the symmetric root costs an ``eigh`` of its own).  The result
-    must reconstruct ``gamma`` within a max-abs error of
-    ``1e-10 max(1, |gamma|)``.
+    must reconstruct the symmetric part of ``gamma`` within a max-abs error
+    of ``1e-10 max(1, |gamma|)``.
 
     Args:
-        gamma: symmetric positive-definite ``2n x 2n`` matrix.  Validity as a
-            quantum state is *not* required here; the decomposition is also
-            used on operator matrices whose "nu" may be < 1.
+        gamma: symmetric positive-definite ``2n x 2n`` matrix, held to the
+            symmetry rule of :func:`validate_covariance` and read as its
+            symmetric part.  Validity as a quantum state is *not* required
+            here; the decomposition is also used on operator matrices whose
+            "nu" may be < 1.
 
     Raises:
-        ValueError: if ``gamma`` is not symmetric positive definite.
+        ValueError: if ``gamma`` fails the symmetry rule (not finite, or not
+            symmetric) or is not positive definite.
         ConvergenceError: if the reconstruction error exceeds that bound.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    _check_even_square(gamma, "gamma")
-    asym = np.abs(gamma - gamma.T).max()
-    if asym > _WILLIAMSON_TOL * (1 + np.abs(gamma).max()):
-        raise ValueError(f"gamma is not symmetric (max asymmetry {asym:.3e})")
-    gamma = 0.5 * (gamma + gamma.T)
-
-    n = gamma.shape[0] // 2
+    n = _check_even_square(gamma, "gamma")
+    gamma = _symmetric_part(gamma, "gamma")
     L, H = _hermitian_form(gamma)
     ev, V = np.linalg.eigh(H)
     nu = ev[n:][::-1]
@@ -307,37 +330,23 @@ def _hamiltonian_deviation(W: np.ndarray) -> float:
     return float(np.abs(_w_right(W) + _w_left(W)).max())
 
 
-def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a symmetric Hamiltonian matrix by an orthogonal symplectic.
+def _eigenframe(ev: np.ndarray, V: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mode reader of :func:`hamiltonian_eigenframe` and
+    :func:`euler_decompose`: ``(O, lam)`` from the eigenpairs ``(ev, V)`` of
+    a symmetric ``2n x 2n`` matrix that ``w`` maps from ``+lam`` to
+    ``-lam``.
 
-    A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
-    this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
-    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
-
-    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
-    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
-    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
-    orthonormal in ``C^n``.  The zero eigenspace is ``w``-invariant, i.e. a
-    complex subspace; the ``m`` modes it contributes are the leading left
-    singular vectors of its eigenvectors read the same way.  ``O`` is the
-    passive image of the unitary whose rows are the conjugated modes.
-
-    Eigenvalues within ``1e-8 (1 + max|W|)`` of 0 count as zero.
+    The eigenvectors of the ``n`` largest ``ev`` above ``cut``, read as modes
+    ``x + i y``, are orthonormal in ``C^n``.  The ``ev`` within ``cut`` of 0
+    span a ``w``-invariant, i.e. complex, subspace; the ``m`` modes it
+    contributes are the leading left singular vectors of its eigenvectors
+    read the same way.  ``O`` is the passive image of the unitary whose rows
+    are the conjugated modes.
 
     Raises:
-        ValueError: if ``W`` is not symmetric-Hamiltonian within
-            ``1e-8 (1 + max|W|)``, or its zero eigenspace has fewer than
-            ``2 m`` dimensions.
+        ValueError: if fewer than ``2 m`` of ``ev`` lie within ``cut`` of 0.
     """
-    W = np.asarray(W, dtype=float)
-    n = _check_even_square(W, "W")
-    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
-    if np.abs(W - W.T).max() > cut:
-        raise ValueError("W is not symmetric")
-    if _hamiltonian_deviation(W) > cut:
-        raise ValueError("W does not anticommute with the symplectic form")
-
-    ev, V = np.linalg.eigh(W)
+    n = V.shape[0] // 2
     order = np.argsort(-ev)
     pos = order[ev[order] > cut][:n]
     modes = V[:n, pos] + 1j * V[n:, pos]
@@ -353,15 +362,49 @@ def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _passive(modes.conj().T), lam
 
 
+def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalise a symmetric Hamiltonian matrix by an orthogonal symplectic.
+
+    A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
+    this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
+    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
+
+    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
+    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
+    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
+    orthonormal in ``C^n``; the zero eigenspace contributes the rest (see
+    :func:`_eigenframe`).  ``W`` is held to the symmetry rule of
+    :func:`validate_covariance` and read as its symmetric part.
+
+    Eigenvalues within ``1e-8 (1 + max|W|)`` of 0 count as zero.
+
+    Raises:
+        ValueError: if ``W`` fails the symmetry rule, does not anticommute
+            with ``w`` within ``1e-8 (1 + max|W|)``, or its zero eigenspace
+            has fewer than ``2 m`` dimensions.
+    """
+    _check_even_square(W, "W")
+    W = _symmetric_part(W, "W")
+    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
+    if _hamiltonian_deviation(W) > cut:
+        raise ValueError("W does not anticommute with the symplectic form")
+    return _eigenframe(*np.linalg.eigh(W), cut)
+
+
 def euler_decompose(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler (Bloch-Messiah) factorisation ``S = O1 @ diag(e^z, e^-z) @ O2``.
 
     ``O1, O2`` are orthogonal symplectic and ``z`` are the squeeze parameters,
-    descending.  One ``eigh(S S^T)`` gives ``X = log P = log(S S^T) / 2``,
-    the logarithm of the polar factor ``S = P O``; it is symmetric
-    Hamiltonian because ``P^t`` is symplectic for all ``t``.  Its eigenframe
-    ``F X F^T = diag(z, -z)`` gives ``O1 = F^T`` and
-    ``O2 = diag(e^-z, e^z) F S``.
+    descending.  One ``eigh(S S^T)`` gives both: ``S S^T = P^2`` for the
+    polar factor ``S = P O``, and ``P^2`` is symmetric and symplectic, so
+    ``w`` maps its ``e^{2z}`` eigenvectors to the ``e^{-2z}`` ones, as a
+    symmetric Hamiltonian maps ``+z`` to ``-z``.  The mode reader of
+    :func:`hamiltonian_eigenframe` reads the frame ``F`` and
+    ``z = log(ev) / 2`` off the eigenvalues ``ev >= 1``, which hold their
+    relative precision however strong the squeezing; the lower half, whose
+    rounding floor is ``eps e^{2 z_max}``, is never read but at ``z ~ 0``.
+    Then ``O1 = F^T`` and ``O2 = diag(e^-z, e^z) F S``.  Squeezes within
+    ``1e-8 (1 + z_max)`` of 0 count as zero.
 
     Raises:
         ValueError: if ``S`` is not symplectic within ``1e-8``.
@@ -372,10 +415,9 @@ def euler_decompose(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("S is not symplectic")
 
     ev, V = np.linalg.eigh(S @ S.T)
-    X = (V * (0.5 * np.log(ev))) @ V.T
-    X = 0.5 * (X + X.T)
-    X = 0.5 * (X + _w_right(_w_left(X)))  # project onto the Hamiltonian subspace
-    frame, z = hamiltonian_eigenframe(X)
+    # an ev at the rounding floor (<= 0 at z_max > ~9) reads as z ~ -354: never kept
+    zs = 0.5 * np.log(np.maximum(ev, np.finfo(float).tiny))
+    frame, z = _eigenframe(zs, V, _EULER_TOL * (1.0 + zs[-1]))
     O2 = np.concatenate([np.exp(-z), np.exp(z)])[:, None] * (frame @ S)
     return frame.T, z, O2
 

@@ -418,8 +418,8 @@ def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
 
 
 def test_nearly_symmetric_gamma_reads_as_its_symmetric_part(tmp_path, capsys):
-    # Asymmetry 1e-9 passes the config gate but not williamson's 1e-10 one;
-    # the config stores the symmetric part, so both give the same report.
+    # Asymmetry 1e-9 passes the symmetry rule, 1e-8 (1 + max|Gamma|); the
+    # point stores the symmetric part, so both give the same report.
     outputs = []
     for off in ([1e-9, 0.0], [5e-10, 5e-10]):
         doc = {"explicit": dict(VACUUM_HEATING["explicit"],
@@ -427,6 +427,33 @@ def test_nearly_symmetric_gamma_reads_as_its_symmetric_part(tmp_path, capsys):
         assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "gamma, code",
+    [
+        ([[2.0, 1e-9], [0.0, 2.0]], 0),
+        ([[3e4, 5e-7], [0.0, 3e-4]], 0),
+        ([[2.0, 1e-6], [0.0, 2.0]], 2),
+    ],
+    ids=["2-asym-1e-9", "3e4-asym-5e-7", "2-asym-1e-6"],
+)
+def test_symmetry_rule_decides_the_exit_code(tmp_path, capsys, gamma, code):
+    doc = {"explicit": dict(VACUUM_HEATING["explicit"], Gamma=gamma,
+                            dGamma=[[0.0, 1.0], [1.0, 0.0]])}
+    assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "not symmetric" in err
+    elif gamma[0][0] == 2.0:
+        assert get_value(out, "qfi") == "0.2"
+
+
+def test_thermal_family_warns_only_at_the_pure_point(tmp_path, capsys):
+    doc = {"family": "thermal", "theta": 1.000000000001}
+    assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == 0
+    out, err = capsys.readouterr()
+    assert get_value(out, "qfi") == "499955553660" and err == ""
 
 
 def test_console_script_roundtrip(tmp_path):

@@ -252,19 +252,33 @@ def test_build_state_pure_state_is_finite():
 
 @pytest.mark.parametrize("r", [5.0, 6.0])
 def test_build_state_on_strongly_squeezed_pure_points(r):
-    # The Euler factor O2 misses orthogonality by 1.6e-9 (r = 5) and 2.2e-7
-    # (r = 6), and nu_min rounds to 1 - 2.8e-7 at r = 6: all within the
-    # rounding eps |S|_F^4 of a pure state, so only the cutoff can fail.
+    # The Euler factors are passive within 4e-13, and nu_min rounds to
+    # 1 - 2.8e-7 at r = 6, within the rounding eps |S|_F^4 of a pure state,
+    # so only the cutoff can fail.
     pt = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3)
     state = gq.build_state(pt, 10, tail_bound=np.inf)
     assert np.isfinite(state.rho).all()
     with pytest.raises(gq.PreconditionError, match="suggested cutoff") as exc:
         gq.build_state(pt, 10)
     assert exc.value.flag == "tail_mass"
-    # User input to passive_unitary is still held to 1e-10.
+    # User input to passive_unitary is held to 1e-10: the Euler factor
+    # passes, and a copy skewed by 1e-9 does not.
     O2 = gq.euler_decompose(gq.williamson(pt.gamma).S)[2]
+    gq.passive_unitary(O2, 8)
     with pytest.raises(gq.ConfigError, match="not orthogonal symplectic"):
-        gq.passive_unitary(O2, 8)
+        gq.passive_unitary(O2 * (1.0 + 1e-9), 8)
+
+
+@pytest.mark.parametrize("r, nu, cutoff", [(0.5, 1.0, 40), (0.5, 1.5, 40), (1.0, 1.0, 70)])
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+def test_build_state_follows_the_one_mode_phase_orbit(r, nu, cutoff, theta):
+    # The phase family is rho(theta) = D rho(0) D^H with D = diag(e^{i theta k}):
+    # the truncated states obey it to rounding, whatever Euler frame each has.
+    family = gq.builtin_family("phase_squeezed", {"r": r, "nu": nu})
+    rho0 = gq.build_state(family.point(0.0), cutoff).rho
+    D = np.exp(1j * theta * np.arange(cutoff))
+    want = D[:, None] * rho0 * D.conj()[None, :]
+    assert_allclose(gq.build_state(family.point(theta), cutoff).rho, want, rtol=0, atol=1e-13)
 
 
 def test_build_state_refuses_euler_factors_beyond_rounding(monkeypatch):

@@ -233,6 +233,21 @@ def test_euler_decompose_passive_input():
     assert_allclose(z, np.zeros(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("r", [5.0, 7.0, 9.0, 11.0])
+def test_euler_decompose_reads_strong_squeezing_off_the_top_half(r):
+    # The lower half of eigh(S S^T) sits at its rounding floor eps e^{2r}
+    # here; read from the upper half, z is log sigma_max(S) and both factors
+    # stay passive.
+    from gaussqfi.fock import _passive_deviation
+
+    gamma = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3).gamma
+    S = gq.williamson(gamma).S
+    O1, z, O2 = gq.euler_decompose(S)
+    assert z[0] == pytest.approx(np.log(np.linalg.svd(S, compute_uv=False)[0]), rel=1e-14)
+    assert _passive_deviation(O1) < 1e-12
+    assert _passive_deviation(O2) < (1e-9 if r <= 9 else 1e-7)
+
+
 def test_euler_rejects_non_symplectic():
     with pytest.raises(ValueError):
         gq.euler_decompose(2.0 * np.eye(4))
