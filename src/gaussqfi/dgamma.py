@@ -244,9 +244,19 @@ def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     whose fixed-point series ``sum_k H^k (Gamma^-1 dgamma Gamma^-1) H^T^k``
     converges geometrically iff every symplectic eigenvalue exceeds 1 (the
     spectral radius of ``H`` is ``1 / nu_min``).  Serves as an independent
-    cross-check of :func:`dgamma_pseudoinverse_apply` away from purity.
+    cross-check of :func:`dgamma_pseudoinverse_apply` away from purity,
+    as long as ``H`` is close to normal.
     The series stops at the first term whose Frobenius norm drops below
     ``1e-12``, which is also the margin of the refusal gate.
+
+    When ``H`` is far from normal, which strong squeezing in a rotated frame
+    makes it, the partial sums carry rounding of order ``eps |H|^2 |Y|``
+    and the residual check refuses the result, well away from purity.  On
+    ``Gamma = O diag(2.25e4, 1e-4) O^T`` (``nu = 1.5``, ``O`` a rotation)
+    with ``dgamma = I`` the residual is 1.6 and the series raises
+    ``ConvergenceError``, while :func:`~gaussqfi.estimation.qfi_general`
+    returns 6.23e7; the diagonal ``Gamma`` of the same spectrum, where
+    ``H`` is normal, passes.
 
     Args:
         gamma: admissible covariance matrix, strictly above purity.

@@ -32,12 +32,21 @@ which are formed on their own; the squeezers act on the kept rows one mode
 at a time.  Every one-mode generator here couples level ``k`` only to
 ``k ± s``, as does each two-mode passive sector to its neighbour in ``n_1``;
 a diagonal level phase makes such a generator real symmetric, so its
-exponential comes from a real ``eigh``.  Every factor is still the truncated
-exponential itself.
+exponential comes from a real ``eigh``.  The one-mode chains depend only on
+``(s, dim)``, so their ``eigh`` is made once per pair and reused.  Every
+factor is still the truncated exponential itself.
+
+Work that cannot change ``rho`` is left out: the first passive layer acts
+only on the sectors the kept rows meet, and the second only on the sectors
+reached by the nonzero thermal weights, whose columns alone are summed (a
+pure mode has weight exactly 0 above its vacuum).  The Fock QFI reads the
+eigenvalue check of the state at ``theta`` and its SLD eigenbasis off one
+``eigh``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,17 +148,14 @@ def _kron_modes(factors: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return out
 
 
-def _ladder_expi(beta: np.ndarray | complex, step: int, dim: int) -> np.ndarray:
-    """``exp(-i H)`` for ``H = beta a†^step + conj(beta) a^step`` on one mode.
+@functools.lru_cache(maxsize=32)
+def _ladder_chains(step: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels ``lev`` and the real ``eigh`` ``(lam, V)`` of the chains of
+    :func:`_ladder_expi` at ``(step, dim)``.
 
-    ``H`` couples level ``k`` only to ``k ± step``, so it splits into
-    ``step`` chains ``c, c + step, c + 2 step, ...``.  The level phase
-    ``D = diag(exp(i k arg(beta) / step))`` gives ``H = |beta| D T D^H``
-    with the real symmetric tridiagonal ``T`` of each chain, so one real
-    ``eigh`` of the chains serves every ``beta``.  ``beta`` may be an array;
-    the result stacks over it.
+    They depend on the two integers only, so each pair is diagonalised once
+    and kept, read-only, for the next call (the 32 latest pairs are kept).
     """
-    beta = np.asarray(beta, dtype=complex)
     span = -(-dim // step)
     lev = np.arange(step)[:, None] + step * np.arange(span)  # levels >= dim pad
     amp = np.prod(lev[:, :-1, None] + np.arange(1.0, step + 1), axis=-1) ** 0.5
@@ -157,6 +163,25 @@ def _ladder_expi(beta: np.ndarray | complex, step: int, dim: int) -> np.ndarray:
     T = np.zeros((step, span, span))
     T[:, t + 1, t] = T[:, t, t + 1] = amp * (lev[:, 1:] < dim)
     lam, V = np.linalg.eigh(T)
+    for table in (lev, lam, V):
+        table.setflags(write=False)
+    return lev, lam, V
+
+
+def _ladder_expi(beta: np.ndarray | complex, step: int, dim: int) -> np.ndarray:
+    """``exp(-i H)`` for ``H = beta a†^step + conj(beta) a^step`` on one mode.
+
+    ``H`` couples level ``k`` only to ``k ± step``, so it splits into
+    ``step`` chains ``c, c + step, c + 2 step, ...``.  The level phase
+    ``D = diag(exp(i k arg(beta) / step))`` gives ``H = |beta| D T D^H``
+    with the real symmetric tridiagonal ``T`` of each chain, so one real
+    ``eigh`` of the chains (:func:`_ladder_chains`) serves every ``beta`` of
+    every call at that ``(step, dim)``.  ``beta`` may be an array; the
+    result stacks over it.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    lev, lam, V = _ladder_chains(step, dim)
+    span = lev.shape[1]
     phase = np.exp(1j * np.angle(beta)[..., None, None] / step * lev)
     U = np.zeros(beta.shape + (step * span,) * 2, dtype=complex)
     U[..., lev[:, :, None], lev[:, None, :]] = _expi(
@@ -339,6 +364,55 @@ def _dense_size(cutoff: int, n: int) -> str:
     return f"{size:.0f} {unit}" if size >= 10.0 else f"{size:.2g} {unit}"
 
 
+def _build(
+    point: GaussianModelPoint, cutoff: int, pad: int = 12, tail_bound: float = 1e-3
+) -> TruncatedState:
+    """:func:`build_state` up to its eigenvalue check, which the caller makes."""
+    n = point.n
+    _check_modes(n)
+    if cutoff < 8:
+        raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
+    big = cutoff + pad
+    dec = williamson(point.gamma)
+    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
+    O1, z, O2 = euler_decompose(dec.S)
+    dev = max(_passive_deviation(O1), _passive_deviation(O2))
+    if dev > _PASSIVE_TOL + _frame_rounding(dec.S, point.gamma):
+        raise ConvergenceError(f"Euler factor is {dev:.3e} from orthogonal symplectic")
+    if np.abs(point.d).max(initial=0.0) > 0.0:
+        X, top = _kron_modes(_displacements(point.d, big)[:, :cutoff]), None
+    else:
+        # The kept rows of the identity meet only the sectors N <= n (cutoff - 1).
+        X, top = _kron_modes([np.eye(cutoff, big)] * n).astype(complex), n * (cutoff - 1)
+    X = _apply_sectors(X, _passive_sectors(O1, big, top))
+    if z.any():
+        X = _apply_modes(X, _squeezers(z, big))
+    # Columns of zero weight (levels above 0 of a pure mode) drop out of rho,
+    # so P2 acts only on the sectors that the others reach.
+    p = _thermal_weights(dec.nu, big)
+    support = np.flatnonzero(p)
+    reach = int(np.sum(np.unravel_index(support, (big,) * n), axis=0).max())
+    X = _apply_sectors(X, _passive_sectors(O2, big, reach))[:, support]
+    rho = (X * p[support]) @ X.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    tail = float(1.0 - np.trace(rho).real)
+    if tail > tail_bound:
+        suggested = suggested_cutoff(point)
+        raise PreconditionError(
+            "tail_mass",
+            f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; "
+            f"suggested cutoff is {suggested} ({_dense_size(suggested, n)} dense state)",
+        )
+    return TruncatedState(n=n, cutoff=cutoff, rho=rho, tail_mass=tail)
+
+
+def _require_psd(low: float) -> None:
+    """Refuse a constructed state whose smallest eigenvalue ``low`` is below
+    ``-1e-10``."""
+    if low < -1e-10:
+        raise ConvergenceError(f"constructed state has eigenvalue {low:.3e} < 0")
+
+
 def build_state(
     point: GaussianModelPoint,
     cutoff: int,
@@ -362,9 +436,12 @@ def build_state(
     No ``(cutoff + pad)**n`` square factor is formed.  ``X`` starts as the
     kept rows of ``D``, the Kronecker product of one-mode displacements, or
     of the identity; each passive factor acts one photon-number sector at a
-    time (the first only on the sectors its kept rows meet), and ``Sq`` one
-    mode at a time.  Every factor is still the truncated exponential on the
-    padded space.
+    time, and ``Sq`` one mode at a time.  The first passive factor acts only
+    on the sectors its kept rows meet, the second only on the sectors that
+    the nonzero weights reach, and ``X diag(p) X^H`` is summed over the
+    columns of nonzero weight: a pure mode has weight exactly 0 above its
+    level 0, so a pure state needs the vacuum column alone.  Every factor
+    is still the truncated exponential on the padded space.
 
     Args:
         point: moments to realize (derivatives are ignored).
@@ -386,40 +463,9 @@ def build_state(
             state rule, or (after the tail) the constructed matrix has an
             eigenvalue below ``-1e-10``.
     """
-    n = point.n
-    _check_modes(n)
-    if cutoff < 8:
-        raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
-    big = cutoff + pad
-    dec = williamson(point.gamma)
-    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
-    O1, z, O2 = euler_decompose(dec.S)
-    dev = max(_passive_deviation(O1), _passive_deviation(O2))
-    if dev > _PASSIVE_TOL + _frame_rounding(dec.S, point.gamma):
-        raise ConvergenceError(f"Euler factor is {dev:.3e} from orthogonal symplectic")
-    if np.abs(point.d).max(initial=0.0) > 0.0:
-        X, top = _kron_modes(_displacements(point.d, big)[:, :cutoff]), None
-    else:
-        # The kept rows of the identity meet only the sectors N <= n (cutoff - 1).
-        X, top = _kron_modes([np.eye(cutoff, big)] * n).astype(complex), n * (cutoff - 1)
-    X = _apply_sectors(X, _passive_sectors(O1, big, top))
-    if z.any():
-        X = _apply_modes(X, _squeezers(z, big))
-    X = _apply_sectors(X, _passive_sectors(O2, big))
-    rho = (X * _thermal_weights(dec.nu, big)) @ X.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    tail = float(1.0 - np.trace(rho).real)
-    if tail > tail_bound:
-        suggested = suggested_cutoff(point)
-        raise PreconditionError(
-            "tail_mass",
-            f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; "
-            f"suggested cutoff is {suggested} ({_dense_size(suggested, n)} dense state)",
-        )
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < -1e-10:
-        raise ConvergenceError(f"constructed state has eigenvalue {low:.3e} < 0")
-    return TruncatedState(n=n, cutoff=cutoff, rho=rho, tail_mass=tail)
+    state = _build(point, cutoff, pad, tail_bound)
+    _require_psd(np.linalg.eigvalsh(state.rho)[0])
+    return state
 
 
 def _centred(R: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -468,9 +514,11 @@ def _central_qfis(
 ) -> list[float]:
     """Fock QFI at ``theta`` for each central-difference step in ``steps``.
 
-    The state at ``theta`` and its eigenbasis are formed once and shared.
+    The state at ``theta`` and its eigenbasis are formed once and shared,
+    and the eigenvalue check of :func:`build_state` reads the same ``eigh``.
     """
-    eig = np.linalg.eigh(build_state(family.point(theta), cutoff).rho)
+    eig = np.linalg.eigh(_build(family.point(theta), cutoff).rho)
+    _require_psd(eig[0][0])
     return [_solve_sld_eigenbasis(eig, _drho(family, theta, h, cutoff)) for h in steps]
 
 
@@ -508,7 +556,8 @@ def qfi_fock_probe(
 
     The three values equal :func:`qfi_fock` at ``(cutoff, h)``,
     ``(cutoff + 10, h)`` and ``(cutoff, h / 2)``; the first and the last
-    share the state at ``theta``.
+    share the state at ``theta`` and its one eigendecomposition, which also
+    serves the eigenvalue check of :func:`build_state`.
     """
     value, step_value = _central_qfis(family, theta, cutoff, (h, h / 2.0))
     cutoff_value = qfi_fock(family, theta, cutoff + 10, h)

@@ -235,6 +235,21 @@ def test_stein_refuses_states_at_purity_boundary():
         gq.stein_series_solve(thermal_diag([2.0, 1.0]), np.eye(4))
 
 
+def test_stein_refuses_a_mixed_state_whose_H_is_far_from_normal():
+    # nu = 1.5, far from purity, but squeezed by 1.5e4 in a rotated frame:
+    # H = Gamma^-1 w is far from normal and the series' rounding fails the
+    # residual check, while the pseudoinverse route evaluates the point.
+    O = gq.random_orthogonal_symplectic(1, 3)
+    gamma = O @ np.diag([2.25e4, 1e-4]) @ O.T
+    gamma = 0.5 * (gamma + gamma.T)
+    with pytest.raises(gq.ConvergenceError, match="Stein equation residual"):
+        gq.stein_series_solve(gamma, np.eye(2))
+    pt = gq.GaussianModelPoint(np.zeros(2), gamma, np.zeros(2), np.eye(2))
+    assert gq.qfi_general(pt).qfi == pytest.approx(6.23e7, rel=1e-3)
+    # The same spectrum on the diagonal, where H is normal, passes.
+    gq.stein_series_solve(np.diag([2.25e4, 1e-4]), np.eye(2))
+
+
 def _dense_range_solve(gamma, X):
     """Project ``X`` orthogonally on the range of the dense map and solve there."""
     ev, V = np.linalg.eigh(gq.dgamma_matrix(gamma))

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import gaussqfi as gq
 from conftest import explicit_doc
+from gaussqfi import fock
 from gaussqfi.fock import _destroy, _quadrature_operators, _sld_matrix
 
 
@@ -212,9 +213,9 @@ def _scipy_build_state(point, cutoff, pad=12):
     return 0.5 * (rho + rho.conj().T)
 
 
-def _two_mode_point():
+def _two_mode_point(nu=(1.5, 1.2)):
     S = gq.random_symplectic(2, seed=5, squeeze_cap=0.6)
-    gamma = S @ np.diag([1.5, 1.2, 1.5, 1.2]) @ S.T
+    gamma = S @ np.diag(np.concatenate([nu, nu])) @ S.T
     return gq.GaussianModelPoint(
         np.array([0.3, -0.2, 0.1, 0.4]), gamma, np.zeros(4), np.zeros((4, 4))
     )
@@ -282,8 +283,6 @@ def test_build_state_follows_the_one_mode_phase_orbit(r, nu, cutoff, theta):
 
 
 def test_build_state_refuses_euler_factors_beyond_rounding(monkeypatch):
-    from gaussqfi import fock
-
     def skewed(S):
         O1, z, O2 = gq.euler_decompose(S)
         return O1, z, O2 * (1.0 + 1e-6)
@@ -640,3 +639,125 @@ def test_passive_unitary_rejects_three_modes():
     # Like build_state, the passive unitary stops at two modes.
     with pytest.raises(gq.ConfigError, match="at most 2 modes"):
         gq.passive_unitary(gq.random_orthogonal_symplectic(3, np.random.default_rng(0)), 4)
+
+
+def _fresh_ladder_expi(beta, step, dim):
+    """``exp(-i H)`` of the ladder generator with a fresh ``eigh`` of its chains."""
+    beta = np.asarray(beta, dtype=complex)
+    span = -(-dim // step)
+    lev = np.arange(step)[:, None] + step * np.arange(span)
+    amp = np.prod(lev[:, :-1, None] + np.arange(1.0, step + 1), axis=-1) ** 0.5
+    t = np.arange(span - 1)
+    T = np.zeros((step, span, span))
+    T[:, t + 1, t] = T[:, t, t + 1] = amp * (lev[:, 1:] < dim)
+    lam, V = np.linalg.eigh(T)
+    phase = np.exp(1j * np.angle(beta)[..., None, None] / step * lev)
+    U = np.zeros(beta.shape + (step * span,) * 2, dtype=complex)
+    U[..., lev[:, :, None], lev[:, None, :]] = fock._expi(
+        np.abs(beta)[..., None, None] * lam, V, phase
+    )
+    return U[..., :dim, :dim]
+
+
+def _every_column_build_rho(point, cutoff, pad=12):
+    """``X diag(p) X^H`` with fresh ladder exponentials, ``P2`` on every
+    sector and every column summed, zero weights included."""
+    big, n = cutoff + pad, point.n
+    dec = gq.williamson(point.gamma)
+    O1, z, O2 = gq.euler_decompose(dec.S)
+    if np.abs(point.d).max() > 0.0:
+        alpha = 1j * (point.d[:n] + 1j * point.d[n:]) / np.sqrt(2.0)
+        X, top = fock._kron_modes(_fresh_ladder_expi(alpha, 1, big)[:, :cutoff]), None
+    else:
+        X, top = fock._kron_modes([np.eye(cutoff, big)] * n).astype(complex), n * (cutoff - 1)
+    X = fock._apply_sectors(X, fock._passive_sectors(O1, big, top))
+    if z.any():
+        X = fock._apply_modes(X, _fresh_ladder_expi(0.5j * z, 2, big))
+    X = fock._apply_sectors(X, fock._passive_sectors(O2, big))
+    rho = (X * fock._thermal_weights(dec.nu, big)) @ X.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (_mixed_squeezed_displaced_point(), 30),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 40),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 12),
+        (_two_mode_point(), 10),
+    ],
+    ids=["n1-mixed-displaced", "n1-mixed", "n1-pure", "n2-pure-two-mode-squeezed",
+         "n2-mixed-random"],
+)
+def test_build_state_is_bit_identical_to_the_every_column_route(point, cutoff):
+    # No mode or every mode pure: the zero-weight columns add exact zeros.
+    rho = gq.build_state(point, cutoff).rho
+    assert np.array_equal(rho, _every_column_build_rho(point, cutoff))
+
+
+def test_build_state_with_one_vacuum_mode_matches_the_every_column_route():
+    # The kept columns of nonzero weight are summed in another order.
+    point = _two_mode_point(nu=(1.5, 1.0))
+    rho = gq.build_state(point, 10).rho
+    assert np.abs(rho - _every_column_build_rho(point, 10)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "family, params, theta, cutoff",
+    [
+        ("phase_squeezed", {"r": 0.5, "nu": 1.5}, 0.7, 30),
+        ("phase_squeezed", {"r": 0.5}, 0.7, 30),
+        ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8),
+    ],
+    ids=["n1-mixed", "n1-pure", "n2-pure"],
+)
+def test_qfi_fock_reads_the_eigenbasis_of_the_public_state(family, params, theta, cutoff):
+    fam = gq.builtin_family(family, params)
+    h = 1e-4
+    eig = np.linalg.eigh(gq.build_state(fam.point(theta), cutoff).rho)
+
+    def value(step, cut=cutoff, eig=eig):
+        drho = (
+            gq.build_state(fam.point(theta + step), cut).rho
+            - gq.build_state(fam.point(theta - step), cut).rho
+        ) / (2.0 * step)
+        return fock._solve_sld_eigenbasis(eig, drho)
+
+    assert gq.qfi_fock(fam, theta, cutoff, h) == value(h)
+    probe = gq.qfi_fock_probe(fam, theta, cutoff, h)
+    assert probe.value == value(h)
+    assert probe.step_value == value(h / 2.0)
+    big = np.linalg.eigh(gq.build_state(fam.point(theta), cutoff + 10).rho)
+    assert probe.cutoff_value == value(h, cutoff + 10, big)
+
+
+def test_ladder_tables_are_computed_once_and_read_only():
+    tables = fock._ladder_chains(2, 21)
+    assert fock._ladder_chains(2, 21) is tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    beta = np.array([0.3 - 0.2j, 1.1j])
+    assert np.array_equal(fock._ladder_expi(beta, 2, 21), _fresh_ladder_expi(beta, 2, 21))
+
+
+def test_eigenvalue_gate_fires_on_the_state_at_theta(monkeypatch):
+    # One weight of the thermal state at theta = 2 (nu = 2) turned to -1e-6,
+    # at level 25 where the tail it adds is far inside the tail bound.  The
+    # states at theta +- h keep their weights, so qfi_fock must refuse the
+    # state at theta through its own eigendecomposition.
+    original = fock._thermal_weights
+
+    def negative(nu, dim):
+        p = original(nu, dim)
+        if np.abs(nu - 2.0).max() < 1e-9:
+            p[25] = -1e-6
+        return p
+
+    monkeypatch.setattr(fock, "_thermal_weights", negative)
+    family = gq.builtin_family("thermal")
+    with pytest.raises(gq.ConvergenceError, match="constructed state has eigenvalue -1"):
+        gq.build_state(family.point(2.0), 30)
+    with pytest.raises(gq.ConvergenceError, match="constructed state has eigenvalue -1"):
+        gq.qfi_fock(family, 2.0, 30)

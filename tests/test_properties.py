@@ -322,3 +322,19 @@ def test_kernel_is_the_vacuum_pairs_beside_any_heat(seed, k, colds, heat, cap):
     pt = gq.GaussianModelPoint(zero, gamma, zero, 0.5 * (dgamma + dgamma.T))
     cold = nu[k]
     assert gq.qfi_general(pt).qfi == pytest.approx(1.0 / (cold * cold - 1.0), rel=1e-6)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    seed=seeds,
+    nu=st.floats(min_value=1.0, max_value=3.0),
+    seed_u=seeds,
+)
+def test_no_homodyne_network_beats_the_optimum_or_the_qfi(n, seed, nu, seed_u):
+    pt = random_isothermal_point(n, seed, nu=nu)
+    frame = gq.isothermal_frame(pt)
+    U = gq.random_symplectic(n, seed=seed_u)
+    optimum = gq.optimal_homodyne_fisher(frame)
+    assert gq.homodyne_fisher(frame, U) <= optimum + 1e-9
+    assert optimum <= gq.qfi_general(pt).qfi + 1e-9
