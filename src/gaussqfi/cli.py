@@ -6,7 +6,7 @@ Subcommands::
     gaussqfi sweep <config> --from A --to B --steps N [--out F] [--jobs J]
     gaussqfi sld <config>                          SLD coefficients + normal form
     gaussqfi homodyne <config> [--random-U N] [--seed S]
-    gaussqfi oracle-check <config> --cutoff D [--h H]
+    gaussqfi oracle-check <config> --cutoff D
 
 Configs are JSON model documents (see :func:`gaussqfi.models.parse_model_config`);
 they describe physics only — sweep ranges, outputs, and oracle parameters are
@@ -54,7 +54,7 @@ subcommands:
   sweep <config> --from A --to B --steps N [--out FILE] [--jobs J]
   sld <config>                           SLD coefficients and photon-counting form
   homodyne <config> [--random-U N] [--seed S]
-  oracle-check <config> --cutoff D [--h H]
+  oracle-check <config> --cutoff D
 
 run 'gaussqfi <subcommand> --help' for subcommand options
 """
@@ -86,13 +86,17 @@ class SweepRow:
     warnings: str
 
 
+def _kernel_overlap(rep: FisherReport, point: GaussianModelPoint) -> bool:
+    """The kernel-overlap flag: ``D(L) = dGamma`` is unsolved, its residual
+    above ``_OVERLAP_TOL (1 + |dGamma|_F)``, so the point has no SLD."""
+    return rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point.dgamma))
+
+
 def _evaluate_point(point: GaussianModelPoint, theta: float) -> tuple[SweepRow, str | None]:
     """Evaluate one model point: its sweep row, and the flag of the gate that
     refused the homodyne frame (None when the row's ``homodyne_opt`` is set)."""
     rep = qfi_general(point)
-    warn = ""
-    if rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point.dgamma)):
-        warn = "kernel-overlap"
+    warn = "kernel-overlap" if _kernel_overlap(rep, point) else ""
     try:
         hopt, gate = optimal_homodyne_fisher(isothermal_frame(point)), None
     except PreconditionError as exc:
@@ -154,7 +158,10 @@ def emit_csv(rows: list[SweepRow], destination) -> None:
 
 
 def _parser(cmd: str, description: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"gaussqfi {cmd}", description=description)
+    # No abbreviations: a removed option such as --h must not resolve to --help.
+    p = argparse.ArgumentParser(
+        prog=f"gaussqfi {cmd}", description=description, allow_abbrev=False
+    )
     p.add_argument("config", help="JSON model document")
     return p
 
@@ -279,26 +286,28 @@ def _cmd_homodyne(argv: list[str]) -> int:
 def _cmd_oracle_check(argv: list[str]) -> int:
     p = _parser("oracle-check", "Cross-check the engine against the Fock oracle.")
     p.add_argument("--cutoff", type=int, required=True, help="per-mode Fock dimension")
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step (default 1e-4)")
     args = p.parse_args(argv)
-    if not (math.isfinite(args.h) and args.h > 0.0):
-        raise ConfigError(f"--h must be finite and > 0, got {args.h:g}")
     cfg = load_model_config(args.config)
     rep = qfi_general(cfg.point)
-    probe = qfi_fock_probe(cfg.family, cfg.theta, args.cutoff, args.h)
+    if _kernel_overlap(rep, cfg.point):
+        raise PreconditionError(
+            "kernel_overlap",
+            f"the SLD equation has no solution (range_residual = {rep.range_residual:.3g}), "
+            "so there is nothing to cross-check",
+        )
+    probe = qfi_fock_probe(cfg.family, cfg.theta, args.cutoff)
     coeffs = sld_coefficients(cfg.point)
-    resid = sld_residual(cfg.point, coeffs, args.cutoff, args.h)
+    resid = sld_residual(cfg.point, coeffs, args.cutoff)
     ident = identity_checks(cfg.point, args.cutoff)
     gap = abs(rep.qfi - probe.value)
     rel = gap / abs(rep.qfi) if rep.qfi != 0.0 else math.nan
-    print(f"# gaussqfi oracle-check: cutoff = {args.cutoff}, h = {args.h:g}")
+    print(f"# gaussqfi oracle-check: cutoff = {args.cutoff}")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print(f"engine_qfi = {rep.qfi:.12g}")
     print(f"oracle_qfi = {probe.value:.12g}")
     print(f"abs_diff = {gap:.6g}")
     print(f"rel_diff = {rel:.6g}")
     print(f"cutoff_shift (D -> D+10) = {probe.cutoff_shift:.6g}")
-    print(f"step_shift (h -> h/2) = {probe.step_shift:.6g}")
     print(f"sld_residual = {resid:.6g}")
     print(f"identity displacement_dev = {ident.displacement_dev:.6g}")
     print(f"identity covariance_dev = {ident.covariance_dev:.6g}")

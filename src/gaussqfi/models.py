@@ -120,16 +120,15 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     The curve is ``(d + t dd, Gamma + t dGamma + t^2 kappa I)`` with
     ``kappa = |dGamma|_2^2 |Gamma^-1|_2``, and its derivative is
     ``(dd, dGamma + 2 t kappa I)``; its ``fn`` returns both.  At ``t = 0``
-    it returns ``point`` itself.  It lets consumers that need states at
-    ``t = +/- h`` (the number-basis oracle, a sweep) work with explicitly
-    supplied model points.  On a pure state the straight line
-    ``Gamma + t dGamma`` leaves the physical set at order ``t^2`` even for a
-    purity-preserving tangent; the even term lifts it back, and a central
-    difference at ``t = 0`` cancels it, so the tangent is unchanged.  A
-    tangent that lowers a symplectic eigenvalue below 1 to first order still
-    leaves the physical set, and the oracle's
-    :func:`~gaussqfi.fock.build_state` raises ``PreconditionError`` (flag
-    ``"nu_min"``) there.
+    it returns ``point`` itself.  It lets consumers that take a family (a
+    sweep; the number-basis oracle, which reads the point at ``t = 0`` and
+    its tangent) work with explicitly supplied model points.  On a pure
+    state the straight line ``Gamma + t dGamma`` leaves the physical set at
+    order ``t^2`` even for a purity-preserving tangent; the even term lifts
+    it back, and a central difference at ``t = 0`` cancels it, so the
+    tangent is unchanged.  A tangent that lowers a symplectic eigenvalue
+    below 1 to first order still leaves the physical set on one side, where
+    every consumer raises ``PreconditionError`` (flag ``"nu_min"``).
     """
     kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
     lift = kappa * np.eye(point.gamma.shape[0])

@@ -160,11 +160,9 @@ def test_sweep_rejects_bad_counts(tmp_path):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["oracle-check", "--cutoff", "20", "--h", "0"], "--h"),
-        (["oracle-check", "--cutoff", "20", "--h", "nan"], "--h"),
         (["homodyne", "--random-U", "-3"], "--random-U"),
     ],
-    ids=["oracle-h-zero", "oracle-h-nan", "homodyne-random-u-neg"],
+    ids=["homodyne-random-u-neg"],
 )
 def test_numeric_flags_are_validated(tmp_path, capsys, argv, flag):
     cfg = write_cfg(
@@ -174,6 +172,15 @@ def test_numeric_flags_are_validated(tmp_path, capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {flag} must be" in captured.err
+
+
+def test_oracle_check_has_no_step_option(tmp_path, capsys):
+    # The oracle's derivative is exact, so there is no difference step to set.
+    cfg = write_cfg(tmp_path, DISPLACEMENT)
+    assert cli.main(["oracle-check", cfg, "--cutoff", "20", "--h", "1e-4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --h" in err
 
 
 def test_sweep_family_domain_error(tmp_path):
@@ -324,11 +331,29 @@ PURE_EXPLICIT = {  # pure phase_squeezed at e^{2r} = 4, theta = 0; QFI 7.03125
     ids=["n1", "n2"],
 )
 def test_oracle_check_pure_explicit(tmp_path, capsys, doc, cutoff):
-    # The oracle's states at t = +/- h lie on the lifted curve, which stays
-    # physical on a pure point; the straight line Gamma + t dGamma does not.
+    # The oracle reads the explicit point's own tangent, exactly.
     assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", str(cutoff)]) == 0
     out = capsys.readouterr().out
     assert float(get_value(out, "rel_diff")) < 1e-4
+
+
+def test_oracle_check_two_mode_squeezed_phase_agrees_to_1e_7(tmp_path, capsys):
+    doc = {"family": "two_mode_squeezed_phase", "params": {"r": 0.5}, "theta": 0.3}
+    assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", "16"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# gaussqfi oracle-check: cutoff = 16\n")
+    assert "step_shift" not in out
+    assert float(get_value(out, "rel_diff")) < 1e-7
+
+
+def test_oracle_check_refuses_a_point_without_an_sld(tmp_path, capsys):
+    # Gamma = I heated by dGamma = I: the engine flags kernel-overlap, so the
+    # SLD does not exist and there is nothing to cross-check.
+    assert cli.main(["oracle-check", write_cfg(tmp_path, VACUUM_HEATING), "--cutoff", "30"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("precondition failed: [kernel_overlap] ")
+    assert err.count("\n") == 1
 
 
 def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
@@ -341,13 +366,16 @@ def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
 
 
 def test_oracle_check_strong_squeezing_exits_3_on_the_tail(tmp_path, capsys):
-    # The Euler factors are within rounding of orthogonal; the cutoff fails.
-    cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 5.0}, "theta": 0.3})
+    # r = 4 has no kernel-overlap flag (r = 5 has one and is refused on it).
+    cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 4.0}, "theta": 0.3})
     assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failed: [tail_mass]")
-    # The advice says what the suggested cutoff would cost: 44059^2 * 16 bytes.
-    assert "suggested cutoff is 44059 (31 GB dense state)" in err
+    # The advice says what the suggested cutoff would cost: 13182^2 * 16 bytes.
+    assert "suggested cutoff is 13182 (2.8 GB dense state)" in err
+    cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 5.0}, "theta": 0.3})
+    assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
+    assert capsys.readouterr().err.startswith("precondition failed: [kernel_overlap]")
 
 
 def test_sweep_pure_explicit(tmp_path):
