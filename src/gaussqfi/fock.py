@@ -28,8 +28,9 @@ States have one or two modes; more raise ``ConfigError``.
 :func:`passive_unitary`, :func:`squeeze_unitary` and
 :func:`displacement_unitary` form single Gaussian layers, for inspection,
 as truncated exponentials from a real ``eigh`` of each photon-number
-sector or ladder chain of the generator (as do the Weyl operators of
-:func:`identity_checks`).
+sector or ladder chain of the generator.  :func:`identity_checks` reads
+every expectation from one-mode ``cutoff x cutoff`` factors contracted
+against ``rho``'s index tensor, and forms no ``cutoff**n`` square operator.
 """
 
 from __future__ import annotations
@@ -75,21 +76,27 @@ def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def _quadrature_operators(n: int, dim: int) -> np.ndarray:
-    """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of Fock matrices.
+def _mode_quadratures(n: int, dim: int) -> np.ndarray:
+    """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as one-mode factors.
 
-    ``Q = (a + a†)/sqrt(2)`` so the vacuum has ``<Q²> = 1/2`` and covariance
-    matrix equal to the identity in the scaling used throughout.
+    Row ``i`` of the ``(2n, n, dim, dim)`` stack holds ``R_i`` as
+    ``F_1 ⊗ ... ⊗ F_n``: its quadrature on its own mode, the identity on the
+    others.  ``Q = (a + a†)/sqrt(2)`` so the vacuum has ``<Q²> = 1/2`` and
+    covariance matrix equal to the identity in the scaling used throughout.
     """
     a = _destroy(dim).astype(complex)
-    q1 = (a + a.conj().T) / _SQRT2
-    p1 = 1j * (a.conj().T - a) / _SQRT2
-    eye = np.eye(dim)
-    R = np.empty((2 * n, dim**n, dim**n), dtype=complex)
+    F = np.zeros((2 * n, n, dim, dim), dtype=complex)
+    F[:, :] = np.eye(dim)
     for k in range(n):
-        R[k] = _kron_modes([q1 if j == k else eye for j in range(n)])
-        R[n + k] = _kron_modes([p1 if j == k else eye for j in range(n)])
-    return R
+        F[k, k] = (a + a.conj().T) / _SQRT2
+        F[n + k, k] = 1j * (a.conj().T - a) / _SQRT2
+    return F
+
+
+def _quadrature_operators(n: int, dim: int) -> np.ndarray:
+    """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of ``dim**n`` square
+    Fock matrices (see :func:`_mode_quadratures`)."""
+    return _kron_modes(np.moveaxis(_mode_quadratures(n, dim), 1, 0))
 
 
 def _expi(lam: np.ndarray, V: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -344,12 +351,16 @@ def _dense_size(cutoff: int, n: int) -> str:
     return f"{size:.0f} {unit}" if size >= 10.0 else f"{size:.2g} {unit}"
 
 
-def _add_raised(acc: np.ndarray, X: np.ndarray, axis: int, coef: complex = 1.0) -> None:
-    """``acc[k] += coef sqrt(k) X[k - 1]`` along ``axis``, ``k >= 1``: the
-    coefficients of ``coef v_axis F`` when those of ``F`` are ``X``."""
-    lead = (slice(None),) * axis
-    root = np.sqrt(np.arange(1.0, X.shape[axis])).reshape((-1,) + (1,) * (X.ndim - axis - 1))
-    acc[lead + (slice(1, None),)] += (coef * root) * X[lead + (slice(None, -1),)]
+@functools.lru_cache(maxsize=2)
+def _bargmann_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``W`` of ``(a, a†) = W R`` and the swap ``X`` of the halves of ``v``
+    on ``n`` modes, formed once per ``n`` and kept read-only."""
+    eye = np.eye(n)
+    W = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / _SQRT2
+    X = np.roll(np.eye(2 * n), n, axis=1)
+    for table in (W, X):
+        table.setflags(write=False)
+    return W, X
 
 
 def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
@@ -358,34 +369,59 @@ def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
     ``(dd, dGamma)`` (else None); both Hermitian, ``dim**n`` square.
 
     Index ``i`` is filled last to first: with indices ``0..i-1`` at 0, step
-    ``k -> k + 1`` of index ``i`` is one vector operation over the rest.
-    Elements below ``eps^2`` of the largest, far below the rounding of
-    anything read from ``rho``, are set to 0: many are rounding residue of
-    exact zeros, and as subnormal numbers they slowed ``eigh`` 2.4x.
+    ``k -> k + 1`` of index ``i`` is one vector operation over the rest; the
+    last index is a chain of scalars, run in Python complex arithmetic.
+    Raising index ``j`` (``k_j -> k_j + 1`` with weight ``sqrt(k_j + 1)``)
+    is the same slice of every array, counted from its last axis, so its
+    slices and weights are formed once per call.  Elements below ``eps^2``
+    of the largest, far below the rounding of anything read from ``rho``,
+    are set to 0: many are rounding residue of exact zeros, and as
+    subnormal numbers they slowed ``eigh`` 2.4x.
     """
     n, m = point.n, 2 * point.n
-    eye = np.eye(n)
-    W = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / _SQRT2
-    X = np.roll(np.eye(m), n, axis=1)
+    W, X = _bargmann_frame(n)
     Q = 0.5 * (W @ point.gamma @ W.conj().T + np.eye(m))
     Qi = np.linalg.inv(Q)
     A = (np.eye(m) - Qi) @ X
     zeta = W @ point.d
     gam = Qi @ zeta
-    G = np.array(np.exp(-0.5 * (zeta.conj() @ gam).real) / np.sqrt(np.linalg.det(Q).real))
+    G0 = np.exp(-0.5 * (zeta.conj() @ gam).real) / np.sqrt(np.linalg.det(Q).real)
     root = np.sqrt(np.arange(dim))
-    for i in reversed(range(m)):
+    # Times 1/sqrt(k + 1), which rounds as numpy's division by sqrt(k + 1) does.
+    scale = (1.0 / root[1:]).astype(complex).tolist()
+    trail = [(slice(None),) * (m - 1 - j) for j in range(m)]
+    up = [(..., slice(1, None)) + t for t in trail]
+    down = [(..., slice(None, -1)) + t for t in trail]
+    weight = [root[1:].reshape((-1,) + (1,) * len(t)) for t in trail]
+    g, diag = complex(gam[-1]), (A[-1, -1] * root).tolist()
+    chain = [complex(G0)]
+    for k in range(dim - 1):
+        nxt = g * chain[k]
+        if k:
+            nxt += diag[k] * chain[k - 1]
+        chain.append(nxt * scale[k])
+    G = np.array(chain)
+    for i in reversed(range(m - 1)):
         out = np.empty((dim,) + G.shape, dtype=complex)
         out[0] = G
+        rows = list(out)
+        g, diag = complex(gam[i]), (A[i, i] * root).tolist()
+        raises = [
+            (A[i, j] * weight[j], [r[up[j]] for r in rows], [r[down[j]] for r in rows])
+            for j in range(i + 1, m)
+        ]
         for k in range(dim - 1):
-            nxt = gam[i] * out[k]
+            nxt = rows[k + 1]
+            np.multiply(g, rows[k], out=nxt)
             if k:
-                nxt += (A[i, i] * root[k]) * out[k - 1]
-            for j in range(i + 1, m):  # index j is axis j - i - 1 of out[k]
-                _add_raised(nxt, out[k], j - i - 1, A[i, j])
-            out[k + 1] = nxt / root[k + 1]
+                nxt += diag[k] * rows[k - 1]
+            for w, tops, lows in raises:
+                top = tops[k + 1]
+                top += w * lows[k]
+            nxt *= scale[k]
         G = out
-    G[np.abs(G) < _EPS**2 * np.abs(G).max()] = 0.0
+    mag = np.abs(G)
+    G[mag < _EPS**2 * mag.max()] = 0.0
     rho = G.reshape(dim**n, dim**n)
     rho = 0.5 * (rho + rho.conj().T)
     if not tangent:
@@ -398,11 +434,12 @@ def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
     # dlog G + sum_i raise_i(dgam_i G + sum_j dA_ij raise_j(G) / 2).
     raised = np.zeros((m,) + G.shape, dtype=complex)
     for j in range(m):
-        _add_raised(raised[j], G, j)
+        raised[j][up[j]] = weight[j] * G[down[j]]
     dA = Qi @ dQ @ Qi @ X
+    half = 0.5 * (dA @ raised.reshape(m, -1)).reshape(raised.shape)
     dG = dlog * G
     for i in range(m):
-        _add_raised(dG, dgam[i] * G + 0.5 * np.tensordot(dA[i], raised, 1), i)
+        dG[up[i]] += weight[i] * (dgam[i] * G[down[i]] + half[i][down[i]])
     drho = dG.reshape(dim**n, dim**n)
     return rho, 0.5 * (drho + drho.conj().T)
 
@@ -630,6 +667,60 @@ class IdentityReport:
     tail_mass: float
 
 
+def _mode_traces(rho: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``tr[rho (F_1 ⊗ ... ⊗ F_n)]`` for every row ``(F_1, ..., F_n)`` of
+    the ``(P, n, dim, dim)`` stack ``factors`` (mode 1 outermost).
+
+    ``rho``'s index tensor is contracted one mode at a time, so no
+    ``dim**n`` square operator is formed.
+    """
+    P, n, dim = factors.shape[0], factors.shape[1], factors.shape[-1]
+    # tr[rho F] = sum_ab rho_ab F_ba: mode k's ket and bra axes side by side.
+    t = rho.reshape((dim,) * 2 * n).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    f = np.swapaxes(factors, -1, -2).reshape(P, n, dim * dim)
+    out = f[:, 0] @ t.reshape(dim * dim, -1)
+    for k in range(1, n):
+        out = np.einsum("pi,pij->pj", f[:, k], out.reshape(P, dim * dim, -1))
+    return out[:, 0]
+
+
+def _mode_pairs(R: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One-mode factors of the symmetrised pairs ``(dR_i dR_j + dR_j dR_i)/2``,
+    ``i <= j`` in ``np.triu_indices`` order, of the quadratures ``R`` of
+    :func:`_mode_quadratures` centred at ``d``.
+
+    On each mode the one-mode factors of ``dR_i`` and ``dR_j`` commute
+    unless both act there (one is the identity), so the pair is the
+    Kronecker product of the symmetrised one-mode products.
+    """
+    m, n, dim = R.shape[0], R.shape[1], R.shape[-1]
+    delta = R.copy()
+    delta[np.arange(m), np.arange(m) % n] -= d[:, None, None] * np.eye(dim)
+    i, j = np.triu_indices(m)
+    prod = delta[i] @ delta[j]
+    return 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
+
+
+def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
+    """``exp(-i H)`` for ``H = beta a† + conj(beta) a`` on one mode, stacked
+    over the entries of ``beta``.
+
+    As in :func:`_ladder_expi`, ``H = |beta| D T D^H`` with the ladder chain
+    ``T = a + a†`` and ``D = diag(exp(i k arg beta))``, so ``exp(-i H)`` is
+    ``D V exp(-i |beta| Lambda) V^T D^H`` on the cached real ``eigh``
+    ``(Lambda, V)`` of ``T``.  The one chain fills the matrix, so nothing is
+    scattered, and ``V`` times the complex ``exp(-i |beta| Lambda) V^T`` is
+    one real product over its interleaved real and imaginary parts.
+    """
+    _, lam, V = _ladder_chains(1, dim)
+    lam, V = lam[0], V[0]
+    spread = np.exp(-1j * np.abs(beta)[..., None] * lam)[..., :, None]
+    spread = np.multiply(spread, V.T, order="C")
+    phase = np.exp(1j * np.angle(beta)[..., None] * np.arange(dim))
+    core = (V @ spread.view(float)).view(complex)
+    return phase[..., :, None] * core * phase.conj()[..., None, :]
+
+
 def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     """Check the standard Gaussian-state identities on the Fock matrix.
 
@@ -640,6 +731,15 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     pairs.  The state is built with no tail bound; truncation quality is
     part of the report.
 
+    Every operator read is a Kronecker product of one-mode
+    ``cutoff x cutoff`` factors: the quadratures, their symmetrised pairs
+    and the products of those, and the Weyl operators, whose factors come
+    from the cached real eigenbasis of the ladder chain ``a + a†``.  Each
+    expectation contracts ``rho``'s index tensor with the factors one mode
+    at a time, so no ``cutoff**n`` square operator is formed.  The
+    covariance is read from the pairs and moved to the measured mean, as
+    :func:`state_moments` centres it.
+
     Raises:
         ConfigError: more than two modes, or ``cutoff < 8``.
         PreconditionError: flag ``"nu_min"`` when the moments are not a
@@ -648,9 +748,17 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
             ``-1e-10``.
     """
     state = build_state(point, cutoff, tail_bound=np.inf)
-    n, m = state.n, 2 * point.n
-    norm = np.trace(state.rho).real
-    d_fock, gamma_fock = state_moments(state)
+    n, m, rho = state.n, 2 * point.n, state.rho
+    norm = np.trace(rho).real
+    R = _mode_quadratures(n, cutoff)
+    pair = _mode_pairs(R, point.d)
+    i, j = np.triu_indices(m)
+    d_fock = _mode_traces(rho, R).real / norm
+    # <A_ij> about d, moved to the measured mean as state_moments centres.
+    second = np.empty((m, m))
+    second[i, j] = second[j, i] = _mode_traces(rho, pair).real / norm
+    shift = d_fock - point.d
+    gamma_fock = 2.0 * (second - np.outer(shift, shift))
     displacement_dev = float(np.abs(d_fock - point.d).max())
     covariance_dev = float(np.abs(gamma_fock - point.gamma).max())
 
@@ -661,23 +769,17 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
     etas = xis @ symplectic_form(n).T
     beta = -(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2
-    W = _kron_modes(np.moveaxis(_ladder_expi(beta, 1, cutoff), 1, 0))
-    char = np.einsum("ab,xba->x", state.rho, W) / norm
+    char = _mode_traces(rho, _weyl_factors(beta, cutoff)) / norm
     char_gauss = np.exp(
         1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
     )
     char_dev = float(np.abs(char - char_gauss).max())
 
-    # The symmetrised pairs A_ij = (dR_i dR_j + dR_j dR_i)/2 for i <= j, with
-    # dR_j dR_i = (dR_i dR_j)^H, and every tr[rho A_ij A_kl] from one product.
-    delta = _centred(_quadrature_operators(n, cutoff), point.d)
-    i, j = np.triu_indices(m)
-    prod = delta[i] @ delta[j]
-    pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
-    size = pair.shape[-1] ** 2
-    fourth = (
-        (state.rho @ pair).reshape(-1, size) @ np.swapaxes(pair, -1, -2).reshape(-1, size).T
-    ).real / norm
+    # Re tr[rho A_ij A_kl] is symmetric under (ij) <-> (kl), so only one half
+    # of the products is formed.
+    p, q = np.triu_indices(i.size)
+    fourth = np.empty((i.size, i.size))
+    fourth[p, q] = fourth[q, p] = _mode_traces(rho, pair[p] @ pair[q]).real / norm
     i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
     g, w = point.gamma, symplectic_form(n)
     wick = 0.25 * (

@@ -843,3 +843,158 @@ def test_eigenvalue_gate_fires_on_the_state_at_theta(monkeypatch):
         gq.build_state(family.point(2.0), 30)
     with pytest.raises(gq.ConvergenceError, match="constructed state has eigenvalue -1"):
         gq.qfi_fock(family, 2.0, 30)
+
+
+def _add_raised(acc, X, axis, coef=1.0):
+    """``acc[k] += coef sqrt(k) X[k - 1]`` along ``axis``, ``k >= 1``: the
+    coefficients of ``coef v_axis F`` when those of ``F`` are ``X``."""
+    lead = (slice(None),) * axis
+    root = np.sqrt(np.arange(1.0, X.shape[axis])).reshape((-1,) + (1,) * (X.ndim - axis - 1))
+    acc[lead + (slice(1, None),)] += (coef * root) * X[lead + (slice(None, -1),)]
+
+
+def _stepwise_bargmann(point, dim, tangent=False):
+    """The Bargmann recurrence with its weights rebuilt at every step, 0-d
+    arrays along the last index and one tensordot per index of the tangent:
+    the reference for ``fock._bargmann``."""
+    n, m = point.n, 2 * point.n
+    eye = np.eye(n)
+    W = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+    X = np.roll(np.eye(m), n, axis=1)
+    Q = 0.5 * (W @ point.gamma @ W.conj().T + np.eye(m))
+    Qi = np.linalg.inv(Q)
+    A = (np.eye(m) - Qi) @ X
+    zeta = W @ point.d
+    gam = Qi @ zeta
+    G = np.array(np.exp(-0.5 * (zeta.conj() @ gam).real) / np.sqrt(np.linalg.det(Q).real))
+    root = np.sqrt(np.arange(dim))
+    for i in reversed(range(m)):
+        out = np.empty((dim,) + G.shape, dtype=complex)
+        out[0] = G
+        for k in range(dim - 1):
+            nxt = gam[i] * out[k]
+            if k:
+                nxt += (A[i, i] * root[k]) * out[k - 1]
+            for j in range(i + 1, m):  # index j is axis j - i - 1 of out[k]
+                _add_raised(nxt, out[k], j - i - 1, A[i, j])
+            out[k + 1] = nxt / root[k + 1]
+        G = out
+    G[np.abs(G) < np.finfo(float).eps ** 2 * np.abs(G).max()] = 0.0
+    rho = G.reshape(dim**n, dim**n)
+    rho = 0.5 * (rho + rho.conj().T)
+    if not tangent:
+        return rho, None
+    dQ = 0.5 * W @ point.dgamma @ W.conj().T
+    dzeta = W @ point.dd
+    dgam = Qi @ (dzeta - dQ @ gam)
+    dlog = (0.5 * gam.conj() @ dQ @ gam - gam.conj() @ dzeta - 0.5 * np.trace(Qi @ dQ)).real
+    raised = np.zeros((m,) + G.shape, dtype=complex)
+    for j in range(m):
+        _add_raised(raised[j], G, j)
+    dA = Qi @ dQ @ Qi @ X
+    dG = dlog * G
+    for i in range(m):
+        _add_raised(dG, dgam[i] * G + 0.5 * np.tensordot(dA[i], raised, 1), i)
+    drho = dG.reshape(dim**n, dim**n)
+    return rho, 0.5 * (drho + drho.conj().T)
+
+
+def _with_tangent(point, dd, dgamma):
+    return gq.GaussianModelPoint(point.d, point.gamma, np.asarray(dd), np.asarray(dgamma))
+
+
+@pytest.mark.parametrize(
+    "point, dims",
+    [
+        (gq.builtin_family("thermal").point(2.0), (40, 50)),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), (40, 50)),
+        (_with_tangent(_mixed_squeezed_displaced_point(), [0.3, -0.1], [[0.2, 0.1], [0.1, -0.4]]),
+         (40, 50)),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.5}).point(0.3), (8, 16)),
+        (_two_mode_point(), (8, 16)),
+        (_with_tangent(_two_mode_point(), [0.5, 0.1, -0.3, 0.2], np.diag([0.3, -0.2, 0.1, 0.4])),
+         (8, 16)),
+    ],
+    ids=["n1-thermal", "n1-pure", "n1-mixed-displaced", "n2-two-mode-squeezed", "n2-random",
+         "n2-random-tangent"],
+)
+def test_bargmann_matches_the_stepwise_recurrence(point, dims):
+    for dim in dims:
+        rho, drho = fock._bargmann(point, dim, tangent=True)
+        ref_rho, ref_drho = _stepwise_bargmann(point, dim, tangent=True)
+        assert np.abs(rho - ref_rho).max() <= 1e-15
+        assert np.abs(drho - ref_drho).max() <= 1e-15
+        assert fock._bargmann(point, dim)[1] is None
+
+
+def _dense_identity_checks(point, cutoff):
+    """``identity_checks`` from dense ``cutoff**n`` square operators: the
+    moments of ``state_moments``, the 12 Weyl operators as Kronecker products
+    of one-mode ladder exponentials, and every product of the dense
+    symmetrised pairs."""
+    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    n, m = state.n, 2 * point.n
+    norm = np.trace(state.rho).real
+    d_fock, gamma_fock = gq.state_moments(state)
+    xis = _xi_sample(m)
+    etas = xis @ gq.symplectic_form(n).T
+    beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
+    W = fock._kron_modes(np.moveaxis(fock._ladder_expi(beta, 1, cutoff), 1, 0))
+    char = np.einsum("ab,xba->x", state.rho, W) / norm
+    char_gauss = np.exp(
+        1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
+    )
+    delta = _quadrature_operators(n, cutoff) - point.d[:, None, None] * np.eye(cutoff**n)
+    i, j = np.triu_indices(m)
+    prod = delta[i] @ delta[j]
+    pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
+    size = pair.shape[-1] ** 2
+    fourth = (
+        (state.rho @ pair).reshape(-1, size) @ np.swapaxes(pair, -1, -2).reshape(-1, size).T
+    ).real / norm
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    g, w = point.gamma, gq.symplectic_form(n)
+    wick = 0.25 * (
+        g[i, j] * g[k, l]
+        + g[i, k] * g[j, l]
+        - w[i, k] * w[j, l]
+        + g[i, l] * g[j, k]
+        - w[i, l] * w[j, k]
+    )
+    return gq.IdentityReport(
+        displacement_dev=float(np.abs(d_fock - point.d).max()),
+        covariance_dev=float(np.abs(gamma_fock - point.gamma).max()),
+        char_dev=float(np.abs(char - char_gauss).max()),
+        fourth_moment_dev=float(np.abs(fourth - wick).max()),
+        tail_mass=state.tail_mass,
+    )
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (gq.builtin_family("thermal").point(2.1), 40),
+        (gq.builtin_family("displacement").point(0.4), 40),
+        (gq.builtin_family("squeezing", {"nu": 1.3}).point(0.2), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(2.0), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(1.1), 40),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(2.5), 8),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.5}).point(0.3), 16),
+        (_two_mode_point(), 16),
+    ],
+    ids=["thermal", "displacement", "squeezing", "phase-squeezed-mixed", "phase-squeezed-pure",
+         "n2-cutoff-8", "n2-cutoff-16", "n2-random-cutoff-16"],
+)
+def test_identity_checks_match_the_dense_operator_route(point, cutoff):
+    rep, ref = gq.identity_checks(point, cutoff), _dense_identity_checks(point, cutoff)
+    for field in ("displacement_dev", "covariance_dev", "char_dev", "fourth_moment_dev",
+                  "tail_mass"):
+        assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-13, field
+
+
+def test_bargmann_frame_is_formed_once_and_read_only():
+    W, X = fock._bargmann_frame(2)
+    assert fock._bargmann_frame(2)[0] is W
+    for table in (W, X):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
