@@ -24,13 +24,21 @@ QFI from the defining eigenbasis formula (Williamson's decomposition only
 gates the input, by the state rule).  So agreement between the two routes
 is evidence rather than circular arithmetic.
 
-States have one or two modes; more raise ``ConfigError``.
-:func:`passive_unitary`, :func:`squeeze_unitary` and
-:func:`displacement_unitary` form single Gaussian layers, for inspection,
-as truncated exponentials from a real ``eigh`` of each photon-number
-sector or ladder chain of the generator.  :func:`identity_checks` reads
-every expectation from one-mode ``cutoff x cutoff`` factors contracted
-against ``rho``'s index tensor, and forms no ``cutoff**n`` square operator.
+Every oracle call and layer builder checks its size before it allocates:
+a basis whose dense ``dim**n`` square complex matrix takes more than
+``_MAX_DENSE_BYTES`` (2**28 bytes, so more than 4096 levels on one mode, 64
+on two or 16 on three) raises ``ConfigError`` naming its memory.  ``dim``
+is the largest basis the call builds: ``cutoff + 10`` for
+:func:`qfi_fock_probe` (which so refuses every three-mode cutoff),
+``cutoff + 2`` for :func:`sld_residual`, the cutoff elsewhere.
+
+:func:`passive_unitary` and :func:`squeeze_unitary` form single Gaussian
+layers, for inspection, as truncated exponentials with one ``eigh`` per
+block of a label their generator conserves (total photon number, level
+parity); :func:`displacement_unitary` is the Kronecker product of the
+one-mode Weyl factors.  :func:`identity_checks` reads every expectation
+from one-mode ``cutoff x cutoff`` factors contracted against ``rho``'s
+index tensor, and forms no ``cutoff**n`` square operator.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 _PASSIVE_TOL = 1e-10  # passive_unitary's max-abs gate
 _TAIL_BOUND = 1e-3  # build_state's default bound on tail_mass, and every oracle call's
+_MAX_DENSE_BYTES = 2**28  # the largest dense dim**n square complex matrix a call may build
 _EPS = np.finfo(float).eps
 # Markov's inequality is tried at x = (1 + s)/(1 - s), s = u / lambda_max: u
 # runs from 0.034 to 1 - 2^-40, evenly in log(1 - u).
@@ -99,19 +108,6 @@ def _quadrature_operators(n: int, dim: int) -> np.ndarray:
     return _kron_modes(np.moveaxis(_mode_quadratures(n, dim), 1, 0))
 
 
-def _expi(lam: np.ndarray, V: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """``exp(-i H)`` for the Hermitian ``H = D V diag(lam) V^H D^H``, where
-    ``D = diag(phase)``; stacks broadcast."""
-    V = phase[..., :, None] * V
-    return (V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-
-
-def _check_modes(n: int) -> None:
-    """Refuse more than two modes, the most the oracle builds."""
-    if n > 2:
-        raise ConfigError(f"Fock oracle supports at most 2 modes, got {n}")
-
-
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes of two (stacks of) matrices."""
     out = A[..., :, None, :, None] * B[..., None, :, None, :]
@@ -127,58 +123,31 @@ def _kron_modes(factors: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_expi(H: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """``exp(-i H)`` for a Hermitian ``H`` that couples only indices of equal
+    ``label``: one ``eigh`` per label, so every entry between two blocks is
+    exactly zero."""
+    U = np.zeros(H.shape, dtype=complex)
+    for value in np.unique(label):
+        block = np.ix_(*[np.flatnonzero(label == value)] * 2)
+        lam, V = np.linalg.eigh(H[block])
+        U[block] = (V * np.exp(-1j * lam)) @ V.conj().T
+    return U
+
+
 @functools.lru_cache(maxsize=32)
-def _ladder_chains(step: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Levels ``lev`` and the real ``eigh`` ``(lam, V)`` of the chains of
-    :func:`_ladder_expi` at ``(step, dim)``.
+def _ladder_chain(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real ``eigh`` ``(lam, V)`` of the ladder chain ``a + a†`` on
+    ``dim`` levels.
 
-    They depend on the two integers only, so each pair is diagonalised once
-    and kept, read-only, for the next call (the 32 latest pairs are kept).
+    It depends on ``dim`` only, so each ``dim`` is diagonalised once and
+    kept, read-only, for the next call (the 32 latest are kept).
     """
-    span = -(-dim // step)
-    lev = np.arange(step)[:, None] + step * np.arange(span)  # levels >= dim pad
-    amp = np.prod(lev[:, :-1, None] + np.arange(1.0, step + 1), axis=-1) ** 0.5
-    t = np.arange(span - 1)
-    T = np.zeros((step, span, span))
-    T[:, t + 1, t] = T[:, t, t + 1] = amp * (lev[:, 1:] < dim)
-    lam, V = np.linalg.eigh(T)
-    for table in (lev, lam, V):
+    a = _destroy(dim)
+    lam, V = np.linalg.eigh(a + a.T)
+    for table in (lam, V):
         table.setflags(write=False)
-    return lev, lam, V
-
-
-def _ladder_expi(beta: np.ndarray | complex, step: int, dim: int) -> np.ndarray:
-    """``exp(-i H)`` for ``H = beta a†^step + conj(beta) a^step`` on one mode.
-
-    ``H`` couples level ``k`` only to ``k ± step``, so it splits into
-    ``step`` chains ``c, c + step, c + 2 step, ...``.  The level phase
-    ``D = diag(exp(i k arg(beta) / step))`` gives ``H = |beta| D T D^H``
-    with the real symmetric tridiagonal ``T`` of each chain, so one real
-    ``eigh`` of the chains (:func:`_ladder_chains`) serves every ``beta`` of
-    every call at that ``(step, dim)``.  ``beta`` may be an array; the
-    result stacks over it.
-    """
-    beta = np.asarray(beta, dtype=complex)
-    lev, lam, V = _ladder_chains(step, dim)
-    span = lev.shape[1]
-    phase = np.exp(1j * np.angle(beta)[..., None, None] / step * lev)
-    U = np.zeros(beta.shape + (step * span,) * 2, dtype=complex)
-    U[..., lev[:, :, None], lev[:, None, :]] = _expi(
-        np.abs(beta)[..., None, None] * lam, V, phase
-    )
-    return U[..., :dim, :dim]
-
-
-def _squeezers(z: np.ndarray, dim: int) -> np.ndarray:
-    """One-mode squeezers ``exp(z_k (a†² - a²) / 2)``, stacked over modes."""
-    return _ladder_expi(0.5j * np.atleast_1d(np.asarray(z, dtype=float)), 2, dim)
-
-
-def _displacements(d: np.ndarray, dim: int) -> np.ndarray:
-    """One-mode displacements ``exp(alpha_k a† - conj(alpha_k) a)``, stacked."""
-    d = np.asarray(d, dtype=float)
-    n = d.size // 2
-    return _ladder_expi(1j * (d[:n] + 1j * d[n:]) / _SQRT2, 1, dim)
+    return lam, V
 
 
 def _passive_deviation(O: np.ndarray) -> float:
@@ -187,56 +156,6 @@ def _passive_deviation(O: np.ndarray) -> float:
     n = O.shape[0] // 2
     u = O[:n, :n] - 1j * O[:n, n:]
     return float(max(np.abs(O - _passive(u)).max(), np.abs(u @ u.conj().T - np.eye(n)).max()))
-
-
-def _passive_sectors(O: np.ndarray, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exponential of the passive generator of ``O`` on each photon-number sector.
-
-    Returns one ``(cols, blocks)`` pair per sector size: row ``i`` of
-    ``cols`` lists the flat ``dim**n`` indices of one sector, and
-    ``blocks[i]`` is the exponential on it.  See :func:`passive_unitary`.
-    ``O`` is used as given: callers check it with :func:`_passive_deviation`.
-    """
-    n = O.shape[0] // 2
-    u = O[:n, :n] - 1j * O[:n, n:]
-    _check_modes(n)
-    if n == 1:
-        # Every sector is one level k, where the exponential is exp(-i hc k).
-        k = np.arange(dim)
-        return [(k[:, None], np.exp(1j * np.angle(u[0, 0]) * k)[:, None, None])]
-    lam, V = np.linalg.eig(u)
-    V, _ = np.linalg.qr(V)
-    hc = (V * -np.angle(lam)) @ V.conj().T
-    hc = 0.5 * (hc + hc.conj().T)
-    # Sector N is the chain n_1 = max(0, N - dim + 1) .. min(N, dim - 1) with
-    # n_2 = N - n_1; taking out the level phase exp(i n_1 arg hc_12) makes
-    # its generator real.
-    arg = np.angle(hc[0, 1])
-    hc = (hc * np.exp(-1j * np.array([[0.0, arg], [-arg, 0.0]]))).real
-    N = np.arange(2 * dim - 1)
-    lo = np.maximum(0, N - dim + 1)
-    sizes = np.minimum(N, dim - 1) - lo + 1
-    # Row r of n1 and n2 is sector N[r], padded to dim levels past its end.
-    n1 = lo[:, None] + np.arange(dim)
-    n2 = np.maximum(N[:, None] - n1, 0)
-    t = np.arange(dim - 1)
-    gen = np.zeros((N.size, dim, dim))
-    gen[:, t + 1, t] = gen[:, t, t + 1] = hc[0, 1] * np.sqrt((n1[:, :-1] + 1.0) * n2[:, :-1])
-    gen[:, np.arange(dim), np.arange(dim)] = hc[0, 0] * n1 + hc[1, 1] * n2
-    phase = np.exp(1j * arg * n1)
-    sectors = []
-    for size in np.unique(sizes):
-        sel = np.flatnonzero(sizes == size)
-        lam, V = np.linalg.eigh(gen[sel, :size, :size])
-        sectors.append(((n1 * dim + n2)[sel, :size], _expi(lam, V, phase[sel, :size])))
-    return sectors
-
-
-def _apply_sectors(X: np.ndarray, sectors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """``X @ P`` in place, for the sector-diagonal ``P`` of :func:`_passive_sectors`."""
-    for cols, blocks in sectors:
-        X[:, cols] = (X[:, cols].transpose(1, 0, 2) @ blocks).transpose(1, 0, 2)
-    return X
 
 
 def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
@@ -248,43 +167,64 @@ def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:
     ``u`` is normal, so its orthonormalised eigenvectors diagonalise it and
     ``i log u = V diag(-arg lam) V^H`` on the principal branch.
 
-    The generator ``sum_jk hc_jk a_j† a_k`` conserves the total photon
-    number, so it is formed and exponentiated one number sector at a time.
-    On one mode a sector is a single level ``k``, with exponential
-    ``exp(-i hc k)``.  On two modes sector ``N`` is the chain
-    ``n_1 = max(0, N - dim + 1) .. min(N, dim - 1)`` with ``n_2 = N - n_1``:
-    diagonal ``hc_11 n_1 + hc_22 n_2``, off-diagonal
-    ``|hc_12| sqrt((n_1 + 1) n_2)`` once the level phase
-    ``exp(i n_1 arg hc_12)`` is taken out, so it is real symmetric
-    tridiagonal.  Sectors of equal size share one stacked real ``eigh``.  The
-    dense result is the identity with each sector block applied, so the
-    entries between different sectors are exactly zero.
+    The truncated generator ``sum_jk hc_jk a_j† a_k`` is written entry by
+    entry, each term moving one photon between two modes.  It conserves the
+    total photon number, so it is exponentiated with one ``eigh`` per number
+    sector, and the entries between different sectors are exactly zero.  On
+    the sectors of fewer than ``dim`` photons the truncation cuts nothing.
 
     Raises:
         ConfigError: ``O`` is not ``2n x 2n`` of the form
-            ``[[c, s], [-s, c]]`` with ``c - i s`` unitary, or ``n > 2``.
+            ``[[c, s], [-s, c]]`` with ``c - i s`` unitary, or the basis
+            exceeds the size limit.
     """
     O = np.asarray(O, dtype=float)
     n = O.shape[0] // 2
     if O.shape != (2 * n, 2 * n) or _passive_deviation(O) > _PASSIVE_TOL:
         raise ConfigError("matrix is not orthogonal symplectic")
-    sectors = _passive_sectors(O, dim)
-    return _apply_sectors(np.eye(dim**n, dtype=complex), sectors)
+    _check_size(dim, n)
+    lam, V = np.linalg.eig(O[:n, :n] - 1j * O[:n, n:])
+    V, _ = np.linalg.qr(V)
+    hc = (V * -np.angle(lam)) @ V.conj().T
+    hc = 0.5 * (hc + hc.conj().T)
+    levels = np.indices((dim,) * n).reshape(n, -1)  # the level of each mode, per index
+    stride = dim ** np.arange(n - 1, -1, -1)
+    gen = np.zeros((dim**n, dim**n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            # a_j† a_k takes index q, where mode k is not empty, to
+            # q + stride_j - stride_k, unless mode j overflows.
+            up = levels[j] - (j == k)
+            q = np.flatnonzero((levels[k] > 0) & (up < dim - 1))
+            gen[q + stride[j] - stride[k], q] += hc[j, k] * np.sqrt(levels[k, q] * (up[q] + 1.0))
+    return _block_expi(gen, levels.sum(0))
 
 
 def squeeze_unitary(z: np.ndarray, dim: int) -> np.ndarray:
     """Product of single-mode squeezers, ``Q_k -> exp(z_k) Q_k``.
 
-    Each factor is exponentiated in its own single-mode basis and the results
-    are Kronecker-multiplied, which keeps the exponentials small and well
+    Each factor ``exp(z_k (a†² - a²) / 2)`` is exponentiated in its own
+    single-mode basis, one ``eigh`` per level parity, and the results are
+    Kronecker-multiplied, which keeps the exponentials small and well
     conditioned.
     """
-    return _kron_modes(_squeezers(z, dim))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    _check_size(dim, z.size)
+    a = _destroy(dim)
+    parity = np.arange(dim) % 2
+    return _kron_modes([_block_expi(0.5j * z_k * (a.T @ a.T - a @ a), parity) for z_k in z])
 
 
 def displacement_unitary(d: np.ndarray, dim: int) -> np.ndarray:
-    """Product of single-mode displacements shifting moments by ``d``."""
-    return _kron_modes(_displacements(d, dim))
+    """Product of single-mode displacements shifting moments by ``d``.
+
+    The displacement ``exp(alpha a† - conj(alpha) a)`` of a mode is the Weyl
+    factor of :func:`identity_checks` at ``beta = i alpha``.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.size // 2
+    _check_size(dim, n)
+    return _kron_modes(_weyl_factors(1j * (d[:n] + 1j * d[n:]) / _SQRT2, dim))
 
 
 @dataclass(frozen=True)
@@ -335,8 +275,10 @@ def suggested_cutoff(point: GaussianModelPoint) -> int:
     cutoff is the least ``c`` (at least 8) that takes each term to
     ``1e-3 / n`` at the best of 800 fixed ``s``.  It is closed form, so it
     sizes states too large to build, and a true bound, so it never suggests
-    a cutoff that fails; it overshoots by up to 1.6x on squeezed modes (49
-    where 30 passes on ``phase_squeezed`` r 1, nu 1.5).
+    a cutoff that fails the tail bound (it may suggest one above the size
+    limit of the module docstring, which the oracle then refuses); it
+    overshoots by up to 1.6x on squeezed modes (49 where 30 passes on
+    ``phase_squeezed`` r 1, nu 1.5).
     """
     return _cutoff_for(point, _TAIL_BOUND)
 
@@ -349,6 +291,24 @@ def _dense_size(cutoff: int, n: int) -> str:
             break
         size /= 1000.0
     return f"{size:.0f} {unit}" if size >= 10.0 else f"{size:.2g} {unit}"
+
+
+def _max_dim(n: int) -> int:
+    """Most levels per mode whose dense ``dim**n`` square complex matrix
+    takes at most ``_MAX_DENSE_BYTES``."""
+    return int((_MAX_DENSE_BYTES / 16.0) ** (1.0 / (2 * n)) * (1.0 + 1e-12))
+
+
+def _check_size(dim: int, n: int) -> None:
+    """Refuse, before anything is allocated, a basis of ``dim`` levels on
+    ``n`` modes above the size limit of the module docstring."""
+    top = _max_dim(n)
+    if dim > top:
+        raise ConfigError(
+            f"a Fock basis of {dim} levels on {n} modes needs {_dense_size(dim, n)} per dense "
+            f"matrix; the oracle builds at most {top} levels on {n} modes "
+            f"({_dense_size(top, n)})"
+        )
 
 
 @functools.lru_cache(maxsize=2)
@@ -447,9 +407,9 @@ def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
 def _elements(point: GaussianModelPoint, cutoff: int, dim: int, tangent: bool = False):
     """The oracle's input gates for ``cutoff``, then :func:`_bargmann` on
     ``dim >= cutoff`` levels."""
-    _check_modes(point.n)
     if cutoff < 8:
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
+    _check_size(dim, point.n)
     dec = williamson(point.gamma)
     _require_state(float(dec.nu[-1]), dec.S, point.gamma)
     return _bargmann(point, dim, tangent)
@@ -468,11 +428,13 @@ def _kept(
     rho = _block(rho, point.n, cutoff)
     tail = float(1.0 - np.trace(rho).real)
     if tail > tail_bound:
-        suggested = _cutoff_for(point, tail_bound)
+        suggested, top = _cutoff_for(point, tail_bound), _max_dim(point.n)
+        advice = f"suggested cutoff is {suggested} ({_dense_size(suggested, point.n)} dense state)"
+        if suggested > top:
+            advice += f", above the oracle's size limit of {top} levels"
         raise PreconditionError(
             "tail_mass",
-            f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; "
-            f"suggested cutoff is {suggested} ({_dense_size(suggested, point.n)} dense state)",
+            f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; {advice}",
         )
     return TruncatedState(n=point.n, cutoff=cutoff, rho=rho, tail_mass=tail)
 
@@ -514,13 +476,16 @@ def build_state(
             check.
 
     Raises:
-        ConfigError: more than two modes, or ``cutoff < 8``.
+        ConfigError: ``cutoff < 8``, or a basis above the size limit of
+            the module docstring (at most 64 levels on two modes, 16 on
+            three).
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``), or
             flag ``"tail_mass"`` when the truncation loses more weight than
             ``tail_bound`` (the message suggests a cutoff that meets
-            ``tail_bound``, sized as in :func:`suggested_cutoff`, and gives
-            the memory of a dense state at it).
+            ``tail_bound``, sized as in :func:`suggested_cutoff`, gives the
+            memory of a dense state at it, and says when that cutoff is
+            above the size limit).
         ConvergenceError: if (after the tail) the constructed matrix has an
             eigenvalue below ``-1e-10``.
     """
@@ -705,15 +670,15 @@ def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
     """``exp(-i H)`` for ``H = beta a† + conj(beta) a`` on one mode, stacked
     over the entries of ``beta``.
 
-    As in :func:`_ladder_expi`, ``H = |beta| D T D^H`` with the ladder chain
-    ``T = a + a†`` and ``D = diag(exp(i k arg beta))``, so ``exp(-i H)`` is
+    ``H = |beta| D T D^H`` with the ladder chain ``T = a + a†`` and
+    ``D = diag(exp(i k arg beta))``, so ``exp(-i H)`` is
     ``D V exp(-i |beta| Lambda) V^T D^H`` on the cached real ``eigh``
-    ``(Lambda, V)`` of ``T``.  The one chain fills the matrix, so nothing is
-    scattered, and ``V`` times the complex ``exp(-i |beta| Lambda) V^T`` is
-    one real product over its interleaved real and imaginary parts.
+    ``(Lambda, V)`` of ``T`` (:func:`_ladder_chain`).  The one chain fills
+    the matrix, so nothing is scattered, and ``V`` times the complex
+    ``exp(-i |beta| Lambda) V^T`` is one real product over its interleaved
+    real and imaginary parts.
     """
-    _, lam, V = _ladder_chains(1, dim)
-    lam, V = lam[0], V[0]
+    lam, V = _ladder_chain(dim)
     spread = np.exp(-1j * np.abs(beta)[..., None] * lam)[..., :, None]
     spread = np.multiply(spread, V.T, order="C")
     phase = np.exp(1j * np.angle(beta)[..., None] * np.arange(dim))
@@ -741,7 +706,8 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     :func:`state_moments` centres it.
 
     Raises:
-        ConfigError: more than two modes, or ``cutoff < 8``.
+        ConfigError: ``cutoff < 8``, or a basis above the size limit (see
+            :func:`build_state`).
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see :func:`build_state`).
         ConvergenceError: if the constructed matrix has an eigenvalue below

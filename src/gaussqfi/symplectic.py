@@ -310,11 +310,16 @@ def random_orthogonal_symplectic(n: int, rng: np.random.Generator | int | None =
     return _passive(Qc * (diag / np.abs(diag))[None, :])
 
 
-def random_symplectic(n: int, seed: int | None = None, squeeze_cap: float = 1.0) -> np.ndarray:
+def random_symplectic(
+    n: int, seed: int | np.random.Generator | None = None, squeeze_cap: float = 1.0
+) -> np.ndarray:
     """Seeded random symplectic matrix in Euler form ``O1 diag(e^z, e^-z) O2``.
 
     ``O1, O2`` are Haar orthogonal-symplectic and the squeeze parameters are
     uniform with ``|z_k| <= squeeze_cap``.  Deterministic for a fixed seed.
+    ``seed`` may also be a ``np.random.Generator``, which is used as is and
+    advanced in place, so successive calls on one generator give different
+    matrices.
     """
     if squeeze_cap < 0:
         raise ValueError("squeeze_cap must be non-negative")

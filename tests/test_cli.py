@@ -356,6 +356,18 @@ def test_oracle_check_refuses_a_point_without_an_sld(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_check_refuses_a_basis_above_the_size_limit(tmp_path, capsys):
+    # The probe would build 410 levels on two modes, 452 GB per dense matrix.
+    doc = {"family": "two_mode_squeezed_phase", "params": {"r": 0.3}, "theta": 0.4}
+    assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", "400"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: a Fock basis of 410 levels on 2 modes needs 452 GB per dense matrix; "
+        "the oracle builds at most 64 levels on 2 modes (268 MB)\n"
+    )
+
+
 def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
     # Its nu_min rounds to 1 - 2.8e-7, within the state rule's rounding, so
     # the config reader accepts what the family accepts.

@@ -5,6 +5,8 @@ moment recovery) so that engine-vs-oracle comparisons elsewhere are
 meaningful.
 """
 
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -363,6 +365,14 @@ def test_tail_refusal_names_the_memory_of_its_advice():
     with pytest.raises(gq.PreconditionError, match=r"is 150 \(8\.1 GB dense state\)") as exc:
         gq.build_state(pt, 10)
     assert exc.value.flag == "tail_mass"
+    # 150 levels on two modes is above the size limit, and the advice says so;
+    # advice within the limit does not.
+    assert str(exc.value).endswith(
+        "suggested cutoff is 150 (8.1 GB dense state), above the oracle's size limit of 64 levels"
+    )
+    pt = gq.builtin_family("two_mode_squeezed_phase", {"r": 1.0}).point(0.3)
+    with pytest.raises(gq.PreconditionError, match=r"is 20 \(2\.6 MB dense state\)$"):
+        gq.build_state(pt, 8)
 
 
 def test_suggested_cutoff():
@@ -661,14 +671,89 @@ def test_identity_checks_char_dev_matches_dense_expm(point, cutoff):
     assert abs(rep.char_dev - dev) < 1e-12
 
 
-def test_passive_unitary_rejects_three_modes():
-    # Like build_state, the passive unitary stops at two modes.
-    with pytest.raises(gq.ConfigError, match="at most 2 modes"):
-        gq.passive_unitary(gq.random_orthogonal_symplectic(3, np.random.default_rng(0)), 4)
+def test_passive_unitary_three_modes():
+    dim = 6
+    O = gq.random_orthogonal_symplectic(3, np.random.default_rng(0))
+    U = gq.passive_unitary(O, dim)
+    assert_allclose(U @ U.conj().T, np.eye(dim**3), atol=1e-10)
+    total = np.indices((dim,) * 3).sum(0).ravel()
+    across = total[:, None] != total[None, :]
+    assert np.count_nonzero(U[across]) == 0
+    R = _quadrature_operators(3, dim)
+    # R -> O R between states of total photon number <= dim - 2, as on two modes.
+    block = np.ix_(total <= dim - 2, total <= dim - 2)
+    for i in range(6):
+        lhs = U.conj().T @ R[i] @ U
+        assert np.abs(lhs - np.einsum("k,kab->ab", O[i], R))[block].max() < 1e-10
+
+
+def _three_mode_point(seed):
+    """Seeded mixed three-mode point: squeezes up to 0.25, nu in [1.02, 1.2],
+    a random mean and tangent."""
+    rng = np.random.default_rng(seed)
+    S = gq.random_symplectic(3, seed=rng, squeeze_cap=0.25)
+    nu = rng.uniform(1.02, 1.2, 3)
+    dgamma = rng.standard_normal((6, 6))
+    return gq.GaussianModelPoint(
+        0.3 * rng.standard_normal(6), S @ np.diag(np.concatenate([nu, nu])) @ S.T,
+        rng.standard_normal(6), dgamma + dgamma.T,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_qfi_fock_on_three_modes(seed):
+    # Relative errors 2e-5 and 5e-5 at cutoff 8.
+    point = _three_mode_point(seed)
+    fock_qfi = gq.qfi_fock(_explicit_family(point), 0.0, 8)
+    assert fock_qfi == pytest.approx(gq.qfi_general(point).qfi, rel=1e-4)
+
+
+def test_sld_residual_and_identity_checks_on_three_modes():
+    point = _three_mode_point(2)
+    assert gq.sld_residual(point, gq.sld_coefficients(point), 8) < 1e-10
+    # Truncation at 8 levels leaves 7e-6 on the covariance, 8e-5 on the
+    # fourth moments.
+    rep = gq.identity_checks(point, 8)
+    assert rep.covariance_dev < 1e-4
+    assert rep.fourth_moment_dev < 1e-3
+
+
+def test_size_limit_refuses_before_allocating():
+    # A two-mode basis of 400 levels would take 410 GB per dense matrix; the
+    # refusal comes before anything of that size is allocated.
+    pt = _two_mode_point()
+    fam = _explicit_family(pt)
+    calls = [
+        lambda: gq.build_state(pt, 400),
+        lambda: gq.qfi_fock(fam, 0.0, 400),
+        lambda: gq.qfi_fock_probe(fam, 0.0, 400),
+        lambda: gq.sld_residual(pt, gq.sld_coefficients(pt), 400),
+        lambda: gq.identity_checks(pt, 400),
+        lambda: gq.passive_unitary(_RANDOM_O, 400),
+        lambda: gq.squeeze_unitary([0.1, 0.2], 400),
+        lambda: gq.displacement_unitary(pt.d, 400),
+    ]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(gq.ConfigError, match=r"needs \d+ GB per dense matrix; the oracle "
+                           r"builds at most 64 levels on 2 modes \(268 MB\)"):
+            call()
+    assert time.perf_counter() - start < 0.5
+    # The limit is 2**28 bytes a dense matrix, and a basis of exactly that passes.
+    for n, top in [(1, 4096), (2, 64), (3, 16)]:
+        fock._check_size(top, n)
+        with pytest.raises(gq.ConfigError, match=f"at most {top} levels on {n} modes"):
+            fock._check_size(top + 1, n)
+    # The probe builds cutoff + 10 levels, so it refuses every three-mode cutoff.
+    with pytest.raises(gq.ConfigError, match="18 levels on 3 modes"):
+        gq.qfi_fock_probe(_explicit_family(_three_mode_point(0)), 0.0, 8)
 
 
 def _fresh_ladder_expi(beta, step, dim):
-    """``exp(-i H)`` of the ladder generator with a fresh ``eigh`` of its chains."""
+    """``exp(-i H)`` for ``H = beta a†^step + conj(beta) a^step`` with a fresh
+    ``eigh`` of its chains: with the level phase ``D`` taken out, ``H`` is
+    ``|beta| D T D^H`` on the real tridiagonal ``T`` of each chain
+    ``c, c + step, ...``."""
     beta = np.asarray(beta, dtype=complex)
     span = -(-dim // step)
     lev = np.arange(step)[:, None] + step * np.arange(span)
@@ -679,9 +764,9 @@ def _fresh_ladder_expi(beta, step, dim):
     lam, V = np.linalg.eigh(T)
     phase = np.exp(1j * np.angle(beta)[..., None, None] / step * lev)
     U = np.zeros(beta.shape + (step * span,) * 2, dtype=complex)
-    U[..., lev[:, :, None], lev[:, None, :]] = fock._expi(
-        np.abs(beta)[..., None, None] * lam, V, phase
-    )
+    V = phase[..., :, None] * V
+    spread = np.exp(-1j * np.abs(beta)[..., None, None] * lam)[..., None, :]
+    U[..., lev[:, :, None], lev[:, None, :]] = (V * spread) @ np.swapaxes(V.conj(), -1, -2)
     return U[..., :dim, :dim]
 
 
@@ -707,7 +792,7 @@ def _apply_modes(X, mats):
 def _every_column_build_rho(point, cutoff, pad=12):
     """The Euler route: ``crop(D P1 Sq P2 rho_th (D P1 Sq P2)^H)`` on
     ``cutoff + pad`` levels as ``X diag(p) X^H``, with fresh ladder
-    exponentials, ``P2`` on every sector and every column summed."""
+    exponentials, dense passive layers and every column summed."""
     big, n = cutoff + pad, point.n
     dec = gq.williamson(point.gamma)
     O1, z, O2 = gq.euler_decompose(dec.S)
@@ -716,10 +801,10 @@ def _every_column_build_rho(point, cutoff, pad=12):
         X = fock._kron_modes(_fresh_ladder_expi(alpha, 1, big)[:, :cutoff])
     else:
         X = fock._kron_modes([np.eye(cutoff, big)] * n).astype(complex)
-    X = fock._apply_sectors(X, fock._passive_sectors(O1, big))
+    X = X @ gq.passive_unitary(O1, big)
     if z.any():
         X = _apply_modes(X, _fresh_ladder_expi(0.5j * z, 2, big))
-    X = fock._apply_sectors(X, fock._passive_sectors(O2, big))
+    X = X @ gq.passive_unitary(O2, big)
     rho = (X * _thermal_weights(dec.nu, big)) @ X.conj().T
     return 0.5 * (rho + rho.conj().T)
 
@@ -817,13 +902,15 @@ def test_qfi_fock_reads_the_eigenbasis_of_the_public_state(family, params, theta
 
 
 def test_ladder_tables_are_computed_once_and_read_only():
-    tables = fock._ladder_chains(2, 21)
-    assert fock._ladder_chains(2, 21) is tables
+    tables = fock._ladder_chain(21)
+    assert fock._ladder_chain(21) is tables
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
+    # The two read the same eigenbasis through different products: 2.8e-16 apart.
     beta = np.array([0.3 - 0.2j, 1.1j])
-    assert np.array_equal(fock._ladder_expi(beta, 2, 21), _fresh_ladder_expi(beta, 2, 21))
+    gap = np.abs(fock._weyl_factors(beta, 21) - _fresh_ladder_expi(beta, 1, 21)).max()
+    assert gap <= 4 * np.finfo(float).eps
 
 
 def test_eigenvalue_gate_fires_on_the_state_at_theta(monkeypatch):
@@ -939,7 +1026,7 @@ def _dense_identity_checks(point, cutoff):
     xis = _xi_sample(m)
     etas = xis @ gq.symplectic_form(n).T
     beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
-    W = fock._kron_modes(np.moveaxis(fock._ladder_expi(beta, 1, cutoff), 1, 0))
+    W = fock._kron_modes(np.moveaxis(_fresh_ladder_expi(beta, 1, cutoff), 1, 0))
     char = np.einsum("ab,xba->x", state.rho, W) / norm
     char_gauss = np.exp(
         1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
