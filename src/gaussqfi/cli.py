@@ -107,8 +107,9 @@ def _evaluate_point(point: GaussianModelPoint, theta: float) -> tuple[SweepRow, 
 def sweep_rows(family: ModelFamily, thetas: np.ndarray, jobs: int = 1) -> list[SweepRow]:
     """Evaluate a theta grid serially, in ascending theta order.
 
-    ``jobs`` is accepted for compatibility with ``sweep --jobs`` and ignored:
-    a thread pool over these small LAPACK calls was slower than one thread.
+    ``jobs`` (``sweep --jobs``) is ignored, since a thread pool over these
+    small LAPACK calls was slower than one thread; it stays because the
+    benchmark's sweep runs pass ``--jobs 1`` and ``2`` and its tracer reads it.
     """
     thetas = np.sort(np.asarray(thetas, dtype=float))
     return [_evaluate_point(family.point(t), t)[0] for t in thetas]
@@ -201,7 +202,8 @@ def _cmd_sweep(argv: list[str]) -> int:
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted for compatibility (>= 1); evaluation is serial (default 1)",
+        help="accepted (>= 1) and ignored: evaluation is serial (default 1); kept "
+        "because the benchmark's sweep runs pass --jobs 1 and 2",
     )
     args = p.parse_args(argv)
     if args.steps < 1:
@@ -256,6 +258,8 @@ def _cmd_homodyne(argv: list[str]) -> int:
     args = p.parse_args(argv)
     if args.random_u < 0:
         raise ConfigError(f"--random-U must be >= 0, got {args.random_u}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = load_model_config(args.config)
     frame = isothermal_frame(cfg.point)
     best = optimal_homodyne_fisher(frame)

@@ -36,9 +36,9 @@ is the largest basis the call builds: ``cutoff + 10`` for
 layers, for inspection, as truncated exponentials with one ``eigh`` per
 block of a label their generator conserves (total photon number, level
 parity); :func:`displacement_unitary` is the Kronecker product of the
-one-mode Weyl factors.  :func:`identity_checks` reads every expectation
-from one-mode ``cutoff x cutoff`` factors contracted against ``rho``'s
-index tensor, and forms no ``cutoff**n`` square operator.
+one-mode Weyl factors.  Every operator the oracle reads is built from
+one-mode ``dim x dim`` factors: expectations contract them against
+``rho``'s index tensor, and the SLD observable sums their Kronecker products.
 """
 
 from __future__ import annotations
@@ -102,24 +102,13 @@ def _mode_quadratures(n: int, dim: int) -> np.ndarray:
     return F
 
 
-def _quadrature_operators(n: int, dim: int) -> np.ndarray:
-    """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of ``dim**n`` square
-    Fock matrices (see :func:`_mode_quadratures`)."""
-    return _kron_modes(np.moveaxis(_mode_quadratures(n, dim), 1, 0))
-
-
-def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product of the last two axes of two (stacks of) matrices."""
-    out = A[..., :, None, :, None] * B[..., None, :, None, :]
-    s = out.shape
-    return out.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
-
-
 def _kron_modes(factors: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Kronecker product of one-mode factors, mode 1 outermost."""
+    """Kronecker product of (stacks of) one-mode factors, mode 1 outermost."""
     out = np.ones((1, 1))
     for f in factors:
-        out = _kron(out, f)
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        s = out.shape
+        out = out.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
     return out
 
 
@@ -470,8 +459,8 @@ def build_state(
     Args:
         point: moments to realize (derivatives are ignored).
         cutoff: per-mode Fock dimension of the returned state.
-        pad: accepted for compatibility and ignored: ``rho`` is the same
-            for every ``pad``.
+        pad: ignored, as ``rho`` is the same for every ``pad``; it stays
+            because the benchmark's tracer reads it from every call.
         tail_bound: maximum acceptable tail_mass; ``np.inf`` disables the
             check.
 
@@ -492,24 +481,14 @@ def build_state(
     return _checked(point, _elements(point, cutoff, cutoff)[0], cutoff, tail_bound)
 
 
-def _centred(R: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The centred quadratures ``R - d I`` of a stack ``R``."""
-    return R - d[:, None, None] * np.eye(R.shape[-1])
-
-
 def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments ``(d, gamma)`` extracted from the matrix.
 
     Moments are taken with respect to the truncated state normalized on its
     support, so deviations from the exact values measure truncation error
-    only.
+    only.  Both come from one-mode factors (:func:`_moments`).
     """
-    R = _quadrature_operators(state.n, state.cutoff)
-    norm = np.trace(state.rho).real
-    d = np.array([np.trace(state.rho @ Rk).real for Rk in R]) / norm
-    delta = _centred(R, d)
-    gamma = np.einsum("iab,jba->ij", state.rho @ delta, delta).real * 2.0 / norm
-    return d, 0.5 * (gamma + gamma.T)
+    return _moments(state)[:2]
 
 
 def _solve_sld_eigenbasis(eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray) -> float:
@@ -580,12 +559,24 @@ def _sld_matrix(coeffs: SLDCoefficients, d: np.ndarray, cutoff: int) -> np.ndarr
     """Assemble the SLD observable as a Fock matrix.
 
     Returns ``sum_ij L_ij (R-d)_i (R-d)_j + sum_i b_i (R-d)_i + c`` (the
-    quadratic term is automatically Hermitian because ``L`` is symmetric).
+    quadratic term is automatically Hermitian because ``L`` is symmetric)
+    as ``c + sum_i dR_i B_i``: each ``B_i = sum_j L_ij dR_j + b_i`` is a sum
+    of one-mode terms, so ``L̂`` is a sum of Kronecker products of one-mode
+    factors, and no two ``cutoff**n`` square matrices are multiplied.
     """
-    d = np.asarray(d, dtype=float)
-    delta = _centred(_quadrature_operators(d.size // 2, cutoff), d)
-    quadratic = (delta @ np.tensordot(coeffs.L, delta, 1)).sum(0)
-    return quadratic + np.tensordot(coeffs.b, delta, 1) + coeffs.c * np.eye(delta.shape[-1])
+    m, n, eye = d.size, d.size // 2, np.eye(cutoff)
+    own = np.arange(m) % n  # the mode of R_i
+    x = _mode_quadratures(n, cutoff)[np.arange(m), own] - d[:, None, None] * eye
+    # bracket[i, k]: B_i's mode-k term sum_s L_i(s,k) dR_(s,k), plus b_i on R_i's mode.
+    bracket = (coeffs.L.reshape(m, 2, n, 1, 1) * x.reshape(2, n, cutoff, cutoff)).sum(1)
+    bracket[np.arange(m), own] += coeffs.b[:, None, None] * eye
+    # dR_i times B_i's term on its own mode, summed per mode: one mode takes two products.
+    local = (x @ bracket[np.arange(m), own]).reshape(2, n, cutoff, cutoff).sum(0)
+    local[0] += coeffs.c * eye
+    # Each term maps modes to factors, the identity on the modes it omits.
+    terms = [{k: local[k]} for k in range(n)]
+    terms += [{own[i]: x[i], k: bracket[i, k]} for i in range(m) for k in range(n) if k != own[i]]
+    return sum(_kron_modes([t.get(k, eye) for k in range(n)]) for t in terms)
 
 
 def sld_residual(point: GaussianModelPoint, coeffs: SLDCoefficients, cutoff: int) -> float:
@@ -649,21 +640,31 @@ def _mode_traces(rho: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _mode_pairs(R: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """One-mode factors of the symmetrised pairs ``(dR_i dR_j + dR_j dR_i)/2``,
-    ``i <= j`` in ``np.triu_indices`` order, of the quadratures ``R`` of
-    :func:`_mode_quadratures` centred at ``d``.
+def _moments(state: TruncatedState, centre: np.ndarray | None = None):
+    """Mean ``d``, covariance, and the one-mode factors of the symmetrised
+    pairs ``(dR_i dR_j + dR_j dR_i)/2``, ``i <= j`` in ``np.triu_indices``
+    order, of the quadratures of :func:`_mode_quadratures` centred at
+    ``centre`` (default: the mean), each expectation by :func:`_mode_traces`.
 
     On each mode the one-mode factors of ``dR_i`` and ``dR_j`` commute
     unless both act there (one is the identity), so the pair is the
-    Kronecker product of the symmetrised one-mode products.
+    Kronecker product of the symmetrised one-mode products.  The covariance
+    is ``2 (<pairs> - shift shift^T)``, ``shift = d - centre``: moved to the
+    mean, at rounding level for a centre near it.
     """
-    m, n, dim = R.shape[0], R.shape[1], R.shape[-1]
-    delta = R.copy()
-    delta[np.arange(m), np.arange(m) % n] -= d[:, None, None] * np.eye(dim)
+    n, m, rho = state.n, 2 * state.n, state.rho
+    norm = np.trace(rho).real
+    R = _mode_quadratures(n, state.cutoff)
+    d = _mode_traces(rho, R).real / norm
+    centre = d if centre is None else centre
+    R[np.arange(m), np.arange(m) % n] -= centre[:, None, None] * np.eye(state.cutoff)
     i, j = np.triu_indices(m)
-    prod = delta[i] @ delta[j]
-    return 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
+    prod = R[i] @ R[j]
+    pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
+    second = np.empty((m, m))
+    second[i, j] = second[j, i] = _mode_traces(rho, pair).real / norm
+    shift = d - centre
+    return d, 2.0 * (second - np.outer(shift, shift)), pair
 
 
 def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
@@ -701,9 +702,9 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     and the products of those, and the Weyl operators, whose factors come
     from the cached real eigenbasis of the ladder chain ``a + a†``.  Each
     expectation contracts ``rho``'s index tensor with the factors one mode
-    at a time, so no ``cutoff**n`` square operator is formed.  The
-    covariance is read from the pairs and moved to the measured mean, as
-    :func:`state_moments` centres it.
+    at a time, so no ``cutoff**n`` square operator is formed.  The moments
+    come from the reader of :func:`state_moments`, its pairs centred at
+    ``d`` and kept for the fourth moments.
 
     Raises:
         ConfigError: ``cutoff < 8``, or a basis above the size limit (see
@@ -716,15 +717,8 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     state = build_state(point, cutoff, tail_bound=np.inf)
     n, m, rho = state.n, 2 * point.n, state.rho
     norm = np.trace(rho).real
-    R = _mode_quadratures(n, cutoff)
-    pair = _mode_pairs(R, point.d)
+    d_fock, gamma_fock, pair = _moments(state, point.d)
     i, j = np.triu_indices(m)
-    d_fock = _mode_traces(rho, R).real / norm
-    # <A_ij> about d, moved to the measured mean as state_moments centres.
-    second = np.empty((m, m))
-    second[i, j] = second[j, i] = _mode_traces(rho, pair).real / norm
-    shift = d_fock - point.d
-    gamma_fock = 2.0 * (second - np.outer(shift, shift))
     displacement_dev = float(np.abs(d_fock - point.d).max())
     covariance_dev = float(np.abs(gamma_fock - point.gamma).max())
 

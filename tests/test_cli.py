@@ -161,8 +161,9 @@ def test_sweep_rejects_bad_counts(tmp_path):
     "argv, flag",
     [
         (["homodyne", "--random-U", "-3"], "--random-U"),
+        (["homodyne", "--seed", "-1"], "--seed"),
     ],
-    ids=["homodyne-random-u-neg"],
+    ids=["homodyne-random-u-neg", "homodyne-seed-neg"],
 )
 def test_numeric_flags_are_validated(tmp_path, capsys, argv, flag):
     cfg = write_cfg(

@@ -15,7 +15,14 @@ from numpy.testing import assert_allclose
 import gaussqfi as gq
 from conftest import explicit_doc
 from gaussqfi import fock
-from gaussqfi.fock import _destroy, _quadrature_operators, _sld_matrix
+from gaussqfi.fock import _destroy, _sld_matrix
+
+
+def _quadrature_operators(n, dim):
+    """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as a stack of dense ``dim**n``
+    square Fock matrices, the reference the one-mode factors are checked
+    against."""
+    return fock._kron_modes(np.moveaxis(fock._mode_quadratures(n, dim), 1, 0))
 
 
 def _passive_from_u(u):
@@ -220,6 +227,19 @@ def _two_mode_point(nu=(1.5, 1.2)):
     gamma = S @ np.diag(np.concatenate([nu, nu])) @ S.T
     return gq.GaussianModelPoint(
         np.array([0.3, -0.2, 0.1, 0.4]), gamma, np.zeros(4), np.zeros((4, 4))
+    )
+
+
+def _three_mode_point(seed):
+    """Seeded mixed three-mode point: squeezes up to 0.25, nu in [1.02, 1.2],
+    a random mean and tangent."""
+    rng = np.random.default_rng(seed)
+    S = gq.random_symplectic(3, seed=rng, squeeze_cap=0.25)
+    nu = rng.uniform(1.02, 1.2, 3)
+    dgamma = rng.standard_normal((6, 6))
+    return gq.GaussianModelPoint(
+        0.3 * rng.standard_normal(6), S @ np.diag(np.concatenate([nu, nu])) @ S.T,
+        rng.standard_normal(6), dgamma + dgamma.T,
     )
 
 
@@ -626,17 +646,25 @@ def _loop_sld_matrix(coeffs, d, cutoff):
         (_mixed_squeezed_displaced_point(), 30),
         (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.4}).point(0.2), 10),
         (_two_mode_point(), 8),
+        (_three_mode_point(2), 4),
     ],
-    ids=["n1-mixed-squeezed-displaced", "n2-two-mode-squeezed", "n2-random-displaced"],
+    ids=["n1-mixed-squeezed-displaced", "n2-two-mode-squeezed", "n2-random-displaced",
+         "n3-random-cutoff-4"],
 )
 def test_state_moments_and_sld_matrix_match_term_by_term_loops(point, cutoff):
     # The sums run in another order, so agreement is to rounding: 64 eps of
-    # the largest entry.
+    # the largest entry.  build_state refuses cutoffs below 8, so the
+    # three-mode state (64 x 64, where two non-adjacent modes' factors sit
+    # around an identity) is read from the recurrence directly.
     tol = 64 * np.finfo(float).eps
-    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    if cutoff >= 8:
+        state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    else:
+        rho = fock._bargmann(point, cutoff)[0]
+        state = fock.TruncatedState(point.n, cutoff, rho, 1.0 - np.trace(rho).real)
     d, gamma = gq.state_moments(state)
     d_loop, gamma_loop = _loop_state_moments(state)
-    np.testing.assert_array_equal(d, d_loop)
+    assert np.abs(d - d_loop).max() <= tol * np.abs(d_loop).max()
     assert np.abs(gamma - gamma_loop).max() <= tol * np.abs(gamma_loop).max()
     rng = np.random.default_rng(3)
     m = 2 * point.n
@@ -685,19 +713,6 @@ def test_passive_unitary_three_modes():
     for i in range(6):
         lhs = U.conj().T @ R[i] @ U
         assert np.abs(lhs - np.einsum("k,kab->ab", O[i], R))[block].max() < 1e-10
-
-
-def _three_mode_point(seed):
-    """Seeded mixed three-mode point: squeezes up to 0.25, nu in [1.02, 1.2],
-    a random mean and tangent."""
-    rng = np.random.default_rng(seed)
-    S = gq.random_symplectic(3, seed=rng, squeeze_cap=0.25)
-    nu = rng.uniform(1.02, 1.2, 3)
-    dgamma = rng.standard_normal((6, 6))
-    return gq.GaussianModelPoint(
-        0.3 * rng.standard_normal(6), S @ np.diag(np.concatenate([nu, nu])) @ S.T,
-        rng.standard_normal(6), dgamma + dgamma.T,
-    )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -1016,13 +1031,13 @@ def test_bargmann_matches_the_stepwise_recurrence(point, dims):
 
 def _dense_identity_checks(point, cutoff):
     """``identity_checks`` from dense ``cutoff**n`` square operators: the
-    moments of ``state_moments``, the 12 Weyl operators as Kronecker products
+    moments of ``_loop_state_moments``, the 12 Weyl operators as Kronecker products
     of one-mode ladder exponentials, and every product of the dense
     symmetrised pairs."""
     state = gq.build_state(point, cutoff, tail_bound=np.inf)
     n, m = state.n, 2 * point.n
     norm = np.trace(state.rho).real
-    d_fock, gamma_fock = gq.state_moments(state)
+    d_fock, gamma_fock = _loop_state_moments(state)
     xis = _xi_sample(m)
     etas = xis @ gq.symplectic_form(n).T
     beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
