@@ -26,11 +26,20 @@ allows in the same frame, whatever the other modes' temperatures.  The rule
 is one-sided: a mode the state rule accepted below 1 is vacuum, and reads as
 1 in ``N - 1``.
 
-The frame costs one Cholesky factor and one Hermitian ``eigh`` (see
-:func:`~gaussqfi.symplectic.williamson`), and ``S^-1 = -w S^T w`` needs no
-solve.  The same ``Xt`` carries the Fisher information of the Wigner
-distribution, ``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
-with ``nt = (nu, nu)``: the Wigner information pairs each entry with
+Route: a model point of a built-in family carries its Williamson factor in
+closed form, ``(S, nu, A = S^-1 dS, dnu)``, and the solve reads its frame
+from it: ``Xt = A N + N A^T + diag(dnu, dnu)`` with ``N = diag(nu, nu)``,
+and no factorisation at all.  Any other ``Gamma`` (the public functions here,
+explicit configs, custom families) is factorised, at the cost of one
+Cholesky factor and one Hermitian ``eigh`` (see
+:func:`~gaussqfi.symplectic.williamson`); rounding in the stored ``Gamma``
+then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way
+``S^-1 = -w S^T w`` needs no solve, and the kernel rule, the state rule and
+the range residual ``|D(Y) - X|_F`` are the same.
+
+The same ``Xt`` carries the Fisher information of the Wigner distribution,
+``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)`` with
+``nt = (nu, nu)``: the Wigner information pairs each entry with
 ``nu_i nu_j``, where the SLD solve pairs it with ``nu_i nu_j -/+ 1``.
 
 :func:`dgamma_spectrum` returns those divisors and that mask as arrays:
@@ -175,22 +184,32 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
 
 
 def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray
+    gamma: np.ndarray,
+    X: np.ndarray,
+    frame: tuple[WilliamsonDecomposition, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, WilliamsonDecomposition, np.ndarray]:
     """:func:`dgamma_pseudoinverse_apply`, also returning the frame it read.
 
-    Returns ``(Y, residual, dec, Xt)`` with ``dec = williamson(gamma)`` and
-    ``Xt = S^-1 X S^-T``, so a caller can read the spectrum, the frame and
-    other thermal-frame sums without factorising ``gamma`` again.
+    ``frame`` is ``(dec, Xt)``: a Williamson frame of ``gamma`` and ``X``
+    read in it, as a factored model point carries them; when it is None,
+    ``dec = williamson(gamma)`` and ``Xt = S^-1 X S^-T``.
+
+    Returns ``(Y, residual, dec, Xt)``, so a caller can read the spectrum,
+    the frame and other thermal-frame sums without factorising ``gamma``
+    again.
     """
     gamma = np.asarray(gamma, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
-    dec = williamson(gamma)
+    if frame is None:
+        dec = williamson(gamma)
+        Si = dec.S_inv
+        Xt = Si @ X @ Si.T
+    else:
+        dec, Xt = frame
+        Si = dec.S_inv
     n = len(dec.nu)
-    Si = dec.S_inv
-    Xt = Si @ X @ Si.T
     lam, kernel = _block_eigenvalues(dec, gamma)
 
     qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]

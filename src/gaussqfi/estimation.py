@@ -73,13 +73,16 @@ def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
 
 def _solve(point: GaussianModelPoint) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
     """The SLD coefficients, with the symplectic spectrum ``nu`` and the
-    thermal-frame input ``Xt`` of the Williamson frame that solved them.
+    thermal-frame input ``Xt`` of the Williamson frame that solved them: the
+    point's own factor when it carries one, else ``williamson(Gamma)``.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
     """
-    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma)
+    factor = point._factor
+    frame = None if factor is None else (factor, factor.Xt)
+    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, frame)
     _require_state(float(dec.nu[-1]), dec.S, point.gamma)
     L = 0.5 * (Y + Y.T)
     c = -0.5 * float(np.sum(L * point.gamma))
@@ -141,9 +144,13 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
-    Route: the solve of :func:`sld_coefficients`, one Williamson frame of
-    ``Gamma`` (a Cholesky factor and one Hermitian ``eigh``) and the
-    thermal-frame input ``Xt = S^-1 dGamma S^-T``.  The SLD solve divides the
+    Route: the solve of :func:`sld_coefficients` in a Williamson frame of
+    ``Gamma``.  A point of a built-in family carries its frame in closed form
+    (``S``, ``nu``, and ``Xt = A N + N A^T + diag(dnu, dnu)`` from
+    ``A = S^-1 dS``), so nothing is factorised and ``nu`` is exact however
+    strong the squeezing; any other point takes one Williamson factorisation
+    (a Cholesky factor and one Hermitian ``eigh``) and
+    ``Xt = S^-1 dGamma S^-T``.  The SLD solve divides the
     entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and gives ``L``, so the
     second-moment term is ``tr[dGamma L] / 2``, and the first-moment term
     ``2 dd^T Gamma^-1 dd`` is ``dd . b`` (``b`` costs the only other

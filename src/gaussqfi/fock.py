@@ -85,6 +85,7 @@ def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
+@functools.lru_cache(maxsize=8)
 def _mode_quadratures(n: int, dim: int) -> np.ndarray:
     """Quadratures ``(Q_1..Q_n, P_1..P_n)`` as one-mode factors.
 
@@ -92,6 +93,8 @@ def _mode_quadratures(n: int, dim: int) -> np.ndarray:
     ``F_1 ⊗ ... ⊗ F_n``: its quadrature on its own mode, the identity on the
     others.  ``Q = (a + a†)/sqrt(2)`` so the vacuum has ``<Q²> = 1/2`` and
     covariance matrix equal to the identity in the scaling used throughout.
+    The stack depends on ``(n, dim)`` only, so it is built once and kept,
+    read-only, for the next call (the 8 latest are kept).
     """
     a = _destroy(dim).astype(complex)
     F = np.zeros((2 * n, n, dim, dim), dtype=complex)
@@ -99,6 +102,7 @@ def _mode_quadratures(n: int, dim: int) -> np.ndarray:
     for k in range(n):
         F[k, k] = (a + a.conj().T) / _SQRT2
         F[n + k, k] = 1j * (a.conj().T - a) / _SQRT2
+    F.setflags(write=False)
     return F
 
 
@@ -657,6 +661,7 @@ def _moments(state: TruncatedState, centre: np.ndarray | None = None):
     R = _mode_quadratures(n, state.cutoff)
     d = _mode_traces(rho, R).real / norm
     centre = d if centre is None else centre
+    R = R.copy()
     R[np.arange(m), np.arange(m) % n] -= centre[:, None, None] * np.eye(state.cutoff)
     i, j = np.triu_indices(m)
     prod = R[i] @ R[j]

@@ -9,11 +9,12 @@ measurement is simply "measure every Q": it achieves
 ``I* = sum_k lam_k^2 / 2``, and no other homodyne frame beats it.  For pure
 states ``I*`` equals the quantum Fisher information.
 
-``T = O Si`` is built in two steps.  ``Si``, the symplectic inverse of a
-block-triangular factor of ``Gamma / nu`` read off one Cholesky factor of
-``Gamma``, takes the state to ``nu I``; ``O``, the orthogonal symplectic
-eigenframe of the Hamiltonian ``W = Si dGamma Si^T``, then diagonalises the
-derivative and leaves ``nu I`` in place.
+``T = O Si`` is built in two steps.  ``Si`` takes the state to ``nu I``: on
+a point of a built-in family it is ``S^-1`` of the factor the point
+carries, and elsewhere the symplectic inverse of a block-triangular factor
+of ``Gamma / nu`` read off one Cholesky factor of ``Gamma``.  ``O``, the
+orthogonal symplectic eigenframe of the Hamiltonian ``W = Si dGamma Si^T``,
+then diagonalises the derivative and leaves ``nu I`` in place.
 """
 
 from __future__ import annotations
@@ -72,13 +73,22 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
     moments (``max|dd| <= 1e-8``); rejection names the flag that failed.
     The gates are those of :func:`~gaussqfi.models.check_isothermal`, at the
     same fixed tolerance, so both give one verdict.  ``T = O Si`` as in the
-    module docstring: one Cholesky factor of ``Gamma`` and one ``eigh``, of
-    ``W``.
+    module docstring.
+
+    Route: on a point of a built-in family the gate reads ``nu``,
+    ``Si = S^-1`` and ``W = Xt`` off the point's factor, and the frame costs
+    one ``eigh``, of ``W``; any other point adds one Cholesky factor of
+    ``Gamma`` and the inverse of its leading block.  Either way ``T`` must
+    take ``Gamma`` to ``nu I`` and ``dGamma`` to ``diag(nu lam, -nu lam)``
+    within ``1e-5 (1 + nu + nu max lam)`` (max-abs).
 
     Raises:
         PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
+        ConvergenceError: if ``T`` misses that residual bound (pure
+            ``phase_squeezed`` at ``theta = 0.3`` from ``r ~ 13.5``, where
+            ``T Gamma T^T`` rounds by ``eps e^{4r}``).
     """
     chk, Si, W = _require_isothermal(point)
     if np.abs(point.dd).max(initial=0.0) > _ISOTHERMAL_TOL:

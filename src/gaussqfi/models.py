@@ -9,6 +9,7 @@ family, or as explicit arrays in a config document.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -20,14 +21,18 @@ import numpy as np
 
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import (
+    WilliamsonDecomposition,
     _ISOTHERMAL_TOL,
     _hamiltonian_deviation,
     _require_state,
     _symmetric_part,
+    _w_left,
+    _w_right,
     validate_covariance,
 )
 
-_ROUNDING = 16 * np.finfo(float).eps  # per unit of |Si|_F^2 max|Gamma / nu|
+_EPS = float(np.finfo(float).eps)
+_ROUNDING = 16 * _EPS  # per unit of |Si|_F^2 max|Gamma / nu|
 
 __all__ = [
     "GaussianModelPoint",
@@ -56,6 +61,12 @@ class GaussianModelPoint:
         dd: parameter derivative of ``d``.
         dgamma: parameter derivative of ``gamma``, symmetric.
 
+    A point of a built-in family also carries the family's closed-form
+    Williamson factor (see :class:`_ModelFactor`), privately and outside the
+    fields: the SLD solve and the equal-temperature gate then read their frame
+    from it and factorise nothing.  A point built from arrays, or by
+    ``dataclasses.replace``, carries none and is factorised.
+
     Raises:
         ConfigError: on inconsistent shapes, non-finite entries, or a
             ``gamma`` or ``dgamma`` the symmetry rule refuses.
@@ -65,6 +76,7 @@ class GaussianModelPoint:
     gamma: np.ndarray
     dd: np.ndarray
     dgamma: np.ndarray
+    _factor = None  # not a field: set only by ModelFamily.point
 
     def __post_init__(self):
         for name in ("d", "gamma", "dd", "dgamma"):
@@ -96,6 +108,52 @@ class GaussianModelPoint:
         return self.d.size // 2
 
 
+@dataclass(frozen=True)
+class _ModelFactor(WilliamsonDecomposition):
+    """A Williamson factor in closed form, with its parameter derivative.
+
+    ``Gamma = S diag(nu, nu) S^T`` (``nu`` descending, ``S`` symplectic),
+    ``A = S^-1 dS`` and ``dnu`` the derivative of ``nu``.  Then
+    ``dGamma = S Xt S^T`` with the thermal-frame input
+
+        ``Xt = A N + N A^T + diag(dnu, dnu)``,   ``N = diag(nu, nu)``,
+
+    so the SLD solve and the equal-temperature gate read ``nu`` and ``Xt``
+    as the family wrote them, with none of the ``eps cond(S)^2`` that
+    factorising the rounded ``Gamma`` again puts into ``nu``.
+
+    Raises:
+        FloatingPointError: if ``eps |S|_F^2 >= 1``: ``S^-1 S = I`` then
+            holds to no digit in floating point, and nothing read in the
+            frame comes back to the stored moments (``phase_squeezed`` from
+            ``r ~ 18``).
+    """
+
+    A: np.ndarray
+    dnu: np.ndarray
+
+    def __post_init__(self):
+        spread = _EPS * float(np.vdot(self.S, self.S))
+        if spread >= 1.0:
+            raise FloatingPointError(
+                f"the symplectic frame of this point is beyond double precision "
+                f"(eps |S|_F^2 = {spread:.3g})"
+            )
+
+    @functools.cached_property
+    def S_inv(self) -> np.ndarray:
+        """``S^-1 = -w S^T w``, exact, formed once per point."""
+        return _w_right(_w_left(-self.S.T))
+
+    @functools.cached_property
+    def Xt(self) -> np.ndarray:
+        """``A N + N A^T + diag(dnu, dnu)``, formed once per point."""
+        half = self.A * self.thermal_diagonal  # A N, and (A N)^T = N A^T
+        if self.dnu.any():
+            half += np.diag(0.5 * np.concatenate([self.dnu, self.dnu]))
+        return half + half.T
+
+
 @dataclass
 class ModelFamily:
     """A one-parameter family ``theta -> (d, Gamma, dd, dGamma)``.
@@ -104,14 +162,22 @@ class ModelFamily:
         name: family label (appears in CLI output).
         fn: callable ``theta -> (d, gamma, dd, dgamma)``, the moments at
             ``theta`` and their closed-form derivatives.
+
+    A built-in family also holds, outside the fields, ``theta -> factor``
+    for the ``fn`` it was built with (see :class:`_ModelFactor`); its points
+    carry that factor as long as ``fn`` is still that function.
     """
 
     name: str
     fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    _factor = None  # not a field: (fn, theta -> _ModelFactor) of a built-in family
 
     def point(self, theta: float) -> GaussianModelPoint:
         """Evaluate the family at ``theta``."""
-        return GaussianModelPoint(*self.fn(theta))
+        point = GaussianModelPoint(*self.fn(theta))
+        if self._factor is not None and self._factor[0] is self.fn:
+            object.__setattr__(point, "_factor", self._factor[1](theta))
+        return point
 
 
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
@@ -150,16 +216,28 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 # ---------------------------------------------------------------------------
 
 
+def _factored(name: str, fn: Callable, factor: Callable[[float], _ModelFactor]) -> ModelFamily:
+    """A built-in family: ``fn`` and its closed-form factor ``theta -> factor``."""
+    family = ModelFamily(name, fn)
+    family._factor = (fn, factor)
+    return family
+
+
 def _family_displacement(params: dict) -> ModelFamily:
+    """Shift of Q on the vacuum: ``S = I``, ``nu = 1``, ``A = 0``, ``dnu = 0``."""
     _family_params(params, "displacement")
 
     def fn(theta: float):
         return np.array([theta, 0.0]), np.eye(2), np.array([1.0, 0.0]), np.zeros((2, 2))
 
-    return ModelFamily("displacement", fn)
+    def factor(theta: float) -> _ModelFactor:
+        return _ModelFactor(np.eye(2), np.ones(1), np.zeros((2, 2)), np.zeros(1))
+
+    return _factored("displacement", fn, factor)
 
 
 def _family_thermal(params: dict) -> ModelFamily:
+    """Temperature as parameter: ``S = I``, ``nu = theta``, ``A = 0``, ``dnu = 1``."""
     _family_params(params, "thermal")
 
     def fn(theta: float):
@@ -174,7 +252,10 @@ def _family_thermal(params: dict) -> ModelFamily:
             )
         return np.zeros(2), theta * np.eye(2), np.zeros(2), np.eye(2)
 
-    return ModelFamily("thermal", fn)
+    def factor(theta: float) -> _ModelFactor:
+        return _ModelFactor(np.eye(2), np.array([theta]), np.zeros((2, 2)), np.ones(1))
+
+    return _factored("thermal", fn, factor)
 
 
 def _squeeze_diag(r: float) -> np.ndarray:
@@ -182,46 +263,74 @@ def _squeeze_diag(r: float) -> np.ndarray:
 
 
 def _family_squeezing(params: dict) -> ModelFamily:
+    """Squeeze strength of a thermal state at ``nu``:
+    ``S = diag(e^theta, e^-theta)``, ``A = diag(1, -1)``, ``dnu = 0``."""
     (nu,) = _family_params(params, "squeezing", nu=1.0)
 
     def fn(theta: float):
         dgamma = nu * np.diag([2 * math.exp(2 * theta), -2 * math.exp(-2 * theta)])
         return np.zeros(2), nu * _squeeze_diag(theta), np.zeros(2), dgamma
 
-    return ModelFamily("squeezing", fn)
+    def factor(theta: float) -> _ModelFactor:
+        S = np.diag([math.exp(theta), math.exp(-theta)])
+        return _ModelFactor(S, np.array([nu]), np.diag([1.0, -1.0]), np.zeros(1))
+
+    return _factored("squeezing", fn, factor)
 
 
-def _phase_family(name: str, gamma0: np.ndarray) -> ModelFamily:
-    """The phase of mode 1 of the state with covariance ``gamma0``:
-    ``Gamma = R gamma0 R^T`` with ``R(theta)`` the rotation of ``(Q_1, P_1)``,
-    and tangent ``J Gamma - Gamma J`` with ``J = R'(0)``."""
+def _phase_family(name: str, gamma0: np.ndarray, S0: np.ndarray, nu: float) -> ModelFamily:
+    """The phase of mode 1 of the state with covariance
+    ``gamma0 = S0 (nu I) S0^T``: ``Gamma = R gamma0 R^T`` with ``R(theta)``
+    the rotation of ``(Q_1, P_1)``, and tangent ``J Gamma - Gamma J`` with
+    ``J = R'(0)``.  Its factor is ``S = R S0`` at ``nu``, with
+    ``A = S0^-1 J S0`` for every ``theta`` (``R = exp(theta J)`` commutes
+    with ``J``) and ``dnu = 0``."""
     n = gamma0.shape[0] // 2
     J = np.zeros_like(gamma0)
     J[0, n], J[n, 0] = -1.0, 1.0
+    A = _w_right(_w_left(-S0.T)) @ J @ S0
+    nus, dnus = np.full(n, nu), np.zeros(n)
+    for table in (A, nus, dnus):  # shared by every point of the family
+        table.setflags(write=False)
 
-    def fn(theta: float):
+    def rotation(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
         R = np.eye(2 * n)
         R[0, 0] = R[n, n] = c
         R[0, n], R[n, 0] = -s, s
+        return R
+
+    def fn(theta: float):
+        R = rotation(theta)
         g = R @ gamma0 @ R.T
         return np.zeros(2 * n), g, np.zeros(2 * n), J @ g - g @ J
 
-    return ModelFamily(name, fn)
+    def factor(theta: float) -> _ModelFactor:
+        return _ModelFactor(rotation(theta) @ S0, nus, A, dnus)
+
+    return _factored(name, fn, factor)
 
 
 def _family_phase_squeezed(params: dict) -> ModelFamily:
+    """``S0 = diag(e^r, e^-r)`` at ``nu``, so ``A = [[0, -e^-2r], [e^2r, 0]]``."""
     r, nu = _family_params(params, "phase_squeezed", r=None, nu=1.0)
-    return _phase_family("phase_squeezed", nu * _squeeze_diag(r))
+    S0 = np.diag([math.exp(r), math.exp(-r)])
+    return _phase_family("phase_squeezed", nu * _squeeze_diag(r), S0, nu)
 
 
 def _family_two_mode_squeezed_phase(params: dict) -> ModelFamily:
+    """``S0 = [[M, 0], [0, M^-1]]``, ``M = [[cosh r, sinh r], [sinh r, cosh r]]``,
+    at ``nu = 1``: the pure two-mode squeezed vacuum."""
     (r,) = _family_params(params, "two_mode_squeezed_phase", r=None)
     ch, sh = math.cosh(2 * r), math.sinh(2 * r)
     base = np.zeros((4, 4))
     base[:2, :2] = [[ch, sh], [sh, ch]]
     base[2:, 2:] = [[ch, -sh], [-sh, ch]]
-    return _phase_family("two_mode_squeezed_phase", base)
+    c, s = math.cosh(r), math.sinh(r)
+    S0 = np.zeros((4, 4))
+    S0[:2, :2] = [[c, s], [s, c]]
+    S0[2:, 2:] = [[c, -s], [-s, c]]
+    return _phase_family("two_mode_squeezed_phase", base, S0, 1.0)
 
 
 def _reject_unknown(doc, allowed: set, where: str, required: set = frozenset()) -> None:
@@ -288,6 +397,11 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
     ``phase_squeezed`` (phase of a squeezed state, extra ``r``, ``nu``),
     ``two_mode_squeezed_phase`` (phase on one arm of a two-mode squeezed
     state, extra ``r``).
+
+    Every one writes its covariance as ``S diag(nu, nu) S^T`` and holds that
+    factor in closed form, with ``A = S^-1 dS`` and ``dnu``; its points carry
+    it, so the SLD solve and the equal-temperature gate factorise nothing.
+    A point whose ``S`` has ``eps |S|_F^2 >= 1`` raises ``FloatingPointError``.
     """
     if not isinstance(name, str) or name not in _BUILTIN_FAMILIES:
         raise ConfigError(
@@ -306,7 +420,9 @@ class IsothermalCheck:
     """Result of :func:`check_isothermal`.
 
     ``is_isothermal``: all symplectic eigenvalues equal ``nu``, the geometric
-    mean of the symplectic eigenvalues, ``det(Gamma)^(1/2n)``.
+    mean of the symplectic eigenvalues, ``det(Gamma)^(1/2n)`` (on a point
+    that carries its factor, the mean of the factor's ``nu``, which agree
+    within ``1e-8`` relative).
     ``derivative_preserves_nu``: the derivative ``W = Si dGamma Si^T``, read
     in a symplectic frame ``Si`` with ``Si Gamma Si^T = nu I``, anticommutes
     with the symplectic form, i.e. the parameter moves the state along a
@@ -324,10 +440,20 @@ def _isothermal_gate(
 ) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
     """The equal-temperature gates, plus the frame they computed.
 
-    One Cholesky factor ``Lc`` of ``Gamma`` and the inverse of its leading
-    block ``X = Lc[:n, :n]``; no eigendecomposition, no Williamson
-    factorisation.  ``det Gamma = prod nu_k^2``, so an isothermal point has
-    ``nu = exp(2 mean log diag Lc)``.  With ``C = Lc[n:, :n] X^-1``,
+    Returns ``(check, Si, W)``: a symplectic ``Si`` with
+    ``Si Gamma Si^T = nu I`` and the derivative ``W = Si dGamma Si^T`` read
+    in it, both None when not isothermal.  An isothermal point must be a
+    state, read in the frame ``Si``; ``W`` then preserves ``nu`` iff it
+    anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
+
+    Route: a point that carries a factor (:class:`_ModelFactor`) is
+    isothermal iff its ``nu`` agree within ``1e-8`` relative, and the gate
+    reads ``nu`` (their mean), ``Si = S^-1`` and ``W = Xt`` off the factor,
+    with no factorisation.  Any other point takes one Cholesky factor ``Lc``
+    of ``Gamma`` and the inverse of its leading block ``X = Lc[:n, :n]``; no
+    eigendecomposition, no Williamson factorisation.  ``det Gamma = prod
+    nu_k^2``, so an isothermal point has ``nu = exp(2 mean log diag Lc)``.
+    With ``C = Lc[n:, :n] X^-1``,
 
         ``Si = [[sqrt(nu) X^-1, 0], [-X^T C / sqrt(nu), X^T / sqrt(nu)]]``
 
@@ -336,17 +462,20 @@ def _isothermal_gate(
     is symplectic iff ``C`` is symmetric.  The point is isothermal iff ``C``
     is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
     compared with ``1e-8`` plus the rounding of that product,
-    ``16 eps |Si|_F^2 max|Gamma / nu|``.  An isothermal point must then be a
-    state, read in the frame ``Si``.
-
-    Returns:
-        ``(check, Si, W)``; ``Si`` and ``W`` are None when not isothermal.
+    ``16 eps |Si|_F^2 max|Gamma / nu|``.
 
     Raises:
-        ValueError: if ``Gamma`` is not positive definite.
+        ValueError: if ``Gamma`` is not positive definite (Cholesky route).
         PreconditionError: flag ``"nu_min"`` when the point is isothermal
             but not a state (see ``validate_covariance``).
     """
+    factor = point._factor
+    if factor is not None:
+        if factor.nu[0] - factor.nu[-1] > _ISOTHERMAL_TOL * factor.nu[-1]:  # nu descending
+            return IsothermalCheck(False, math.nan, False), None, None
+        nu = float(factor.nu.mean())
+        _require_state(nu, factor.S, point.gamma)
+        return _preserves_nu(nu, factor.S_inv, factor.Xt)
     n = point.n
     try:
         Lc = np.linalg.cholesky(point.gamma)
@@ -369,7 +498,13 @@ def _isothermal_gate(
     ):
         return IsothermalCheck(False, math.nan, False), None, None
     _require_state(nu, Si, point.gamma)
-    W = Si @ point.dgamma @ Si.T
+    return _preserves_nu(nu, Si, Si @ point.dgamma @ Si.T)
+
+
+def _preserves_nu(
+    nu: float, Si: np.ndarray, W: np.ndarray
+) -> tuple[IsothermalCheck, np.ndarray, np.ndarray]:
+    """The second gate of :func:`_isothermal_gate` on an isothermal point."""
     preserves = bool(_hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + np.abs(W).max()))
     return IsothermalCheck(True, nu, preserves), Si, W
 
@@ -378,7 +513,8 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     """Classify a model point for the equal-temperature fast paths (tol 1e-8).
 
     Raises:
-        ValueError: if ``Gamma`` is not positive definite.
+        ValueError: if ``Gamma`` is not positive definite (a point without
+            a factor).
         PreconditionError: flag ``"nu_min"`` when the point is isothermal
             but not a state (see ``validate_covariance``); spread
             temperatures read ``is_isothermal=False`` first.

@@ -95,6 +95,21 @@ def random_isothermal_point(n, seed, nu=1.0):
     )
 
 
+# Every built-in family, at three theta each, with r <= 1.
+BUILTIN_CASES = [
+    ("displacement", {}, (-0.8, 0.0, 1.3)),
+    ("thermal", {}, (1.2, 1.7, 3.5)),
+    ("squeezing", {"nu": 1.5}, (-0.7, 0.1, 0.9)),
+    ("phase_squeezed", {"r": 1.0}, (-0.4, 0.3, 2.0)),
+    ("phase_squeezed", {"r": 0.8, "nu": 1.3}, (0.0, 0.7, 2.9)),
+    ("two_mode_squeezed_phase", {"r": 0.6}, (0.0, 0.4, 4.0)),
+]
+BUILTIN_POINTS = [  # (name, params, theta), one per point
+    pytest.param(name, params, theta, id=f"{name}-{'-'.join(map(str, params.values()))}-{theta}")
+    for name, params, thetas in BUILTIN_CASES
+    for theta in thetas
+]
+
 
 def explicit_doc(point):
     """The model document ``{"explicit": ...}`` holding ``point``'s arrays."""

@@ -529,17 +529,40 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_qfi_factorises_once(tmp_path, capsys, williamson_calls):
+    # A built-in family's point carries its closed-form factor: no
+    # Williamson factorisation at all.
     cfg = write_cfg(tmp_path, PHASE)
     assert cli.main(["qfi", cfg]) == 0
     assert get_value(capsys.readouterr().out, "homodyne_opt") != "unavailable"
-    assert williamson_calls[0] == 1
+    assert williamson_calls[0] == 0
+
+
+def test_explicit_qfi_factorises_once(tmp_path, capsys, williamson_calls):
+    # The same moments as explicit arrays: one factorisation admits the
+    # config (validate_covariance) and one solves the point.
+    cfg = write_cfg(tmp_path, explicit_doc(gq.parse_model_config(PHASE).point))
+    assert cli.main(["qfi", cfg]) == 0
+    assert get_value(capsys.readouterr().out, "homodyne_opt") != "unavailable"
+    assert williamson_calls[0] == 1 + 1
 
 
 def test_sweep_factorises_once_per_point(tmp_path, williamson_calls):
+    # A built-in family's points carry their factors: no factorisation.
     cfg = write_cfg(tmp_path, PHASE)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", cfg, "--from", "0", "--to", "1", "--steps", "7", "--out", str(out)]
     assert cli.main(argv) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 7 and all(row.split(",")[5] for row in rows)
-    assert williamson_calls[0] == 7
+    assert williamson_calls[0] == 0
+
+
+def test_explicit_sweep_factorises_once_per_point(tmp_path, williamson_calls):
+    # An explicit config's tangent curve has no factor: one factorisation
+    # admits the config and one solves each point.
+    cfg = write_cfg(tmp_path, explicit_doc(gq.parse_model_config(PHASE).point))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", cfg, "--from", "0", "--to", "0.1", "--steps", "7", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 7
+    assert williamson_calls[0] == 1 + 7

@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import explicit_doc, random_isothermal_point, random_model_point, thermal_diag
+from conftest import (
+    BUILTIN_POINTS,
+    explicit_doc,
+    random_isothermal_point,
+    random_model_point,
+    thermal_diag,
+)
 
 
 def test_sld_shift_model():
@@ -355,20 +361,34 @@ def test_frame_read_terms_match_solve_route(pt):
     assert rep.first_moment_term == pytest.approx(first, rel=1e-12, abs=0)
 
 
+def _explicit(pt):
+    """``pt``'s moments as a point built from arrays, which carries no factor."""
+    return gq.GaussianModelPoint(pt.d, pt.gamma, pt.dd, pt.dgamma)
+
+
+_PHASE_POINT = gq.builtin_family("phase_squeezed", {"r": 1.0}).point(0.3)
+_DISPLACEMENT_POINT = gq.builtin_family("displacement").point(0.5)
+
+
 @pytest.mark.parametrize(
-    "pt,solves",
+    "pt,counts",
     [
-        (random_model_point(3, seed=11), 1),
-        (random_model_point(3, seed=12, with_first_moments=False), 0),
-        (random_isothermal_point(4, seed=13), 0),
-        (gq.builtin_family("phase_squeezed", {"r": 1.0}).point(0.3), 0),
-        (gq.builtin_family("displacement").point(0.5), 1),
+        (random_model_point(3, seed=11), (1, 1, 1)),
+        (random_model_point(3, seed=12, with_first_moments=False), (1, 1, 0)),
+        (random_isothermal_point(4, seed=13), (1, 1, 0)),
+        (_PHASE_POINT, (0, 0, 0)),
+        (_DISPLACEMENT_POINT, (0, 0, 1)),
+        (_explicit(_PHASE_POINT), (1, 1, 0)),
+        (_explicit(_DISPLACEMENT_POINT), (1, 1, 1)),
     ],
-    ids=["mixed-dd", "mixed-static", "pure", "phase_squeezed", "displacement"],
+    ids=["mixed-dd", "mixed-static", "pure", "phase_squeezed", "displacement",
+         "phase_squeezed-explicit", "displacement-explicit"],
 )
-def test_qfi_general_factorisation_counts(linalg_calls, pt, solves):
+def test_qfi_general_factorisation_counts(linalg_calls, pt, counts):
+    # A built-in family's point reads its frame off its factor: no Cholesky,
+    # no eigh; the same moments as arrays take one Williamson factorisation.
     gq.qfi_general(pt)
-    assert linalg_calls == {"cholesky": 1, "eigh": 1, "solve": solves}
+    assert linalg_calls == dict(zip(("cholesky", "eigh", "solve"), counts))
 
 
 def _heated_point(gamma_diag, heating_diag):
@@ -433,3 +453,43 @@ def test_pure_phase_sld_carries_no_kernel_component(pt, rtol):
     scale = np.abs(co.L).max()
     assert np.abs(co.L - pt.dgamma / 2).max() <= rtol * scale
     assert abs(co.c) <= rtol * scale
+
+
+@pytest.mark.parametrize("r", [9.0, 12.0])
+def test_pure_phase_squeezed_is_exact_under_strong_squeezing(r):
+    # The point's factor gives nu = 1 and Xt exactly; factorising the stored
+    # Gamma again put eps cond(S)^2 into nu (5.7e-2 off at r = 9, and
+    # williamson fails outright at r = 12).
+    pt = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3)
+    exact = 2.0 * math.sinh(2.0 * r) ** 2
+    assert gq.qfi_general(pt).qfi == pytest.approx(exact, rel=1e-12, abs=0)
+    best = gq.optimal_homodyne_fisher(gq.isothermal_frame(pt))
+    assert best == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name, params, theta", BUILTIN_POINTS)
+def test_factored_and_williamson_routes_agree(name, params, theta):
+    # The same moments as arrays carry no factor and take the williamson
+    # route; at r <= 1 both give the same report, verdict and refusal.
+    pt = gq.builtin_family(name, params).point(theta)
+    arrays = _explicit(pt)
+    assert pt._factor is not None and arrays._factor is None
+    got, want = gq.qfi_general(pt), gq.qfi_general(arrays)
+    scale = 1e-12 * max(abs(want.qfi), abs(want.wigner_fisher))
+    for field in ("qfi", "first_moment_term", "second_moment_term", "wigner_fisher"):
+        assert getattr(got, field) == pytest.approx(
+            getattr(want, field), rel=1e-12, abs=scale
+        ), field
+    assert got.method == want.method
+    a, b = gq.check_isothermal(pt), gq.check_isothermal(arrays)
+    assert (a.is_isothermal, a.derivative_preserves_nu) == (
+        b.is_isothermal, b.derivative_preserves_nu)
+    assert a.nu == pytest.approx(b.nu, rel=1e-12)
+    flags = []
+    for point in (pt, arrays):
+        try:
+            gq.isothermal_frame(point)
+            flags.append(None)
+        except gq.PreconditionError as exc:
+            flags.append(exc.flag)
+    assert flags[0] == flags[1]

@@ -1100,3 +1100,15 @@ def test_bargmann_frame_is_formed_once_and_read_only():
     for table in (W, X):
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
+
+
+def test_mode_quadratures_are_formed_once_and_read_only():
+    R = fock._mode_quadratures(2, 9)
+    assert fock._mode_quadratures(2, 9) is R
+    with pytest.raises(ValueError, match="read-only"):
+        R.flat[0] = 0
+    # _moments centres a copy: the next call reads the same stack
+    pt = gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4)
+    first = gq.identity_checks(pt, 9)
+    assert gq.identity_checks(pt, 9) == first
+    assert np.array_equal(fock._mode_quadratures(2, 9), fock._mode_quadratures.__wrapped__(2, 9))

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_model_point, thermal_diag
+from conftest import BUILTIN_POINTS, random_isothermal_point, random_model_point, thermal_diag
 from gaussqfi import cli
 
 _EXPLICIT = {
@@ -347,3 +347,46 @@ def test_check_isothermal_skips_factorisation_off_isothermal(williamson_calls):
     pt = random_model_point(2, seed=5)  # spread spectrum
     assert not gq.check_isothermal(pt).is_isothermal
     assert williamson_calls[0] == 0
+
+
+@pytest.mark.parametrize("name, params, theta", BUILTIN_POINTS)
+def test_builtin_factor_reproduces_the_moments(name, params, theta):
+    # Gamma = S diag(nu, nu) S^T and dGamma = S Xt S^T, with
+    # Xt = A N + N A^T + diag(dnu, dnu), against the family's own formulas.
+    pt = gq.builtin_family(name, params).point(theta)
+    f = pt._factor
+    n = pt.n
+    w = gq.symplectic_form(n)
+    assert np.abs(f.S @ w @ f.S.T - w).max() <= 1e-12
+    assert np.abs(f.S_inv @ f.S - np.eye(2 * n)).max() <= 1e-12
+    for got, want in ((f.reconstruct(), pt.gamma), (f.S @ f.Xt @ f.S.T, pt.dgamma)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # A = S^-1 dS, against a central difference of S
+    h = 1e-7
+    family = gq.builtin_family(name, params)
+    dS = (family.point(theta + h)._factor.S - family.point(theta - h)._factor.S) / (2 * h)
+    assert np.abs(f.S_inv @ dS - f.A).max() <= 1e-8 * (1.0 + np.abs(f.A).max())
+
+
+def test_a_point_carries_the_factor_only_of_its_own_function(williamson_calls):
+    fam = gq.builtin_family("phase_squeezed", {"r": 1.0})
+    assert fam.point(0.3)._factor is not None
+    # A family rebuilt by dataclasses.replace, a family whose fn was swapped
+    # (the r = 1 factor would be wrong for it), and moments built from
+    # arrays carry no factor and are factorised.
+    swapped = gq.builtin_family("phase_squeezed", {"r": 1.0})
+    swapped.fn = gq.builtin_family("phase_squeezed", {"r": 0.5}).fn
+    points = [dataclasses.replace(fam).point(0.3), swapped.point(0.3),
+              gq.GaussianModelPoint(*fam.fn(0.3))]
+    for pt in points:
+        assert pt._factor is None
+        gq.qfi_general(pt)
+    assert williamson_calls[0] == 3
+
+
+def test_factor_beyond_double_precision_is_refused():
+    # eps |S|_F^2 = eps (e^2r + e^-2r) reaches 1 near r = 18: S^-1 S = I holds
+    # to no digit, and the point is refused before any solve.
+    assert gq.builtin_family("phase_squeezed", {"r": 17.0}).point(0.3)._factor is not None
+    with pytest.raises(FloatingPointError, match="beyond double precision"):
+        gq.builtin_family("phase_squeezed", {"r": 20.0}).point(0.3)
