@@ -26,12 +26,15 @@ allows in the same frame, whatever the other modes' temperatures.  The rule
 is one-sided: a mode the state rule accepted below 1 is vacuum, and reads as
 1 in ``N - 1``.
 
-Route: a model point of a built-in family carries its Williamson factor in
-closed form, ``(S, nu, A = S^-1 dS, dnu)``, and the solve reads its frame
-from it: ``Xt = A N + N A^T + diag(dnu, dnu)`` with ``N = diag(nu, nu)``,
-and no factorisation at all.  Any other ``Gamma`` (the public functions here,
-explicit configs, custom families) is factorised, at the cost of one
-Cholesky factor and one Hermitian ``eigh`` (see
+Route: the solve reads a Williamson frame ``(S, nu, S^-1, Xt)`` of
+``Gamma``, with ``Xt = S^-1 X S^-T``.  A model point forms that frame once
+and every estimator reads it (see
+:class:`~gaussqfi.models.GaussianModelPoint`): a point of a built-in family
+takes it from the closed-form factor it carries,
+``Xt = A N + N A^T + diag(dnu, dnu)`` with ``A = S^-1 dS`` and
+``N = diag(nu, nu)``, and factorises nothing.  Any other point, and the
+public functions here, factorise ``Gamma`` once, at the cost of one Cholesky
+factor and one Hermitian ``eigh`` (see
 :func:`~gaussqfi.symplectic.williamson`); rounding in the stored ``Gamma``
 then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way
 ``S^-1 = -w S^T w`` needs no solve, and the kernel rule, the state rule and
@@ -59,7 +62,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, PreconditionError
 from .symplectic import (
-    WilliamsonDecomposition,
+    _VACUUM_ROUNDING,
     _check_even_square,
     _frame_rounding,
     _symmetric_part,
@@ -82,7 +85,6 @@ __all__ = [
 # Hard cap on the terms of the Stein series in stein_series_solve.
 _STEIN_MAX_TERMS = 10_000
 _STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
-_VACUUM_ROUNDING = 16  # a mode is vacuum within this many times the state rule's rounding
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -134,7 +136,7 @@ class DGammaSpectrum:
 
 
 def _block_eigenvalues(
-    dec: WilliamsonDecomposition, gamma: np.ndarray
+    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue arrays of the thermal-frame map and their kernel mask.
 
@@ -149,14 +151,13 @@ def _block_eigenvalues(
     Raises:
         FloatingPointError: if ``N`` overflows.
     """
-    nu = dec.nu
     with np.errstate(over="raise"):
         N = np.outer(nu, nu)
     lam = np.stack([N - 1.0, N + 1.0])
     if nu[-1] < 1.0:
         cold = np.maximum(nu, 1.0)
         lam[0] = np.outer(cold, cold) - 1.0
-    vacuum = nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(dec.S, gamma)
+    vacuum = nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(S, gamma)
     kernel = np.zeros_like(lam, dtype=bool)
     kernel[0] = np.outer(vacuum, vacuum)
     return lam, kernel
@@ -177,40 +178,35 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, kernel = _block_eigenvalues(dec, gamma)
+    lam, kernel = _block_eigenvalues(dec.nu, dec.S, gamma)
     return DGammaSpectrum(
         nu=dec.nu, values=lam, kernel=kernel, kernel_dimension=2 * int(kernel.sum())
     )
 
 
+_Frame = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (S, nu, S^-1, Xt)
+
+
+def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
+    """``(S, nu, S^-1, Xt)``: ``williamson(gamma)`` and ``X`` read in it,
+    ``Xt = S^-1 X S^-T``; the frame of every point without a factor."""
+    dec = williamson(gamma)
+    Si = dec.S_inv
+    return dec.S, dec.nu, Si, Si @ X @ Si.T
+
+
 def _frame_solve(
-    gamma: np.ndarray,
-    X: np.ndarray,
-    frame: tuple[WilliamsonDecomposition, np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, WilliamsonDecomposition, np.ndarray]:
-    """:func:`dgamma_pseudoinverse_apply`, also returning the frame it read.
+    gamma: np.ndarray, X: np.ndarray, frame: _Frame
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`dgamma_pseudoinverse_apply` in the Williamson frame
+    ``(S, nu, S^-1, Xt)`` of ``gamma``, with ``Xt`` the input ``X`` read in it.
 
-    ``frame`` is ``(dec, Xt)``: a Williamson frame of ``gamma`` and ``X``
-    read in it, as a factored model point carries them; when it is None,
-    ``dec = williamson(gamma)`` and ``Xt = S^-1 X S^-T``.
-
-    Returns ``(Y, residual, dec, Xt)``, so a caller can read the spectrum,
-    the frame and other thermal-frame sums without factorising ``gamma``
-    again.
+    Returns ``(Y, residual, Yt)``, ``Yt = S^T Y S`` the solution in the
+    thermal frame, so a caller can read thermal-frame sums off it.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.shape != gamma.shape:
-        raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
-    if frame is None:
-        dec = williamson(gamma)
-        Si = dec.S_inv
-        Xt = Si @ X @ Si.T
-    else:
-        dec, Xt = frame
-        Si = dec.S_inv
-    n = len(dec.nu)
-    lam, kernel = _block_eigenvalues(dec, gamma)
+    S, nu, Si, Xt = frame
+    n = len(nu)
+    lam, kernel = _block_eigenvalues(nu, S, gamma)
 
     qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]
     # combos[k] holds the (QQ/PP, QP/PQ) combinations that see eigenvalue lam[k];
@@ -225,7 +221,7 @@ def _frame_solve(
     Yt[n:, n:] = s_even - s_odd
     Y = Si.T @ Yt @ Si
     residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
-    return Y, residual, dec, Xt
+    return Y, residual, Yt
 
 
 def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -250,7 +246,11 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     Raises:
         FloatingPointError: if ``nu_i nu_j`` overflows.
     """
-    return _frame_solve(gamma, X)[:2]
+    gamma = np.asarray(gamma, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if X.shape != gamma.shape:
+        raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
+    return _frame_solve(gamma, X, _williamson_frame(gamma, X))[:2]
 
 
 def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

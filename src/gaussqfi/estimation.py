@@ -11,6 +11,11 @@ equation ``D(L) = dGamma``.  The constant offset makes ``<L_hat> = 0``
 automatic, and the centered form avoids the cancellation-prone cross terms of
 the uncentered polynomial.
 
+Every reader here works in the point's one Williamson frame
+``Gamma = S diag(nu, nu) S^T``, ``Xt = S^-1 dGamma S^-T`` (see
+:class:`~gaussqfi.models.GaussianModelPoint`): the SLD solve, its offset,
+the Wigner information and the equal-temperature shortcut.
+
 Quantum Fisher information then splits into a first-moment term
 ``2 dd^T Gamma^-1 dd`` and a second-moment term ``tr[dGamma L] / 2``; the
 classical benchmark ``wigner_fisher`` is the Fisher information of the Wigner
@@ -50,7 +55,9 @@ class SLDCoefficients:
     Attributes:
         L: symmetric quadratic coefficient matrix, ``D(L) = dGamma``.
         b: linear coefficients, ``2 Gamma^-1 dd``.
-        c: constant offset ``-tr[L Gamma] / 2`` (zero-mean normalisation).
+        c: constant offset ``-tr[L Gamma] / 2`` (zero-mean normalisation),
+            read in the thermal frame as ``-tr[Yt N] / 2`` with
+            ``Yt = S^T L S`` and ``N = diag(nu, nu)``.
         range_residual: Frobenius norm of ``D(L) - dGamma``.  Nonzero means
             ``dGamma`` overlaps the kernel of the superoperator (purity
             changing to first order at a purity boundary); the quadratic
@@ -71,30 +78,12 @@ def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
     return 2.0 * np.linalg.solve(point.gamma, point.dd)
 
 
-def _solve(point: GaussianModelPoint) -> tuple[SLDCoefficients, np.ndarray, np.ndarray]:
-    """The SLD coefficients, with the symplectic spectrum ``nu`` and the
-    thermal-frame input ``Xt`` of the Williamson frame that solved them: the
-    point's own factor when it carries one, else ``williamson(Gamma)``.
-
-    Raises:
-        PreconditionError: flag ``"nu_min"`` when the moments are not a
-            state (see ``validate_covariance``).
-    """
-    factor = point._factor
-    frame = None if factor is None else (factor, factor.Xt)
-    Y, residual, dec, Xt = _frame_solve(point.gamma, point.dgamma, frame)
-    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
-    L = 0.5 * (Y + Y.T)
-    c = -0.5 * float(np.sum(L * point.gamma))
-    coeffs = SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
-    return coeffs, dec.nu, Xt
-
-
 def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """Solve for the centered SLD coefficients of a model point.
 
-    ``L`` is the solve of :func:`~gaussqfi.dgamma.dgamma_pseudoinverse_apply`,
-    whose kernel is the parity-+ entries of vacuum mode pairs.
+    ``L`` is the solve of :func:`~gaussqfi.dgamma.dgamma_pseudoinverse_apply`
+    in the point's Williamson frame, whose kernel is the parity-+ entries of
+    vacuum mode pairs.
 
     Args:
         point: model point with an admissible covariance matrix.
@@ -103,7 +92,22 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
     """
-    return _solve(point)[0]
+    S, nu, _, _ = frame = point._frame
+    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame)
+    _require_state(float(nu[-1]), S, point.gamma)
+    c = -0.5 * float(np.diagonal(Yt) @ np.concatenate([nu, nu])) + 0.0  # no -0.0
+    return SLDCoefficients(
+        L=0.5 * (Y + Y.T), b=_linear_coefficients(point), c=c, range_residual=residual
+    )
+
+
+def _wigner_second(point: GaussianModelPoint) -> float:
+    """The second-moment part of the Wigner information,
+    ``tr[(Gamma^-1 dGamma)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
+    with ``nt = (nu, nu)``, read in the point's frame."""
+    _, nu, _, Xt = point._frame
+    nt = np.concatenate([nu, nu])
+    return 0.5 * float(np.sum(Xt * Xt.T / np.outer(nt, nt)))
 
 
 @dataclass(frozen=True)
@@ -144,19 +148,19 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
-    Route: the solve of :func:`sld_coefficients` in a Williamson frame of
-    ``Gamma``.  A point of a built-in family carries its frame in closed form
+    Route: the solve of :func:`sld_coefficients` in the point's Williamson
+    frame.  A point of a built-in family carries its frame in closed form
     (``S``, ``nu``, and ``Xt = A N + N A^T + diag(dnu, dnu)`` from
     ``A = S^-1 dS``), so nothing is factorised and ``nu`` is exact however
     strong the squeezing; any other point takes one Williamson factorisation
     (a Cholesky factor and one Hermitian ``eigh``) and
-    ``Xt = S^-1 dGamma S^-T``.  The SLD solve divides the
+    ``Xt = S^-1 dGamma S^-T``, once per point.  The SLD solve divides the
     entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and gives ``L``, so the
     second-moment term is ``tr[dGamma L] / 2``, and the first-moment term
     ``2 dd^T Gamma^-1 dd`` is ``dd . b`` (``b`` costs the only other
     factorisation, one solve, skipped when ``dd = 0``).  The Wigner
-    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead;
-    :func:`wigner_fisher` computes it by linear solves.
+    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead, as
+    :func:`wigner_fisher` does.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
@@ -164,14 +168,12 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
-    coeffs, nu, Xt = _solve(point)
+    coeffs = sld_coefficients(point)
     second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
     first = _nonnegative(float(point.dd @ coeffs.b), "first-moment term")
-    nt = np.concatenate([nu, nu])
-    wigner = 0.5 * float(np.sum(Xt * Xt.T / np.outer(nt, nt))) + first
     return FisherReport(
         qfi=first + second,
-        wigner_fisher=wigner,
+        wigner_fisher=_wigner_second(point) + first,
         first_moment_term=first,
         second_moment_term=second,
         method="general",
@@ -187,8 +189,9 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
 
         ``nu^2 / (1 + nu^2) * tr[(Gamma^-1 dGamma)^2] / 2``,
 
-    i.e. the Wigner-distribution information damped by ``nu^2 / (1 + nu^2)``.
-    Both gates are checked at tolerance 1e-8; rejection names the failed flag.
+    i.e. the Wigner-distribution information damped by ``nu^2 / (1 + nu^2)``,
+    read in the point's frame as :func:`wigner_fisher` reads it.  Both gates
+    are checked at tolerance 1e-8; rejection names the failed flag.
 
     Raises:
         PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (not a
@@ -197,9 +200,9 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding.
     """
-    chk = _require_isothermal(point)[0]
+    chk = _require_isothermal(point)
     nu2 = chk.nu * chk.nu
-    wigner_second = gaussian_distribution_fisher(point.gamma, point.dgamma)
+    wigner_second = _wigner_second(point)
     second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
     first = _nonnegative(float(point.dd @ _linear_coefficients(point)), "first-moment term")
     return FisherReport(
@@ -232,8 +235,15 @@ def gaussian_distribution_fisher(
 
 
 def wigner_fisher(point: GaussianModelPoint) -> float:
-    """Fisher information of the model's Wigner (phase-space) distribution."""
-    return gaussian_distribution_fisher(point.gamma, point.dgamma, point.dd)
+    """Fisher information of the model's Wigner (phase-space) distribution,
+    ``tr[(Gamma^-1 dGamma)^2] / 2 + 2 dd^T Gamma^-1 dd``, the first term read
+    in the point's Williamson frame.
+
+    Raises:
+        ValueError: if ``Gamma`` is not positive definite (a point without
+            a factor).
+    """
+    return _wigner_second(point) + float(point.dd @ _linear_coefficients(point))
 
 
 def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:

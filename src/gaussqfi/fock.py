@@ -52,7 +52,7 @@ import numpy as np
 from .estimation import SLDCoefficients
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily
-from .symplectic import _passive, _require_state, symplectic_form, williamson
+from .symplectic import _passive, _require_state, symplectic_form
 
 __all__ = [
     "passive_unitary",
@@ -403,8 +403,8 @@ def _elements(point: GaussianModelPoint, cutoff: int, dim: int, tangent: bool = 
     if cutoff < 8:
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     _check_size(dim, point.n)
-    dec = williamson(point.gamma)
-    _require_state(float(dec.nu[-1]), dec.S, point.gamma)
+    S, nu, _, _ = point._frame
+    _require_state(float(nu[-1]), S, point.gamma)
     return _bargmann(point, dim, tangent)
 
 

@@ -9,12 +9,12 @@ measurement is simply "measure every Q": it achieves
 ``I* = sum_k lam_k^2 / 2``, and no other homodyne frame beats it.  For pure
 states ``I*`` equals the quantum Fisher information.
 
-``T = O Si`` is built in two steps.  ``Si`` takes the state to ``nu I``: on
-a point of a built-in family it is ``S^-1`` of the factor the point
-carries, and elsewhere the symplectic inverse of a block-triangular factor
-of ``Gamma / nu`` read off one Cholesky factor of ``Gamma``.  ``O``, the
-orthogonal symplectic eigenframe of the Hamiltonian ``W = Si dGamma Si^T``,
-then diagonalises the derivative and leaves ``nu I`` in place.
+``T = O S^-1`` is built in two steps, both in the point's Williamson frame
+``Gamma = S diag(nu, nu) S^T`` (see
+:class:`~gaussqfi.models.GaussianModelPoint`).  ``S^-1`` takes the state to
+``nu I``.  ``O``, the orthogonal symplectic eigenframe of the Hamiltonian
+``W = Xt = S^-1 dGamma S^-T``, then diagonalises the derivative and leaves
+``nu I`` in place.
 """
 
 from __future__ import annotations
@@ -72,44 +72,40 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
     Requires the two equal-temperature gates, a state, and static first
     moments (``max|dd| <= 1e-8``); rejection names the flag that failed.
     The gates are those of :func:`~gaussqfi.models.check_isothermal`, at the
-    same fixed tolerance, so both give one verdict.  ``T = O Si`` as in the
+    same fixed tolerance, so both give one verdict.  ``T = O S^-1`` as in the
     module docstring.
 
-    Route: on a point of a built-in family the gate reads ``nu``,
-    ``Si = S^-1`` and ``W = Xt`` off the point's factor, and the frame costs
-    one ``eigh``, of ``W``; any other point adds one Cholesky factor of
-    ``Gamma`` and the inverse of its leading block.  Either way ``T`` must
-    take ``Gamma`` to ``nu I`` and ``dGamma`` to ``diag(nu lam, -nu lam)``
-    within ``1e-5 (1 + nu + nu max lam)`` (max-abs).
+    Route: the gate and the frame read ``nu``, ``S^-1`` and ``W = Xt`` off
+    the point's Williamson frame, and the frame costs one ``eigh``, of
+    ``W``.  ``O`` is checked in that frame, not through the stored moments:
+    ``O diag(nu, nu) O^T`` must be ``nu I`` and ``O Xt O^T`` must be
+    ``diag(nu lam, -nu lam)``, within ``1e-5 (1 + nu + nu max lam)``
+    (max-abs).
 
     Raises:
         PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
-        ConvergenceError: if ``T`` misses that residual bound (pure
-            ``phase_squeezed`` at ``theta = 0.3`` from ``r ~ 13.5``, where
-            ``T Gamma T^T`` rounds by ``eps e^{4r}``).
+        ConvergenceError: if ``O`` misses that residual bound.
     """
-    chk, Si, W = _require_isothermal(point)
+    chk = _require_isothermal(point)
     if np.abs(point.dd).max(initial=0.0) > _ISOTHERMAL_TOL:
         raise PreconditionError(
             "static_first_moments",
             "homodyne normal-frame analysis assumes dd = 0",
         )
+    _, nus, Si, W = point._frame
     nu = chk.nu
     O, wlam = hamiltonian_eigenframe(W)
-    T = O @ Si
-    lam = wlam / nu
-
-    n = point.n
+    nt = np.concatenate([nus, nus])
     scale = 1.0 + abs(nu) + np.abs(wlam).max(initial=0.0)
     dev = max(
-        np.abs(T @ point.gamma @ T.T - nu * np.eye(2 * n)).max(),
-        np.abs(T @ point.dgamma @ T.T - np.diag(np.concatenate([wlam, -wlam]))).max(),
+        np.abs((O * nt) @ O.T - nu * np.eye(nt.size)).max(),
+        np.abs(O @ W @ O.T - np.diag(np.concatenate([wlam, -wlam]))).max(),
     )
     if dev > 1e3 * _ISOTHERMAL_TOL * scale:
         raise ConvergenceError(f"normal-frame residual {dev:.3e} exceeds tolerance")
-    return IsothermalFrame(T=T, lam=lam, nu=nu)
+    return IsothermalFrame(T=O @ Si, lam=wlam / nu, nu=nu)
 
 
 def optimal_homodyne_fisher(frame: IsothermalFrame) -> float:

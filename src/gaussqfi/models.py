@@ -19,20 +19,22 @@ from typing import Callable
 
 import numpy as np
 
+from .dgamma import _Frame, _williamson_frame
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import (
     WilliamsonDecomposition,
     _ISOTHERMAL_TOL,
+    _VACUUM_ROUNDING,
+    _frame_rounding,
     _hamiltonian_deviation,
+    _is_state,
     _require_state,
     _symmetric_part,
     _w_left,
     _w_right,
-    validate_covariance,
 )
 
 _EPS = float(np.finfo(float).eps)
-_ROUNDING = 16 * _EPS  # per unit of |Si|_F^2 max|Gamma / nu|
 
 __all__ = [
     "GaussianModelPoint",
@@ -61,11 +63,16 @@ class GaussianModelPoint:
         dd: parameter derivative of ``d``.
         dgamma: parameter derivative of ``gamma``, symmetric.
 
-    A point of a built-in family also carries the family's closed-form
-    Williamson factor (see :class:`_ModelFactor`), privately and outside the
-    fields: the SLD solve and the equal-temperature gate then read their frame
-    from it and factorise nothing.  A point built from arrays, or by
-    ``dataclasses.replace``, carries none and is factorised.
+    The four arrays are the point's own copies and read-only, so what is
+    read from them once holds for the point's life.
+
+    Every estimator reads the point through one Williamson frame,
+    ``Gamma = S diag(nu, nu) S^T`` with ``Xt = S^-1 dGamma S^-T``, formed
+    once per point and held privately outside the fields.  A point of a
+    built-in family takes it from the family's closed-form factor (see
+    :class:`_ModelFactor`) and factorises nothing; a point built from
+    arrays, or by ``dataclasses.replace``, takes one ``williamson(Gamma)``
+    on first read.
 
     Raises:
         ConfigError: on inconsistent shapes, non-finite entries, or a
@@ -80,7 +87,7 @@ class GaussianModelPoint:
 
     def __post_init__(self):
         for name in ("d", "gamma", "dd", "dgamma"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         m = self.d.size
         if self.d.ndim != 1 or m % 2:
             raise ConfigError(f"d must have even length, got shape {self.d.shape}")
@@ -102,10 +109,27 @@ class GaussianModelPoint:
                 object.__setattr__(self, name, _symmetric_part(getattr(self, name), name))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+        for name in ("d", "gamma", "dd", "dgamma"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.d.size // 2
+
+    @functools.cached_property
+    def _frame(self) -> _Frame:
+        """``(S, nu, S^-1, Xt)``: the point's Williamson frame, ``nu``
+        descending, and ``Xt = S^-1 dGamma S^-T``; the factor's when the
+        point carries one, else ``williamson(Gamma)``.
+
+        Raises:
+            ValueError: if ``Gamma`` is not positive definite (no factor).
+            ConvergenceError: if ``williamson`` misses its bound (no factor).
+        """
+        factor = self._factor
+        if factor is None:
+            return _williamson_frame(self.gamma, self.dgamma)
+        return factor.S, factor.nu, factor.S_inv, factor.Xt
 
 
 @dataclass(frozen=True)
@@ -118,9 +142,9 @@ class _ModelFactor(WilliamsonDecomposition):
 
         ``Xt = A N + N A^T + diag(dnu, dnu)``,   ``N = diag(nu, nu)``,
 
-    so the SLD solve and the equal-temperature gate read ``nu`` and ``Xt``
-    as the family wrote them, with none of the ``eps cond(S)^2`` that
-    factorising the rounded ``Gamma`` again puts into ``nu``.
+    so every estimator reads ``nu`` and ``Xt`` as the family wrote them,
+    with none of the ``eps cond(S)^2`` that factorising the rounded
+    ``Gamma`` again puts into ``nu``.
 
     Raises:
         FloatingPointError: if ``eps |S|_F^2 >= 1``: ``S^-1 S = I`` then
@@ -140,14 +164,9 @@ class _ModelFactor(WilliamsonDecomposition):
                 f"(eps |S|_F^2 = {spread:.3g})"
             )
 
-    @functools.cached_property
-    def S_inv(self) -> np.ndarray:
-        """``S^-1 = -w S^T w``, exact, formed once per point."""
-        return _w_right(_w_left(-self.S.T))
-
-    @functools.cached_property
+    @property
     def Xt(self) -> np.ndarray:
-        """``A N + N A^T + diag(dnu, dnu)``, formed once per point."""
+        """``A N + N A^T + diag(dnu, dnu)``."""
         half = self.A * self.thermal_diagonal  # A N, and (A N)^T = N A^T
         if self.dnu.any():
             half += np.diag(0.5 * np.concatenate([self.dnu, self.dnu]))
@@ -400,7 +419,7 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
 
     Every one writes its covariance as ``S diag(nu, nu) S^T`` and holds that
     factor in closed form, with ``A = S^-1 dS`` and ``dnu``; its points carry
-    it, so the SLD solve and the equal-temperature gate factorise nothing.
+    it as their frame, so no estimator factorises them.
     A point whose ``S`` has ``eps |S|_F^2 >= 1`` raises ``FloatingPointError``.
     """
     if not isinstance(name, str) or name not in _BUILTIN_FAMILIES:
@@ -419,15 +438,12 @@ def builtin_family(name: str, params: dict | None = None) -> ModelFamily:
 class IsothermalCheck:
     """Result of :func:`check_isothermal`.
 
-    ``is_isothermal``: all symplectic eigenvalues equal ``nu``, the geometric
-    mean of the symplectic eigenvalues, ``det(Gamma)^(1/2n)`` (on a point
-    that carries its factor, the mean of the factor's ``nu``, which agree
-    within ``1e-8`` relative).
-    ``derivative_preserves_nu``: the derivative ``W = Si dGamma Si^T``, read
-    in a symplectic frame ``Si`` with ``Si Gamma Si^T = nu I``, anticommutes
-    with the symplectic form, i.e. the parameter moves the state along a
-    symplectic orbit without changing its temperature.  ``nu`` is NaN when
-    not isothermal.
+    ``is_isothermal``: the symplectic eigenvalues of the point's Williamson
+    frame agree, and ``nu`` is their mean.
+    ``derivative_preserves_nu``: the derivative read in that frame,
+    ``W = Xt = S^-1 dGamma S^-T``, anticommutes with the symplectic form,
+    i.e. the parameter moves the state along a symplectic orbit without
+    changing its temperature.  ``nu`` is NaN when not isothermal.
     """
 
     is_isothermal: bool
@@ -435,82 +451,15 @@ class IsothermalCheck:
     derivative_preserves_nu: bool
 
 
-def _isothermal_gate(
-    point: GaussianModelPoint,
-) -> tuple[IsothermalCheck, np.ndarray | None, np.ndarray | None]:
-    """The equal-temperature gates, plus the frame they computed.
-
-    Returns ``(check, Si, W)``: a symplectic ``Si`` with
-    ``Si Gamma Si^T = nu I`` and the derivative ``W = Si dGamma Si^T`` read
-    in it, both None when not isothermal.  An isothermal point must be a
-    state, read in the frame ``Si``; ``W`` then preserves ``nu`` iff it
-    anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
-
-    Route: a point that carries a factor (:class:`_ModelFactor`) is
-    isothermal iff its ``nu`` agree within ``1e-8`` relative, and the gate
-    reads ``nu`` (their mean), ``Si = S^-1`` and ``W = Xt`` off the factor,
-    with no factorisation.  Any other point takes one Cholesky factor ``Lc``
-    of ``Gamma`` and the inverse of its leading block ``X = Lc[:n, :n]``; no
-    eigendecomposition, no Williamson factorisation.  ``det Gamma = prod
-    nu_k^2``, so an isothermal point has ``nu = exp(2 mean log diag Lc)``.
-    With ``C = Lc[n:, :n] X^-1``,
-
-        ``Si = [[sqrt(nu) X^-1, 0], [-X^T C / sqrt(nu), X^T / sqrt(nu)]]``
-
-    is the symplectic inverse of the block-triangular factor
-    ``[[A, 0], [C A, A^-T]]``, ``A = X / sqrt(nu)``, of ``Gamma / nu``, and it
-    is symplectic iff ``C`` is symmetric.  The point is isothermal iff ``C``
-    is symmetric and ``Si (Gamma / nu) Si^T = I``.  Both deviations are
-    compared with ``1e-8`` plus the rounding of that product,
-    ``16 eps |Si|_F^2 max|Gamma / nu|``.
-
-    Raises:
-        ValueError: if ``Gamma`` is not positive definite (Cholesky route).
-        PreconditionError: flag ``"nu_min"`` when the point is isothermal
-            but not a state (see ``validate_covariance``).
-    """
-    factor = point._factor
-    if factor is not None:
-        if factor.nu[0] - factor.nu[-1] > _ISOTHERMAL_TOL * factor.nu[-1]:  # nu descending
-            return IsothermalCheck(False, math.nan, False), None, None
-        nu = float(factor.nu.mean())
-        _require_state(nu, factor.S, point.gamma)
-        return _preserves_nu(nu, factor.S_inv, factor.Xt)
-    n = point.n
-    try:
-        Lc = np.linalg.cholesky(point.gamma)
-    except np.linalg.LinAlgError:
-        raise ValueError("gamma is not positive definite") from None
-    nu = float(np.exp(2.0 * np.mean(np.log(np.diagonal(Lc)))))
-    X = Lc[:n, :n]
-    Xi = np.linalg.inv(X)
-    C = Lc[n:, :n] @ Xi
-    rs = math.sqrt(nu)
-    Si = np.zeros_like(Lc)
-    Si[:n, :n] = rs * Xi
-    Si[n:, :n] = -(X.T @ C) / rs
-    Si[n:, n:] = X.T / rs
-    G = point.gamma / nu
-    cut = _ISOTHERMAL_TOL + _ROUNDING * float(np.sum(Si * Si)) * float(np.abs(G).max())
-    if (
-        np.abs(C - C.T).max() > cut
-        or np.abs(Si @ G @ Si.T - np.eye(2 * n)).max() > cut
-    ):
-        return IsothermalCheck(False, math.nan, False), None, None
-    _require_state(nu, Si, point.gamma)
-    return _preserves_nu(nu, Si, Si @ point.dgamma @ Si.T)
-
-
-def _preserves_nu(
-    nu: float, Si: np.ndarray, W: np.ndarray
-) -> tuple[IsothermalCheck, np.ndarray, np.ndarray]:
-    """The second gate of :func:`_isothermal_gate` on an isothermal point."""
-    preserves = bool(_hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + np.abs(W).max()))
-    return IsothermalCheck(True, nu, preserves), Si, W
-
-
 def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     """Classify a model point for the equal-temperature fast paths (tol 1e-8).
+
+    Both gates read the point's Williamson frame ``(S, nu, S^-1, Xt)`` (see
+    :class:`GaussianModelPoint`).  The point is isothermal iff
+    ``nu_max - nu_min`` is within ``1e-8 nu_min`` plus the kernel rule's
+    rounding allowance, ``16 eps |S|_F^2 tr Gamma``.  An isothermal point
+    must be a state, and its derivative ``W = Xt`` preserves ``nu`` iff it
+    anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point without
@@ -519,26 +468,31 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
             but not a state (see ``validate_covariance``); spread
             temperatures read ``is_isothermal=False`` first.
     """
-    return _isothermal_gate(point)[0]
+    S, nu, _, W = point._frame
+    rounding = _VACUUM_ROUNDING * _frame_rounding(S, point.gamma)
+    if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + rounding:  # nu descending
+        return IsothermalCheck(False, math.nan, False)
+    mean = float(nu.mean())
+    _require_state(mean, S, point.gamma)
+    preserves = bool(_hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + np.abs(W).max()))
+    return IsothermalCheck(True, mean, preserves)
 
 
-def _require_isothermal(
-    point: GaussianModelPoint,
-) -> tuple[IsothermalCheck, np.ndarray, np.ndarray]:
-    """:func:`_isothermal_gate`, raising when either gate fails.
+def _require_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
+    """:func:`check_isothermal`, raising when either gate fails.
 
     Raises:
         PreconditionError: flag ``"is_isothermal"``, checked first, then
             ``"nu_min"`` and ``"derivative_preserves_nu"``.
     """
-    chk, Si, W = _isothermal_gate(point)
+    chk = check_isothermal(point)
     if not chk.is_isothermal:
         raise PreconditionError("is_isothermal", "symplectic spectrum is not degenerate")
     if not chk.derivative_preserves_nu:
         raise PreconditionError(
             "derivative_preserves_nu", "the derivative changes the temperature"
         )
-    return chk, Si, W
+    return chk
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +547,16 @@ def _parse_explicit(doc: dict) -> ModelConfig:
         raise ConfigError(
             f"explicit model: declares n = {n} but arrays describe {point.n} mode(s)"
         )
-    check = validate_covariance(point.gamma)
-    if not check.valid:
+    try:
+        S, nu, _, _ = point._frame
+        nu_min = float(nu[-1])
+        admissible = _is_state(nu_min, S, point.gamma)
+    except ValueError:  # not positive definite
+        nu_min, admissible = 0.0, False
+    if not admissible:
         raise ConfigError(
             f"explicit model: 'Gamma' is not an admissible covariance matrix "
-            f"(1 - nu_min = {1.0 - check.nu_min:.3g})"
+            f"(1 - nu_min = {1.0 - nu_min:.3g})"
         )
     return ModelConfig(point=point, family=_linear_family(point), theta=0.0, label="explicit")
 

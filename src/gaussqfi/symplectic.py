@@ -33,6 +33,7 @@ _STATE_TOL = 1e-8  # state rule: how far below 1 nu_min may lie beyond rounding
 _SYMMETRY_TOL = 1e-8  # symmetry rule: max |M - M^T| per unit of 1 + max|M|
 _EULER_TOL = 1e-8  # euler_decompose: max-abs symplectic defect of S; zero squeeze per 1 + z_max
 _ISOTHERMAL_TOL = 1e-8  # equal-temperature gates, their normal frame and hamiltonian_eigenframe
+_VACUUM_ROUNDING = 16  # kernel rule and equal-temperature gate: times the state rule's rounding
 _EPS = float(np.finfo(float).eps)
 
 __all__ = [
@@ -192,8 +193,8 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
 
         ``1 - nu_min > 1e-8 + eps |S|_F^2 tr gamma``
 
-    with ``S`` the symplectic frame in which ``nu_min`` was read (here the
-    Williamson frame; the equal-temperature gate uses its own).  The second
+    with ``S`` the Williamson frame in which ``nu_min`` was read (a model
+    point's own frame; here ``williamson(gamma)``).  The second
     term is how far rounding moves ``nu_min`` in that frame; on a pure state
     it is ``eps |S|_F^4``.
 

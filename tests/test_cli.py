@@ -257,6 +257,14 @@ def test_sld_thermal_output(tmp_path, capsys):
     assert get_value(out, "c (offset)") == "-0.666666666667"
 
 
+def test_sld_offset_prints_no_signed_zero(tmp_path, capsys):
+    # The offset -tr[Yt N] / 2 of a pure phase model is an exact zero, and a
+    # negated one: the output reads 0, not -0.
+    doc = {"family": "two_mode_squeezed_phase", "params": {"r": 0.3}, "theta": 0.4}
+    assert cli.main(["sld", write_cfg(tmp_path, doc)]) == 0
+    assert get_value(capsys.readouterr().out, "c (offset)") == "0"
+
+
 def test_sld_prints_the_counting_displacement(tmp_path, capsys):
     doc = {"explicit": dict(VACUUM_HEATING["explicit"], d=[0.5, 0.0], dd=[1.0, 0.0],
                             Gamma=[[2.0, 0.0], [0.0, 2.0]])}
@@ -538,12 +546,12 @@ def test_qfi_factorises_once(tmp_path, capsys, williamson_calls):
 
 
 def test_explicit_qfi_factorises_once(tmp_path, capsys, williamson_calls):
-    # The same moments as explicit arrays: one factorisation admits the
-    # config (validate_covariance) and one solves the point.
+    # The same moments as explicit arrays: the point's one frame admits the
+    # config, and the solve and the homodyne frame read it again.
     cfg = write_cfg(tmp_path, explicit_doc(gq.parse_model_config(PHASE).point))
     assert cli.main(["qfi", cfg]) == 0
     assert get_value(capsys.readouterr().out, "homodyne_opt") != "unavailable"
-    assert williamson_calls[0] == 1 + 1
+    assert williamson_calls[0] == 1
 
 
 def test_sweep_factorises_once_per_point(tmp_path, williamson_calls):

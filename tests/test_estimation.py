@@ -351,12 +351,14 @@ def _frame_read_points():
 @pytest.mark.parametrize("pt", _frame_read_points())
 def test_frame_read_terms_match_solve_route(pt):
     # qfi_general reads the Wigner information off the Williamson frame;
-    # wigner_fisher and 2 dd^T Gamma^-1 dd are the linear-solve references.
-    # Both routes carry rounding of order eps cond(Gamma) (3.6e-11 on
-    # phase_squeezed r = 3), hence the conditioning term in the bound.
+    # gaussian_distribution_fisher and 2 dd^T Gamma^-1 dd are the
+    # linear-solve references.  Both routes carry rounding of order
+    # eps cond(Gamma) (3.6e-11 on phase_squeezed r = 3), hence the
+    # conditioning term in the bound.
     rtol = 1e-12 + 2 * np.finfo(float).eps * np.linalg.cond(pt.gamma)
     rep = gq.qfi_general(pt)
-    assert rep.wigner_fisher == pytest.approx(gq.wigner_fisher(pt), rel=rtol, abs=0)
+    reference = gq.gaussian_distribution_fisher(pt.gamma, pt.dgamma, pt.dd)
+    assert rep.wigner_fisher == pytest.approx(reference, rel=rtol, abs=0)
     first = 2.0 * float(pt.dd @ np.linalg.solve(pt.gamma, pt.dd))
     assert rep.first_moment_term == pytest.approx(first, rel=1e-12, abs=0)
 
@@ -493,3 +495,21 @@ def test_factored_and_williamson_routes_agree(name, params, theta):
         except gq.PreconditionError as exc:
             flags.append(exc.flag)
     assert flags[0] == flags[1]
+
+
+@pytest.mark.parametrize("r", range(1, 18))
+def test_every_reader_is_exact_on_strongly_squeezed_builtin_points(r):
+    # Pure phase_squeezed at theta 0.3: every reader of the factored frame
+    # gives 2 sinh^2(2r), and the offset of the SLD vanishes.
+    pt = gq.builtin_family("phase_squeezed", {"r": float(r)}).point(0.3)
+    target = 2.0 * math.sinh(2.0 * r) ** 2
+    values = (
+        gq.qfi_general(pt).qfi,
+        gq.wigner_fisher(pt) / 2,
+        gq.qfi_isothermal(pt).qfi,
+        gq.optimal_homodyne_fisher(gq.isothermal_frame(pt)),
+    )
+    for value in values:
+        assert value == pytest.approx(target, rel=1e-12, abs=0)
+    coeffs = gq.sld_coefficients(pt)
+    assert abs(coeffs.c) <= 1e-12 * np.abs(coeffs.L).max()

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
+from conftest import random_isothermal_point, random_state, thermal_diag
 
 
 def test_frame_phase_squeezed():
@@ -152,28 +152,6 @@ def test_ancilla_cannot_increase_information():
     for _ in range(40):
         U = gq.random_symplectic(2, seed=rng, squeeze_cap=2.0)
         assert gq.homodyne_fisher(fr_ext, U) <= best + 1e-9
-
-
-def test_frame_factorises_once(williamson_calls):
-    # the frame comes from the gate's Cholesky factor: no Williamson factorisation
-    pt = random_isothermal_point(3, seed=4, nu=1.0)
-    gq.isothermal_frame(pt)
-    assert williamson_calls[0] == 0
-
-
-def test_frame_eigendecomposes_only_the_derivative(linalg_calls):
-    # a rejected point takes no eigh, an accepted one only the eigh of W
-    with pytest.raises(gq.PreconditionError) as exc:
-        gq.isothermal_frame(random_model_point(5, seed=3))
-    assert exc.value.flag == "is_isothermal"
-    assert linalg_calls["eigh"] == 0
-    gq.isothermal_frame(random_isothermal_point(5, seed=3))
-    assert linalg_calls["eigh"] == 1
-
-
-def test_check_isothermal_makes_no_eigendecomposition(linalg_calls):
-    assert gq.check_isothermal(random_isothermal_point(5, seed=3)).is_isothermal
-    assert linalg_calls["eigh"] == 0
 
 
 @pytest.mark.parametrize(

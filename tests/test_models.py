@@ -343,10 +343,57 @@ def test_load_model_config(tmp_path):
         gq.load_model_config(str(bad))
 
 
-def test_check_isothermal_skips_factorisation_off_isothermal(williamson_calls):
-    pt = random_model_point(2, seed=5)  # spread spectrum
-    assert not gq.check_isothermal(pt).is_isothermal
-    assert williamson_calls[0] == 0
+_READERS = (
+    gq.qfi_general,
+    gq.sld_coefficients,
+    gq.wigner_fisher,
+    gq.check_isothermal,
+    gq.isothermal_frame,
+    gq.qfi_isothermal,
+    lambda pt: gq.identity_checks(pt, 20),
+)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize("factored", [True, False], ids=["builtin", "arrays"])
+def test_every_reader_shares_the_points_one_frame(williamson_calls, order, factored):
+    # A built-in point's frame is its closed-form factor; the same moments as
+    # arrays take one Williamson factorisation, whichever reader comes first.
+    pt = gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.3)
+    if not factored:
+        pt = gq.GaussianModelPoint(pt.d, pt.gamma, pt.dd, pt.dgamma)
+    for reader in _READERS[::order]:
+        reader(pt)
+    assert williamson_calls[0] == (0 if factored else 1)
+
+
+def test_gate_makes_no_eigendecomposition_once_the_frame_is_formed(linalg_calls):
+    # A rejected point adds no linear algebra to its frame, an accepted one
+    # only the eigh of W.
+    spread, iso = random_model_point(5, seed=3), random_isothermal_point(5, seed=3)
+    for pt in (spread, iso):
+        pt._frame  # formed here, once
+    before = dict(linalg_calls)
+    assert not gq.check_isothermal(spread).is_isothermal
+    with pytest.raises(gq.PreconditionError) as exc:
+        gq.isothermal_frame(spread)
+    assert exc.value.flag == "is_isothermal"
+    assert linalg_calls == before
+    gq.isothermal_frame(iso)
+    assert linalg_calls == dict(before, eigh=before["eigh"] + 1)
+
+
+def test_point_arrays_are_read_only_copies():
+    arrays = [np.zeros(2), np.eye(2), np.ones(2), np.zeros((2, 2))]
+    pt = gq.GaussianModelPoint(*arrays)
+    for name in ("d", "gamma", "dd", "dgamma"):
+        with pytest.raises(ValueError):
+            getattr(pt, name)[0] = 1.0
+    with pytest.raises(ValueError):
+        pt.gamma[0, 0] = 1
+    for a in arrays:
+        assert a.flags.writeable
+        a[0] = 1.0  # the caller's arrays stay theirs
 
 
 @pytest.mark.parametrize("name, params, theta", BUILTIN_POINTS)
