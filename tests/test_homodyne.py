@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import random_isothermal_point, random_state, thermal_diag
+from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
 
 
 def test_frame_phase_squeezed():
@@ -152,6 +152,32 @@ def test_ancilla_cannot_increase_information():
     for _ in range(40):
         U = gq.random_symplectic(2, seed=rng, squeeze_cap=2.0)
         assert gq.homodyne_fisher(fr_ext, U) <= best + 1e-9
+
+
+def test_frame_eigendecomposes_only_the_derivative(linalg_calls):
+    # once the point's frame is formed, a rejected point adds no linear
+    # algebra and an accepted one only the eigh of W
+    spread, iso = random_model_point(5, seed=3), random_isothermal_point(5, seed=3)
+    for pt in (spread, iso):
+        pt._frame  # formed here, once
+    before = dict(linalg_calls)
+    with pytest.raises(gq.PreconditionError) as exc:
+        gq.isothermal_frame(spread)
+    assert exc.value.flag == "is_isothermal"
+    assert linalg_calls == before
+    gq.isothermal_frame(iso)
+    assert linalg_calls == dict(before, eigh=before["eigh"] + 1)
+
+
+def test_check_isothermal_makes_no_eigendecomposition(linalg_calls):
+    # the gate reads the point's formed frame and adds no linear algebra
+    spread, iso = random_model_point(5, seed=3), random_isothermal_point(5, seed=3)
+    for pt in (spread, iso):
+        pt._frame
+    before = dict(linalg_calls)
+    assert gq.check_isothermal(iso).is_isothermal
+    assert not gq.check_isothermal(spread).is_isothermal
+    assert linalg_calls == before
 
 
 @pytest.mark.parametrize(

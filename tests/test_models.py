@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gaussqfi as gq
-from conftest import BUILTIN_POINTS, random_isothermal_point, random_model_point, thermal_diag
+from conftest import BUILTIN_POINTS, random_isothermal_point, thermal_diag
 from gaussqfi import cli
 
 _EXPLICIT = {
@@ -365,22 +365,6 @@ def test_every_reader_shares_the_points_one_frame(williamson_calls, order, facto
     for reader in _READERS[::order]:
         reader(pt)
     assert williamson_calls[0] == (0 if factored else 1)
-
-
-def test_gate_makes_no_eigendecomposition_once_the_frame_is_formed(linalg_calls):
-    # A rejected point adds no linear algebra to its frame, an accepted one
-    # only the eigh of W.
-    spread, iso = random_model_point(5, seed=3), random_isothermal_point(5, seed=3)
-    for pt in (spread, iso):
-        pt._frame  # formed here, once
-    before = dict(linalg_calls)
-    assert not gq.check_isothermal(spread).is_isothermal
-    with pytest.raises(gq.PreconditionError) as exc:
-        gq.isothermal_frame(spread)
-    assert exc.value.flag == "is_isothermal"
-    assert linalg_calls == before
-    gq.isothermal_frame(iso)
-    assert linalg_calls == dict(before, eigh=before["eigh"] + 1)
 
 
 def test_point_arrays_are_read_only_copies():
