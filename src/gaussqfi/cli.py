@@ -32,7 +32,7 @@ from .estimation import (
     sld_coefficients,
 )
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
-from .fock import identity_checks, qfi_fock_probe, sld_residual
+from .fock import _probe, identity_checks, sld_residual
 from .homodyne import homodyne_fisher, isothermal_frame, optimal_homodyne_fisher
 from .models import GaussianModelPoint, ModelFamily, load_model_config
 from .symplectic import random_symplectic
@@ -299,7 +299,7 @@ def _cmd_oracle_check(argv: list[str]) -> int:
             f"the SLD equation has no solution (range_residual = {rep.range_residual:.3g}), "
             "so there is nothing to cross-check",
         )
-    probe = qfi_fock_probe(cfg.family, cfg.theta, args.cutoff)
+    probe = _probe(cfg.point, args.cutoff)
     coeffs = sld_coefficients(cfg.point)
     resid = sld_residual(cfg.point, coeffs, args.cutoff)
     ident = identity_checks(cfg.point, args.cutoff)

@@ -135,6 +135,13 @@ class DGammaSpectrum:
         return np.sort(np.repeat(self.values.ravel(), 2))
 
 
+def _vacuum_modes(nu: np.ndarray, S: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The kernel rule's vacuum test, per mode: ``nu_k - 1 <= 16 eps |S|_F^2
+    tr gamma`` in the Williamson frame ``S`` of ``gamma``.  Every mode is
+    vacuum exactly when the state is pure."""
+    return nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(S, gamma)
+
+
 def _block_eigenvalues(
     nu: np.ndarray, S: np.ndarray, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +149,8 @@ def _block_eigenvalues(
 
     Returns ``(lam, kernel)``, both of shape ``(2, n, n)``: ``lam[0] = N - 1``
     (parity +) and ``lam[1] = N + 1`` (parity -) with ``N = nu nu^T``;
-    ``kernel`` marks the parity-+ entries whose two modes are both vacuum,
-    ``nu_k - 1 <= 16 eps |S|_F^2 tr gamma``.  Each entry is one eigenvalue of
+    ``kernel`` marks the parity-+ entries whose two modes are both vacuum
+    (:func:`_vacuum_modes`).  Each entry is one eigenvalue of
     multiplicity 2.  In ``lam[0]`` a ``nu`` below 1 reads as 1: a mode the
     state rule accepted below the vacuum meets a warmer one through
     ``nu_j - 1``, not through a difference that may vanish.
@@ -157,7 +164,7 @@ def _block_eigenvalues(
     if nu[-1] < 1.0:
         cold = np.maximum(nu, 1.0)
         lam[0] = np.outer(cold, cold) - 1.0
-    vacuum = nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(S, gamma)
+    vacuum = _vacuum_modes(nu, S, gamma)
     kernel = np.zeros_like(lam, dtype=bool)
     kernel[0] = np.outer(vacuum, vacuum)
     return lam, kernel

@@ -17,20 +17,36 @@ the weight beyond the cutoff instead of renormalising it away.  The
 derivative ``F (v^T dA v / 2 + dgamma^T v + d log G0)`` of ``F`` gives
 ``drho`` from the same elements, with no difference step.
 
+A pure state is read from its ket.  Its generating function factorises,
+``F(x, y) = psi(x) conj(psi(y))``, so the ket is the same recurrence on the
+``n`` ket indices of ``v``, with ``A[:n, :n]``, ``gamma[:n]`` and
+``sqrt(G0)``, and its tangent is the same derivative with ``dA[:n, :n]``,
+``dgamma[:n]`` and ``d log G0 / 2``.  A point is pure when every mode is
+vacuum by the kernel rule of :mod:`~gaussqfi.dgamma`; every other point
+keeps ``rho``.
+
 The oracle stays independent of the moment engine: it uses the Husimi
 covariance and the Bargmann generating function, never the superoperator
 equation ``D(L) = dGamma`` that gives the engine its SLD, and it takes the
-QFI from the defining eigenbasis formula (Williamson's decomposition only
-gates the input, by the state rule).  So agreement between the two routes
-is evidence rather than circular arithmetic.
+QFI from the defining eigenbasis formula, on ``rho`` or, for a pure state,
+in closed form on ``rho = psi psi^H`` (Williamson's decomposition only
+gates the input, by the state rule, and tells pure from mixed).  So
+agreement between the two routes is evidence rather than circular
+arithmetic.
 
-Every oracle call and layer builder checks its size before it allocates:
-a basis whose dense ``dim**n`` square complex matrix takes more than
-``_MAX_DENSE_BYTES`` (2**28 bytes, so more than 4096 levels on one mode, 64
-on two or 16 on three) raises ``ConfigError`` naming its memory.  ``dim``
-is the largest basis the call builds: ``cutoff + 10`` for
-:func:`qfi_fock_probe` (which so refuses every three-mode cutoff),
-``cutoff + 2`` for :func:`sld_residual`, the cutoff elsewhere.
+Every oracle call and layer builder checks its size before it allocates,
+by the representation it builds.  A dense ``dim**n`` square complex matrix
+may take at most ``_MAX_DENSE_BYTES`` (2**28 bytes, so at most 4096 levels
+on one mode, 64 on two or 16 on three); :func:`build_state`,
+:func:`identity_checks` and the single layers build one on every state,
+:func:`sld_residual` its ``L`` on ``cutoff + 2`` levels, and
+:func:`qfi_fock` and :func:`qfi_fock_probe` one on a mixed state, on the
+cutoff and ``cutoff + 10`` levels.  The ket route of :func:`qfi_fock` and
+:func:`qfi_fock_probe` holds ``2n + 2`` complex arrays of ``dim**n``
+entries (the ket, its tangent and two stacks of ``n`` raised kets), and may
+take the same 2**28 bytes in all (at most 1672 levels on two modes, 128 on
+three, 35 on four or 16 on five).  A basis above its rule raises
+``ConfigError`` naming its memory.
 
 :func:`passive_unitary` and :func:`squeeze_unitary` form single Gaussian
 layers, for inspection, as truncated exponentials with one ``eigh`` per
@@ -49,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dgamma import _vacuum_modes
 from .estimation import SLDCoefficients
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily
@@ -276,9 +293,8 @@ def suggested_cutoff(point: GaussianModelPoint) -> int:
     return _cutoff_for(point, _TAIL_BOUND)
 
 
-def _dense_size(cutoff: int, n: int) -> str:
-    """Memory of one dense ``cutoff^n`` square complex matrix, e.g. ``31 GB``."""
-    size = float(cutoff) ** (2 * n) * 16
+def _format_bytes(size: float) -> str:
+    """A memory size, e.g. ``31 GB``."""
     for unit in ("B", "kB", "MB", "GB", "TB"):
         if size < 1000.0:
             break
@@ -286,21 +302,36 @@ def _dense_size(cutoff: int, n: int) -> str:
     return f"{size:.0f} {unit}" if size >= 10.0 else f"{size:.2g} {unit}"
 
 
-def _max_dim(n: int) -> int:
+def _dense_size(cutoff: int, n: int) -> str:
+    """Memory of one dense ``cutoff^n`` square complex matrix, e.g. ``31 GB``."""
+    return _format_bytes(float(cutoff) ** (2 * n) * 16)
+
+
+def _ket_size(dim: int, n: int) -> str:
+    """Memory of the ket route's ``2n + 2`` complex arrays of ``dim**n``
+    entries: the ket, its tangent and two stacks of ``n`` raised kets."""
+    return _format_bytes(float(dim) ** n * 16 * (2 * n + 2))
+
+
+def _max_dim(n: int, ket: bool = False) -> int:
     """Most levels per mode whose dense ``dim**n`` square complex matrix
-    takes at most ``_MAX_DENSE_BYTES``."""
+    (or, with ``ket``, whose ket route) takes at most ``_MAX_DENSE_BYTES``."""
+    if ket:
+        return int((_MAX_DENSE_BYTES / (16.0 * (2 * n + 2))) ** (1.0 / n) * (1.0 + 1e-12))
     return int((_MAX_DENSE_BYTES / 16.0) ** (1.0 / (2 * n)) * (1.0 + 1e-12))
 
 
-def _check_size(dim: int, n: int) -> None:
+def _check_size(dim: int, n: int, ket: bool = False) -> None:
     """Refuse, before anything is allocated, a basis of ``dim`` levels on
-    ``n`` modes above the size limit of the module docstring."""
-    top = _max_dim(n)
+    ``n`` modes above the size limit of the module docstring: that of a
+    dense matrix, or with ``ket`` that of the ket route."""
+    top = _max_dim(n, ket)
     if dim > top:
+        what, size, per = ("ket", _ket_size, "with its tangent") if ket else (
+            "basis", _dense_size, "per dense matrix")
         raise ConfigError(
-            f"a Fock basis of {dim} levels on {n} modes needs {_dense_size(dim, n)} per dense "
-            f"matrix; the oracle builds at most {top} levels on {n} modes "
-            f"({_dense_size(top, n)})"
+            f"a Fock {what} of {dim} levels on {n} modes needs {size(dim, n)} {per}; "
+            f"the oracle builds at most {top} levels on {n} modes ({size(top, n)})"
         )
 
 
@@ -316,21 +347,10 @@ def _bargmann_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     return W, X
 
 
-def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
-    """``rho`` on ``dim`` levels per mode by the recurrence of the module
-    docstring and, with ``tangent``, its exact derivative along
-    ``(dd, dGamma)`` (else None); both Hermitian, ``dim**n`` square.
-
-    Index ``i`` is filled last to first: with indices ``0..i-1`` at 0, step
-    ``k -> k + 1`` of index ``i`` is one vector operation over the rest; the
-    last index is a chain of scalars, run in Python complex arithmetic.
-    Raising index ``j`` (``k_j -> k_j + 1`` with weight ``sqrt(k_j + 1)``)
-    is the same slice of every array, counted from its last axis, so its
-    slices and weights are formed once per call.  Elements below ``eps^2``
-    of the largest, far below the rounding of anything read from ``rho``,
-    are set to 0: many are rounding residue of exact zeros, and as
-    subnormal numbers they slowed ``eigh`` 2.4x.
-    """
+def _generating_function(point: GaussianModelPoint, tangent: bool = False):
+    """``(A, gamma, G0)`` of the module docstring and, with ``tangent``,
+    their derivative ``(dA, dgamma, d log G0)`` along ``(dd, dGamma)`` (else
+    None)."""
     n, m = point.n, 2 * point.n
     W, X = _bargmann_frame(n)
     Q = 0.5 * (W @ point.gamma @ W.conj().T + np.eye(m))
@@ -339,13 +359,42 @@ def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
     zeta = W @ point.d
     gam = Qi @ zeta
     G0 = np.exp(-0.5 * (zeta.conj() @ gam).real) / np.sqrt(np.linalg.det(Q).real)
+    if not tangent:
+        return (A, gam, G0), None
+    dQ = 0.5 * W @ point.dgamma @ W.conj().T
+    dzeta = W @ point.dd
+    dgam = Qi @ (dzeta - dQ @ gam)
+    dlog = (0.5 * gam.conj() @ dQ @ gam - gam.conj() @ dzeta - 0.5 * np.trace(Qi @ dQ)).real
+    return (A, gam, G0), (Qi @ dQ @ Qi @ X, dgam, dlog)
+
+
+def _raising(m: int, dim: int) -> tuple[list, list, list]:
+    """Raising index ``j`` of an ``m``-index array on ``dim`` levels
+    (``k_j -> k_j + 1`` with weight ``sqrt(k_j + 1)``): the same slice of
+    every array, counted from its last axis.  Returns the ``up`` and
+    ``down`` slices and the weights, one per index."""
     root = np.sqrt(np.arange(dim))
-    # Times 1/sqrt(k + 1), which rounds as numpy's division by sqrt(k + 1) does.
-    scale = (1.0 / root[1:]).astype(complex).tolist()
     trail = [(slice(None),) * (m - 1 - j) for j in range(m)]
     up = [(..., slice(1, None)) + t for t in trail]
     down = [(..., slice(None, -1)) + t for t in trail]
     weight = [root[1:].reshape((-1,) + (1,) * len(t)) for t in trail]
+    return up, down, weight
+
+
+def _recurrence(A: np.ndarray, gam: np.ndarray, G0: float, dim: int) -> np.ndarray:
+    """The coefficients of ``G0 exp(v^T A v / 2 + gam^T v)`` on ``dim``
+    levels of each of the ``len(gam)`` indices of ``v``, by the recurrence
+    of the module docstring.
+
+    Index ``i`` is filled last to first: with indices ``0..i-1`` at 0, step
+    ``k -> k + 1`` of index ``i`` is one vector operation over the rest; the
+    last index is a chain of scalars, run in Python complex arithmetic.
+    """
+    m = len(gam)
+    root = np.sqrt(np.arange(dim))
+    # Times 1/sqrt(k + 1), which rounds as numpy's division by sqrt(k + 1) does.
+    scale = (1.0 / root[1:]).astype(complex).tolist()
+    up, down, weight = _raising(m, dim)
     g, diag = complex(gam[-1]), (A[-1, -1] * root).tolist()
     chain = [complex(G0)]
     for k in range(dim - 1):
@@ -373,39 +422,99 @@ def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
                 top += w * lows[k]
             nxt *= scale[k]
         G = out
-    mag = np.abs(G)
-    G[mag < _EPS**2 * mag.max()] = 0.0
-    rho = G.reshape(dim**n, dim**n)
-    rho = 0.5 * (rho + rho.conj().T)
-    if not tangent:
-        return rho, None
-    dQ = 0.5 * W @ point.dgamma @ W.conj().T
-    dzeta = W @ point.dd
-    dgam = Qi @ (dzeta - dQ @ gam)
-    dlog = (0.5 * gam.conj() @ dQ @ gam - gam.conj() @ dzeta - 0.5 * np.trace(Qi @ dQ)).real
-    # d/dtheta of F is F (v^T dA v / 2 + dgam^T v + dlog): coefficients
-    # dlog G + sum_i raise_i(dgam_i G + sum_j dA_ij raise_j(G) / 2).
+    return G
+
+
+def _raise_tangent(
+    G: np.ndarray, dA: np.ndarray, dgam: np.ndarray, dlog: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients ``dG`` of ``F (v^T dA v / 2 + dgam^T v + dlog)``
+    when those of ``F`` are ``G``, and the raised stack: ``raised[j]`` holds
+    those of ``v_j F``.
+
+    ``dG = dlog G + sum_i raise_i(dgam_i G + sum_j dA_ij raise_j(G) / 2)``,
+    exact at every index of ``G``.
+    """
+    m = G.ndim
+    up, down, weight = _raising(m, G.shape[0])
     raised = np.zeros((m,) + G.shape, dtype=complex)
     for j in range(m):
         raised[j][up[j]] = weight[j] * G[down[j]]
-    dA = Qi @ dQ @ Qi @ X
     half = 0.5 * (dA @ raised.reshape(m, -1)).reshape(raised.shape)
     dG = dlog * G
     for i in range(m):
         dG[up[i]] += weight[i] * (dgam[i] * G[down[i]] + half[i][down[i]])
-    drho = dG.reshape(dim**n, dim**n)
+    return dG, raised
+
+
+def _flushed(G: np.ndarray) -> np.ndarray:
+    """``G`` with its elements below ``eps^2`` of the largest set to 0, in
+    place: far below the rounding of anything read from ``rho``, many are
+    rounding residue of exact zeros, and as subnormal numbers they slowed
+    ``eigh`` 2.4x."""
+    mag = np.abs(G)
+    G[mag < _EPS**2 * mag.max()] = 0.0
+    return G
+
+
+def _bargmann(point: GaussianModelPoint, dim: int, tangent: bool = False):
+    """``rho`` on ``dim`` levels per mode by the recurrence of the module
+    docstring over its ``2n`` indices and, with ``tangent``, its exact
+    derivative along ``(dd, dGamma)`` (else None); both Hermitian,
+    ``dim**n`` square, and ``rho`` :func:`_flushed`."""
+    n = point.n
+    (A, gam, G0), tan = _generating_function(point, tangent)
+    G = _flushed(_recurrence(A, gam, G0, dim))
+    rho = G.reshape(dim**n, dim**n)
+    rho = 0.5 * (rho + rho.conj().T)
+    if not tangent:
+        return rho, None
+    drho = _raise_tangent(G, *tan)[0].reshape(dim**n, dim**n)
     return rho, 0.5 * (drho + drho.conj().T)
 
 
-def _elements(point: GaussianModelPoint, cutoff: int, dim: int, tangent: bool = False):
-    """The oracle's input gates for ``cutoff``, then :func:`_bargmann` on
-    ``dim >= cutoff`` levels."""
+def _ket(point: GaussianModelPoint, dim: int, tangent: bool = False):
+    """The ket ``psi`` of a pure ``point`` on ``dim`` levels per mode, an
+    ``n``-index array, and with ``tangent`` ``(dpsi, raised, cross)`` (else
+    None).
+
+    A pure state's generating function factorises as
+    ``F(x, y) = psi(x) conj(psi(y))``, ``psi(x) = sqrt(G0) exp(x^T A_xx x / 2
+    + gamma_x^T x)`` on the ket blocks ``A_xx = A[:n, :n]`` and
+    ``gamma_x = gamma[:n]``, so ``psi`` is :func:`_recurrence` on the ``n``
+    ket indices.  Its tangent is :func:`_raise_tangent` with
+    ``dA[:n, :n]``, ``dgamma[:n]`` and ``d log G0 / 2``, and
+    ``raised[i] = a_i† psi``.  The bra-ket block of ``dA`` adds
+    ``sum_ij C_ij raised_i raised_j^H`` to ``drho``, ``C = cross``
+    Hermitian: it vanishes, to rounding, on a tangent that keeps the state
+    pure, and is what a tangent that heats or cools it adds.  So
+    ``drho = dpsi psi^H + psi dpsi^H + raised^T C raised^*``.
+    """
+    n = point.n
+    (A, gam, G0), tan = _generating_function(point, tangent)
+    psi = _recurrence(A[:n, :n], gam[:n], np.sqrt(G0), dim)
+    if not tangent:
+        return psi, None
+    dA, dgam, dlog = tan
+    dpsi, raised = _raise_tangent(psi, dA[:n, :n], dgam[:n], 0.5 * dlog)
+    cross = 0.5 * (dA[:n, n:] + dA[n:, :n].T)
+    return psi, (dpsi, raised, 0.5 * (cross + cross.conj().T))
+
+
+def _gate(point: GaussianModelPoint, cutoff: int, dim: int, dense: bool = False) -> bool:
+    """The oracle's input gates for ``cutoff``; returns whether the point is
+    pure, every mode vacuum by the kernel rule (:func:`_vacuum_modes`).
+
+    A pure point is sized as a ket of ``dim`` levels per mode unless the
+    caller builds a ``dense`` matrix on them; a mixed one always as dense.
+    """
     if cutoff < 8:
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
-    _check_size(dim, point.n)
     S, nu, _, _ = point._frame
+    pure = bool(_vacuum_modes(nu, S, point.gamma).all())
+    _check_size(dim, point.n, ket=pure and not dense)
     _require_state(float(nu[-1]), S, point.gamma)
-    return _bargmann(point, dim, tangent)
+    return pure
 
 
 def _block(M: np.ndarray, n: int, cutoff: int) -> np.ndarray:
@@ -414,12 +523,11 @@ def _block(M: np.ndarray, n: int, cutoff: int) -> np.ndarray:
     return M.reshape((dim,) * 2 * n)[(slice(cutoff),) * 2 * n].reshape(cutoff**n, cutoff**n)
 
 
-def _kept(
-    point: GaussianModelPoint, rho: np.ndarray, cutoff: int, tail_bound: float = _TAIL_BOUND
-) -> TruncatedState:
-    """The leading ``cutoff`` levels of ``rho``, held to the tail rule."""
-    rho = _block(rho, point.n, cutoff)
-    tail = float(1.0 - np.trace(rho).real)
+def _require_tail(
+    point: GaussianModelPoint, tail: float, cutoff: int, tail_bound: float = _TAIL_BOUND
+) -> None:
+    """The tail rule: refuse a truncation at ``cutoff`` that loses ``tail``
+    above ``tail_bound``, with the cutoff that would meet it."""
     if tail > tail_bound:
         suggested, top = _cutoff_for(point, tail_bound), _max_dim(point.n)
         advice = f"suggested cutoff is {suggested} ({_dense_size(suggested, point.n)} dense state)"
@@ -429,7 +537,28 @@ def _kept(
             "tail_mass",
             f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; {advice}",
         )
+
+
+def _kept(
+    point: GaussianModelPoint, rho: np.ndarray, cutoff: int, tail_bound: float = _TAIL_BOUND
+) -> TruncatedState:
+    """The leading ``cutoff`` levels of ``rho``, held to the tail rule."""
+    rho = _block(rho, point.n, cutoff)
+    tail = float(1.0 - np.trace(rho).real)
+    _require_tail(point, tail, cutoff, tail_bound)
     return TruncatedState(n=point.n, cutoff=cutoff, rho=rho, tail_mass=tail)
+
+
+def _kept_ket(point: GaussianModelPoint, psi: np.ndarray, tangent: tuple, cutoff: int) -> tuple:
+    """The leading ``cutoff`` levels of ``psi``, ``dpsi`` and ``raised`` of
+    :func:`_ket`, flattened, and ``cross``; ``psi psi^H`` held to the tail
+    rule."""
+    dpsi, raised, cross = tangent
+    block = (slice(cutoff),) * point.n
+    psi, dpsi = psi[block].ravel(), dpsi[block].ravel()
+    raised = raised[(slice(None),) + block].reshape(point.n, -1)
+    _require_tail(point, float(1.0 - np.vdot(psi, psi).real), cutoff)
+    return psi, dpsi, raised, cross
 
 
 def _require_psd(low: float) -> None:
@@ -457,8 +586,11 @@ def build_state(
     """Construct the density matrix of a Gaussian state.
 
     Reads the elements ``<m|rho|k>``, every ``m_j, k_j < cutoff``, from the
-    Bargmann recurrence of the module docstring.  Each is exact, so no
-    Williamson frame, Euler layer or padded basis is formed.
+    Bargmann recurrence of the module docstring: on a mixed state over the
+    ``2n`` indices of ``rho``, on a pure one over the ``n`` of its ket
+    ``psi``, with ``rho = psi psi^H`` and its elements below ``eps^2`` of
+    the largest set to 0, as on a mixed state.  Each is exact, so no
+    Euler layer or padded basis is formed.
 
     Args:
         point: moments to realize (derivatives are ignored).
@@ -482,7 +614,12 @@ def build_state(
         ConvergenceError: if (after the tail) the constructed matrix has an
             eigenvalue below ``-1e-10``.
     """
-    return _checked(point, _elements(point, cutoff, cutoff)[0], cutoff, tail_bound)
+    if _gate(point, cutoff, cutoff, dense=True):
+        psi = _ket(point, cutoff)[0].ravel()
+        rho = _flushed(np.outer(psi, psi.conj()))
+    else:
+        rho = _bargmann(point, cutoff)[0]
+    return _checked(point, rho, cutoff, tail_bound)
 
 
 def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
@@ -516,17 +653,61 @@ def _qfi(state: TruncatedState, drho: np.ndarray) -> float:
     return _solve_sld_eigenbasis(eig, _block(drho, state.n, state.cutoff))
 
 
+def _ket_qfi(psi: np.ndarray, dpsi: np.ndarray, raised: np.ndarray, cross: np.ndarray) -> float:
+    """:func:`_solve_sld_eigenbasis` on ``rho = psi psi^H`` and
+    ``drho = dpsi psi^H + psi dpsi^H + raised^T C raised^*``, in closed
+    form, with no ``eigh``.
+
+    The pairs the eigenbasis formula keeps all involve ``psi``, so with
+    ``p = |psi|^2`` it is ``M00^2 / p + 4 |P drho psi|^2 / p^2``, ``P`` the
+    projector off ``psi``.  With ``w = raised^T C raised^* psi``,
+    ``r = <psi|w> / p``, ``e = dpsi + w / p`` and ``t = <psi|e>`` that is
+    ``4 (|e|^2 - (Im t)^2 / p) + r (r - 4 Re t) / p``: for ``C = 0``,
+    ``4 (|dpsi|^2 - (Im <psi|dpsi>)^2 / p)``.
+    """
+    p = np.vdot(psi, psi).real
+    w = raised.T @ (cross @ (raised.conj() @ psi))
+    r = np.vdot(psi, w).real / p
+    e = dpsi + w / p
+    t = np.vdot(psi, e)
+    return float(4.0 * (np.vdot(e, e).real - t.imag**2 / p) + r * (r - 4.0 * t.real) / p)
+
+
+def _tangent_elements(point: GaussianModelPoint, cutoff: int, dim: int):
+    """The gates, then ``(pure, psi, tangent)`` of :func:`_ket` on a pure
+    point, else ``(pure, rho, drho)`` of :func:`_bargmann`, on ``dim``
+    levels."""
+    if _gate(point, cutoff, dim):
+        return True, *_ket(point, dim, tangent=True)
+    return False, *_bargmann(point, dim, tangent=True)
+
+
+def _block_qfi(point: GaussianModelPoint, elements: tuple, cutoff: int) -> float:
+    """The QFI of the leading ``cutoff`` block of :func:`_tangent_elements`,
+    held to the gates of :func:`build_state`: by :func:`_ket_qfi` on a pure
+    point (``psi psi^H`` is positive semidefinite, so the eigenvalue rule
+    holds), else by :func:`_qfi`."""
+    pure, state, tangent = elements
+    if pure:
+        return _ket_qfi(*_kept_ket(point, state, tangent, cutoff))
+    return _qfi(_kept(point, state, cutoff), tangent)
+
+
 def qfi_fock(family: ModelFamily, theta: float, cutoff: int) -> float:
     """Quantum Fisher information computed entirely in the Fock basis.
 
-    Reads ``rho`` and its exact derivative at ``theta`` from one Bargmann
-    recurrence on the family's moments and tangent, applies the gates of
-    :func:`build_state`, solves the symmetric-logarithmic-derivative
-    equation in the eigenbasis of the state, and returns ``tr[rho L²]``.
+    Reads the state and its exact derivative at ``theta`` from one Bargmann
+    recurrence on the family's moments and tangent, and applies the gates
+    of :func:`build_state`.  A mixed state's ``rho`` has ``cutoff**(2n)``
+    elements: the symmetric-logarithmic-derivative equation is solved in
+    its eigenbasis, and the QFI is ``tr[rho L²]``.  A pure state is read
+    from its ket, ``cutoff**n`` elements, and the same eigenbasis formula
+    on ``rho = psi psi^H`` is taken in closed form,
+    ``4 (|dpsi|^2 - (Im <psi|dpsi>)^2 / |psi|^2)`` on the kept block for a
+    tangent that keeps the state pure, with no eigendecomposition.
     """
     point = family.point(theta)
-    rho, drho = _elements(point, cutoff, cutoff, tangent=True)
-    return _qfi(_kept(point, rho, cutoff), drho)
+    return _block_qfi(point, _tangent_elements(point, cutoff, cutoff), cutoff)
 
 
 @dataclass(frozen=True)
@@ -548,14 +729,18 @@ def qfi_fock_probe(family: ModelFamily, theta: float, cutoff: int) -> FockConver
 
     ``value`` and ``cutoff_value`` equal :func:`qfi_fock` at ``cutoff`` and
     ``cutoff + 10``.  Both come from one recurrence on ``cutoff + 10``
-    levels: every element is exact at any index, so ``value`` reads its
-    leading ``cutoff`` block.  Each block passes the gates of
-    :func:`build_state`.
+    levels, of ``rho`` or, on a pure state, of the ket: every element is
+    exact at any index, so ``value`` reads its leading ``cutoff`` block.
+    Each block passes the gates of :func:`build_state`.
     """
-    point = family.point(theta)
-    rho, drho = _elements(point, cutoff, cutoff + 10, tangent=True)
-    value = _qfi(_kept(point, rho, cutoff), drho)
-    cutoff_value = _qfi(_kept(point, rho, cutoff + 10), drho)
+    return _probe(family.point(theta), cutoff)
+
+
+def _probe(point: GaussianModelPoint, cutoff: int) -> FockConvergence:
+    """:func:`qfi_fock_probe` at ``point``."""
+    elements = _tangent_elements(point, cutoff, cutoff + 10)
+    value = _block_qfi(point, elements, cutoff)
+    cutoff_value = _block_qfi(point, elements, cutoff + 10)
     return FockConvergence(value, cutoff_value, abs(cutoff_value - value))
 
 
@@ -583,23 +768,56 @@ def _sld_matrix(coeffs: SLDCoefficients, d: np.ndarray, cutoff: int) -> np.ndarr
     return sum(_kron_modes([t.get(k, eye) for k in range(n)]) for t in terms)
 
 
+def _ket_trace_norm(
+    psi: np.ndarray, u: np.ndarray, raised: np.ndarray, cross: np.ndarray
+) -> float:
+    """``|| u psi^H + psi u^H + raised^T C raised^* ||_1``, of rank
+    ``n + 2`` at most.
+
+    The matrix is ``B K B^H`` on the columns ``B = (psi, u, raised_1..n)``
+    with ``K = [[0, 1], [1, 0]] ⊕ C``; with ``B = Q R`` its nonzero
+    eigenvalues are those of the small ``R K R^H``.  Householder QR keeps
+    each column to its own relative rounding, so a ``u`` at rounding level
+    is read at rounding level.
+    """
+    B = np.column_stack([psi, u, raised.T])
+    R = np.linalg.qr(B, mode="r")
+    K = np.zeros((B.shape[1],) * 2, dtype=complex)
+    K[0, 1] = K[1, 0] = 1.0
+    K[2:, 2:] = cross
+    return float(np.abs(np.linalg.eigvalsh(R @ K @ R.conj().T)).sum())
+
+
 def sld_residual(point: GaussianModelPoint, coeffs: SLDCoefficients, cutoff: int) -> float:
     """Trace-norm defect of the SLD equation for the given coefficients.
 
-    Reads ``rho`` and its exact derivative along the point's own tangent
+    Reads the state and its exact derivative along the point's own tangent
     ``(dd, dgamma)`` from one Bargmann recurrence, and returns
     ``|| drho - (rho L + L rho)/2 ||_1`` on the leading ``cutoff`` levels.
-    ``L`` couples levels at most 2 apart, so ``rho L + L rho`` is formed on
-    ``cutoff + 2`` levels and cropped: every kept element is then exact, and
-    a correct coefficient set leaves rounding only (1e-14 on
+    ``L`` couples levels at most 2 apart, so it is formed on ``cutoff + 2``
+    levels, applied and cropped: every kept element is then exact, and a
+    correct coefficient set leaves rounding only (1e-14 on
     ``phase_squeezed`` r 1 at ``theta = 0.7``, pure and with ``nu = 1.5``,
     at :func:`suggested_cutoff`).  A wrong one leaves an O(1) defect, as
     does a tangent that leaves the state set, where no SLD exists (a pure
     state heated or cooled).  The kept state passes the gates of
     :func:`build_state`.
+
+    On a mixed state the defect is formed densely, ``drho - (rho L + L
+    rho)/2``, and its singular values summed.  On a pure state, with
+    ``u = dpsi - L psi / 2``, it is ``u psi^H + psi u^H`` plus the tangent's
+    bra-ket term of :func:`_ket`, and its trace norm is read from an
+    ``(n + 2)``-square problem (:func:`_ket_trace_norm`), with no dense
+    product and no SVD.
     """
     big = cutoff + 2
-    rho, drho = _elements(point, cutoff, big, tangent=True)
+    if _gate(point, cutoff, big, dense=True):
+        psi, tangent = _ket(point, big, tangent=True)
+        Lpsi = (_sld_matrix(coeffs, point.d, big) @ psi.ravel()).reshape(psi.shape)
+        dpsi, raised, cross = tangent
+        kept = _kept_ket(point, psi, (dpsi - 0.5 * Lpsi, raised, cross), cutoff)
+        return _ket_trace_norm(*kept)
+    rho, drho = _bargmann(point, big, tangent=True)
     _checked(point, rho, cutoff)
     Lhat = _sld_matrix(coeffs, point.d, big)
     resid = _block(drho - 0.5 * (rho @ Lhat + Lhat @ rho), point.n, cutoff)

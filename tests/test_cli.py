@@ -366,15 +366,53 @@ def test_oracle_check_refuses_a_point_without_an_sld(tmp_path, capsys):
 
 
 def test_oracle_check_refuses_a_basis_above_the_size_limit(tmp_path, capsys):
-    # The probe would build 410 levels on two modes, 452 GB per dense matrix.
+    # The point is pure, so the probe reads its ket on 410 levels, 16 MB; the
+    # first dense matrix is sld_residual's L on 402 levels, 418 GB.
     doc = {"family": "two_mode_squeezed_phase", "params": {"r": 0.3}, "theta": 0.4}
     assert cli.main(["oracle-check", write_cfg(tmp_path, doc), "--cutoff", "400"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: a Fock basis of 410 levels on 2 modes needs 452 GB per dense matrix; "
+        "error: a Fock basis of 402 levels on 2 modes needs 418 GB per dense matrix; "
         "the oracle builds at most 64 levels on 2 modes (268 MB)\n"
     )
+
+
+PURE_THREE_MODE = {  # a two-mode squeezed vacuum (e^{2r} = 1.25) on modes 1, 2 and the
+    # vacuum on mode 3, mixed by a 3/5 : 4/5 beam splitter on modes 2, 3 and
+    # displaced; the tangent rotates the phase of every mode
+    "explicit": {
+        "n": 3,
+        "d": [0.1, 0, -0.1, 0.05, 0, 0.1],
+        "Gamma": [
+            [1.025, 0.135, 0.18, 0, 0, 0],
+            [0.135, 1.009, 0.012, 0, 0, 0],
+            [0.18, 0.012, 1.016, 0, 0, 0],
+            [0, 0, 0, 1.025, -0.135, -0.18],
+            [0, 0, 0, -0.135, 1.009, 0.012],
+            [0, 0, 0, -0.18, 0.012, 1.016],
+        ],
+        "dd": [-0.05, 0, -0.1, 0.1, 0, -0.1],
+        "dGamma": [
+            [0, 0, 0, 0, 0.27, 0.36],
+            [0, 0, 0, 0.27, 0, 0],
+            [0, 0, 0, 0.36, 0, 0],
+            [0, 0.27, 0.36, 0, 0, 0],
+            [0.27, 0, 0, 0, 0, 0],
+            [0.36, 0, 0, 0, 0, 0],
+        ],
+    }
+}
+
+
+def test_oracle_check_runs_on_a_pure_three_mode_state(tmp_path, capsys):
+    # The probe reads the ket on 18 levels; a dense state there would take
+    # 544 MB, above the size limit.
+    assert cli.main(["oracle-check", write_cfg(tmp_path, PURE_THREE_MODE), "--cutoff", "8"]) == 0
+    out = capsys.readouterr().out
+    assert get_value(out, "model") == "explicit (n = 3)"
+    assert float(get_value(out, "rel_diff")) < 1e-7
+    assert float(get_value(out, "sld_residual")) < 1e-10
 
 
 def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
@@ -574,3 +612,10 @@ def test_explicit_sweep_factorises_once_per_point(tmp_path, williamson_calls):
     assert cli.main(argv) == 0
     assert len(out.read_text().splitlines()) == 1 + 7
     assert williamson_calls[0] == 1 + 7
+
+
+def test_explicit_oracle_check_factorises_once(tmp_path, capsys, williamson_calls):
+    # The probe reads the config's own point, whose frame the engine formed.
+    assert cli.main(["oracle-check", write_cfg(tmp_path, PURE_EXPLICIT), "--cutoff", "40"]) == 0
+    assert float(get_value(capsys.readouterr().out, "rel_diff")) < 1e-4
+    assert williamson_calls[0] == 1

@@ -759,7 +759,8 @@ def test_size_limit_refuses_before_allocating():
         fock._check_size(top, n)
         with pytest.raises(gq.ConfigError, match=f"at most {top} levels on {n} modes"):
             fock._check_size(top + 1, n)
-    # The probe builds cutoff + 10 levels, so it refuses every three-mode cutoff.
+    # On a mixed state the probe builds a dense matrix on cutoff + 10 levels,
+    # so it refuses every three-mode cutoff.
     with pytest.raises(gq.ConfigError, match="18 levels on 3 modes"):
         gq.qfi_fock_probe(_explicit_family(_three_mode_point(0)), 0.0, 8)
 
@@ -906,14 +907,24 @@ def test_qfi_fock_agrees_with_the_engine_on_two_mode_squeezing(r, theta, cutoff,
     ids=["n1-mixed", "n1-pure", "n2-pure"],
 )
 def test_qfi_fock_reads_the_eigenbasis_of_the_public_state(family, params, theta, cutoff):
+    # A mixed state's QFI is this formula to the bit.  A pure state's is the
+    # same formula on psi psi^H in closed form, read from its ket: equal to
+    # rounding.
     fam = gq.builtin_family(family, params)
+    pure = "nu" not in params
 
     def value(cut):
         eig = np.linalg.eigh(gq.build_state(fam.point(theta), cut).rho)
         return fock._solve_sld_eigenbasis(eig, fock._bargmann(fam.point(theta), cut, True)[1])
 
-    assert gq.qfi_fock(fam, theta, cutoff) == value(cutoff)
-    assert gq.qfi_fock_probe(fam, theta, cutoff).cutoff_value == value(cutoff + 10)
+    for got, want in [
+        (gq.qfi_fock(fam, theta, cutoff), value(cutoff)),
+        (gq.qfi_fock_probe(fam, theta, cutoff).cutoff_value, value(cutoff + 10)),
+    ]:
+        if pure:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        else:
+            assert got == want
 
 
 def test_ladder_tables_are_computed_once_and_read_only():
@@ -1112,3 +1123,238 @@ def test_mode_quadratures_are_formed_once_and_read_only():
     first = gq.identity_checks(pt, 9)
     assert gq.identity_checks(pt, 9) == first
     assert np.array_equal(fock._mode_quadratures(2, 9), fock._mode_quadratures.__wrapped__(2, 9))
+
+
+# ---------------------------------------------------------------------------
+# the ket route of pure states
+# ---------------------------------------------------------------------------
+
+
+def _random_pure_point(n, seed):
+    """Seeded pure point: squeezes up to 0.25, a random mean, and a tangent
+    along a Hamiltonian flow, ``dGamma = K Gamma + Gamma K^T`` with ``K = w H``,
+    which keeps the state pure."""
+    rng = np.random.default_rng(seed)
+    S = gq.random_symplectic(n, seed=rng, squeeze_cap=0.25)
+    H = rng.standard_normal((2 * n, 2 * n))
+    K = gq.symplectic_form(n) @ (H + H.T) / 2
+    gamma = S @ S.T
+    return gq.GaussianModelPoint(
+        0.3 * rng.standard_normal(2 * n), gamma, rng.standard_normal(2 * n),
+        K @ gamma + gamma @ K.T,
+    )
+
+
+def _heated_vacuum(sign):
+    # The vacuum displaced, heated (sign 1) or cooled (sign -1): a pure point
+    # whose tangent leaves the pure states, through the bra-ket term.
+    return gq.GaussianModelPoint(
+        np.array([0.3, 0.1]), np.eye(2), np.array([0.2, 0.0]), sign * np.diag([1.0, 2.0])
+    )
+
+
+# (point, dim, tangent keeps the state pure)
+_PURE_POINTS = [
+    (gq.builtin_family("displacement").point(0.4), 30, True),
+    (gq.builtin_family("squeezing").point(0.3), 30, True),
+    (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 30, True),
+    (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 10, True),
+    (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.5}).point(0.3), 14, True),
+    (_random_pure_point(1, 0), 30, True),
+    (_random_pure_point(1, 1), 30, True),
+    (_random_pure_point(2, 0), 16, True),
+    (_random_pure_point(2, 1), 16, True),
+    (_heated_vacuum(1.0), 20, False),
+    (_heated_vacuum(-1.0), 20, False),
+]
+_PURE_IDS = ["displacement", "squeezing", "phase-squeezed", "two-mode-r0.3", "two-mode-r0.5",
+             "n1-random-0", "n1-random-1", "n2-random-0", "n2-random-1", "heated", "cooled"]
+
+
+def _ket_operators(point, dim):
+    """``rho = psi psi^H`` and ``drho`` of the ket route on ``dim`` levels,
+    dense, with its bra-ket term apart."""
+    psi, (dpsi, raised, cross) = fock._ket(point, dim, tangent=True)
+    psi, dpsi, raised = psi.ravel(), dpsi.ravel(), raised.reshape(point.n, -1)
+    pure_part = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
+    return np.outer(psi, psi.conj()), pure_part, raised.T @ cross @ raised.conj()
+
+
+@pytest.mark.parametrize("point, dim, keeps_pure", _PURE_POINTS, ids=_PURE_IDS)
+def test_ket_is_the_two_index_recurrence_on_pure_points(point, dim, keeps_pure):
+    rho, pure_part, bra_ket = _ket_operators(point, dim)
+    refs = (fock._bargmann(point, dim, True), _stepwise_bargmann(point, dim, True))
+    for ref_rho, ref_drho in refs:
+        assert np.abs(rho - ref_rho).max() <= 1e-14
+        assert np.abs(pure_part + bra_ket - ref_drho).max() <= 1e-14
+        if keeps_pure:
+            assert np.abs(pure_part - ref_drho).max() <= 1e-14
+    # build_state takes psi psi^H, flushed as rho is.
+    assert np.abs(gq.build_state(point, dim, tail_bound=np.inf).rho - rho).max() <= 1e-14
+
+
+@pytest.mark.parametrize("point, dim, keeps_pure", _PURE_POINTS, ids=_PURE_IDS)
+def test_ket_qfi_is_the_eigenbasis_formula_of_the_same_block(point, dim, keeps_pure):
+    cutoff = dim - 2
+    pure, psi, tangent = fock._tangent_elements(point, cutoff, dim)
+    assert pure
+    value = fock._block_qfi(point, (pure, psi, tangent), cutoff)
+    rho, pure_part, bra_ket = _ket_operators(point, dim)
+    kept = [fock._block(M, point.n, cutoff) for M in (rho, pure_part + bra_ket)]
+    assert value == pytest.approx(
+        fock._solve_sld_eigenbasis(np.linalg.eigh(kept[0]), kept[1]), rel=1e-12, abs=0
+    )
+    # and the rho route's own eigenbasis value on that block
+    ref_rho, ref_drho = fock._bargmann(point, dim, True)
+    eig = np.linalg.eigh(fock._block(ref_rho, point.n, cutoff))
+    ref = fock._solve_sld_eigenbasis(eig, fock._block(ref_drho, point.n, cutoff))
+    assert value == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n, cutoff, tol", [(3, 18, 1e-9), (4, 18, 1e-9), (5, 12, 1e-6)], ids=["n3", "n4", "n5"]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ket_qfi_agrees_with_the_engine_up_to_five_modes(n, cutoff, tol, seed):
+    # The truncation leaves 1e-10 at n = 4 and 6e-8 at n = 5 (seed 0).
+    point = _random_pure_point(n, seed)
+    value = gq.qfi_fock(_explicit_family(point), 0.0, cutoff)
+    assert value == pytest.approx(gq.qfi_general(point).qfi, rel=tol, abs=0)
+
+
+def _dense_sld_residual(point, coeffs, cutoff):
+    """sld_residual's rho route: the dense defect on cutoff + 2 levels,
+    cropped, and its singular values summed."""
+    big = cutoff + 2
+    rho, drho = fock._bargmann(point, big, tangent=True)
+    Lhat = _sld_matrix(coeffs, point.d, big)
+    resid = fock._block(drho - 0.5 * (rho @ Lhat + Lhat @ rho), point.n, cutoff)
+    return float(np.linalg.svd(resid, compute_uv=False).sum())
+
+
+def _dense_ket_residual(point, coeffs, cutoff):
+    """The ket route's defect ``u psi^H + psi u^H`` plus its bra-ket term,
+    ``u = dpsi - L psi / 2``, formed densely and its singular values summed."""
+    big = cutoff + 2
+    psi, (dpsi, raised, cross) = fock._ket(point, big, tangent=True)
+    u = dpsi - 0.5 * (_sld_matrix(coeffs, point.d, big) @ psi.ravel()).reshape(psi.shape)
+    block = (slice(cutoff),) * point.n
+    psi, u = psi[block].ravel(), u[block].ravel()
+    raised = raised[(slice(None),) + block].reshape(point.n, -1)
+    M = np.outer(u, psi.conj()) + np.outer(psi, u.conj()) + raised.T @ cross @ raised.conj()
+    return float(np.linalg.svd(M, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("point, dim, keeps_pure", _PURE_POINTS, ids=_PURE_IDS)
+def test_pure_sld_residual_matches_the_dense_residual(point, dim, keeps_pure):
+    cutoff = dim - 2
+    co = gq.sld_coefficients(point)
+    wrong = gq.SLDCoefficients(L=co.L, b=co.b + 0.5, c=co.c, range_residual=0.0)
+    for coeffs in (co, wrong):
+        value = gq.sld_residual(point, coeffs, cutoff)
+        assert abs(value - _dense_ket_residual(point, coeffs, cutoff)) <= 1e-15 + 1e-13 * value
+        # The rho route: at rounding level both (1.5e-15 apart at most here),
+        # else equal to rounding.
+        dense = _dense_sld_residual(point, coeffs, cutoff)
+        if keeps_pure and coeffs is co:
+            assert max(value, dense) <= 1e-14
+        else:
+            assert value == pytest.approx(dense, rel=1e-13)
+            assert value > 0.05
+
+
+def test_ket_trace_norm_is_that_of_the_dense_matrix():
+    rng = np.random.default_rng(4)
+    psi, u, raised = (rng.standard_normal((k, 50)) + 1j * rng.standard_normal((k, 50))
+                      for k in (1, 1, 2))
+    cross = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    cross += cross.conj().T
+    for scale in (1.0, 1e-15):
+        v = scale * u[0]
+        dense = np.outer(v, psi[0].conj()) + np.outer(psi[0], v.conj())
+        for C in (np.zeros((2, 2)), scale * cross):
+            M = dense + raised.T @ C @ raised.conj()
+            want = np.linalg.svd(M, compute_uv=False).sum()
+            assert fock._ket_trace_norm(psi[0], v, raised, C) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (gq.builtin_family("thermal").point(2.0), 30),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7), 30),
+        (_two_mode_point(), 8),
+    ],
+    ids=["thermal", "phase-squeezed-mixed", "n2-random"],
+)
+def test_mixed_points_keep_the_rho_route(point, cutoff):
+    # Every oracle function on a mixed point is the rho route, to the bit.
+    point = _with_tangent(point, np.full(2 * point.n, 0.3), np.eye(2 * point.n))
+    fam = _explicit_family(point)
+    rho, drho = fock._bargmann(point, cutoff + 10, tangent=True)
+
+    def eigenbasis_qfi(cut):
+        block = fock._block(rho, point.n, cut)
+        return fock._solve_sld_eigenbasis(np.linalg.eigh(block), fock._block(drho, point.n, cut))
+
+    assert np.array_equal(gq.build_state(point, cutoff).rho, fock._bargmann(point, cutoff)[0])
+    assert gq.qfi_fock(fam, 0.0, cutoff + 10) == eigenbasis_qfi(cutoff + 10)
+    probe = gq.qfi_fock_probe(fam, 0.0, cutoff)
+    want = (eigenbasis_qfi(cutoff), eigenbasis_qfi(cutoff + 10))
+    assert (probe.value, probe.cutoff_value) == want
+    co = gq.sld_coefficients(point)
+    assert gq.sld_residual(point, co, cutoff) == _dense_sld_residual(point, co, cutoff)
+
+
+def test_pure_qfi_reads_the_ket_with_no_eigendecomposition(monkeypatch):
+    calls, indices = [], []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    recurrence = fock._recurrence
+
+    def spy(A, gam, G0, dim):
+        indices.append(len(gam))
+        return recurrence(A, gam, G0, dim)
+
+    monkeypatch.setattr(fock, "_recurrence", spy)
+    for family, params, theta, cutoff in [
+        ("phase_squeezed", {"r": 0.5}, 0.7, 30),
+        ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8),
+    ]:
+        fam = gq.builtin_family(family, params)
+        gq.qfi_fock(fam, theta, cutoff)
+        gq.qfi_fock_probe(fam, theta, cutoff)
+        n = fam.point(theta).n
+        assert (calls, indices) == ([], [n, n])
+        indices.clear()
+    # A mixed point reads rho, over 2n indices, and eigh's each block.
+    fam = gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5})
+    gq.qfi_fock_probe(fam, 0.7, 30)
+    assert (calls, indices) == (["eigh", "eigh"], [2])
+
+
+def test_ket_route_has_its_own_size_rule():
+    # 2n + 2 arrays of dim**n complex entries within the same 2**28 bytes.
+    for n, top in [(1, 4194304), (2, 1672), (3, 128), (4, 35), (5, 16)]:
+        fock._check_size(top, n, ket=True)
+        with pytest.raises(gq.ConfigError, match=(
+            rf"^a Fock ket of {top + 1} levels on {n} modes needs \d+ MB with its tangent; "
+            rf"the oracle builds at most {top} levels on {n} modes \(\d+ MB\)$"
+        )):
+            fock._check_size(top + 1, n, ket=True)
+    fam = gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3})
+    start = time.perf_counter()
+    with pytest.raises(gq.ConfigError, match="a Fock ket of 2000 levels on 2 modes needs 384 MB"):
+        gq.qfi_fock(fam, 0.4, 2000)
+    assert time.perf_counter() - start < 0.5
+    # The ket route on 410 levels takes 16 MB: the probe reads it, where a
+    # dense state would take 452 GB.  build_state stays dense.
+    assert gq.qfi_fock_probe(fam, 0.4, 400).cutoff_shift < 1e-12
+    with pytest.raises(gq.ConfigError, match="400 levels on 2 modes needs 410 GB per dense"):
+        gq.build_state(fam.point(0.4), 400)
