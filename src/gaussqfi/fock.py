@@ -36,17 +36,17 @@ arithmetic.
 
 Every oracle call and layer builder checks its size before it allocates,
 by the representation it builds.  A dense ``dim**n`` square complex matrix
-may take at most ``_MAX_DENSE_BYTES`` (2**28 bytes, so at most 4096 levels
+may take at most ``_MAX_BYTES`` (2**28 bytes, so at most 4096 levels
 on one mode, 64 on two or 16 on three); :func:`build_state`,
 :func:`identity_checks` and the single layers build one on every state,
 :func:`sld_residual` its ``L`` on ``cutoff + 2`` levels, and
 :func:`qfi_fock` and :func:`qfi_fock_probe` one on a mixed state, on the
 cutoff and ``cutoff + 10`` levels.  The ket route of :func:`qfi_fock` and
-:func:`qfi_fock_probe` holds ``2n + 2`` complex arrays of ``dim**n``
-entries (the ket, its tangent and two stacks of ``n`` raised kets), and may
-take the same 2**28 bytes in all (at most 1672 levels on two modes, 128 on
-three, 35 on four or 16 on five).  A basis above its rule raises
-``ConfigError`` naming its memory.
+:func:`qfi_fock_probe` holds at most ``2n + 5`` complex arrays of
+``dim**n`` entries at once, and 128 bytes a level for the recurrence's
+Python scalars (:func:`_ket_bytes`), and may take the same 2**28 bytes in
+all (at most 1364 levels on two modes, 115 on three, 33 on four or 16 on
+five).  A basis above its rule raises ``ConfigError`` naming its memory.
 
 :func:`passive_unitary` and :func:`squeeze_unitary` form single Gaussian
 layers, for inspection, as truncated exponentials with one ``eigh`` per
@@ -90,7 +90,7 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 _PASSIVE_TOL = 1e-10  # passive_unitary's max-abs gate
 _TAIL_BOUND = 1e-3  # build_state's default bound on tail_mass, and every oracle call's
-_MAX_DENSE_BYTES = 2**28  # the largest dense dim**n square complex matrix a call may build
+_MAX_BYTES = 2**28  # the most a dense dim**n square complex matrix, or the ket route, may take
 _EPS = np.finfo(float).eps
 # Markov's inequality is tried at x = (1 + s)/(1 - s), s = u / lambda_max: u
 # runs from 0.034 to 1 - 2^-40, evenly in log(1 - u).
@@ -307,18 +307,39 @@ def _dense_size(cutoff: int, n: int) -> str:
     return _format_bytes(float(cutoff) ** (2 * n) * 16)
 
 
+def _ket_bytes(dim: int, n: int) -> float:
+    """Most memory the ket route holds at once on ``dim`` levels per mode.
+
+    That is ``2n + 5`` complex arrays of ``dim**n`` entries and 128 bytes a
+    level.  The ket, its tangent and its ``n`` raised kets (``n + 2``) are
+    kept; beside them the tangent's ``dA`` product (``n``) and two
+    temporaries are alive while it is formed, and a copy of the kept block
+    of all ``n + 2`` and one temporary while the QFI reads it.  The bytes a
+    level hold the three lists of Python complex numbers that run the
+    recurrence's last index (three times 40 bytes), the largest term on one
+    mode.  Measured peaks (``tracemalloc``) stay within it on one to four
+    modes."""
+    return 16.0 * (2 * n + 5) * float(dim) ** n + 128.0 * dim
+
+
 def _ket_size(dim: int, n: int) -> str:
-    """Memory of the ket route's ``2n + 2`` complex arrays of ``dim**n``
-    entries: the ket, its tangent and two stacks of ``n`` raised kets."""
-    return _format_bytes(float(dim) ** n * 16 * (2 * n + 2))
+    """:func:`_ket_bytes` as text, e.g. ``31 MB``."""
+    return _format_bytes(_ket_bytes(dim, n))
 
 
 def _max_dim(n: int, ket: bool = False) -> int:
     """Most levels per mode whose dense ``dim**n`` square complex matrix
-    (or, with ``ket``, whose ket route) takes at most ``_MAX_DENSE_BYTES``."""
-    if ket:
-        return int((_MAX_DENSE_BYTES / (16.0 * (2 * n + 2))) ** (1.0 / n) * (1.0 + 1e-12))
-    return int((_MAX_DENSE_BYTES / 16.0) ** (1.0 / (2 * n)) * (1.0 + 1e-12))
+    (or, with ``ket``, whose ket route) takes at most ``_MAX_BYTES``."""
+    if not ket:
+        return int((_MAX_BYTES / 16.0) ** (1.0 / (2 * n)) * (1.0 + 1e-12))
+    # Bisect between the level counts that fit with 128 bytes a level
+    # counted per entry (lo) and that fail on the arrays alone (hi).
+    lo = int((_MAX_BYTES / (16.0 * (2 * n + 5) + 128.0)) ** (1.0 / n))
+    hi = int((_MAX_BYTES / (16.0 * (2 * n + 5))) ** (1.0 / n)) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _ket_bytes(mid, n) <= _MAX_BYTES else (lo, mid)
+    return lo
 
 
 def _check_size(dim: int, n: int, ket: bool = False) -> None:
@@ -440,10 +461,16 @@ def _raise_tangent(
     raised = np.zeros((m,) + G.shape, dtype=complex)
     for j in range(m):
         raised[j][up[j]] = weight[j] * G[down[j]]
-    half = 0.5 * (dA @ raised.reshape(m, -1)).reshape(raised.shape)
+    # Scaled and summed in place, so at most one term is held beside the stacks.
+    half = (dA @ raised.reshape(m, -1)).reshape(raised.shape)
+    half *= 0.5
     dG = dlog * G
     for i in range(m):
-        dG[up[i]] += weight[i] * (dgam[i] * G[down[i]] + half[i][down[i]])
+        term = dgam[i] * G[down[i]]
+        term += half[i][down[i]]
+        term *= weight[i]
+        target = dG[up[i]]
+        target += term
     return dG, raised
 
 
@@ -524,15 +551,25 @@ def _block(M: np.ndarray, n: int, cutoff: int) -> np.ndarray:
 
 
 def _require_tail(
-    point: GaussianModelPoint, tail: float, cutoff: int, tail_bound: float = _TAIL_BOUND
+    point: GaussianModelPoint,
+    tail: float,
+    cutoff: int,
+    tail_bound: float = _TAIL_BOUND,
+    ket: bool = False,
 ) -> None:
     """The tail rule: refuse a truncation at ``cutoff`` that loses ``tail``
-    above ``tail_bound``, with the cutoff that would meet it."""
+    above ``tail_bound``, with the cutoff that would meet it, its memory as
+    a dense state and, on the ket route (``ket``), as a ket."""
     if tail > tail_bound:
-        suggested, top = _cutoff_for(point, tail_bound), _max_dim(point.n)
-        advice = f"suggested cutoff is {suggested} ({_dense_size(suggested, point.n)} dense state)"
-        if suggested > top:
-            advice += f", above the oracle's size limit of {top} levels"
+        n, suggested = point.n, _cutoff_for(point, tail_bound)
+        advice = f"suggested cutoff is {suggested} ({_dense_size(suggested, n)} dense state)"
+        if suggested > _max_dim(n):
+            limit = "dense" if ket else "oracle's"
+            advice += f", above the {limit} size limit of {_max_dim(n)} levels"
+        if ket:
+            advice += f"; a ket with its tangent takes {_ket_size(suggested, n)}"
+            if suggested > _max_dim(n, ket=True):
+                advice += f", above the ket size limit of {_max_dim(n, ket=True)} levels"
         raise PreconditionError(
             "tail_mass",
             f"truncation at cutoff {cutoff} loses {tail:.3e} > {tail_bound:.3e}; {advice}",
@@ -549,15 +586,18 @@ def _kept(
     return TruncatedState(n=point.n, cutoff=cutoff, rho=rho, tail_mass=tail)
 
 
-def _kept_ket(point: GaussianModelPoint, psi: np.ndarray, tangent: tuple, cutoff: int) -> tuple:
+def _kept_ket(
+    point: GaussianModelPoint, psi: np.ndarray, tangent: tuple, cutoff: int, ket: bool = True
+) -> tuple:
     """The leading ``cutoff`` levels of ``psi``, ``dpsi`` and ``raised`` of
     :func:`_ket`, flattened, and ``cross``; ``psi psi^H`` held to the tail
-    rule."""
+    rule, whose advice quotes the ket route's memory unless the caller is
+    sized as dense (``ket`` false)."""
     dpsi, raised, cross = tangent
     block = (slice(cutoff),) * point.n
     psi, dpsi = psi[block].ravel(), dpsi[block].ravel()
     raised = raised[(slice(None),) + block].reshape(point.n, -1)
-    _require_tail(point, float(1.0 - np.vdot(psi, psi).real), cutoff)
+    _require_tail(point, float(1.0 - np.vdot(psi, psi).real), cutoff, ket=ket)
     return psi, dpsi, raised, cross
 
 
@@ -586,10 +626,8 @@ def build_state(
     """Construct the density matrix of a Gaussian state.
 
     Reads the elements ``<m|rho|k>``, every ``m_j, k_j < cutoff``, from the
-    Bargmann recurrence of the module docstring: on a mixed state over the
-    ``2n`` indices of ``rho``, on a pure one over the ``n`` of its ket
-    ``psi``, with ``rho = psi psi^H`` and its elements below ``eps^2`` of
-    the largest set to 0, as on a mixed state.  Each is exact, so no
+    Bargmann recurrence of the module docstring over the ``2n`` indices of
+    ``rho``, on a pure state as on a mixed one.  Each is exact, so no
     Euler layer or padded basis is formed.
 
     Args:
@@ -614,12 +652,8 @@ def build_state(
         ConvergenceError: if (after the tail) the constructed matrix has an
             eigenvalue below ``-1e-10``.
     """
-    if _gate(point, cutoff, cutoff, dense=True):
-        psi = _ket(point, cutoff)[0].ravel()
-        rho = _flushed(np.outer(psi, psi.conj()))
-    else:
-        rho = _bargmann(point, cutoff)[0]
-    return _checked(point, rho, cutoff, tail_bound)
+    _gate(point, cutoff, cutoff, dense=True)
+    return _checked(point, _bargmann(point, cutoff)[0], cutoff, tail_bound)
 
 
 def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
@@ -666,9 +700,11 @@ def _ket_qfi(psi: np.ndarray, dpsi: np.ndarray, raised: np.ndarray, cross: np.nd
     ``4 (|dpsi|^2 - (Im <psi|dpsi>)^2 / p)``.
     """
     p = np.vdot(psi, psi).real
-    w = raised.T @ (cross @ (raised.conj() @ psi))
+    w = raised.T @ (cross @ np.array([np.vdot(row, psi) for row in raised]))
     r = np.vdot(psi, w).real / p
-    e = dpsi + w / p
+    e = w  # dpsi + w / p, formed in place
+    e /= p
+    e += dpsi
     t = np.vdot(psi, e)
     return float(4.0 * (np.vdot(e, e).real - t.imag**2 / p) + r * (r - 4.0 * t.real) / p)
 
@@ -815,7 +851,7 @@ def sld_residual(point: GaussianModelPoint, coeffs: SLDCoefficients, cutoff: int
         psi, tangent = _ket(point, big, tangent=True)
         Lpsi = (_sld_matrix(coeffs, point.d, big) @ psi.ravel()).reshape(psi.shape)
         dpsi, raised, cross = tangent
-        kept = _kept_ket(point, psi, (dpsi - 0.5 * Lpsi, raised, cross), cutoff)
+        kept = _kept_ket(point, psi, (dpsi - 0.5 * Lpsi, raised, cross), cutoff, ket=False)
         return _ket_trace_norm(*kept)
     rho, drho = _bargmann(point, big, tangent=True)
     _checked(point, rho, cutoff)

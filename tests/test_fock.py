@@ -6,6 +6,7 @@ meaningful.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1189,8 +1190,6 @@ def test_ket_is_the_two_index_recurrence_on_pure_points(point, dim, keeps_pure):
         assert np.abs(pure_part + bra_ket - ref_drho).max() <= 1e-14
         if keeps_pure:
             assert np.abs(pure_part - ref_drho).max() <= 1e-14
-    # build_state takes psi psi^H, flushed as rho is.
-    assert np.abs(gq.build_state(point, dim, tail_bound=np.inf).rho - rho).max() <= 1e-14
 
 
 @pytest.mark.parametrize("point, dim, keeps_pure", _PURE_POINTS, ids=_PURE_IDS)
@@ -1340,8 +1339,9 @@ def test_pure_qfi_reads_the_ket_with_no_eigendecomposition(monkeypatch):
 
 
 def test_ket_route_has_its_own_size_rule():
-    # 2n + 2 arrays of dim**n complex entries within the same 2**28 bytes.
-    for n, top in [(1, 4194304), (2, 1672), (3, 128), (4, 35), (5, 16)]:
+    # 2n + 5 arrays of dim**n complex entries, and 128 bytes a level, within
+    # the same 2**28 bytes.
+    for n, top in [(1, 1118481), (2, 1364), (3, 115), (4, 33), (5, 16)]:
         fock._check_size(top, n, ket=True)
         with pytest.raises(gq.ConfigError, match=(
             rf"^a Fock ket of {top + 1} levels on {n} modes needs \d+ MB with its tangent; "
@@ -1350,11 +1350,58 @@ def test_ket_route_has_its_own_size_rule():
             fock._check_size(top + 1, n, ket=True)
     fam = gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3})
     start = time.perf_counter()
-    with pytest.raises(gq.ConfigError, match="a Fock ket of 2000 levels on 2 modes needs 384 MB"):
+    with pytest.raises(gq.ConfigError, match="a Fock ket of 2000 levels on 2 modes needs 576 MB"):
         gq.qfi_fock(fam, 0.4, 2000)
     assert time.perf_counter() - start < 0.5
-    # The ket route on 410 levels takes 16 MB: the probe reads it, where a
+    # The ket route on 410 levels takes 24 MB: the probe reads it, where a
     # dense state would take 452 GB.  build_state stays dense.
     assert gq.qfi_fock_probe(fam, 0.4, 400).cutoff_shift < 1e-12
     with pytest.raises(gq.ConfigError, match="400 levels on 2 modes needs 410 GB per dense"):
         gq.build_state(fam.point(0.4), 400)
+
+
+@pytest.mark.parametrize(
+    "family, params, n",
+    [("phase_squeezed", {"r": 0.5}, 1), ("two_mode_squeezed_phase", {"r": 0.3}, 2), (None, None, 3)],
+    ids=["n1", "n2", "n3"],
+)
+def test_ket_route_stays_within_its_size_rule_at_the_top_cutoff(monkeypatch, family, params, n):
+    # The rule scales with the budget, so a 4 MB budget stands for 2**28
+    # bytes: at its top cutoff every allocation the ket route makes, numpy's
+    # temporaries and the recurrence's Python scalars included, stays inside.
+    monkeypatch.setattr(fock, "_MAX_BYTES", 2**22)
+    top = fock._max_dim(n, ket=True)
+    fam = gq.builtin_family(family, params) if family else _explicit_family(_random_pure_point(3, 0))
+    theta = 0.4 if family else 0.0
+    for call in (lambda: gq.qfi_fock(fam, theta, top), lambda: gq.qfi_fock_probe(fam, theta, top - 10)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**22
+    with pytest.raises(gq.ConfigError, match="with its tangent"):
+        gq.qfi_fock(fam, theta, top + 1)
+
+
+def test_ket_route_tail_advice_quotes_the_ket():
+    # The point of test_tail_refusal_names_the_memory_of_its_advice: 150
+    # levels are above the dense limit but a ket of 3.3 MB, and the ket
+    # route's advice says so.
+    fam = gq.builtin_family("two_mode_squeezed_phase", {"r": 2.0})
+    for call in (gq.qfi_fock, gq.qfi_fock_probe):
+        with pytest.raises(gq.PreconditionError, match="suggested cutoff") as exc:
+            call(fam, 0.3, 10)
+        assert exc.value.flag == "tail_mass"
+        assert str(exc.value).endswith(
+            "suggested cutoff is 150 (8.1 GB dense state), above the dense size limit of "
+            "64 levels; a ket with its tangent takes 3.3 MB"
+        )
+    # 3015 levels on two modes are past the ket limit as well.
+    fam = gq.builtin_family("two_mode_squeezed_phase", {"r": 3.5})
+    with pytest.raises(gq.PreconditionError, match="suggested cutoff") as exc:
+        gq.qfi_fock(fam, 0.3, 10)
+    assert str(exc.value).endswith(
+        "a ket with its tangent takes 1.3 GB, above the ket size limit of 1364 levels"
+    )
