@@ -37,11 +37,12 @@ arithmetic.
 Every oracle call and layer builder checks its size before it allocates,
 by the representation it builds.  A dense ``dim**n`` square complex matrix
 may take at most ``_MAX_BYTES`` (2**28 bytes, so at most 4096 levels
-on one mode, 64 on two or 16 on three); :func:`build_state`,
-:func:`identity_checks` and the single layers build one on every state,
-:func:`sld_residual` its ``L`` on ``cutoff + 2`` levels, and
-:func:`qfi_fock` and :func:`qfi_fock_probe` one on a mixed state, on the
-cutoff and ``cutoff + 10`` levels.  The ket route of :func:`qfi_fock` and
+on one mode, 64 on two or 16 on three); :func:`build_state` and the
+single layers build one on every state, :func:`sld_residual` its ``L`` on
+``cutoff + 2`` levels, and :func:`identity_checks`, :func:`qfi_fock` and
+:func:`qfi_fock_probe` one on a mixed state, on the cutoff and
+``cutoff + 10`` levels.  :func:`identity_checks` reads a pure state's ket
+but keeps the dense rule.  The ket route of :func:`qfi_fock` and
 :func:`qfi_fock_probe` holds at most ``2n + 5`` complex arrays of
 ``dim**n`` entries at once, and 128 bytes a level for the recurrence's
 Python scalars (:func:`_ket_bytes`), and may take the same 2**28 bytes in
@@ -54,7 +55,8 @@ block of a label their generator conserves (total photon number, level
 parity); :func:`displacement_unitary` is the Kronecker product of the
 one-mode Weyl factors.  Every operator the oracle reads is built from
 one-mode ``dim x dim`` factors: expectations contract them against
-``rho``'s index tensor, and the SLD observable sums their Kronecker products.
+``rho``'s or, on a pure state, ``psi``'s index tensor, and the SLD
+observable sums their Kronecker products.
 """
 
 from __future__ import annotations
@@ -663,7 +665,8 @@ def state_moments(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     support, so deviations from the exact values measure truncation error
     only.  Both come from one-mode factors (:func:`_moments`).
     """
-    return _moments(state)[:2]
+    expect = functools.partial(_mode_traces, state.rho)
+    return _moments(expect, np.trace(state.rho).real, state.n, state.cutoff)[:2]
 
 
 def _solve_sld_eigenbasis(eig: tuple[np.ndarray, np.ndarray], drho: np.ndarray) -> float:
@@ -898,11 +901,29 @@ def _mode_traces(rho: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _moments(state: TruncatedState, centre: np.ndarray | None = None):
+def _ket_traces(psi: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``<psi|F_1 ⊗ ... ⊗ F_n|psi>`` for every row ``(F_1, ..., F_n)`` of
+    the ``(P, n, dim, dim)`` stack ``factors``, ``psi`` an ``n``-index array:
+    :func:`_mode_traces` on ``rho = psi psi^H``.
+
+    The factors act on ``psi``'s index tensor one mode at a time, so no
+    ``dim**n`` square operator or matrix is formed.
+    """
+    P, n, dim = factors.shape[0], factors.shape[1], factors.shape[-1]
+    out = factors[:, 0] @ psi.reshape(dim, -1)
+    for k in range(1, n):
+        out = factors[:, k, None] @ out.reshape(P, dim**k, dim, -1)
+    return out.reshape(P, -1) @ psi.conj().ravel()
+
+
+def _moments(expect, norm: float, n: int, dim: int, centre: np.ndarray | None = None):
     """Mean ``d``, covariance, and the one-mode factors of the symmetrised
     pairs ``(dR_i dR_j + dR_j dR_i)/2``, ``i <= j`` in ``np.triu_indices``
-    order, of the quadratures of :func:`_mode_quadratures` centred at
-    ``centre`` (default: the mean), each expectation by :func:`_mode_traces`.
+    order, of the quadratures of :func:`_mode_quadratures` on ``n`` modes of
+    ``dim`` levels centred at ``centre`` (default: the mean).  Each
+    expectation is ``expect(factors) / norm``: ``tr[rho F]`` by
+    :func:`_mode_traces` or ``<psi|F|psi>`` by :func:`_ket_traces`, with
+    ``norm`` the trace of ``rho`` or ``|psi|^2``.
 
     On each mode the one-mode factors of ``dR_i`` and ``dR_j`` commute
     unless both act there (one is the identity), so the pair is the
@@ -910,18 +931,17 @@ def _moments(state: TruncatedState, centre: np.ndarray | None = None):
     is ``2 (<pairs> - shift shift^T)``, ``shift = d - centre``: moved to the
     mean, at rounding level for a centre near it.
     """
-    n, m, rho = state.n, 2 * state.n, state.rho
-    norm = np.trace(rho).real
-    R = _mode_quadratures(n, state.cutoff)
-    d = _mode_traces(rho, R).real / norm
+    m = 2 * n
+    R = _mode_quadratures(n, dim)
+    d = expect(R).real / norm
     centre = d if centre is None else centre
     R = R.copy()
-    R[np.arange(m), np.arange(m) % n] -= centre[:, None, None] * np.eye(state.cutoff)
+    R[np.arange(m), np.arange(m) % n] -= centre[:, None, None] * np.eye(dim)
     i, j = np.triu_indices(m)
     prod = R[i] @ R[j]
     pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
     second = np.empty((m, m))
-    second[i, j] = second[j, i] = _mode_traces(rho, pair).real / norm
+    second[i, j] = second[j, i] = expect(pair).real / norm
     shift = d - centre
     return d, 2.0 * (second - np.outer(shift, shift)), pair
 
@@ -946,21 +966,59 @@ def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
     return phase[..., :, None] * core * phase.conj()[..., None, :]
 
 
+@functools.lru_cache(maxsize=2)
+def _identity_table(n: int, cutoff: int):
+    """The fixed sample of :func:`identity_checks` on ``n`` modes and
+    ``cutoff`` levels: ``(etas, weyl, (i, j), (p, q), w)``.
+
+    ``etas = xi w^T`` for the 12 points ``xi`` drawn uniformly from the
+    ball ``|xi| <= 2`` (seed 7), ``weyl`` the one-mode factors of their
+    Weyl operators ``exp(i eta.R)`` (``12 n cutoff²`` complex entries),
+    ``(i, j)`` the ``np.triu_indices`` of the ``2n`` quadratures and
+    ``(p, q)`` those of their pairs, and ``w`` the symplectic form.  It
+    depends on ``(n, cutoff)`` only, so it is formed once and kept,
+    read-only, for the next call (the 2 latest are kept).
+    """
+    m = 2 * n
+    rng = np.random.default_rng(7)
+    xis = rng.standard_normal((12, m))
+    xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
+    w = symplectic_form(n)
+    etas = xis @ w.T
+    # exp(i eta.R) = exp(-i H) with H = -eta.R = sum_k beta_k a_k† + h.c., a
+    # sum of one-mode terms, so it is a Kronecker product over the modes.
+    weyl = _weyl_factors(-(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2, cutoff)
+    i, j = np.triu_indices(m)
+    p, q = np.triu_indices(i.size)
+    for table in (etas, weyl, i, j, p, q, w):
+        table.setflags(write=False)
+    return etas, weyl, (i, j), (p, q), w
+
+
 def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
-    """Check the standard Gaussian-state identities on the Fock matrix.
+    """Check the standard Gaussian-state identities on the Fock state.
 
     Verifies moment recovery, the Gaussian characteristic function at 12
     phase-space points drawn uniformly from the ball ``|xi| <= 2`` (seed 7),
     and the factorization of symmetrized fourth moments
     ``<(dR_i o dR_j) o (dR_k o dR_l)>`` into covariance/symplectic-form
-    pairs.  The state is built with no tail bound; truncation quality is
+    pairs.  The state is read with no tail bound; truncation quality is
     part of the report.
+
+    A mixed point reads the dense ``rho`` of :func:`build_state`, and each
+    expectation is ``tr[rho F]``.  A pure point is read from its ket, the
+    recurrence on its ``n`` ket indices (:func:`_ket`), and each expectation
+    is ``<psi|F|psi>``, with ``tr rho = |psi|^2``: no ``cutoff**(2n)``
+    entries are formed and nothing is diagonalised, as ``psi psi^H`` is
+    positive semidefinite.  Both routes are sized as dense (the size rule of
+    the module docstring).
 
     Every operator read is a Kronecker product of one-mode
     ``cutoff x cutoff`` factors: the quadratures, their symmetrised pairs
     and the products of those, and the Weyl operators, whose factors come
-    from the cached real eigenbasis of the ladder chain ``a + a†``.  Each
-    expectation contracts ``rho``'s index tensor with the factors one mode
+    from the cached real eigenbasis of the ladder chain ``a + a†`` and are
+    kept per ``(n, cutoff)`` (:func:`_identity_table`).  Each expectation
+    contracts ``rho``'s or ``psi``'s index tensor with the factors one mode
     at a time, so no ``cutoff**n`` square operator is formed.  The moments
     come from the reader of :func:`state_moments`, its pairs centred at
     ``d`` and kept for the fourth moments.
@@ -970,25 +1028,22 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
             :func:`build_state`).
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see :func:`build_state`).
-        ConvergenceError: if the constructed matrix has an eigenvalue below
-            ``-1e-10``.
+        ConvergenceError: on a mixed point, if the constructed matrix has
+            an eigenvalue below ``-1e-10``.
     """
-    state = build_state(point, cutoff, tail_bound=np.inf)
-    n, m, rho = state.n, 2 * point.n, state.rho
-    norm = np.trace(rho).real
-    d_fock, gamma_fock, pair = _moments(state, point.d)
-    i, j = np.triu_indices(m)
+    n = point.n
+    if _gate(point, cutoff, cutoff, dense=True):
+        psi = _ket(point, cutoff)[0]
+        expect, norm = functools.partial(_ket_traces, psi), np.vdot(psi, psi).real
+    else:
+        rho = build_state(point, cutoff, tail_bound=np.inf).rho
+        expect, norm = functools.partial(_mode_traces, rho), np.trace(rho).real
+    etas, weyl, (i, j), (p, q), w = _identity_table(n, cutoff)
+    d_fock, gamma_fock, pair = _moments(expect, norm, n, cutoff, point.d)
     displacement_dev = float(np.abs(d_fock - point.d).max())
     covariance_dev = float(np.abs(gamma_fock - point.gamma).max())
 
-    # exp(i eta.R) = exp(-i H) with H = -eta.R = sum_k beta_k a_k† + h.c., a
-    # sum of one-mode terms, so it is a Kronecker product over the modes.
-    rng = np.random.default_rng(7)
-    xis = rng.standard_normal((12, m))
-    xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
-    etas = xis @ symplectic_form(n).T
-    beta = -(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2
-    char = _mode_traces(rho, _weyl_factors(beta, cutoff)) / norm
+    char = expect(weyl) / norm
     char_gauss = np.exp(
         1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
     )
@@ -996,11 +1051,10 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
 
     # Re tr[rho A_ij A_kl] is symmetric under (ij) <-> (kl), so only one half
     # of the products is formed.
-    p, q = np.triu_indices(i.size)
     fourth = np.empty((i.size, i.size))
-    fourth[p, q] = fourth[q, p] = _mode_traces(rho, pair[p] @ pair[q]).real / norm
+    fourth[p, q] = fourth[q, p] = expect(pair[p] @ pair[q]).real / norm
     i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    g, w = point.gamma, symplectic_form(n)
+    g = point.gamma
     wick = 0.25 * (
         g[i, j] * g[k, l]
         + g[i, k] * g[j, l]
@@ -1014,5 +1068,5 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
         covariance_dev=covariance_dev,
         char_dev=char_dev,
         fourth_moment_dev=fourth_dev,
-        tail_mass=state.tail_mass,
+        tail_mass=float(1.0 - norm),
     )

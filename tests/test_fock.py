@@ -17,6 +17,7 @@ import gaussqfi as gq
 from conftest import explicit_doc
 from gaussqfi import fock
 from gaussqfi.fock import _destroy, _sld_matrix
+from test_cli import PURE_THREE_MODE
 
 
 def _quadrature_operators(n, dim):
@@ -1066,21 +1067,28 @@ def _dense_identity_checks(point, cutoff):
     fourth = (
         (state.rho @ pair).reshape(-1, size) @ np.swapaxes(pair, -1, -2).reshape(-1, size).T
     ).real / norm
+    return gq.IdentityReport(
+        displacement_dev=float(np.abs(d_fock - point.d).max()),
+        covariance_dev=float(np.abs(gamma_fock - point.gamma).max()),
+        char_dev=float(np.abs(char - char_gauss).max()),
+        fourth_moment_dev=float(np.abs(fourth - _wick(point)).max()),
+        tail_mass=state.tail_mass,
+    )
+
+
+def _wick(point):
+    """The pairing formula for ``<A_ij A_kl>``, the symmetrised pairs
+    ``i <= j`` and ``k <= l`` in ``np.triu_indices`` order, from ``gamma``
+    and the symplectic form."""
+    i, j = np.triu_indices(2 * point.n)
     i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    g, w = point.gamma, gq.symplectic_form(n)
-    wick = 0.25 * (
+    g, w = point.gamma, gq.symplectic_form(point.n)
+    return 0.25 * (
         g[i, j] * g[k, l]
         + g[i, k] * g[j, l]
         - w[i, k] * w[j, l]
         + g[i, l] * g[j, k]
         - w[i, l] * w[j, k]
-    )
-    return gq.IdentityReport(
-        displacement_dev=float(np.abs(d_fock - point.d).max()),
-        covariance_dev=float(np.abs(gamma_fock - point.gamma).max()),
-        char_dev=float(np.abs(char - char_gauss).max()),
-        fourth_moment_dev=float(np.abs(fourth - wick).max()),
-        tail_mass=state.tail_mass,
     )
 
 
@@ -1305,7 +1313,10 @@ def test_mixed_points_keep_the_rho_route(point, cutoff):
     assert gq.sld_residual(point, co, cutoff) == _dense_sld_residual(point, co, cutoff)
 
 
-def test_pure_qfi_reads_the_ket_with_no_eigendecomposition(monkeypatch):
+def _count_decompositions(monkeypatch):
+    """Record, from now on, each ``eigh``, ``eigvalsh`` and ``svd`` call by
+    name, and the index count of each ``_recurrence``: returns the two
+    lists."""
     calls, indices = [], []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
@@ -1322,6 +1333,11 @@ def test_pure_qfi_reads_the_ket_with_no_eigendecomposition(monkeypatch):
         return recurrence(A, gam, G0, dim)
 
     monkeypatch.setattr(fock, "_recurrence", spy)
+    return calls, indices
+
+
+def test_pure_qfi_reads_the_ket_with_no_eigendecomposition(monkeypatch):
+    calls, indices = _count_decompositions(monkeypatch)
     for family, params, theta, cutoff in [
         ("phase_squeezed", {"r": 0.5}, 0.7, 30),
         ("two_mode_squeezed_phase", {"r": 0.3}, 0.4, 8),
@@ -1405,3 +1421,133 @@ def test_ket_route_tail_advice_quotes_the_ket():
     assert str(exc.value).endswith(
         "a ket with its tangent takes 1.3 GB, above the ket size limit of 1364 levels"
     )
+
+
+# ---------------------------------------------------------------------------
+# identity checks on the ket
+# ---------------------------------------------------------------------------
+
+
+def _rho_identity_checks(point, cutoff):
+    """``identity_checks`` read from the dense ``rho`` of ``build_state``,
+    every expectation ``tr[rho F]`` by ``_mode_traces``, with its sample and
+    Weyl factors formed afresh: the reader of mixed points, step by step."""
+    state = gq.build_state(point, cutoff, tail_bound=np.inf)
+    n, m, rho = point.n, 2 * point.n, state.rho
+    norm = np.trace(rho).real
+    R = fock._mode_quadratures(n, cutoff)
+    d = fock._mode_traces(rho, R).real / norm
+    R = R.copy()
+    R[np.arange(m), np.arange(m) % n] -= point.d[:, None, None] * np.eye(cutoff)
+    i, j = np.triu_indices(m)
+    prod = R[i] @ R[j]
+    pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
+    second = np.empty((m, m))
+    second[i, j] = second[j, i] = fock._mode_traces(rho, pair).real / norm
+    shift = d - point.d
+    gamma = 2.0 * (second - np.outer(shift, shift))
+    etas = _xi_sample(m) @ gq.symplectic_form(n).T
+    beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
+    char = fock._mode_traces(rho, fock._weyl_factors(beta, cutoff)) / norm
+    char_gauss = np.exp(
+        1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
+    )
+    p, q = np.triu_indices(i.size)
+    fourth = np.empty((i.size, i.size))
+    fourth[p, q] = fourth[q, p] = fock._mode_traces(rho, pair[p] @ pair[q]).real / norm
+    return gq.IdentityReport(
+        displacement_dev=float(np.abs(d - point.d).max()),
+        covariance_dev=float(np.abs(gamma - point.gamma).max()),
+        char_dev=float(np.abs(char - char_gauss).max()),
+        fourth_moment_dev=float(np.abs(fourth - _wick(point)).max()),
+        tail_mass=state.tail_mass,
+    )
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (gq.builtin_family("displacement").point(0.4), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(1.1), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 1.0}).point(0.0), 40),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 14),
+        (gq.parse_model_config(PURE_THREE_MODE).point, 8),
+    ],
+    ids=["displacement", "phase-squeezed", "phase-squeezed-r1", "n2-cutoff-8", "n2-cutoff-14",
+         "n3-ci-config"],
+)
+def test_pure_identity_checks_read_the_ket_as_the_rho_reader(point, cutoff):
+    # psi psi^H is the 2n-index rho to rounding, and <psi|F|psi> sums in
+    # another order than tr[rho F]: every field agrees within 1e-14.
+    rep, ref = gq.identity_checks(point, cutoff), _rho_identity_checks(point, cutoff)
+    for field in ("displacement_dev", "covariance_dev", "char_dev", "fourth_moment_dev",
+                  "tail_mass"):
+        assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-14, field
+
+
+@pytest.mark.parametrize(
+    "point, cutoff",
+    [
+        (gq.builtin_family("thermal").point(2.1), 40),
+        (gq.builtin_family("squeezing", {"nu": 1.3}).point(0.2), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(2.0), 40),
+        (_two_mode_point(), 8),
+        (_three_mode_point(2), 8),
+    ],
+    ids=["thermal", "squeezing", "phase-squeezed-mixed", "n2-random", "n3-random"],
+)
+def test_mixed_identity_checks_are_the_rho_reader_to_the_bit(point, cutoff):
+    assert gq.identity_checks(point, cutoff) == _rho_identity_checks(point, cutoff)
+
+
+def test_identity_table_is_formed_once_per_size_and_read_only(monkeypatch):
+    fock._identity_table.cache_clear()
+    formed, weyl_factors = [], fock._weyl_factors
+
+    def spy(beta, dim):
+        formed.append((beta.shape[-1], dim))
+        return weyl_factors(beta, dim)
+
+    monkeypatch.setattr(fock, "_weyl_factors", spy)
+    thermal = gq.builtin_family("thermal").point(2.0)
+    for point in (thermal, gq.builtin_family("displacement").point(0.3), thermal):
+        gq.identity_checks(point, 20)
+    gq.identity_checks(gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8)
+    gq.identity_checks(thermal, 20)
+    assert formed == [(1, 20), (2, 8)]
+    for n, cutoff in [(1, 20), (2, 8)]:
+        table = fock._identity_table(n, cutoff)
+        etas, weyl, (i, j), (p, q), w = table
+        assert fock._identity_table(n, cutoff) is table
+        assert np.array_equal(etas, _xi_sample(2 * n) @ gq.symplectic_form(n).T)
+        beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
+        assert np.array_equal(weyl, weyl_factors(beta, cutoff))
+        assert weyl.shape == (12, n, cutoff, cutoff)
+        assert np.array_equal(w, gq.symplectic_form(n))
+        for array in (etas, weyl, i, j, p, q, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+
+def test_pure_identity_checks_diagonalise_nothing(monkeypatch):
+    # The sample tables are formed first: their ladder chains are eigh'd once
+    # per size, apart from any one call.
+    points = [
+        (gq.builtin_family("displacement").point(0.4), 40),
+        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 40),
+        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8),
+    ]
+    for point, cutoff in points:
+        fock._identity_table(point.n, cutoff)
+        point._frame
+    mixed = gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7)
+    mixed._frame
+    calls, indices = _count_decompositions(monkeypatch)
+    for point, cutoff in points:
+        gq.identity_checks(point, cutoff)
+        assert (calls, indices) == ([], [point.n])
+        indices.clear()
+    # A mixed point reads rho, over 2n indices, and keeps its one eigvalsh.
+    gq.identity_checks(mixed, 40)
+    assert (calls, indices) == (["eigvalsh"], [2])
