@@ -966,35 +966,6 @@ def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
     return phase[..., :, None] * core * phase.conj()[..., None, :]
 
 
-@functools.lru_cache(maxsize=2)
-def _identity_table(n: int, cutoff: int):
-    """The fixed sample of :func:`identity_checks` on ``n`` modes and
-    ``cutoff`` levels: ``(etas, weyl, (i, j), (p, q), w)``.
-
-    ``etas = xi w^T`` for the 12 points ``xi`` drawn uniformly from the
-    ball ``|xi| <= 2`` (seed 7), ``weyl`` the one-mode factors of their
-    Weyl operators ``exp(i eta.R)`` (``12 n cutoff²`` complex entries),
-    ``(i, j)`` the ``np.triu_indices`` of the ``2n`` quadratures and
-    ``(p, q)`` those of their pairs, and ``w`` the symplectic form.  It
-    depends on ``(n, cutoff)`` only, so it is formed once and kept,
-    read-only, for the next call (the 2 latest are kept).
-    """
-    m = 2 * n
-    rng = np.random.default_rng(7)
-    xis = rng.standard_normal((12, m))
-    xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
-    w = symplectic_form(n)
-    etas = xis @ w.T
-    # exp(i eta.R) = exp(-i H) with H = -eta.R = sum_k beta_k a_k† + h.c., a
-    # sum of one-mode terms, so it is a Kronecker product over the modes.
-    weyl = _weyl_factors(-(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2, cutoff)
-    i, j = np.triu_indices(m)
-    p, q = np.triu_indices(i.size)
-    for table in (etas, weyl, i, j, p, q, w):
-        table.setflags(write=False)
-    return etas, weyl, (i, j), (p, q), w
-
-
 def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     """Check the standard Gaussian-state identities on the Fock state.
 
@@ -1016,12 +987,11 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     Every operator read is a Kronecker product of one-mode
     ``cutoff x cutoff`` factors: the quadratures, their symmetrised pairs
     and the products of those, and the Weyl operators, whose factors come
-    from the cached real eigenbasis of the ladder chain ``a + a†`` and are
-    kept per ``(n, cutoff)`` (:func:`_identity_table`).  Each expectation
-    contracts ``rho``'s or ``psi``'s index tensor with the factors one mode
-    at a time, so no ``cutoff**n`` square operator is formed.  The moments
-    come from the reader of :func:`state_moments`, its pairs centred at
-    ``d`` and kept for the fourth moments.
+    from the cached real eigenbasis of the ladder chain ``a + a†``.  Each
+    expectation contracts ``rho``'s or ``psi``'s index tensor with the
+    factors one mode at a time, so no ``cutoff**n`` square operator is
+    formed.  The moments come from the reader of :func:`state_moments`, its
+    pairs centred at ``d`` and kept for the fourth moments.
 
     Raises:
         ConfigError: ``cutoff < 8``, or a basis above the size limit (see
@@ -1031,19 +1001,26 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
         ConvergenceError: on a mixed point, if the constructed matrix has
             an eigenvalue below ``-1e-10``.
     """
-    n = point.n
+    n, m = point.n, 2 * point.n
     if _gate(point, cutoff, cutoff, dense=True):
         psi = _ket(point, cutoff)[0]
         expect, norm = functools.partial(_ket_traces, psi), np.vdot(psi, psi).real
     else:
-        rho = build_state(point, cutoff, tail_bound=np.inf).rho
+        rho = _checked(point, _bargmann(point, cutoff)[0], cutoff, np.inf).rho
         expect, norm = functools.partial(_mode_traces, rho), np.trace(rho).real
-    etas, weyl, (i, j), (p, q), w = _identity_table(n, cutoff)
     d_fock, gamma_fock, pair = _moments(expect, norm, n, cutoff, point.d)
+    i, j = np.triu_indices(m)
     displacement_dev = float(np.abs(d_fock - point.d).max())
     covariance_dev = float(np.abs(gamma_fock - point.gamma).max())
 
-    char = expect(weyl) / norm
+    # exp(i eta.R) = exp(-i H) with H = -eta.R = sum_k beta_k a_k† + h.c., a
+    # sum of one-mode terms, so it is a Kronecker product over the modes.
+    rng = np.random.default_rng(7)
+    xis = rng.standard_normal((12, m))
+    xis *= (2.0 * rng.random(12) ** (1.0 / m) / np.linalg.norm(xis, axis=1))[:, None]
+    etas = xis @ symplectic_form(n).T
+    beta = -(etas[:, :n] + 1j * etas[:, n:]) / _SQRT2
+    char = expect(_weyl_factors(beta, cutoff)) / norm
     char_gauss = np.exp(
         1j * etas @ point.d - 0.25 * np.einsum("xi,ij,xj->x", etas, point.gamma, etas)
     )
@@ -1051,10 +1028,11 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
 
     # Re tr[rho A_ij A_kl] is symmetric under (ij) <-> (kl), so only one half
     # of the products is formed.
+    p, q = np.triu_indices(i.size)
     fourth = np.empty((i.size, i.size))
     fourth[p, q] = fourth[q, p] = expect(pair[p] @ pair[q]).real / norm
     i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    g = point.gamma
+    g, w = point.gamma, symplectic_form(n)
     wick = 0.25 * (
         g[i, j] * g[k, l]
         + g[i, k] * g[j, l]

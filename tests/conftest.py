@@ -117,6 +117,33 @@ def explicit_doc(point):
     return {"explicit": {"n": point.n, **{k: v.tolist() for k, v in arrays.items()}}}
 
 
+PURE_THREE_MODE = {  # a two-mode squeezed vacuum (e^{2r} = 1.25) on modes 1, 2 and the
+    # vacuum on mode 3, mixed by a 3/5 : 4/5 beam splitter on modes 2, 3 and
+    # displaced; the tangent rotates the phase of every mode
+    "explicit": {
+        "n": 3,
+        "d": [0.1, 0, -0.1, 0.05, 0, 0.1],
+        "Gamma": [
+            [1.025, 0.135, 0.18, 0, 0, 0],
+            [0.135, 1.009, 0.012, 0, 0, 0],
+            [0.18, 0.012, 1.016, 0, 0, 0],
+            [0, 0, 0, 1.025, -0.135, -0.18],
+            [0, 0, 0, -0.135, 1.009, 0.012],
+            [0, 0, 0, -0.18, 0.012, 1.016],
+        ],
+        "dd": [-0.05, 0, -0.1, 0.1, 0, -0.1],
+        "dGamma": [
+            [0, 0, 0, 0, 0.27, 0.36],
+            [0, 0, 0, 0.27, 0, 0],
+            [0, 0, 0, 0.36, 0, 0],
+            [0, 0.27, 0.36, 0, 0, 0],
+            [0.27, 0, 0, 0, 0, 0],
+            [0.36, 0, 0, 0, 0, 0],
+        ],
+    }
+}
+
+
 @pytest.fixture
 def williamson_calls(monkeypatch):
     """Count calls to ``williamson`` from every package module that binds it.

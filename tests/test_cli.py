@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from conftest import explicit_doc
+from conftest import PURE_THREE_MODE, explicit_doc
 from gaussqfi import cli
 
 THERMAL = {"family": "thermal", "theta": 2.0}
@@ -376,33 +376,6 @@ def test_oracle_check_refuses_a_basis_above_the_size_limit(tmp_path, capsys):
         "error: a Fock basis of 402 levels on 2 modes needs 418 GB per dense matrix; "
         "the oracle builds at most 64 levels on 2 modes (268 MB)\n"
     )
-
-
-PURE_THREE_MODE = {  # a two-mode squeezed vacuum (e^{2r} = 1.25) on modes 1, 2 and the
-    # vacuum on mode 3, mixed by a 3/5 : 4/5 beam splitter on modes 2, 3 and
-    # displaced; the tangent rotates the phase of every mode
-    "explicit": {
-        "n": 3,
-        "d": [0.1, 0, -0.1, 0.05, 0, 0.1],
-        "Gamma": [
-            [1.025, 0.135, 0.18, 0, 0, 0],
-            [0.135, 1.009, 0.012, 0, 0, 0],
-            [0.18, 0.012, 1.016, 0, 0, 0],
-            [0, 0, 0, 1.025, -0.135, -0.18],
-            [0, 0, 0, -0.135, 1.009, 0.012],
-            [0, 0, 0, -0.18, 0.012, 1.016],
-        ],
-        "dd": [-0.05, 0, -0.1, 0.1, 0, -0.1],
-        "dGamma": [
-            [0, 0, 0, 0, 0.27, 0.36],
-            [0, 0, 0, 0.27, 0, 0],
-            [0, 0, 0, 0.36, 0, 0],
-            [0, 0.27, 0.36, 0, 0, 0],
-            [0.27, 0, 0, 0, 0, 0],
-            [0.36, 0, 0, 0, 0, 0],
-        ],
-    }
-}
 
 
 def test_oracle_check_runs_on_a_pure_three_mode_state(tmp_path, capsys):

@@ -14,10 +14,9 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
-from conftest import explicit_doc
+from conftest import PURE_THREE_MODE, explicit_doc
 from gaussqfi import fock
 from gaussqfi.fock import _destroy, _sld_matrix
-from test_cli import PURE_THREE_MODE
 
 
 def _quadrature_operators(n, dim):
@@ -1430,8 +1429,8 @@ def test_ket_route_tail_advice_quotes_the_ket():
 
 def _rho_identity_checks(point, cutoff):
     """``identity_checks`` read from the dense ``rho`` of ``build_state``,
-    every expectation ``tr[rho F]`` by ``_mode_traces``, with its sample and
-    Weyl factors formed afresh: the reader of mixed points, step by step."""
+    every expectation ``tr[rho F]`` by ``_mode_traces``, on the sample of
+    ``_xi_sample``: the reader of mixed points, step by step."""
     state = gq.build_state(point, cutoff, tail_bound=np.inf)
     n, m, rho = point.n, 2 * point.n, state.rho
     norm = np.trace(rho).real
@@ -1501,48 +1500,17 @@ def test_mixed_identity_checks_are_the_rho_reader_to_the_bit(point, cutoff):
     assert gq.identity_checks(point, cutoff) == _rho_identity_checks(point, cutoff)
 
 
-def test_identity_table_is_formed_once_per_size_and_read_only(monkeypatch):
-    fock._identity_table.cache_clear()
-    formed, weyl_factors = [], fock._weyl_factors
-
-    def spy(beta, dim):
-        formed.append((beta.shape[-1], dim))
-        return weyl_factors(beta, dim)
-
-    monkeypatch.setattr(fock, "_weyl_factors", spy)
-    thermal = gq.builtin_family("thermal").point(2.0)
-    for point in (thermal, gq.builtin_family("displacement").point(0.3), thermal):
-        gq.identity_checks(point, 20)
-    gq.identity_checks(gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8)
-    gq.identity_checks(thermal, 20)
-    assert formed == [(1, 20), (2, 8)]
-    for n, cutoff in [(1, 20), (2, 8)]:
-        table = fock._identity_table(n, cutoff)
-        etas, weyl, (i, j), (p, q), w = table
-        assert fock._identity_table(n, cutoff) is table
-        assert np.array_equal(etas, _xi_sample(2 * n) @ gq.symplectic_form(n).T)
-        beta = -(etas[:, :n] + 1j * etas[:, n:]) / np.sqrt(2.0)
-        assert np.array_equal(weyl, weyl_factors(beta, cutoff))
-        assert weyl.shape == (12, n, cutoff, cutoff)
-        assert np.array_equal(w, gq.symplectic_form(n))
-        for array in (etas, weyl, i, j, p, q, w):
-            with pytest.raises(ValueError, match="read-only"):
-                array.flat[0] = 0
-
-
 def test_pure_identity_checks_diagonalise_nothing(monkeypatch):
-    # The sample tables are formed first: their ladder chains are eigh'd once
-    # per size, apart from any one call.
+    # A first call on each point eigh's the ladder chain of its size, cached
+    # apart from any one call.
     points = [
         (gq.builtin_family("displacement").point(0.4), 40),
         (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 40),
         (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8),
     ]
-    for point, cutoff in points:
-        fock._identity_table(point.n, cutoff)
-        point._frame
     mixed = gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7)
-    mixed._frame
+    for point, cutoff in points + [(mixed, 40)]:
+        gq.identity_checks(point, cutoff)
     calls, indices = _count_decompositions(monkeypatch)
     for point, cutoff in points:
         gq.identity_checks(point, cutoff)
