@@ -56,6 +56,7 @@ representation is exposed only for verification at small ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ __all__ = [
 # Hard cap on the terms of the Stein series in stein_series_solve.
 _STEIN_MAX_TERMS = 10_000
 _STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
+_PARITY_SHIFT = np.array([-1.0, 1.0])[:, None, None]  # N -/+ 1 by parity
+_W_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, None, :, None]  # of w Y w, by block
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -135,39 +138,35 @@ class DGammaSpectrum:
         return np.sort(np.repeat(self.values.ravel(), 2))
 
 
-def _vacuum_modes(nu: np.ndarray, S: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _vacuum_modes(nu: np.ndarray, rounding: float) -> np.ndarray:
     """The kernel rule's vacuum test, per mode: ``nu_k - 1 <= 16 eps |S|_F^2
-    tr gamma`` in the Williamson frame ``S`` of ``gamma``.  Every mode is
-    vacuum exactly when the state is pure."""
-    return nu - 1.0 <= _VACUUM_ROUNDING * _frame_rounding(S, gamma)
+    tr gamma``, with ``rounding`` the frame's :func:`_frame_rounding`.  Every
+    mode is vacuum exactly when the state is pure."""
+    return nu - 1.0 <= _VACUUM_ROUNDING * rounding
 
 
-def _block_eigenvalues(
-    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue arrays of the thermal-frame map and their kernel mask.
+def _block_eigenvalues(nu: np.ndarray, rounding: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue arrays of the thermal-frame map and its vacuum modes.
 
-    Returns ``(lam, kernel)``, both of shape ``(2, n, n)``: ``lam[0] = N - 1``
-    (parity +) and ``lam[1] = N + 1`` (parity -) with ``N = nu nu^T``;
-    ``kernel`` marks the parity-+ entries whose two modes are both vacuum
-    (:func:`_vacuum_modes`).  Each entry is one eigenvalue of
-    multiplicity 2.  In ``lam[0]`` a ``nu`` below 1 reads as 1: a mode the
-    state rule accepted below the vacuum meets a warmer one through
-    ``nu_j - 1``, not through a difference that may vanish.
+    Returns ``(lam, vacuum)``: ``lam`` of shape ``(2, n, n)`` holds
+    ``lam[0] = N - 1`` (parity +) and ``lam[1] = N + 1`` (parity -) with
+    ``N = nu nu^T``, and ``vacuum`` is the per-mode mask of
+    :func:`_vacuum_modes`; the kernel is the parity-+ entries whose two
+    modes are both vacuum.  Each entry is one eigenvalue of multiplicity 2.
+    In ``lam[0]`` a ``nu`` below 1 reads as 1: a mode the state rule
+    accepted below the vacuum meets a warmer one through ``nu_j - 1``, not
+    through a difference that may vanish.
 
     Raises:
         FloatingPointError: if ``N`` overflows.
     """
-    with np.errstate(over="raise"):
-        N = np.outer(nu, nu)
-    lam = np.stack([N - 1.0, N + 1.0])
+    if float(nu[0]) * float(nu[0]) == math.inf:  # nu descending: N's largest entry
+        raise FloatingPointError("overflow encountered in nu_i nu_j")
+    lam = np.add(np.multiply.outer(nu, nu), _PARITY_SHIFT)
     if nu[-1] < 1.0:
         cold = np.maximum(nu, 1.0)
-        lam[0] = np.outer(cold, cold) - 1.0
-    vacuum = _vacuum_modes(nu, S, gamma)
-    kernel = np.zeros_like(lam, dtype=bool)
-    kernel[0] = np.outer(vacuum, vacuum)
-    return lam, kernel
+        np.subtract(np.multiply.outer(cold, cold), 1.0, out=lam[0])
+    return lam, _vacuum_modes(nu, rounding)
 
 
 def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
@@ -185,7 +184,9 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, kernel = _block_eigenvalues(dec.nu, dec.S, gamma)
+    lam, vacuum = _block_eigenvalues(dec.nu, _frame_rounding(dec.S, gamma))
+    kernel = np.zeros_like(lam, dtype=bool)
+    kernel[0] = np.outer(vacuum, vacuum)
     return DGammaSpectrum(
         nu=dec.nu, values=lam, kernel=kernel, kernel_dimension=2 * int(kernel.sum())
     )
@@ -203,32 +204,46 @@ def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
 
 
 def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray, frame: _Frame
+    gamma: np.ndarray, X: np.ndarray, frame: _Frame, rounding: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """:func:`dgamma_pseudoinverse_apply` in the Williamson frame
-    ``(S, nu, S^-1, Xt)`` of ``gamma``, with ``Xt`` the input ``X`` read in it.
+    ``(S, nu, S^-1, Xt)`` of ``gamma``, with ``Xt`` the input ``X`` read in it
+    and ``rounding`` the frame's :func:`_frame_rounding`.
 
     Returns ``(Y, residual, Yt)``, ``Yt = S^T Y S`` the solution in the
     thermal frame, so a caller can read thermal-frame sums off it.
+
+    One pass over the frame, each quantity formed once: the divisors
+    ``nu_i nu_j -/+ 1`` and the vacuum modes (:func:`_block_eigenvalues`, on
+    the caller's ``rounding``), the four parity combinations of ``Xt`` as
+    two sums of its block rows, ``Yt`` written into one array, and the
+    residual ``|Gamma Y Gamma^T - w Y w^T - X|_F`` from ``Gamma Y Gamma^T``
+    updated in place by the four blocks of ``w Y w^T`` and by ``X``.
     """
     S, nu, Si, Xt = frame
-    n = len(nu)
-    lam, kernel = _block_eigenvalues(nu, S, gamma)
-
-    qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]
-    # combos[k] holds the (QQ/PP, QP/PQ) combinations that see eigenvalue lam[k];
-    # each is halved and divided by it, and zeroed on the kernel
-    combos = np.stack([[qq + pp, qp - pq], [qq - pp, qp + pq]])
-    weight = np.divide(0.5, lam, out=np.zeros_like(lam), where=~kernel)
-    (s_even, a_even), (s_odd, a_odd) = weight[:, None] * combos
-    Yt = np.empty_like(Xt)
-    Yt[:n, :n] = s_even + s_odd
-    Yt[:n, n:] = a_odd + a_even
-    Yt[n:, :n] = a_odd - a_even
-    Yt[n:, n:] = s_even - s_odd
+    n = nu.size
+    lam, vacuum = _block_eigenvalues(nu, rounding)
+    k = np.count_nonzero(vacuum)  # nu descending: the vacuum modes are the last k
+    lam[0, n - k :, n - k :] = np.inf  # the kernel: its weight 0.5 / inf is 0
+    weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
+    # Block rows [i, block, j]: top = [qq, qp], and bottom reversed = [pp, pq]
+    blocks = Xt.reshape(2, n, 2, n)
+    top, bottom = blocks[0], blocks[1, :, ::-1]
+    even_odd = top + bottom  # [qq + pp, qp + pq], divided by [N - 1, N + 1]
+    even_odd *= weight
+    odd_even = top - bottom  # [qq - pp, qp - pq], divided by [N + 1, N - 1]
+    odd_even *= weight[:, ::-1]
+    Yt = np.empty((2 * n, 2 * n))
+    out = Yt.reshape(2, n, 2, n)
+    np.add(even_odd, odd_even, out=out[0])
+    np.subtract(even_odd[:, ::-1], odd_even[:, ::-1], out=out[1])
     Y = Si.T @ Yt @ Si
-    residual = float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
-    return Y, residual, Yt
+    R = gamma @ Y @ gamma.T
+    residual = R.reshape(2, n, 2, n)
+    residual += Y.reshape(2, n, 2, n)[::-1, :, ::-1] * _W_SIGNS  # w Y w = -w Y w^T
+    R -= X
+    r = R.reshape(-1)
+    return Y, math.sqrt(float(r.dot(r))), Yt
 
 
 def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -257,7 +272,8 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     X = np.asarray(X, dtype=float)
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
-    return _frame_solve(gamma, X, _williamson_frame(gamma, X))[:2]
+    frame = _williamson_frame(gamma, X)
+    return _frame_solve(gamma, X, frame, _frame_rounding(frame[0], gamma))[:2]
 
 
 def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from .dgamma import _frame_solve
 from .exceptions import ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, _require_isothermal
-from .symplectic import _require_state, williamson
+from .symplectic import _frame_rounding, _require_state, williamson
 
 _DEFINITE_TOL = 1e-9  # photon_counting_form: eigenvalues of L beyond this times max|L|
 
@@ -73,7 +73,7 @@ class SLDCoefficients:
 
 def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
     """``b = 2 Gamma^-1 dd``; zero, with no solve, when ``dd = 0``."""
-    if not np.any(point.dd):
+    if not point.dd.any():
         return np.zeros_like(point.dd)
     return 2.0 * np.linalg.solve(point.gamma, point.dd)
 
@@ -83,7 +83,9 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
 
     ``L`` is the solve of :func:`~gaussqfi.dgamma.dgamma_pseudoinverse_apply`
     in the point's Williamson frame, whose kernel is the parity-+ entries of
-    vacuum mode pairs.
+    vacuum mode pairs.  The point's frame is read once, and its rounding
+    scale ``eps |S|_F^2 tr Gamma`` is formed once, for both the solve's
+    vacuum test and the state rule.
 
     Args:
         point: model point with an admissible covariance matrix.
@@ -93,21 +95,26 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
             state (see ``validate_covariance``).
     """
     S, nu, _, _ = frame = point._frame
-    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame)
-    _require_state(float(nu[-1]), S, point.gamma)
-    c = -0.5 * float(np.diagonal(Yt) @ np.concatenate([nu, nu])) + 0.0  # no -0.0
-    return SLDCoefficients(
-        L=0.5 * (Y + Y.T), b=_linear_coefficients(point), c=c, range_residual=residual
-    )
+    rounding = _frame_rounding(S, point.gamma)
+    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame, rounding)
+    _require_state(float(nu[-1]), rounding)
+    c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
+    L = Y + Y.T
+    L *= 0.5
+    return SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
 
 
 def _wigner_second(point: GaussianModelPoint) -> float:
     """The second-moment part of the Wigner information,
     ``tr[(Gamma^-1 dGamma)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
-    with ``nt = (nu, nu)``, read in the point's frame."""
+    with ``nt = (nu, nu)``, read in the point's frame: each of the four
+    ``n x n`` blocks of ``Xt * Xt^T`` is divided by ``N = nu nu^T``."""
     _, nu, _, Xt = point._frame
-    nt = np.concatenate([nu, nu])
-    return 0.5 * float(np.sum(Xt * Xt.T / np.outer(nt, nt)))
+    n = nu.size
+    terms = Xt * Xt.T
+    quarters = terms.reshape(2, n, 2, n)
+    quarters /= np.multiply.outer(nu, nu)[:, None, :]
+    return 0.5 * float(terms.sum())
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,12 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead, as
     :func:`wigner_fisher` does.
 
+    Each quantity is formed once per call: the rounding scale
+    ``eps |S|_F^2 tr Gamma`` (the solve's vacuum test and the state rule),
+    the divisors ``nu_i nu_j -/+ 1``, ``Yt`` and the residual
+    ``Gamma Y Gamma^T - w Y w^T - dGamma`` in :func:`sld_coefficients`;
+    nothing is kept on the point beyond its frame.
+
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
@@ -169,7 +182,7 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
             rounding; the message names the term.
     """
     coeffs = sld_coefficients(point)
-    second = _nonnegative(0.5 * float(np.sum(point.dgamma * coeffs.L)), "second-moment term")
+    second = _nonnegative(0.5 * float((point.dgamma * coeffs.L).sum()), "second-moment term")
     first = _nonnegative(float(point.dd @ coeffs.b), "first-moment term")
     return FisherReport(
         qfi=first + second,

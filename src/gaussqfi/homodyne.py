@@ -30,7 +30,8 @@ from .symplectic import (
     _ISOTHERMAL_TOL,
     _direct_sum,
     _direct_sum_vector,
-    hamiltonian_eigenframe,
+    _eigenframe,
+    _symmetric_part,
     is_symplectic,
     validate_covariance,
 )
@@ -77,15 +78,21 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
 
     Route: the gate and the frame read ``nu``, ``S^-1`` and ``W = Xt`` off
     the point's Williamson frame, and the frame costs one ``eigh``, of
-    ``W``.  ``O`` is checked in that frame, not through the stored moments:
-    ``O diag(nu, nu) O^T`` must be ``nu I`` and ``O Xt O^T`` must be
-    ``diag(nu lam, -nu lam)``, within ``1e-5 (1 + nu + nu max lam)``
-    (max-abs).
+    ``W``.  ``max|W|`` is formed once, by the gate: the symmetry rule of
+    :func:`~gaussqfi.symplectic.hamiltonian_eigenframe` and its zero cut
+    ``1e-8 (1 + max|W|)`` read it, and the gate's anticommutation test
+    stands for the eigenframe's own.  ``O`` is checked in that frame, not
+    through the stored moments: ``O diag(nu, nu) O^T`` must be ``nu I`` and
+    ``O Xt O^T`` must be ``diag(nu lam, -nu lam)``, within
+    ``1e-5 (1 + nu + nu max lam)`` (max-abs); each product has its diagonal
+    target taken off in place.
 
     Raises:
         PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
+        ValueError: if ``W`` fails the symmetry rule, or its zero
+            eigenspace is too small (see ``hamiltonian_eigenframe``).
         ConvergenceError: if ``O`` misses that residual bound.
     """
     chk = _require_isothermal(point)
@@ -96,13 +103,19 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
         )
     _, nus, Si, W = point._frame
     nu = chk.nu
-    O, wlam = hamiltonian_eigenframe(W)
-    nt = np.concatenate([nus, nus])
-    scale = 1.0 + abs(nu) + np.abs(wlam).max(initial=0.0)
-    dev = max(
-        np.abs((O * nt) @ O.T - nu * np.eye(nt.size)).max(),
-        np.abs(O @ W @ O.T - np.diag(np.concatenate([wlam, -wlam]))).max(),
+    w_max = chk._w_max
+    O, wlam = _eigenframe(
+        *np.linalg.eigh(_symmetric_part(W, "W", w_max)), _ISOTHERMAL_TOL * (1.0 + w_max)
     )
+    n = nus.size
+    scale = 1.0 + abs(nu) + float(wlam[0])  # lam >= 0, descending
+    state = (O * np.concatenate([nus, nus])) @ O.T
+    state.reshape(-1)[:: 2 * n + 1] -= nu
+    derivative = O @ W @ O.T
+    diagonal = derivative.reshape(-1)[:: 2 * n + 1]
+    diagonal[:n] -= wlam
+    diagonal[n:] += wlam
+    dev = max(np.abs(state, out=state).max(), np.abs(derivative, out=derivative).max())
     if dev > 1e3 * _ISOTHERMAL_TOL * scale:
         raise ConvergenceError(f"normal-frame residual {dev:.3e} exceeds tolerance")
     return IsothermalFrame(T=O @ Si, lam=wlam / nu, nu=nu)

@@ -215,11 +215,27 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     tangent that lowers a symplectic eigenvalue below 1 to first order still
     leaves the physical set on one side, where a sweep raises
     ``PreconditionError`` (flag ``"nu_min"``).
+
+    ``kappa`` needs the smallest eigenvalue of ``Gamma``.  When that rounds
+    to 0 or below, or ``kappa`` overflows (a strongly squeezed ``Gamma``),
+    the curve cannot be formed: building the family still succeeds, so the
+    point itself stays readable, but evaluating the curve raises
+    ``PreconditionError`` (flag ``"ill_conditioned"``), giving that
+    eigenvalue, before any non-finite moment is formed.
     """
-    kappa = np.linalg.norm(point.dgamma, 2) ** 2 / np.linalg.eigvalsh(point.gamma)[0]
-    lift = kappa * np.eye(point.gamma.shape[0])
+    eig_min = float(np.linalg.eigvalsh(point.gamma)[0])
+    norm = float(np.linalg.norm(point.dgamma, 2))
+    kappa = norm * norm / eig_min if eig_min > 0.0 else math.inf
+    if math.isfinite(kappa):
+        lift = kappa * np.eye(point.gamma.shape[0])
 
     def fn(t: float):
+        if not math.isfinite(kappa):
+            raise PreconditionError(
+                "ill_conditioned",
+                f"the smallest eigenvalue of Gamma is {eig_min:.3g} in floating point, "
+                "so the lifted tangent curve of this explicit model cannot be formed",
+            )
         return (
             point.d + t * point.dd,
             point.gamma + t * point.dgamma + t * t * lift,
@@ -449,6 +465,7 @@ class IsothermalCheck:
     is_isothermal: bool
     nu: float
     derivative_preserves_nu: bool
+    _w_max = math.nan  # not a field: max|W| as the derivative gate read it
 
 
 def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
@@ -461,6 +478,10 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     must be a state, and its derivative ``W = Xt`` preserves ``nu`` iff it
     anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
 
+    The rounding scale ``eps |S|_F^2 tr Gamma`` is formed once, for the
+    spread and the state rule; ``max|W|`` and the deviation
+    ``max(|W_QQ + W_PP|, |W_QP - W_PQ|)`` once, from the blocks of ``W``.
+
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point without
             a factor).
@@ -469,13 +490,15 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
             temperatures read ``is_isothermal=False`` first.
     """
     S, nu, _, W = point._frame
-    rounding = _VACUUM_ROUNDING * _frame_rounding(S, point.gamma)
-    if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + rounding:  # nu descending
+    rounding = _frame_rounding(S, point.gamma)
+    if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + _VACUUM_ROUNDING * rounding:  # nu descending
         return IsothermalCheck(False, math.nan, False)
-    mean = float(nu.mean())
-    _require_state(mean, S, point.gamma)
-    preserves = bool(_hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + np.abs(W).max()))
-    return IsothermalCheck(True, mean, preserves)
+    mean = float(nu.sum()) / nu.size
+    _require_state(mean, rounding)
+    w_max = float(np.abs(W).max())
+    chk = IsothermalCheck(True, mean, _hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + w_max))
+    object.__setattr__(chk, "_w_max", w_max)
+    return chk
 
 
 def _require_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
@@ -550,7 +573,7 @@ def _parse_explicit(doc: dict) -> ModelConfig:
     try:
         S, nu, _, _ = point._frame
         nu_min = float(nu[-1])
-        admissible = _is_state(nu_min, S, point.gamma)
+        admissible = _is_state(nu_min, _frame_rounding(S, point.gamma))
     except ValueError:  # not positive definite
         nu_min, admissible = 0.0, False
     if not admissible:

@@ -91,16 +91,18 @@ def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.abs(_w_right(S) @ S.T - symplectic_form(n)).max() <= tol)
 
 
-def _symmetric_part(M: np.ndarray, name: str) -> np.ndarray:
+def _symmetric_part(M: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
     """The symmetry rule of every entry point that reads ``gamma`` or
     ``dgamma``: ``M`` must be finite with ``max|M - M^T| <= 1e-8 (1 + max|M|)``,
-    and the caller works on the returned ``(M + M^T) / 2``.
+    and the caller works on the returned ``(M + M^T) / 2``.  A caller that
+    has already read ``scale = max|M|`` passes it.
 
     Raises:
         ValueError: naming ``name``, if ``M`` is not finite or not symmetric.
     """
     M = np.asarray(M, dtype=float)
-    scale = float(np.abs(M).max(initial=0.0))
+    if scale is None:
+        scale = float(np.abs(M).max(initial=0.0))
     if not math.isfinite(scale):  # max|M| is NaN or inf exactly when M is not finite
         raise ValueError(f"{name} contains non-finite entries")
     asym = float(np.abs(M - M.T).max(initial=0.0))
@@ -141,23 +143,24 @@ def _frame_rounding(S: np.ndarray, gamma: np.ndarray) -> float:
     """``eps |S|_F^2 tr gamma``: to first order, how far rounding moves what
     is read in the symplectic frame ``S`` of ``gamma`` (a Williamson frame or
     its inverse; ``|S^-1|_F = |S|_F``).  Rounding ``gamma`` by ``E`` moves a
-    ``nu`` by at most ``|E| |S|_F^2``, and ``|E| ~ eps |gamma| <= eps tr gamma``."""
-    return _EPS * float(np.vdot(S, S)) * float(np.trace(gamma))
+    ``nu`` by at most ``|E| |S|_F^2``, and ``|E| ~ eps |gamma| <= eps tr gamma``.
+
+    The one rounding scale of a frame: the state rule, the kernel rule's
+    vacuum test and the equal-temperature gate each read it, and a caller
+    that applies more than one of them forms it once and passes it on."""
+    return _EPS * float(np.vdot(S, S)) * float(gamma.trace())
 
 
-def _is_state(nu_min: float, S: np.ndarray, gamma: np.ndarray) -> bool:
-    """The state rule of :func:`validate_covariance`, given ``nu_min`` and a
-    symplectic frame ``S`` of ``gamma``; the rounding is only formed when
-    ``nu_min`` lies below ``1 - 1e-8``."""
-    return bool(
-        1.0 - nu_min <= _STATE_TOL or 1.0 - nu_min <= _STATE_TOL + _frame_rounding(S, gamma)
-    )
+def _is_state(nu_min: float, rounding: float) -> bool:
+    """The state rule of :func:`validate_covariance`, given ``nu_min`` and
+    the rounding scale :func:`_frame_rounding` of the frame it was read in."""
+    return bool(1.0 - nu_min <= _STATE_TOL + rounding)
 
 
-def _require_state(nu_min: float, S: np.ndarray, gamma: np.ndarray) -> None:
+def _require_state(nu_min: float, rounding: float) -> None:
     """Raise ``PreconditionError`` (flag ``"nu_min"``, giving ``1 - nu_min``)
     unless :func:`_is_state`."""
-    if not _is_state(nu_min, S, gamma):
+    if not _is_state(nu_min, rounding):
         raise PreconditionError(
             "nu_min", f"moments are not a physical state (1 - nu_min = {1.0 - nu_min:.3g})"
         )
@@ -220,7 +223,7 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     except ValueError:  # not symmetric, or not positive definite
         return CovarianceCheck(False, 0.0, asym)
     nu_min = float(dec.nu[-1])
-    return CovarianceCheck(_is_state(nu_min, dec.S, gamma), nu_min, asym)
+    return CovarianceCheck(_is_state(nu_min, _frame_rounding(dec.S, gamma)), nu_min, asym)
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,14 @@ def random_symplectic(
 
 
 def _hamiltonian_deviation(W: np.ndarray) -> float:
-    """``max |W w + w W|``: zero iff ``W`` anticommutes with ``w``."""
-    return float(np.abs(_w_right(W) + _w_left(W)).max())
+    """``max |W w + w W|``: zero iff ``W`` anticommutes with ``w``.
+
+    Read from the blocks, as ``W w + w W`` is ``[[W_PQ - W_QP, W_QQ + W_PP],
+    [-(W_QQ + W_PP), W_PQ - W_QP]]``."""
+    n = W.shape[0] // 2
+    trace_part = np.abs(W[:n, :n] + W[n:, n:]).max()
+    skew_part = np.abs(W[:n, n:] - W[n:, :n]).max()
+    return float(np.maximum(trace_part, skew_part))  # NaN propagates
 
 
 def _eigenframe(ev: np.ndarray, V: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:

@@ -441,6 +441,24 @@ def test_sweep_refuses_sub_vacuum_points(tmp_path, capsys):
     assert "precondition failed: [nu_min]" in err
 
 
+def test_ill_conditioned_explicit_config(tmp_path, capsys):
+    # The built-in phase_squeezed r = 14 point as arrays: the smallest
+    # eigenvalue of the stored Gamma rounds to 0, so the lifted curve's
+    # kappa = |dGamma|_2^2 / lambda_min cannot be formed.  qfi reads the
+    # point itself, with no numpy warning (warnings are errors here); sweep
+    # refuses before any moment turns non-finite, naming the eigenvalue.
+    doc = explicit_doc(gq.builtin_family("phase_squeezed", {"r": 14.0}).point(0.3))
+    assert np.linalg.eigvalsh(np.array(doc["explicit"]["Gamma"]))[0] == 0.0
+    cfg = write_cfg(tmp_path, doc)
+    assert cli.main(["qfi", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert "qfi = " in out and "RuntimeWarning" not in err
+    assert cli.main(["sweep", cfg, "--from", "0", "--to", "0.1", "--steps", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "precondition failed: [ill_conditioned] the smallest eigenvalue of Gamma is 0" in err
+
+
 def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
     from gaussqfi import estimation
 

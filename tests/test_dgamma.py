@@ -3,11 +3,16 @@ decomposition, pseudoinverse, and the fixed-point series solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_lyapunov
 
 import gaussqfi as gq
+from gaussqfi.dgamma import _frame_solve
+from gaussqfi.symplectic import _frame_rounding
 from conftest import (
+    random_hamiltonian,
     random_model_point,
     random_passive_state,
     random_state,
@@ -346,3 +351,87 @@ def test_pseudoinverse_matches_block_loop_reference(seed):
     Y, _ = gq.dgamma_pseudoinverse_apply(gamma, X)
     Yref = _block_loop_pinv(gamma, X)
     assert np.abs(Y - Yref).max() <= 1e-12 * np.abs(Yref).max()
+
+
+def _reference_frame_solve(gamma, X, frame):
+    """Reference for ``dgamma._frame_solve``: the solve as first written, with
+    the eigenvalues and kernel mask stacked as ``(2, n, n)`` arrays, the four
+    parity combinations stacked by ``np.stack``, one ``np.divide(where=)``
+    off the kernel, and the residual through ``apply_dgamma``."""
+    S, nu, Si, Xt = frame
+    n = len(nu)
+    with np.errstate(over="raise"):
+        N = np.outer(nu, nu)
+    lam = np.stack([N - 1.0, N + 1.0])
+    if nu[-1] < 1.0:
+        cold = np.maximum(nu, 1.0)
+        lam[0] = np.outer(cold, cold) - 1.0
+    eps = np.finfo(float).eps
+    vacuum = nu - 1.0 <= 16 * eps * float(np.vdot(S, S)) * float(np.trace(gamma))
+    kernel = np.zeros_like(lam, dtype=bool)
+    kernel[0] = np.outer(vacuum, vacuum)
+    qq, qp, pq, pp = Xt[:n, :n], Xt[:n, n:], Xt[n:, :n], Xt[n:, n:]
+    combos = np.stack([[qq + pp, qp - pq], [qq - pp, qp + pq]])
+    weight = np.divide(0.5, lam, out=np.zeros_like(lam), where=~kernel)
+    (s_even, a_even), (s_odd, a_odd) = weight[:, None] * combos
+    Yt = np.empty_like(Xt)
+    Yt[:n, :n] = s_even + s_odd
+    Yt[:n, n:] = a_odd + a_even
+    Yt[n:, :n] = a_odd - a_even
+    Yt[n:, n:] = s_even - s_odd
+    Y = Si.T @ Yt @ Si
+    residual = float(np.linalg.norm(gq.apply_dgamma(gamma, Y) - X))
+    return Y, residual, Yt
+
+
+# Fixed before the rewrite: each array within 8 eps of its largest entry, and
+# the residual within 8 eps of the largest entry of Gamma Y Gamma^T.
+_SOLVE_RTOL = 8 * np.finfo(float).eps
+_POINT_KINDS = ("mixed", "pure", "vacuum-modes", "below-vacuum")
+
+
+def _kind_point(kind, n, seed):
+    """A point of ``n`` modes of one kind, and whether its derivative is a
+    Hamiltonian direction (so the equal-temperature frame accepts it)."""
+    rng = np.random.default_rng(seed)
+    S = gq.random_symplectic(n, seed=rng, squeeze_cap=0.8)
+    nu = np.sort(rng.uniform(1.2, 3.0, n))[::-1]
+    if kind == "pure":
+        nu[:] = 1.0
+    elif kind == "vacuum-modes":
+        nu[rng.integers(1, n) if n > 1 else 0 :] = 1.0
+    elif kind == "below-vacuum":
+        nu[-1] = 1.0 - 5e-9  # the state rule accepts 1 - nu_min <= 1e-8
+    gamma = S @ thermal_diag(nu) @ S.T
+    if kind == "pure":
+        X = S @ random_hamiltonian(n, seed + 1) @ S.T
+    else:
+        X = random_symmetric(2 * n, seed + 1)
+    zero = np.zeros(2 * n)
+    return gq.GaussianModelPoint(zero, 0.5 * (gamma + gamma.T), zero, X), kind == "pure"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(_POINT_KINDS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_frame_solve_matches_its_reference(n, kind, seed):
+    pt, hamiltonian = _kind_point(kind, n, seed)
+    S, nu, Si, W = frame = pt._frame
+    Y, residual, Yt = _frame_solve(pt.gamma, pt.dgamma, frame, _frame_rounding(S, pt.gamma))
+    Y_ref, residual_ref, Yt_ref = _reference_frame_solve(pt.gamma, pt.dgamma, frame)
+    assert np.abs(Y - Y_ref).max() <= _SOLVE_RTOL * np.abs(Y_ref).max()
+    assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
+    scale = np.abs(pt.gamma @ Y_ref @ pt.gamma).max()
+    assert abs(residual - residual_ref) <= _SOLVE_RTOL * scale
+    if hamiltonian:
+        # The equal-temperature frame reads the same W as the public eigenframe.
+        chk = gq.check_isothermal(pt)
+        assert chk.is_isothermal and chk.derivative_preserves_nu
+        frame_iso = gq.isothermal_frame(pt)
+        O, wlam = gq.hamiltonian_eigenframe(W)
+        lam_ref, T_ref = wlam / chk.nu, O @ Si
+        assert np.abs(frame_iso.lam - lam_ref).max() <= _SOLVE_RTOL * np.abs(lam_ref).max()
+        assert np.abs(frame_iso.T - T_ref).max() <= _SOLVE_RTOL * np.abs(T_ref).max()

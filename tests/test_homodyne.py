@@ -40,6 +40,73 @@ def test_frame_zero_derivative():
     assert gq.optimal_homodyne_fisher(fr) == 0.0
 
 
+def _carrying(W, dd0=0.0):
+    """A point at one temperature, nu = 1.5 in the frame S = I, whose frame
+    carries ``W`` as given rather than its symmetric part: rounding in an
+    ill-conditioned Williamson frame leaves ``Xt = S^-1 dGamma S^-T`` that
+    asymmetric (the explicit ``two_mode_squeezed_phase`` at r = 11, theta 0,
+    reads 1.4 times the symmetry rule's bound)."""
+    m = W.shape[0]
+    dd = np.zeros(m)
+    dd[0] = dd0
+    pt = gq.GaussianModelPoint(np.zeros(m), 1.5 * np.eye(m), dd, 0.5 * (W + W.T))
+    pt.__dict__["_frame"] = (np.eye(m), np.full(m // 2, 1.5), np.eye(m), W)
+    return pt
+
+
+# A Hamiltonian direction, [[A, B], [B, -A]], but with A not symmetric: the
+# equal-temperature gates pass and the eigenframe's symmetry rule refuses.
+_ASYMMETRIC_W = np.block([
+    [np.array([[0.3, 1.0], [0.0, -0.2]]), np.array([[0.5, 0.1], [0.1, 0.2]])],
+    [np.array([[0.5, 0.1], [0.1, 0.2]]), -np.array([[0.3, 1.0], [0.0, -0.2]])],
+])
+
+# case: (point, check_isothermal's verdict or refusal flag, isothermal_frame's
+# refusal as (exception, flag or message)); each case fails two gates, and the
+# earlier one must refuse.
+_GATE_ORDER = {
+    "nu_min-before-derivative_preserves_nu": (
+        lambda: gq.GaussianModelPoint(np.zeros(2), 0.5 * np.eye(2), np.zeros(2), np.eye(2)),
+        "nu_min",
+        (gq.PreconditionError, "nu_min"),
+    ),
+    "derivative_preserves_nu-before-static_first_moments": (
+        lambda: gq.GaussianModelPoint(np.zeros(2), 2 * np.eye(2), np.array([1.0, 0.0]), np.eye(2)),
+        (True, False),
+        (gq.PreconditionError, "derivative_preserves_nu"),
+    ),
+    "static_first_moments-before-W-symmetry": (
+        lambda: _carrying(_ASYMMETRIC_W, dd0=1.0),
+        (True, True),
+        (gq.PreconditionError, "static_first_moments"),
+    ),
+    "W-symmetry": (
+        lambda: _carrying(_ASYMMETRIC_W),
+        (True, True),
+        (ValueError, "W is not symmetric (max asymmetry 1)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GATE_ORDER))
+def test_gates_refuse_in_their_order(case):
+    make, verdict, (error, reason) = _GATE_ORDER[case]
+    pt = make()
+    if isinstance(verdict, str):
+        with pytest.raises(gq.PreconditionError) as exc:
+            gq.check_isothermal(pt)
+        assert exc.value.flag == verdict
+    else:
+        chk = gq.check_isothermal(pt)
+        assert (chk.is_isothermal, chk.derivative_preserves_nu) == verdict
+    with pytest.raises(error) as exc:
+        gq.isothermal_frame(pt)
+    if error is gq.PreconditionError:
+        assert exc.value.flag == reason
+    else:
+        assert str(exc.value) == reason
+
+
 def test_frame_gates():
     with pytest.raises(gq.PreconditionError) as e1:
         gq.isothermal_frame(gq.builtin_family("thermal").point(2.0))

@@ -208,9 +208,9 @@ def test_hamiltonian_eigenframe_random(n, seed):
 
 def test_hamiltonian_eigenframe_rejects_non_hamiltonian():
     # Identity commutes with the form instead of anticommuting.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not anticommute"):
         gq.hamiltonian_eigenframe(np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="W is not symmetric"):
         gq.hamiltonian_eigenframe(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
