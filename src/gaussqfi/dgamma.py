@@ -138,35 +138,44 @@ class DGammaSpectrum:
         return np.sort(np.repeat(self.values.ravel(), 2))
 
 
-def _vacuum_modes(nu: np.ndarray, rounding: float) -> np.ndarray:
+def _vacuum_modes(
+    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
+) -> np.ndarray:
     """The kernel rule's vacuum test, per mode: ``nu_k - 1 <= 16 eps |S|_F^2
-    tr gamma``, with ``rounding`` the frame's :func:`_frame_rounding`.  Every
-    mode is vacuum exactly when the state is pure."""
+    tr gamma`` in the Williamson frame ``S`` of ``gamma``; a caller that has
+    formed the frame's :func:`_frame_rounding` already passes it as
+    ``rounding``.  Every mode is vacuum exactly when the state is pure."""
+    if rounding is None:
+        rounding = _frame_rounding(S, gamma)
     return nu - 1.0 <= _VACUUM_ROUNDING * rounding
 
 
-def _block_eigenvalues(nu: np.ndarray, rounding: float) -> tuple[np.ndarray, np.ndarray]:
+def _block_eigenvalues(
+    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue arrays of the thermal-frame map and its vacuum modes.
 
     Returns ``(lam, vacuum)``: ``lam`` of shape ``(2, n, n)`` holds
     ``lam[0] = N - 1`` (parity +) and ``lam[1] = N + 1`` (parity -) with
     ``N = nu nu^T``, and ``vacuum`` is the per-mode mask of
-    :func:`_vacuum_modes`; the kernel is the parity-+ entries whose two
-    modes are both vacuum.  Each entry is one eigenvalue of multiplicity 2.
-    In ``lam[0]`` a ``nu`` below 1 reads as 1: a mode the state rule
-    accepted below the vacuum meets a warmer one through ``nu_j - 1``, not
-    through a difference that may vanish.
+    :func:`_vacuum_modes` (given ``rounding`` as there); the kernel is the
+    parity-+ entries whose two modes are both vacuum.  Each entry is one
+    eigenvalue of multiplicity 2.  In ``lam[0]`` a ``nu`` below 1 reads as
+    1: a mode the state rule accepted below the vacuum meets a warmer one
+    through ``nu_j - 1``, not through a difference that may vanish.  No
+    order of ``nu`` is assumed.
 
     Raises:
         FloatingPointError: if ``N`` overflows.
     """
-    if float(nu[0]) * float(nu[0]) == math.inf:  # nu descending: N's largest entry
+    top = float(nu.max())
+    if top * top == math.inf:  # N's largest entry
         raise FloatingPointError("overflow encountered in nu_i nu_j")
     lam = np.add(np.multiply.outer(nu, nu), _PARITY_SHIFT)
-    if nu[-1] < 1.0:
+    if nu.min() < 1.0:
         cold = np.maximum(nu, 1.0)
         np.subtract(np.multiply.outer(cold, cold), 1.0, out=lam[0])
-    return lam, _vacuum_modes(nu, rounding)
+    return lam, _vacuum_modes(nu, S, gamma, rounding)
 
 
 def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
@@ -184,7 +193,7 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, vacuum = _block_eigenvalues(dec.nu, _frame_rounding(dec.S, gamma))
+    lam, vacuum = _block_eigenvalues(dec.nu, dec.S, gamma)
     kernel = np.zeros_like(lam, dtype=bool)
     kernel[0] = np.outer(vacuum, vacuum)
     return DGammaSpectrum(
@@ -204,27 +213,28 @@ def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
 
 
 def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray, frame: _Frame, rounding: float
+    gamma: np.ndarray, X: np.ndarray, frame: _Frame, rounding: float | None = None
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """:func:`dgamma_pseudoinverse_apply` in the Williamson frame
     ``(S, nu, S^-1, Xt)`` of ``gamma``, with ``Xt`` the input ``X`` read in it
-    and ``rounding`` the frame's :func:`_frame_rounding`.
+    and ``rounding`` the frame's :func:`_frame_rounding` if the caller has
+    formed it.
 
     Returns ``(Y, residual, Yt)``, ``Yt = S^T Y S`` the solution in the
     thermal frame, so a caller can read thermal-frame sums off it.
 
     One pass over the frame, each quantity formed once: the divisors
-    ``nu_i nu_j -/+ 1`` and the vacuum modes (:func:`_block_eigenvalues`, on
-    the caller's ``rounding``), the four parity combinations of ``Xt`` as
+    ``nu_i nu_j -/+ 1`` and the vacuum modes (:func:`_block_eigenvalues`),
+    the four parity combinations of ``Xt`` as
     two sums of its block rows, ``Yt`` written into one array, and the
     residual ``|Gamma Y Gamma^T - w Y w^T - X|_F`` from ``Gamma Y Gamma^T``
     updated in place by the four blocks of ``w Y w^T`` and by ``X``.
     """
     S, nu, Si, Xt = frame
     n = nu.size
-    lam, vacuum = _block_eigenvalues(nu, rounding)
-    k = np.count_nonzero(vacuum)  # nu descending: the vacuum modes are the last k
-    lam[0, n - k :, n - k :] = np.inf  # the kernel: its weight 0.5 / inf is 0
+    lam, vacuum = _block_eigenvalues(nu, S, gamma, rounding)
+    if vacuum.any():
+        lam[0][np.ix_(vacuum, vacuum)] = np.inf  # the kernel: its weight 0.5 / inf is 0
     weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
     # Block rows [i, block, j]: top = [qq, qp], and bottom reversed = [pp, pq]
     blocks = Xt.reshape(2, n, 2, n)
@@ -272,8 +282,7 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     X = np.asarray(X, dtype=float)
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
-    frame = _williamson_frame(gamma, X)
-    return _frame_solve(gamma, X, frame, _frame_rounding(frame[0], gamma))[:2]
+    return _frame_solve(gamma, X, _williamson_frame(gamma, X))[:2]
 
 
 def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

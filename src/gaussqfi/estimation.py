@@ -97,7 +97,7 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     S, nu, _, _ = frame = point._frame
     rounding = _frame_rounding(S, point.gamma)
     Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame, rounding)
-    _require_state(float(nu[-1]), rounding)
+    _require_state(float(nu[-1]), S, point.gamma, rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
     L = Y + Y.T
     L *= 0.5

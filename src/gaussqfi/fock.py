@@ -541,9 +541,9 @@ def _gate(point: GaussianModelPoint, cutoff: int, dim: int, dense: bool = False)
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
     S, nu, _, _ = point._frame
     rounding = _frame_rounding(S, point.gamma)
-    pure = bool(_vacuum_modes(nu, rounding).all())
+    pure = bool(_vacuum_modes(nu, S, point.gamma, rounding).all())
     _check_size(dim, point.n, ket=pure and not dense)
-    _require_state(float(nu[-1]), rounding)
+    _require_state(float(nu[-1]), S, point.gamma, rounding)
     return pure
 
 

@@ -30,8 +30,7 @@ from .symplectic import (
     _ISOTHERMAL_TOL,
     _direct_sum,
     _direct_sum_vector,
-    _eigenframe,
-    _symmetric_part,
+    hamiltonian_eigenframe,
     is_symplectic,
     validate_covariance,
 )
@@ -78,21 +77,18 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
 
     Route: the gate and the frame read ``nu``, ``S^-1`` and ``W = Xt`` off
     the point's Williamson frame, and the frame costs one ``eigh``, of
-    ``W``.  ``max|W|`` is formed once, by the gate: the symmetry rule of
-    :func:`~gaussqfi.symplectic.hamiltonian_eigenframe` and its zero cut
-    ``1e-8 (1 + max|W|)`` read it, and the gate's anticommutation test
-    stands for the eigenframe's own.  ``O`` is checked in that frame, not
-    through the stored moments: ``O diag(nu, nu) O^T`` must be ``nu I`` and
-    ``O Xt O^T`` must be ``diag(nu lam, -nu lam)``, within
-    ``1e-5 (1 + nu + nu max lam)`` (max-abs); each product has its diagonal
-    target taken off in place.
+    ``W``, in :func:`~gaussqfi.symplectic.hamiltonian_eigenframe`.  ``O`` is
+    checked in that frame, not through the stored moments:
+    ``O diag(nu, nu) O^T`` must be ``nu I`` and ``O Xt O^T`` must be
+    ``diag(nu lam, -nu lam)``, within ``1e-5 (1 + nu + nu max lam)``
+    (max-abs); each product has its diagonal target taken off in place.
 
     Raises:
         PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
-        ValueError: if ``W`` fails the symmetry rule, or its zero
-            eigenspace is too small (see ``hamiltonian_eigenframe``).
+        ValueError: if ``W`` fails a rule of ``hamiltonian_eigenframe``
+            (symmetry, or a zero eigenspace too small).
         ConvergenceError: if ``O`` misses that residual bound.
     """
     chk = _require_isothermal(point)
@@ -103,10 +99,7 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
         )
     _, nus, Si, W = point._frame
     nu = chk.nu
-    w_max = chk._w_max
-    O, wlam = _eigenframe(
-        *np.linalg.eigh(_symmetric_part(W, "W", w_max)), _ISOTHERMAL_TOL * (1.0 + w_max)
-    )
+    O, wlam = hamiltonian_eigenframe(W)
     n = nus.size
     scale = 1.0 + abs(nu) + float(wlam[0])  # lam >= 0, descending
     state = (O * np.concatenate([nus, nus])) @ O.T

@@ -216,16 +216,20 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     leaves the physical set on one side, where a sweep raises
     ``PreconditionError`` (flag ``"nu_min"``).
 
-    ``kappa`` needs the smallest eigenvalue of ``Gamma``.  When that rounds
-    to 0 or below, or ``kappa`` overflows (a strongly squeezed ``Gamma``),
-    the curve cannot be formed: building the family still succeeds, so the
-    point itself stays readable, but evaluating the curve raises
-    ``PreconditionError`` (flag ``"ill_conditioned"``), giving that
-    eigenvalue, before any non-finite moment is formed.
+    ``kappa`` needs the smallest eigenvalue of ``Gamma``, which rounding
+    moves by up to about ``2n eps |Gamma|_2``.  When the computed eigenvalue
+    lies within that bound (a strongly squeezed ``Gamma``: it may then read
+    0, negative, or positive but meaningless), or ``kappa`` overflows, the
+    curve cannot be formed: building the family still succeeds, so the point
+    itself stays readable, but evaluating the curve raises
+    ``PreconditionError`` (flag ``"ill_conditioned"``), giving the
+    eigenvalue and the bound, before any non-finite moment is formed.
     """
-    eig_min = float(np.linalg.eigvalsh(point.gamma)[0])
+    eigs = np.linalg.eigvalsh(point.gamma)
+    eig_min = float(eigs[0])
+    bound = 2 * point.n * _EPS * float(np.abs(eigs).max())
     norm = float(np.linalg.norm(point.dgamma, 2))
-    kappa = norm * norm / eig_min if eig_min > 0.0 else math.inf
+    kappa = norm * norm / eig_min if eig_min > bound else math.inf
     if math.isfinite(kappa):
         lift = kappa * np.eye(point.gamma.shape[0])
 
@@ -234,7 +238,8 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
             raise PreconditionError(
                 "ill_conditioned",
                 f"the smallest eigenvalue of Gamma is {eig_min:.3g} in floating point, "
-                "so the lifted tangent curve of this explicit model cannot be formed",
+                f"within its rounding bound 2n eps |Gamma|_2 = {bound:.3g}, so the "
+                "lifted tangent curve of this explicit model cannot be formed",
             )
         return (
             point.d + t * point.dd,
@@ -465,7 +470,6 @@ class IsothermalCheck:
     is_isothermal: bool
     nu: float
     derivative_preserves_nu: bool
-    _w_max = math.nan  # not a field: max|W| as the derivative gate read it
 
 
 def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
@@ -494,11 +498,9 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + _VACUUM_ROUNDING * rounding:  # nu descending
         return IsothermalCheck(False, math.nan, False)
     mean = float(nu.sum()) / nu.size
-    _require_state(mean, rounding)
-    w_max = float(np.abs(W).max())
-    chk = IsothermalCheck(True, mean, _hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + w_max))
-    object.__setattr__(chk, "_w_max", w_max)
-    return chk
+    _require_state(mean, S, point.gamma, rounding)
+    preserves = _hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
+    return IsothermalCheck(True, mean, preserves)
 
 
 def _require_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
@@ -573,7 +575,7 @@ def _parse_explicit(doc: dict) -> ModelConfig:
     try:
         S, nu, _, _ = point._frame
         nu_min = float(nu[-1])
-        admissible = _is_state(nu_min, _frame_rounding(S, point.gamma))
+        admissible = _is_state(nu_min, S, point.gamma)
     except ValueError:  # not positive definite
         nu_min, admissible = 0.0, False
     if not admissible:

@@ -91,18 +91,16 @@ def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.abs(_w_right(S) @ S.T - symplectic_form(n)).max() <= tol)
 
 
-def _symmetric_part(M: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
+def _symmetric_part(M: np.ndarray, name: str) -> np.ndarray:
     """The symmetry rule of every entry point that reads ``gamma`` or
     ``dgamma``: ``M`` must be finite with ``max|M - M^T| <= 1e-8 (1 + max|M|)``,
-    and the caller works on the returned ``(M + M^T) / 2``.  A caller that
-    has already read ``scale = max|M|`` passes it.
+    and the caller works on the returned ``(M + M^T) / 2``.
 
     Raises:
         ValueError: naming ``name``, if ``M`` is not finite or not symmetric.
     """
     M = np.asarray(M, dtype=float)
-    if scale is None:
-        scale = float(np.abs(M).max(initial=0.0))
+    scale = float(np.abs(M).max(initial=0.0))
     if not math.isfinite(scale):  # max|M| is NaN or inf exactly when M is not finite
         raise ValueError(f"{name} contains non-finite entries")
     asym = float(np.abs(M - M.T).max(initial=0.0))
@@ -151,16 +149,26 @@ def _frame_rounding(S: np.ndarray, gamma: np.ndarray) -> float:
     return _EPS * float(np.vdot(S, S)) * float(gamma.trace())
 
 
-def _is_state(nu_min: float, rounding: float) -> bool:
-    """The state rule of :func:`validate_covariance`, given ``nu_min`` and
-    the rounding scale :func:`_frame_rounding` of the frame it was read in."""
+def _is_state(
+    nu_min: float, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
+) -> bool:
+    """The state rule of :func:`validate_covariance`, given ``nu_min`` and a
+    symplectic frame ``S`` of ``gamma``; the rounding is only formed when
+    ``nu_min`` lies below ``1 - 1e-8``, unless the caller has formed it
+    already and passes it as ``rounding``."""
+    if 1.0 - nu_min <= _STATE_TOL:
+        return True
+    if rounding is None:
+        rounding = _frame_rounding(S, gamma)
     return bool(1.0 - nu_min <= _STATE_TOL + rounding)
 
 
-def _require_state(nu_min: float, rounding: float) -> None:
+def _require_state(
+    nu_min: float, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
+) -> None:
     """Raise ``PreconditionError`` (flag ``"nu_min"``, giving ``1 - nu_min``)
     unless :func:`_is_state`."""
-    if not _is_state(nu_min, rounding):
+    if not _is_state(nu_min, S, gamma, rounding):
         raise PreconditionError(
             "nu_min", f"moments are not a physical state (1 - nu_min = {1.0 - nu_min:.3g})"
         )
@@ -223,7 +231,7 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     except ValueError:  # not symmetric, or not positive definite
         return CovarianceCheck(False, 0.0, asym)
     nu_min = float(dec.nu[-1])
-    return CovarianceCheck(_is_state(nu_min, _frame_rounding(dec.S, gamma)), nu_min, asym)
+    return CovarianceCheck(_is_state(nu_min, dec.S, gamma), nu_min, asym)
 
 
 @dataclass(frozen=True)

@@ -441,14 +441,17 @@ def test_sweep_refuses_sub_vacuum_points(tmp_path, capsys):
     assert "precondition failed: [nu_min]" in err
 
 
-def test_ill_conditioned_explicit_config(tmp_path, capsys):
-    # The built-in phase_squeezed r = 14 point as arrays: the smallest
-    # eigenvalue of the stored Gamma rounds to 0, so the lifted curve's
-    # kappa = |dGamma|_2^2 / lambda_min cannot be formed.  qfi reads the
-    # point itself, with no numpy warning (warnings are errors here); sweep
-    # refuses before any moment turns non-finite, naming the eigenvalue.
-    doc = explicit_doc(gq.builtin_family("phase_squeezed", {"r": 14.0}).point(0.3))
-    assert np.linalg.eigvalsh(np.array(doc["explicit"]["Gamma"]))[0] == 0.0
+@pytest.mark.parametrize("r", [13.5, 14.0])
+def test_ill_conditioned_explicit_config(tmp_path, capsys, r):
+    # The built-in phase_squeezed point as arrays: the smallest eigenvalue of
+    # the stored Gamma, e^{-2r} (2e-12, 7e-13), lies far inside its rounding
+    # bound 2n eps |Gamma|_2 (2e-4, 6e-4), so the computed one is noise: it
+    # reads 0 at r = 14 and small but positive (about 1.5e-5) at r = 13.5 on
+    # common LAPACK builds.  Either way the lifted curve's kappa = |dGamma|_2^2 / lambda_min
+    # cannot be formed.  qfi reads the point itself, with no numpy warning
+    # (warnings are errors here); sweep refuses before any moment turns
+    # non-finite, naming the eigenvalue and the bound.
+    doc = explicit_doc(gq.builtin_family("phase_squeezed", {"r": r}).point(0.3))
     cfg = write_cfg(tmp_path, doc)
     assert cli.main(["qfi", cfg]) == 0
     out, err = capsys.readouterr()
@@ -456,7 +459,17 @@ def test_ill_conditioned_explicit_config(tmp_path, capsys):
     assert cli.main(["sweep", cfg, "--from", "0", "--to", "0.1", "--steps", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "precondition failed: [ill_conditioned] the smallest eigenvalue of Gamma is 0" in err
+    assert "precondition failed: [ill_conditioned] the smallest eigenvalue of Gamma is " in err
+    assert "within its rounding bound 2n eps |Gamma|_2 = " in err
+
+
+def test_well_conditioned_squeezed_explicit_config_sweeps(tmp_path, capsys):
+    # At r = 6 the smallest eigenvalue e^{-12} (6e-6) stands well clear of its
+    # rounding bound (7e-11): the curve is formed and the sweep runs.
+    doc = explicit_doc(gq.builtin_family("phase_squeezed", {"r": 6.0}).point(0.3))
+    cfg = write_cfg(tmp_path, doc)
+    assert cli.main(["sweep", cfg, "--from", "0", "--to", "0.1", "--steps", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):

@@ -426,6 +426,12 @@ def test_frame_solve_matches_its_reference(n, kind, seed):
     assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
     scale = np.abs(pt.gamma @ Y_ref @ pt.gamma).max()
     assert abs(residual - residual_ref) <= _SOLVE_RTOL * scale
+    # No order of nu is assumed: on the frame with its modes reversed, so the
+    # vacuum modes come first, Yt is the same array with its modes reversed.
+    rev = np.concatenate([np.arange(n)[::-1], np.arange(n, 2 * n)[::-1]])
+    reversed_frame = (S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)])
+    Yt_rev = _frame_solve(pt.gamma, pt.dgamma, reversed_frame)[2]
+    assert np.array_equal(Yt_rev[np.ix_(rev, rev)], Yt)
     if hamiltonian:
         # The equal-temperature frame reads the same W as the public eigenframe.
         chk = gq.check_isothermal(pt)
