@@ -26,9 +26,10 @@ allows in the same frame, whatever the other modes' temperatures.  The rule
 is one-sided: a mode the state rule accepted below 1 is vacuum, and reads as
 1 in ``N - 1``.
 
-Route: the solve reads a Williamson frame ``(S, nu, S^-1, Xt)`` of
-``Gamma``, with ``Xt = S^-1 X S^-T``.  A model point forms that frame once
-and every estimator reads it (see
+Route: the solve reads a Williamson frame record
+``(S, nu, S^-1, Xt, rounding)`` of ``Gamma``, with ``Xt = S^-1 X S^-T`` and
+``rounding = eps |S|_F^2 tr Gamma``, all formed once with the frame.  A
+model point forms that record once and every estimator reads it (see
 :class:`~gaussqfi.models.GaussianModelPoint`): a point of a built-in family
 takes it from the closed-form factor it carries,
 ``Xt = A N + N A^T + diag(dnu, dnu)`` with ``A = S^-1 dS`` and
@@ -37,8 +38,9 @@ public functions here, factorise ``Gamma`` once, at the cost of one Cholesky
 factor and one Hermitian ``eigh`` (see
 :func:`~gaussqfi.symplectic.williamson`); rounding in the stored ``Gamma``
 then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way
-``S^-1 = -w S^T w`` needs no solve, and the kernel rule, the state rule and
-the range residual ``|D(Y) - X|_F`` are the same.
+``S^-1 = -w S^T w`` needs no solve, nor does
+``Gamma^-1 = S^-T diag(nu, nu)^-1 S^-1``, and the kernel rule, the state
+rule and the range residual ``|D(Y) - X|_F`` are the same.
 
 The same ``Xt`` carries the Fisher information of the Wigner distribution,
 ``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)`` with
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,21 +141,15 @@ class DGammaSpectrum:
         return np.sort(np.repeat(self.values.ravel(), 2))
 
 
-def _vacuum_modes(
-    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
-) -> np.ndarray:
-    """The kernel rule's vacuum test, per mode: ``nu_k - 1 <= 16 eps |S|_F^2
-    tr gamma`` in the Williamson frame ``S`` of ``gamma``; a caller that has
-    formed the frame's :func:`_frame_rounding` already passes it as
-    ``rounding``.  Every mode is vacuum exactly when the state is pure."""
-    if rounding is None:
-        rounding = _frame_rounding(S, gamma)
+def _vacuum_modes(nu: np.ndarray, rounding: float) -> np.ndarray:
+    """The kernel rule's vacuum test, per mode: ``nu_k - 1 <= 16 rounding``,
+    with ``rounding = eps |S|_F^2 tr gamma`` the :func:`_frame_rounding` of
+    the Williamson frame ``S`` of ``gamma`` that ``nu`` was read in.  Every
+    mode is vacuum exactly when the state is pure."""
     return nu - 1.0 <= _VACUUM_ROUNDING * rounding
 
 
-def _block_eigenvalues(
-    nu: np.ndarray, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_eigenvalues(nu: np.ndarray, rounding: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue arrays of the thermal-frame map and its vacuum modes.
 
     Returns ``(lam, vacuum)``: ``lam`` of shape ``(2, n, n)`` holds
@@ -175,7 +172,7 @@ def _block_eigenvalues(
     if nu.min() < 1.0:
         cold = np.maximum(nu, 1.0)
         np.subtract(np.multiply.outer(cold, cold), 1.0, out=lam[0])
-    return lam, _vacuum_modes(nu, S, gamma, rounding)
+    return lam, _vacuum_modes(nu, rounding)
 
 
 def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
@@ -193,7 +190,7 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
         vacuum mode pair.
     """
     dec = williamson(gamma)
-    lam, vacuum = _block_eigenvalues(dec.nu, dec.S, gamma)
+    lam, vacuum = _block_eigenvalues(dec.nu, _frame_rounding(dec.S, gamma))
     kernel = np.zeros_like(lam, dtype=bool)
     kernel[0] = np.outer(vacuum, vacuum)
     return DGammaSpectrum(
@@ -201,24 +198,30 @@ def dgamma_spectrum(gamma: np.ndarray) -> DGammaSpectrum:
     )
 
 
-_Frame = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (S, nu, S^-1, Xt)
+class _Frame(NamedTuple):
+    """A Williamson frame ``gamma = S diag(nu, nu) S^T`` and what every reader
+    takes from it, each formed once where the frame is formed."""
+
+    S: np.ndarray
+    nu: np.ndarray
+    S_inv: np.ndarray
+    Xt: np.ndarray  # an input X read in the frame, S^-1 X S^-T
+    rounding: float  # _frame_rounding(S, gamma)
 
 
 def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
-    """``(S, nu, S^-1, Xt)``: ``williamson(gamma)`` and ``X`` read in it,
-    ``Xt = S^-1 X S^-T``; the frame of every point without a factor."""
+    """``williamson(gamma)`` and ``X`` read in it, ``Xt = S^-1 X S^-T``; the
+    frame of every point without a factor."""
     dec = williamson(gamma)
     Si = dec.S_inv
-    return dec.S, dec.nu, Si, Si @ X @ Si.T
+    return _Frame(dec.S, dec.nu, Si, Si @ X @ Si.T, _frame_rounding(dec.S, gamma))
 
 
 def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray, frame: _Frame, rounding: float | None = None
+    gamma: np.ndarray, X: np.ndarray, frame: _Frame
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """:func:`dgamma_pseudoinverse_apply` in the Williamson frame
-    ``(S, nu, S^-1, Xt)`` of ``gamma``, with ``Xt`` the input ``X`` read in it
-    and ``rounding`` the frame's :func:`_frame_rounding` if the caller has
-    formed it.
+    """:func:`dgamma_pseudoinverse_apply` in the Williamson frame of
+    ``gamma``, whose ``Xt`` is the input ``X`` read in it.
 
     Returns ``(Y, residual, Yt)``, ``Yt = S^T Y S`` the solution in the
     thermal frame, so a caller can read thermal-frame sums off it.
@@ -230,9 +233,9 @@ def _frame_solve(
     residual ``|Gamma Y Gamma^T - w Y w^T - X|_F`` from ``Gamma Y Gamma^T``
     updated in place by the four blocks of ``w Y w^T`` and by ``X``.
     """
-    S, nu, Si, Xt = frame
+    nu, Si, Xt = frame.nu, frame.S_inv, frame.Xt
     n = nu.size
-    lam, vacuum = _block_eigenvalues(nu, S, gamma, rounding)
+    lam, vacuum = _block_eigenvalues(nu, frame.rounding)
     if vacuum.any():
         lam[0][np.ix_(vacuum, vacuum)] = np.inf  # the kernel: its weight 0.5 / inf is 0
     weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]

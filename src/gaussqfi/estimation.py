@@ -14,7 +14,8 @@ the uncentered polynomial.
 Every reader here works in the point's one Williamson frame
 ``Gamma = S diag(nu, nu) S^T``, ``Xt = S^-1 dGamma S^-T`` (see
 :class:`~gaussqfi.models.GaussianModelPoint`): the SLD solve, its offset,
-the Wigner information and the equal-temperature shortcut.
+the linear coefficients ``b = 2 S^-T diag(nu, nu)^-1 S^-1 dd``, the Wigner
+information and the equal-temperature shortcut.
 
 Quantum Fisher information then splits into a first-moment term
 ``2 dd^T Gamma^-1 dd`` and a second-moment term ``tr[dGamma L] / 2``; the
@@ -31,7 +32,7 @@ import numpy as np
 from .dgamma import _frame_solve
 from .exceptions import ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, _require_isothermal
-from .symplectic import _frame_rounding, _require_state, williamson
+from .symplectic import _require_state, williamson
 
 _DEFINITE_TOL = 1e-9  # photon_counting_form: eigenvalues of L beyond this times max|L|
 
@@ -71,11 +72,21 @@ class SLDCoefficients:
     range_residual: float
 
 
+def _inverse_apply(S_inv: np.ndarray, nu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M^-1 v = S^-T diag(nu, nu)^-1 S^-1 v`` for ``M = S diag(nu, nu) S^T``
+    in its Williamson frame: two matrix-vector products, no solve."""
+    vt = S_inv @ v
+    vt /= np.concatenate([nu, nu])
+    return vt @ S_inv
+
+
 def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
-    """``b = 2 Gamma^-1 dd``; zero, with no solve, when ``dd = 0``."""
+    """``b = 2 Gamma^-1 dd``, read off the point's Williamson frame; zero
+    when ``dd = 0``."""
     if not point.dd.any():
         return np.zeros_like(point.dd)
-    return 2.0 * np.linalg.solve(point.gamma, point.dd)
+    frame = point._frame
+    return 2.0 * _inverse_apply(frame.S_inv, frame.nu, point.dd)
 
 
 def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
@@ -83,9 +94,9 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
 
     ``L`` is the solve of :func:`~gaussqfi.dgamma.dgamma_pseudoinverse_apply`
     in the point's Williamson frame, whose kernel is the parity-+ entries of
-    vacuum mode pairs.  The point's frame is read once, and its rounding
-    scale ``eps |S|_F^2 tr Gamma`` is formed once, for both the solve's
-    vacuum test and the state rule.
+    vacuum mode pairs.  The solve's vacuum test and the state rule read the
+    rounding scale ``eps |S|_F^2 tr Gamma`` of the point's frame record, and
+    ``b`` is read off the same frame.
 
     Args:
         point: model point with an admissible covariance matrix.
@@ -94,10 +105,10 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
     """
-    S, nu, _, _ = frame = point._frame
-    rounding = _frame_rounding(S, point.gamma)
-    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame, rounding)
-    _require_state(float(nu[-1]), S, point.gamma, rounding)
+    frame = point._frame
+    nu = frame.nu
+    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame)
+    _require_state(float(nu[-1]), frame.rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
     L = Y + Y.T
     L *= 0.5
@@ -109,7 +120,8 @@ def _wigner_second(point: GaussianModelPoint) -> float:
     ``tr[(Gamma^-1 dGamma)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
     with ``nt = (nu, nu)``, read in the point's frame: each of the four
     ``n x n`` blocks of ``Xt * Xt^T`` is divided by ``N = nu nu^T``."""
-    _, nu, _, Xt = point._frame
+    frame = point._frame
+    nu, Xt = frame.nu, frame.Xt
     n = nu.size
     terms = Xt * Xt.T
     quarters = terms.reshape(2, n, 2, n)
@@ -164,16 +176,16 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     ``Xt = S^-1 dGamma S^-T``, once per point.  The SLD solve divides the
     entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and gives ``L``, so the
     second-moment term is ``tr[dGamma L] / 2``, and the first-moment term
-    ``2 dd^T Gamma^-1 dd`` is ``dd . b`` (``b`` costs the only other
-    factorisation, one solve, skipped when ``dd = 0``).  The Wigner
-    information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j`` instead, as
-    :func:`wigner_fisher` does.
+    ``2 dd^T Gamma^-1 dd`` is ``dd . b``, with ``b`` read off the same frame
+    as ``2 S^-T diag(nu, nu)^-1 S^-1 dd``: no second factorisation and no
+    solve.  The Wigner information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j``
+    instead, as :func:`wigner_fisher` does.
 
-    Each quantity is formed once per call: the rounding scale
-    ``eps |S|_F^2 tr Gamma`` (the solve's vacuum test and the state rule),
-    the divisors ``nu_i nu_j -/+ 1``, ``Yt`` and the residual
-    ``Gamma Y Gamma^T - w Y w^T - dGamma`` in :func:`sld_coefficients`;
-    nothing is kept on the point beyond its frame.
+    Each quantity is formed once: the rounding scale
+    ``eps |S|_F^2 tr Gamma`` (the solve's vacuum test and the state rule)
+    with the point's frame, and per call the divisors ``nu_i nu_j -/+ 1``,
+    ``Yt`` and the residual ``Gamma Y Gamma^T - w Y w^T - dGamma`` in
+    :func:`sld_coefficients`; nothing is kept on the point beyond its frame.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
@@ -315,8 +327,9 @@ def photon_counting_form(
         return None  # indefinite or singular
     dec = williamson(sign * coeffs.L)
     T = dec.S.T
-    # (R-d) L (R-d) + b.(R-d) is (R-d*) L (R-d*) up to a constant, d - d* = shift
-    shift = 0.5 * np.linalg.solve(coeffs.L, coeffs.b)
+    # (R-d) L (R-d) + b.(R-d) is (R-d*) L (R-d*) up to a constant, d - d* = L^-1 b / 2,
+    # read off the frame sign L = S diag(nu, nu) S^T with no solve
+    shift = 0.5 * sign * _inverse_apply(dec.S_inv, dec.nu, coeffs.b)
     return PhotonCountingForm(
         T=T,
         alpha=sign * dec.nu,

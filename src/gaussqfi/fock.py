@@ -71,7 +71,7 @@ from .dgamma import _vacuum_modes
 from .estimation import SLDCoefficients
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily
-from .symplectic import _frame_rounding, _passive, _require_state, symplectic_form
+from .symplectic import _passive, _require_state, symplectic_form
 
 __all__ = [
     "passive_unitary",
@@ -539,11 +539,10 @@ def _gate(point: GaussianModelPoint, cutoff: int, dim: int, dense: bool = False)
     """
     if cutoff < 8:
         raise ConfigError(f"cutoff must be at least 8, got {cutoff}")
-    S, nu, _, _ = point._frame
-    rounding = _frame_rounding(S, point.gamma)
-    pure = bool(_vacuum_modes(nu, S, point.gamma, rounding).all())
+    frame = point._frame
+    pure = bool(_vacuum_modes(frame.nu, frame.rounding).all())
     _check_size(dim, point.n, ket=pure and not dense)
-    _require_state(float(nu[-1]), S, point.gamma, rounding)
+    _require_state(float(frame.nu[-1]), frame.rounding)
     return pure
 
 

@@ -97,7 +97,8 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
             "static_first_moments",
             "homodyne normal-frame analysis assumes dd = 0",
         )
-    _, nus, Si, W = point._frame
+    frame = point._frame
+    nus, Si, W = frame.nu, frame.S_inv, frame.Xt
     nu = chk.nu
     O, wlam = hamiltonian_eigenframe(W)
     n = nus.size

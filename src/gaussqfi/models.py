@@ -66,9 +66,10 @@ class GaussianModelPoint:
     The four arrays are the point's own copies and read-only, so what is
     read from them once holds for the point's life.
 
-    Every estimator reads the point through one Williamson frame,
-    ``Gamma = S diag(nu, nu) S^T`` with ``Xt = S^-1 dGamma S^-T``, formed
-    once per point and held privately outside the fields.  A point of a
+    Every estimator reads the point through one Williamson frame record,
+    ``Gamma = S diag(nu, nu) S^T`` with ``S^-1``, ``Xt = S^-1 dGamma S^-T``
+    and the rounding scale ``eps |S|_F^2 tr Gamma``, formed once per point
+    and held privately outside the fields.  A point of a
     built-in family takes it from the family's closed-form factor (see
     :class:`_ModelFactor`) and factorises nothing; a point built from
     arrays, or by ``dataclasses.replace``, takes one ``williamson(Gamma)``
@@ -118,9 +119,10 @@ class GaussianModelPoint:
 
     @functools.cached_property
     def _frame(self) -> _Frame:
-        """``(S, nu, S^-1, Xt)``: the point's Williamson frame, ``nu``
-        descending, and ``Xt = S^-1 dGamma S^-T``; the factor's when the
-        point carries one, else ``williamson(Gamma)``.
+        """The point's Williamson frame record ``(S, nu, S^-1, Xt, rounding)``,
+        ``nu`` descending, ``Xt = S^-1 dGamma S^-T`` and
+        ``rounding = eps |S|_F^2 tr Gamma``; the factor's when the point
+        carries one, else ``williamson(Gamma)``.
 
         Raises:
             ValueError: if ``Gamma`` is not positive definite (no factor).
@@ -129,7 +131,9 @@ class GaussianModelPoint:
         factor = self._factor
         if factor is None:
             return _williamson_frame(self.gamma, self.dgamma)
-        return factor.S, factor.nu, factor.S_inv, factor.Xt
+        return _Frame(
+            factor.S, factor.nu, factor.S_inv, factor.Xt, _frame_rounding(factor.S, self.gamma)
+        )
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,14 @@ class ModelFamily:
         return point
 
 
+def _eigenvalue_floor(gamma: np.ndarray) -> tuple[float, float]:
+    """``(eig_min, bound)``: the smallest eigenvalue of ``gamma`` as computed
+    in floating point, and the bound ``2n eps |gamma|_2`` within which
+    rounding moves it."""
+    eigs = np.linalg.eigvalsh(gamma)
+    return float(eigs[0]), gamma.shape[0] * _EPS * float(np.abs(eigs).max())
+
+
 def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     """Lifted tangent curve through ``point``, which sits at ``t = 0``.
 
@@ -225,9 +237,7 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     ``PreconditionError`` (flag ``"ill_conditioned"``), giving the
     eigenvalue and the bound, before any non-finite moment is formed.
     """
-    eigs = np.linalg.eigvalsh(point.gamma)
-    eig_min = float(eigs[0])
-    bound = 2 * point.n * _EPS * float(np.abs(eigs).max())
+    eig_min, bound = _eigenvalue_floor(point.gamma)
     norm = float(np.linalg.norm(point.dgamma, 2))
     kappa = norm * norm / eig_min if eig_min > bound else math.inf
     if math.isfinite(kappa):
@@ -475,16 +485,17 @@ class IsothermalCheck:
 def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     """Classify a model point for the equal-temperature fast paths (tol 1e-8).
 
-    Both gates read the point's Williamson frame ``(S, nu, S^-1, Xt)`` (see
+    Both gates read the point's Williamson frame record (see
     :class:`GaussianModelPoint`).  The point is isothermal iff
     ``nu_max - nu_min`` is within ``1e-8 nu_min`` plus the kernel rule's
     rounding allowance, ``16 eps |S|_F^2 tr Gamma``.  An isothermal point
     must be a state, and its derivative ``W = Xt`` preserves ``nu`` iff it
     anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
 
-    The rounding scale ``eps |S|_F^2 tr Gamma`` is formed once, for the
-    spread and the state rule; ``max|W|`` and the deviation
-    ``max(|W_QQ + W_PP|, |W_QP - W_PQ|)`` once, from the blocks of ``W``.
+    The spread and the state rule read the frame's rounding scale
+    ``eps |S|_F^2 tr Gamma``; ``max|W|`` and the deviation
+    ``max(|W_QQ + W_PP|, |W_QP - W_PQ|)`` are formed once, from the blocks
+    of ``W``.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point without
@@ -493,12 +504,12 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
             but not a state (see ``validate_covariance``); spread
             temperatures read ``is_isothermal=False`` first.
     """
-    S, nu, _, W = point._frame
-    rounding = _frame_rounding(S, point.gamma)
-    if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + _VACUUM_ROUNDING * rounding:  # nu descending
+    frame = point._frame
+    nu, W = frame.nu, frame.Xt
+    if nu[0] - nu[-1] > _ISOTHERMAL_TOL * nu[-1] + _VACUUM_ROUNDING * frame.rounding:  # descending
         return IsothermalCheck(False, math.nan, False)
     mean = float(nu.sum()) / nu.size
-    _require_state(mean, S, point.gamma, rounding)
+    _require_state(mean, frame.rounding)
     preserves = _hamiltonian_deviation(W) <= _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
     return IsothermalCheck(True, mean, preserves)
 
@@ -572,17 +583,19 @@ def _parse_explicit(doc: dict) -> ModelConfig:
         raise ConfigError(
             f"explicit model: declares n = {n} but arrays describe {point.n} mode(s)"
         )
+    refused = "explicit model: 'Gamma' is not an admissible covariance matrix"
     try:
-        S, nu, _, _ = point._frame
-        nu_min = float(nu[-1])
-        admissible = _is_state(nu_min, S, point.gamma)
-    except ValueError:  # not positive definite
-        nu_min, admissible = 0.0, False
-    if not admissible:
+        frame = point._frame
+    except ValueError:  # its Cholesky factor fails: not positive definite in floating point
+        eig_min, bound = _eigenvalue_floor(point.gamma)
         raise ConfigError(
-            f"explicit model: 'Gamma' is not an admissible covariance matrix "
-            f"(1 - nu_min = {1.0 - nu_min:.3g})"
-        )
+            f"{refused} (its Cholesky factor fails: the smallest eigenvalue of Gamma is "
+            f"{eig_min:.3g} in floating point, against its rounding bound "
+            f"2n eps |Gamma|_2 = {bound:.3g})"
+        ) from None
+    nu_min = float(frame.nu[-1])
+    if not _is_state(nu_min, frame.rounding):
+        raise ConfigError(f"{refused} (1 - nu_min = {1.0 - nu_min:.3g})")
     return ModelConfig(point=point, family=_linear_family(point), theta=0.0, label="explicit")
 
 

@@ -15,8 +15,8 @@ symmetry rule and the state rule stated in :func:`validate_covariance`.
 
 Every orthogonal symplectic frame here (a passive network) is built as the
 image ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n unitary ``u`` on the
-modes: the Haar-random ones, the eigenframe of a symmetric Hamiltonian
-matrix, and through it both orthogonal factors of the Euler decomposition.
+modes: the Haar-random ones and the eigenframe of a symmetric Hamiltonian
+matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .exceptions import ConvergenceError, PreconditionError
 _WILLIAMSON_TOL = 1e-10  # williamson's reconstruction bound
 _STATE_TOL = 1e-8  # state rule: how far below 1 nu_min may lie beyond rounding
 _SYMMETRY_TOL = 1e-8  # symmetry rule: max |M - M^T| per unit of 1 + max|M|
-_EULER_TOL = 1e-8  # euler_decompose: max-abs symplectic defect of S; zero squeeze per 1 + z_max
 _ISOTHERMAL_TOL = 1e-8  # equal-temperature gates, their normal frame and hamiltonian_eigenframe
 _VACUUM_ROUNDING = 16  # kernel rule and equal-temperature gate: times the state rule's rounding
 _EPS = float(np.finfo(float).eps)
@@ -47,7 +46,6 @@ __all__ = [
     "random_orthogonal_symplectic",
     "random_symplectic",
     "hamiltonian_eigenframe",
-    "euler_decompose",
 ]
 
 
@@ -143,32 +141,23 @@ def _frame_rounding(S: np.ndarray, gamma: np.ndarray) -> float:
     its inverse; ``|S^-1|_F = |S|_F``).  Rounding ``gamma`` by ``E`` moves a
     ``nu`` by at most ``|E| |S|_F^2``, and ``|E| ~ eps |gamma| <= eps tr gamma``.
 
-    The one rounding scale of a frame: the state rule, the kernel rule's
-    vacuum test and the equal-temperature gate each read it, and a caller
-    that applies more than one of them forms it once and passes it on."""
+    The one rounding scale of a frame, formed once where the frame is formed
+    (a model point's frame record, or the one ``williamson`` of a public
+    function without a point); the state rule, the kernel rule's vacuum test
+    and the equal-temperature gate each read it."""
     return _EPS * float(np.vdot(S, S)) * float(gamma.trace())
 
 
-def _is_state(
-    nu_min: float, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
-) -> bool:
-    """The state rule of :func:`validate_covariance`, given ``nu_min`` and a
-    symplectic frame ``S`` of ``gamma``; the rounding is only formed when
-    ``nu_min`` lies below ``1 - 1e-8``, unless the caller has formed it
-    already and passes it as ``rounding``."""
-    if 1.0 - nu_min <= _STATE_TOL:
-        return True
-    if rounding is None:
-        rounding = _frame_rounding(S, gamma)
+def _is_state(nu_min: float, rounding: float) -> bool:
+    """The state rule of :func:`validate_covariance`, given ``nu_min`` and
+    the :func:`_frame_rounding` of the frame it was read in."""
     return bool(1.0 - nu_min <= _STATE_TOL + rounding)
 
 
-def _require_state(
-    nu_min: float, S: np.ndarray, gamma: np.ndarray, rounding: float | None = None
-) -> None:
+def _require_state(nu_min: float, rounding: float) -> None:
     """Raise ``PreconditionError`` (flag ``"nu_min"``, giving ``1 - nu_min``)
     unless :func:`_is_state`."""
-    if not _is_state(nu_min, S, gamma, rounding):
+    if not _is_state(nu_min, rounding):
         raise PreconditionError(
             "nu_min", f"moments are not a physical state (1 - nu_min = {1.0 - nu_min:.3g})"
         )
@@ -231,7 +220,7 @@ def validate_covariance(gamma: np.ndarray) -> CovarianceCheck:
     except ValueError:  # not symmetric, or not positive definite
         return CovarianceCheck(False, 0.0, asym)
     nu_min = float(dec.nu[-1])
-    return CovarianceCheck(_is_state(nu_min, dec.S, gamma), nu_min, asym)
+    return CovarianceCheck(_is_state(nu_min, _frame_rounding(dec.S, gamma)), nu_min, asym)
 
 
 @dataclass(frozen=True)
@@ -353,23 +342,35 @@ def _hamiltonian_deviation(W: np.ndarray) -> float:
     return float(np.maximum(trace_part, skew_part))  # NaN propagates
 
 
-def _eigenframe(ev: np.ndarray, V: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mode reader of :func:`hamiltonian_eigenframe` and
-    :func:`euler_decompose`: ``(O, lam)`` from the eigenpairs ``(ev, V)`` of
-    a symmetric ``2n x 2n`` matrix that ``w`` maps from ``+lam`` to
-    ``-lam``.
+def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalise a symmetric Hamiltonian matrix by an orthogonal symplectic.
 
-    The eigenvectors of the ``n`` largest ``ev`` above ``cut``, read as modes
-    ``x + i y``, are orthonormal in ``C^n``.  The ``ev`` within ``cut`` of 0
-    span a ``w``-invariant, i.e. complex, subspace; the ``m`` modes it
-    contributes are the leading left singular vectors of its eigenvectors
-    read the same way.  ``O`` is the passive image of the unitary whose rows
-    are the conjugated modes.
+    A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
+    this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
+    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
+
+    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
+    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
+    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
+    orthonormal in ``C^n``.  Eigenvalues within ``1e-8 (1 + max|W|)`` of 0
+    count as zero; they span a ``w``-invariant, i.e. complex, subspace, and
+    the ``m`` modes it contributes are the leading left singular vectors of
+    its eigenvectors read the same way.  ``O`` is the passive image of the
+    unitary whose rows are the conjugated modes.  ``W`` is held to the
+    symmetry rule of :func:`validate_covariance` and read as its symmetric
+    part.
 
     Raises:
-        ValueError: if fewer than ``2 m`` of ``ev`` lie within ``cut`` of 0.
+        ValueError: if ``W`` fails the symmetry rule, does not anticommute
+            with ``w`` within ``1e-8 (1 + max|W|)``, or its zero eigenspace
+            has fewer than ``2 m`` dimensions.
     """
-    n = V.shape[0] // 2
+    n = _check_even_square(W, "W")
+    W = _symmetric_part(W, "W")
+    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
+    if _hamiltonian_deviation(W) > cut:
+        raise ValueError("W does not anticommute with the symplectic form")
+    ev, V = np.linalg.eigh(W)
     order = np.argsort(-ev)
     pos = order[ev[order] > cut][:n]
     modes = V[:n, pos] + 1j * V[n:, pos]
@@ -383,66 +384,6 @@ def _eigenframe(ev: np.ndarray, V: np.ndarray, cut: float) -> tuple[np.ndarray, 
         modes = np.concatenate([modes, null], axis=1)
         lam = np.concatenate([lam, np.zeros(m)])
     return _passive(modes.conj().T), lam
-
-
-def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a symmetric Hamiltonian matrix by an orthogonal symplectic.
-
-    A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
-    this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
-    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
-
-    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
-    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
-    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
-    orthonormal in ``C^n``; the zero eigenspace contributes the rest (see
-    :func:`_eigenframe`).  ``W`` is held to the symmetry rule of
-    :func:`validate_covariance` and read as its symmetric part.
-
-    Eigenvalues within ``1e-8 (1 + max|W|)`` of 0 count as zero.
-
-    Raises:
-        ValueError: if ``W`` fails the symmetry rule, does not anticommute
-            with ``w`` within ``1e-8 (1 + max|W|)``, or its zero eigenspace
-            has fewer than ``2 m`` dimensions.
-    """
-    _check_even_square(W, "W")
-    W = _symmetric_part(W, "W")
-    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
-    if _hamiltonian_deviation(W) > cut:
-        raise ValueError("W does not anticommute with the symplectic form")
-    return _eigenframe(*np.linalg.eigh(W), cut)
-
-
-def euler_decompose(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler (Bloch-Messiah) factorisation ``S = O1 @ diag(e^z, e^-z) @ O2``.
-
-    ``O1, O2`` are orthogonal symplectic and ``z`` are the squeeze parameters,
-    descending.  One ``eigh(S S^T)`` gives both: ``S S^T = P^2`` for the
-    polar factor ``S = P O``, and ``P^2`` is symmetric and symplectic, so
-    ``w`` maps its ``e^{2z}`` eigenvectors to the ``e^{-2z}`` ones, as a
-    symmetric Hamiltonian maps ``+z`` to ``-z``.  The mode reader of
-    :func:`hamiltonian_eigenframe` reads the frame ``F`` and
-    ``z = log(ev) / 2`` off the eigenvalues ``ev >= 1``, which hold their
-    relative precision however strong the squeezing; the lower half, whose
-    rounding floor is ``eps e^{2 z_max}``, is never read but at ``z ~ 0``.
-    Then ``O1 = F^T`` and ``O2 = diag(e^-z, e^z) F S``.  Squeezes within
-    ``1e-8 (1 + z_max)`` of 0 count as zero.
-
-    Raises:
-        ValueError: if ``S`` is not symplectic within ``1e-8``.
-    """
-    S = np.asarray(S, dtype=float)
-    _check_even_square(S, "S")
-    if not is_symplectic(S, _EULER_TOL):
-        raise ValueError("S is not symplectic")
-
-    ev, V = np.linalg.eigh(S @ S.T)
-    # an ev at the rounding floor (<= 0 at z_max > ~9) reads as z ~ -354: never kept
-    zs = 0.5 * np.log(np.maximum(ev, np.finfo(float).tiny))
-    frame, z = _eigenframe(zs, V, _EULER_TOL * (1.0 + zs[-1]))
-    O2 = np.concatenate([np.exp(-z), np.exp(z)])[:, None] * (frame @ S)
-    return frame.T, z, O2
 
 
 def _direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -463,6 +463,25 @@ def test_ill_conditioned_explicit_config(tmp_path, capsys, r):
     assert "within its rounding bound 2n eps |Gamma|_2 = " in err
 
 
+def test_explicit_config_refused_on_a_failed_cholesky_factor_names_the_eigenvalue(
+    tmp_path, capsys
+):
+    # The built-in phase_squeezed r = 12.25, theta 0.3 point as arrays: the
+    # Cholesky factor of the stored Gamma fails (its smallest eigenvalue reads
+    # about -1e-6 against a rounding bound of 1.9e-5), and the refusal says so
+    # rather than report a nu_min it never read.
+    doc = explicit_doc(gq.builtin_family("phase_squeezed", {"r": 12.25}).point(0.3))
+    assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "error: explicit model: 'Gamma' is not an admissible covariance matrix "
+        "(its Cholesky factor fails: the smallest eigenvalue of Gamma is "
+    )
+    assert "against its rounding bound 2n eps |Gamma|_2 = " in err
+    assert "nu_min" not in err
+
+
 def test_well_conditioned_squeezed_explicit_config_sweeps(tmp_path, capsys):
     # At r = 6 the smallest eigenvalue e^{-12} (6e-6) stands well clear of its
     # rounding bound (7e-11): the curve is formed and the sweep runs.

@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_lyapunov
 
 import gaussqfi as gq
-from gaussqfi.dgamma import _frame_solve
-from gaussqfi.symplectic import _frame_rounding
+from gaussqfi.dgamma import _Frame, _frame_solve
 from conftest import (
     random_hamiltonian,
     random_model_point,
@@ -358,7 +357,7 @@ def _reference_frame_solve(gamma, X, frame):
     the eigenvalues and kernel mask stacked as ``(2, n, n)`` arrays, the four
     parity combinations stacked by ``np.stack``, one ``np.divide(where=)``
     off the kernel, and the residual through ``apply_dgamma``."""
-    S, nu, Si, Xt = frame
+    S, nu, Si, Xt, _ = frame
     n = len(nu)
     with np.errstate(over="raise"):
         N = np.outer(nu, nu)
@@ -419,8 +418,8 @@ def _kind_point(kind, n, seed):
 )
 def test_frame_solve_matches_its_reference(n, kind, seed):
     pt, hamiltonian = _kind_point(kind, n, seed)
-    S, nu, Si, W = frame = pt._frame
-    Y, residual, Yt = _frame_solve(pt.gamma, pt.dgamma, frame, _frame_rounding(S, pt.gamma))
+    S, nu, Si, W, rounding = frame = pt._frame
+    Y, residual, Yt = _frame_solve(pt.gamma, pt.dgamma, frame)
     Y_ref, residual_ref, Yt_ref = _reference_frame_solve(pt.gamma, pt.dgamma, frame)
     assert np.abs(Y - Y_ref).max() <= _SOLVE_RTOL * np.abs(Y_ref).max()
     assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
@@ -429,7 +428,7 @@ def test_frame_solve_matches_its_reference(n, kind, seed):
     # No order of nu is assumed: on the frame with its modes reversed, so the
     # vacuum modes come first, Yt is the same array with its modes reversed.
     rev = np.concatenate([np.arange(n)[::-1], np.arange(n, 2 * n)[::-1]])
-    reversed_frame = (S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)])
+    reversed_frame = _Frame(S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)], rounding)
     Yt_rev = _frame_solve(pt.gamma, pt.dgamma, reversed_frame)[2]
     assert np.array_equal(Yt_rev[np.ix_(rev, rev)], Yt)
     if hamiltonian:

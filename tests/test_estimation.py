@@ -281,6 +281,13 @@ def test_photon_counting_folds_the_linear_part_into_the_displacement():
     form = gq.photon_counting_form(gq.sld_coefficients(pt), pt)
     assert_allclose(form.displacement, [-1.0, 0.0], atol=1e-12)
     assert_allclose(form.mean_photon, [0.5 + 0.5 * 1.5**2], atol=1e-12)
+    # Cooling, dGamma = -I: L = -I / 3 is read off the frame of -L, so
+    # d* = d + 3 b / 2 = (2, 0), and the modes sit as far from it.
+    cooling = gq.GaussianModelPoint(pt.d, pt.gamma, pt.dd, -pt.dgamma)
+    form = gq.photon_counting_form(gq.sld_coefficients(cooling), cooling)
+    assert_allclose(form.alpha, [-1.0 / 3.0], atol=1e-12)
+    assert_allclose(form.displacement, [2.0, 0.0], atol=1e-12)
+    assert_allclose(form.mean_photon, [0.5 + 0.5 * 1.5**2], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -316,14 +323,14 @@ def test_photon_counting_attains_the_qfi(pt, qfi):
 
 
 def test_photon_counting_form_solves_only_with_L(linalg_calls):
-    # One Williamson frame of L (a Cholesky factor and one eigh) and the
-    # solve for d*; nothing is solved with Gamma.
+    # One Williamson frame of L (a Cholesky factor and one eigh), which also
+    # gives d* = d - L^-1 b / 2; nothing is solved, with Gamma or with L.
     pt = _displaced_heating_point([1.0, 0.0])
     co = gq.sld_coefficients(pt)
     before = dict(linalg_calls)
     assert gq.photon_counting_form(co, pt) is not None
     assert {k: linalg_calls[k] - before[k] for k in before} == {
-        "cholesky": 1, "eigh": 1, "solve": 1,
+        "cholesky": 1, "eigh": 1, "solve": 0,
     }
 
 
@@ -375,13 +382,13 @@ _DISPLACEMENT_POINT = gq.builtin_family("displacement").point(0.5)
 @pytest.mark.parametrize(
     "pt,counts",
     [
-        (random_model_point(3, seed=11), (1, 1, 1)),
+        (random_model_point(3, seed=11), (1, 1, 0)),
         (random_model_point(3, seed=12, with_first_moments=False), (1, 1, 0)),
         (random_isothermal_point(4, seed=13), (1, 1, 0)),
         (_PHASE_POINT, (0, 0, 0)),
-        (_DISPLACEMENT_POINT, (0, 0, 1)),
+        (_DISPLACEMENT_POINT, (0, 0, 0)),
         (_explicit(_PHASE_POINT), (1, 1, 0)),
-        (_explicit(_DISPLACEMENT_POINT), (1, 1, 1)),
+        (_explicit(_DISPLACEMENT_POINT), (1, 1, 0)),
     ],
     ids=["mixed-dd", "mixed-static", "pure", "phase_squeezed", "displacement",
          "phase_squeezed-explicit", "displacement-explicit"],
@@ -389,8 +396,38 @@ _DISPLACEMENT_POINT = gq.builtin_family("displacement").point(0.5)
 def test_qfi_general_factorisation_counts(linalg_calls, pt, counts):
     # A built-in family's point reads its frame off its factor: no Cholesky,
     # no eigh; the same moments as arrays take one Williamson factorisation.
+    # b = 2 Gamma^-1 dd is read off the frame too: no solve on any point.
     gq.qfi_general(pt)
     assert linalg_calls == dict(zip(("cholesky", "eigh", "solve"), counts))
+
+
+def _moving(pt, seed):
+    """``pt`` with a seeded nonzero ``dd``, built from arrays."""
+    dd = np.random.default_rng(seed).standard_normal(pt.dd.size)
+    return gq.GaussianModelPoint(pt.d, pt.gamma, dd, pt.dgamma)
+
+
+@pytest.mark.parametrize(
+    "pt, isothermal",
+    [(random_model_point(n, seed=70 + n), False) for n in range(2, 8)]
+    + [(_moving(random_isothermal_point(n, seed=80 + n, nu=nu), 90 + n), True)
+       for n in (1, 2, 4) for nu in (1.0, 1.7)]
+    + [(_DISPLACEMENT_POINT, True), (_explicit(_DISPLACEMENT_POINT), True)],
+)
+def test_every_reader_of_the_first_moment_term_gives_one_float(pt, isothermal):
+    # qfi_general, wigner_fisher and qfi_isothermal all read b off the frame
+    # through _linear_coefficients, so each forms the same dd . b.
+    # wigner_fisher is compared as the sum it forms, as (a + b) - a need not
+    # be b in floating point.  test_frame_read_terms_match_solve_route holds
+    # the term to the LU solve.
+    assert np.any(pt.dd)
+    first = gq.qfi_general(pt).first_moment_term
+    assert first > 0.0
+    assert gq.wigner_fisher(pt) == gq.estimation._wigner_second(pt) + first
+    chk = gq.check_isothermal(pt)
+    assert (chk.is_isothermal and chk.derivative_preserves_nu) == isothermal
+    if isothermal:
+        assert gq.qfi_isothermal(pt).first_moment_term == first
 
 
 def _heated_point(gamma_diag, heating_diag):

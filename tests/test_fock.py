@@ -201,12 +201,24 @@ def _scipy_displacement_unitary(d, dim):
     return la.expm(gen)
 
 
-def _scipy_build_state(point, cutoff, pad=12):
+def _euler_factors(point, euler):
+    """``euler = (O1, z, O2, nu)``, the factors ``point`` is built from:
+    ``Gamma = S diag(nu, nu) S^T`` with ``S = O1 diag(e^z, e^-z) O2``, ``O1``
+    and ``O2`` orthogonal symplectic.  Returns them as arrays once they are
+    seen to give the point's ``Gamma``."""
+    O1, z, O2, nu = (np.asarray(f, dtype=float) for f in euler)
+    S = (O1 * np.exp(np.concatenate([z, -z]))) @ O2
+    gamma = (S * np.concatenate([nu, nu])) @ S.T
+    assert np.abs(gamma - point.gamma).max() <= 1e-12 * np.abs(point.gamma).max()
+    return O1, z, O2, nu
+
+
+def _scipy_build_state(point, euler, cutoff, pad=12):
     """``crop(D P1 Sq P2 rho_th (D P1 Sq P2)^H)`` from scipy ``expm`` of the
-    padded generators, with the thermal weights written out here."""
+    padded generators, on the Euler factors ``euler`` of the point (see
+    :func:`_euler_factors`), with the thermal weights written out here."""
     big, n = cutoff + pad, point.n
-    dec = gq.williamson(point.gamma)
-    O1, z, O2 = gq.euler_decompose(dec.S)
+    O1, z, O2, nus = _euler_factors(point, euler)
     U = (
         _scipy_displacement_unitary(point.d, big)
         @ _scipy_passive_unitary(O1, big)
@@ -214,7 +226,7 @@ def _scipy_build_state(point, cutoff, pad=12):
         @ _scipy_passive_unitary(O2, big)
     )
     p = np.ones(1)
-    for nu in dec.nu:
+    for nu in nus:
         nbar = 0.5 * (nu - 1.0)
         p = np.kron(p, nbar ** np.arange(big) / (nbar + 1.0) ** np.arange(1, big + 1))
     rho = (U * p) @ U.conj().T
@@ -223,8 +235,18 @@ def _scipy_build_state(point, cutoff, pad=12):
     return 0.5 * (rho + rho.conj().T)
 
 
+def _two_mode_euler(nu=(1.5, 1.2)):
+    """The Euler factors of :func:`_two_mode_point`: ``S`` drawn as
+    ``random_symplectic(2, seed=5, squeeze_cap=0.6)`` draws it."""
+    rng = np.random.default_rng(5)
+    O1 = gq.random_orthogonal_symplectic(2, rng)
+    O2 = gq.random_orthogonal_symplectic(2, rng)
+    return O1, rng.uniform(-0.6, 0.6, 2), O2, nu
+
+
 def _two_mode_point(nu=(1.5, 1.2)):
-    S = gq.random_symplectic(2, seed=5, squeeze_cap=0.6)
+    O1, z, O2, _ = _two_mode_euler(nu)
+    S = (O1 * np.concatenate([np.exp(z), np.exp(-z)])[None, :]) @ O2
     gamma = S @ np.diag(np.concatenate([nu, nu])) @ S.T
     return gq.GaussianModelPoint(
         np.array([0.3, -0.2, 0.1, 0.4]), gamma, np.zeros(4), np.zeros((4, 4))
@@ -249,23 +271,57 @@ def _mixed_squeezed_displaced_point():
     return gq.GaussianModelPoint(np.array([0.6, -0.4]), gamma, np.zeros(2), np.zeros((2, 2)))
 
 
+def _phase_rotation(theta, n):
+    """The rotation of ``(Q_1, P_1)`` by ``theta``, the phase of mode 1."""
+    R = np.eye(2 * n)
+    R[0, 0] = R[n, n] = np.cos(theta)
+    R[0, n], R[n, 0] = -np.sin(theta), np.sin(theta)
+    return R
+
+
+# (point, its Euler factors (O1, z, O2, nu)) as each point is built: squeezing
+# S = diag(e^0.4, e^-0.4); phase_squeezed S = R(theta) diag(e^r, e^-r); the
+# two-mode squeezed vacuum S = R(theta) B diag(e^r, e^-r, e^-r, e^r) B^T, with
+# B the passive image of the 50:50 beam splitter [[1, 1], [1, -1]] / sqrt 2.
+_BEAM_SPLITTER = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+
+def _mixed_squeezed_displaced_case():
+    return _mixed_squeezed_displaced_point(), (np.eye(2), [0.4], np.eye(2), [1.4])
+
+
+def _phase_squeezed_case(r, nu, theta):
+    point = gq.builtin_family("phase_squeezed", {"r": r, "nu": nu}).point(theta)
+    return point, (_phase_rotation(theta, 1), [r], np.eye(2), [nu])
+
+
+def _two_mode_squeezed_case(r, theta):
+    point = gq.builtin_family("two_mode_squeezed_phase", {"r": r}).point(theta)
+    O1 = _phase_rotation(theta, 2) @ _BEAM_SPLITTER
+    return point, (O1, [r, -r], _BEAM_SPLITTER.T, [1.0, 1.0])
+
+
+def _two_mode_case(nu=(1.5, 1.2)):
+    return _two_mode_point(nu), _two_mode_euler(nu)
+
+
 @pytest.mark.parametrize(
-    "point, cutoff",
+    "point, euler, cutoff",
     [
-        (_mixed_squeezed_displaced_point(), 30),
-        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 30),
-        (_two_mode_point(), 10),
-        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 8),
+        (*_mixed_squeezed_displaced_case(), 30),
+        (*_phase_squeezed_case(0.5, 1.0, 0.7), 30),
+        (*_two_mode_case(), 10),
+        (*_two_mode_squeezed_case(0.3, 0.4), 8),
     ],
     ids=["n1-mixed-squeezed-displaced", "n1-pure-phase-squeezed", "n2-random-displaced",
          "n2-pure-two-mode-squeezed"],
 )
-def test_build_state_matches_scipy_expm_reference(point, cutoff):
+def test_build_state_matches_scipy_expm_reference(point, euler, cutoff):
     # The reference's own error is its padding: it moves by as much when the
     # Euler route grows from 12 to 24 levels of padding (1e-12 to 2e-11 on
     # one mode, 1.6e-8 on the pure two-mode state), and no further from rho.
-    ref = _scipy_build_state(point, cutoff)
-    own_error = np.abs(ref - _every_column_build_rho(point, cutoff, pad=24)).max()
+    ref = _scipy_build_state(point, euler, cutoff)
+    own_error = np.abs(ref - _every_column_build_rho(point, euler, cutoff, pad=24)).max()
     gap = np.abs(gq.build_state(point, cutoff).rho - ref).max()
     assert gap <= 1.01 * own_error + 1e-14
 
@@ -289,12 +345,12 @@ def test_build_state_on_strongly_squeezed_pure_points(r):
     with pytest.raises(gq.PreconditionError, match="suggested cutoff") as exc:
         gq.build_state(pt, 10)
     assert exc.value.flag == "tail_mass"
-    # User input to passive_unitary is held to 1e-10: the Euler factor
-    # passes, and a copy skewed by 1e-9 does not.
-    O2 = gq.euler_decompose(gq.williamson(pt.gamma).S)[2]
-    gq.passive_unitary(O2, 8)
+    # User input to passive_unitary is held to 1e-10: a Haar-random passive
+    # frame passes, and a copy skewed by 1e-9 does not.
+    O = gq.random_orthogonal_symplectic(1, np.random.default_rng(int(r)))
+    gq.passive_unitary(O, 8)
     with pytest.raises(gq.ConfigError, match="not orthogonal symplectic"):
-        gq.passive_unitary(O2 * (1.0 + 1e-9), 8)
+        gq.passive_unitary(O * (1.0 + 1e-9), 8)
 
 
 @pytest.mark.parametrize("r, nu, cutoff", [(0.5, 1.0, 40), (0.5, 1.5, 40), (1.0, 1.0, 70)])
@@ -806,13 +862,13 @@ def _apply_modes(X, mats):
     return X.reshape(rows, -1)
 
 
-def _every_column_build_rho(point, cutoff, pad=12):
+def _every_column_build_rho(point, euler, cutoff, pad=12):
     """The Euler route: ``crop(D P1 Sq P2 rho_th (D P1 Sq P2)^H)`` on
-    ``cutoff + pad`` levels as ``X diag(p) X^H``, with fresh ladder
+    ``cutoff + pad`` levels as ``X diag(p) X^H``, on the Euler factors
+    ``euler`` of the point (see :func:`_euler_factors`), with fresh ladder
     exponentials, dense passive layers and every column summed."""
     big, n = cutoff + pad, point.n
-    dec = gq.williamson(point.gamma)
-    O1, z, O2 = gq.euler_decompose(dec.S)
+    O1, z, O2, nu = _euler_factors(point, euler)
     if np.abs(point.d).max() > 0.0:
         alpha = 1j * (point.d[:n] + 1j * point.d[n:]) / np.sqrt(2.0)
         X = fock._kron_modes(_fresh_ladder_expi(alpha, 1, big)[:, :cutoff])
@@ -822,28 +878,28 @@ def _every_column_build_rho(point, cutoff, pad=12):
     if z.any():
         X = _apply_modes(X, _fresh_ladder_expi(0.5j * z, 2, big))
     X = X @ gq.passive_unitary(O2, big)
-    rho = (X * _thermal_weights(dec.nu, big)) @ X.conj().T
+    rho = (X * _thermal_weights(nu, big)) @ X.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 
 @pytest.mark.parametrize(
-    "point, cutoff",
+    "point, euler, cutoff",
     [
-        (_mixed_squeezed_displaced_point(), 30),
-        (gq.builtin_family("phase_squeezed", {"r": 0.5, "nu": 1.5}).point(0.7), 40),
-        (gq.builtin_family("phase_squeezed", {"r": 0.5}).point(0.7), 40),
-        (gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4), 12),
-        (_two_mode_point(), 10),
-        (_two_mode_point(nu=(1.5, 1.0)), 10),
+        (*_mixed_squeezed_displaced_case(), 30),
+        (*_phase_squeezed_case(0.5, 1.5, 0.7), 40),
+        (*_phase_squeezed_case(0.5, 1.0, 0.7), 40),
+        (*_two_mode_squeezed_case(0.3, 0.4), 12),
+        (*_two_mode_case(), 10),
+        (*_two_mode_case(nu=(1.5, 1.0)), 10),
     ],
     ids=["n1-mixed-displaced", "n1-mixed", "n1-pure", "n2-pure-two-mode-squeezed",
          "n2-mixed-random", "n2-one-vacuum-mode"],
 )
-def test_build_state_matches_the_euler_route_as_its_padding_grows(point, cutoff):
+def test_build_state_matches_the_euler_route_as_its_padding_grows(point, euler, cutoff):
     # With 12 levels of padding the Euler route is off by up to 2.9e-8 (the
     # pure two-mode state); with 24 it agrees with the recurrence to rounding.
     rho = gq.build_state(point, cutoff).rho
-    assert np.abs(rho - _every_column_build_rho(point, cutoff, pad=24)).max() <= 1e-14
+    assert np.abs(rho - _every_column_build_rho(point, euler, cutoff, pad=24)).max() <= 1e-14
 
 
 def test_build_state_ignores_pad():

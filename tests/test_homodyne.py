@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
+from gaussqfi.dgamma import _Frame
+from gaussqfi.symplectic import _frame_rounding
 from conftest import random_isothermal_point, random_model_point, random_state, thermal_diag
 
 
@@ -50,7 +52,9 @@ def _carrying(W, dd0=0.0):
     dd = np.zeros(m)
     dd[0] = dd0
     pt = gq.GaussianModelPoint(np.zeros(m), 1.5 * np.eye(m), dd, 0.5 * (W + W.T))
-    pt.__dict__["_frame"] = (np.eye(m), np.full(m // 2, 1.5), np.eye(m), W)
+    pt.__dict__["_frame"] = _Frame(
+        np.eye(m), np.full(m // 2, 1.5), np.eye(m), W, _frame_rounding(np.eye(m), pt.gamma)
+    )
     return pt
 
 

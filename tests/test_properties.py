@@ -129,28 +129,6 @@ def test_hamiltonian_eigenframe_with_a_planted_zero_block(n, data, seed, repeat)
 
 
 @PROPERTY_SETTINGS
-@given(n=st.integers(min_value=1, max_value=5), data=st.data(), seed=seeds, repeat=st.booleans())
-def test_euler_round_trip_with_repeated_and_zero_squeezes(n, data, seed, repeat):
-    zeros = data.draw(st.integers(min_value=0, max_value=n))
-    rng = np.random.default_rng(seed)
-    z_in = 0.5 * _spectrum_with_zeros(rng, n, zeros, repeat)
-    S = (
-        gq.random_orthogonal_symplectic(n, rng)
-        @ np.diag(np.exp(np.concatenate([z_in, -z_in])))
-        @ gq.random_orthogonal_symplectic(n, rng)
-    )
-    O1, z, O2 = gq.euler_decompose(S)
-    w = gq.symplectic_form(n)
-    for O in (O1, O2):
-        assert np.abs(O @ O.T - np.eye(2 * n)).max() < 1e-10
-        assert np.abs(O @ w @ O.T - w).max() < 1e-10
-    np.testing.assert_allclose(z, z_in, atol=1e-12)
-    assert np.all(np.diff(z) <= 0.0)
-    D = np.diag(np.exp(np.concatenate([z, -z])))
-    assert np.abs(O1 @ D @ O2 - S).max() < 1e-10 * np.abs(S).max()
-
-
-@PROPERTY_SETTINGS
 @given(
     n=st.integers(min_value=1, max_value=4),
     seed=seeds,

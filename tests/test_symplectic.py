@@ -214,45 +214,6 @@ def test_hamiltonian_eigenframe_rejects_non_hamiltonian():
         gq.hamiltonian_eigenframe(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("n,seed", [(1, 4), (2, 5), (3, 6)])
-def test_euler_decompose_roundtrip(n, seed):
-    S = gq.random_symplectic(n, seed=seed, squeeze_cap=1.3)
-    O1, z, O2 = gq.euler_decompose(S)
-    D = np.diag(np.exp(np.concatenate([z, -z])))
-    assert_allclose(O1 @ D @ O2, S, atol=1e-9 * max(1.0, np.abs(S).max()))
-    for O in (O1, O2):
-        assert_allclose(O @ O.T, np.eye(2 * n), atol=1e-9)
-        assert gq.is_symplectic(O, tol=1e-9)
-    assert np.all(z >= -1e-12)
-    assert np.all(np.diff(z) <= 1e-12)
-
-
-def test_euler_decompose_passive_input():
-    O = gq.random_orthogonal_symplectic(2, 12)
-    _, z, _ = gq.euler_decompose(O)
-    assert_allclose(z, np.zeros(2), atol=1e-10)
-
-
-@pytest.mark.parametrize("r", [5.0, 7.0, 9.0, 11.0])
-def test_euler_decompose_reads_strong_squeezing_off_the_top_half(r):
-    # The lower half of eigh(S S^T) sits at its rounding floor eps e^{2r}
-    # here; read from the upper half, z is log sigma_max(S) and both factors
-    # stay passive.
-    from gaussqfi.fock import _passive_deviation
-
-    gamma = gq.builtin_family("phase_squeezed", {"r": r}).point(0.3).gamma
-    S = gq.williamson(gamma).S
-    O1, z, O2 = gq.euler_decompose(S)
-    assert z[0] == pytest.approx(np.log(np.linalg.svd(S, compute_uv=False)[0]), rel=1e-14)
-    assert _passive_deviation(O1) < 1e-12
-    assert _passive_deviation(O2) < (1e-9 if r <= 9 else 1e-7)
-
-
-def test_euler_rejects_non_symplectic():
-    with pytest.raises(ValueError):
-        gq.euler_decompose(2.0 * np.eye(4))
-
-
 def test_direct_sum_interleaves_sectors():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])  # one mode
     B = np.diag([10.0, 20.0, 30.0, 40.0])  # two modes
