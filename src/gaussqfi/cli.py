@@ -39,7 +39,7 @@ from .symplectic import random_symplectic
 
 __all__ = ["main", "emit_csv", "sweep_rows", "SweepRow", "CSV_HEADER"]
 
-_OVERLAP_TOL = 1e-9  # kernel-overlap flag: range_residual above this times 1 + |dGamma|_F
+_OVERLAP_TOL = 1e-9  # kernel-overlap flag: range_residual above this times 1 + |Xt|_F
 
 CSV_HEADER = (
     "theta,qfi,qfi_first_moment,qfi_second_moment,"
@@ -88,8 +88,8 @@ class SweepRow:
 
 def _kernel_overlap(rep: FisherReport, point: GaussianModelPoint) -> bool:
     """The kernel-overlap flag: ``D(L) = dGamma`` is unsolved, its residual
-    above ``_OVERLAP_TOL (1 + |dGamma|_F)``, so the point has no SLD."""
-    return rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point.dgamma))
+    above ``_OVERLAP_TOL (1 + |Xt|_F)``, both in the point's frame, so the point has no SLD."""
+    return rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point._frame.Xt))
 
 
 def _evaluate_point(point: GaussianModelPoint, theta: float) -> tuple[SweepRow, str | None]:

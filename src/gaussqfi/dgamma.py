@@ -26,21 +26,19 @@ allows in the same frame, whatever the other modes' temperatures.  The rule
 is one-sided: a mode the state rule accepted below 1 is vacuum, and reads as
 1 in ``N - 1``.
 
-Route: the solve reads a Williamson frame record
-``(S, nu, S^-1, Xt, rounding)`` of ``Gamma``, with ``Xt = S^-1 X S^-T`` and
-``rounding = eps |S|_F^2 tr Gamma``, all formed once with the frame.  A
-model point forms that record once and every estimator reads it (see
-:class:`~gaussqfi.models.GaussianModelPoint`): a point of a built-in family
-takes it from the closed-form factor it carries,
-``Xt = A N + N A^T + diag(dnu, dnu)`` with ``A = S^-1 dS`` and
-``N = diag(nu, nu)``, and factorises nothing.  Any other point, and the
-public functions here, factorise ``Gamma`` once, at the cost of one Cholesky
-factor and one Hermitian ``eigh`` (see
-:func:`~gaussqfi.symplectic.williamson`); rounding in the stored ``Gamma``
-then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way
-``S^-1 = -w S^T w`` needs no solve, nor does
-``Gamma^-1 = S^-T diag(nu, nu)^-1 S^-1``, and the kernel rule, the state
-rule and the range residual ``|D(Y) - X|_F`` are the same.
+Route: the solve reads ``(nu, Xt, rounding)`` off a Williamson frame record
+``(S, nu, S^-1, Xt, rounding)`` of ``Gamma``, ``Xt = S^-1 X S^-T`` and
+``rounding = eps |S|_F^2 tr Gamma``, formed once with the frame.  A model
+point forms that record once and every estimator reads it (see
+:class:`~gaussqfi.models.GaussianModelPoint`): a built-in family's point takes
+it from its closed-form factor and factorises nothing; any other point, and
+the public functions here, factorise ``Gamma`` once (see
+:func:`~gaussqfi.symplectic.williamson`), and rounding in the stored ``Gamma``
+then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way the kernel
+rule and the state rule are the same.  The solve returns ``Yt`` and the range
+residual, the frame norm of the kernel part of ``Xt`` (see
+:func:`_frame_solve`); only :func:`~gaussqfi.estimation.sld_coefficients` and
+:func:`dgamma_pseudoinverse_apply` form the lab ``Y = S^-T Yt S^-1``.
 
 The same ``Xt`` carries the Fisher information of the Wigner distribution,
 ``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)`` with
@@ -90,7 +88,6 @@ __all__ = [
 _STEIN_MAX_TERMS = 10_000
 _STEIN_TOL = 1e-12  # stein_series_solve's term-norm stop and nu_min refusal margin
 _PARITY_SHIFT = np.array([-1.0, 1.0])[:, None, None]  # N -/+ 1 by parity
-_W_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, None, :, None]  # of w Y w, by block
 
 
 def apply_dgamma(gamma: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -217,46 +214,42 @@ def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
     return _Frame(dec.S, dec.nu, Si, Si @ X @ Si.T, _frame_rounding(dec.S, gamma))
 
 
-def _frame_solve(
-    gamma: np.ndarray, X: np.ndarray, frame: _Frame
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """:func:`dgamma_pseudoinverse_apply` in the Williamson frame of
-    ``gamma``, whose ``Xt`` is the input ``X`` read in it.
+def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float]:
+    """:func:`dgamma_pseudoinverse_apply` in a Williamson frame, read off its
+    ``(nu, Xt, rounding)`` alone.
 
-    Returns ``(Y, residual, Yt)``, ``Yt = S^T Y S`` the solution in the
-    thermal frame, so a caller can read thermal-frame sums off it.
+    Returns ``(Yt, residual)``: ``Yt = S^T Y S`` the solution in the thermal
+    frame, and ``residual`` the Frobenius norm of the kernel part of ``Xt``,
+    ``sqrt(sum [(Xt_QQ + Xt_PP)^2 + (Xt_QP - Xt_PQ)^2] / 2)`` over vacuum
+    pairs, in exact arithmetic ``|N Yt N - w Yt w^T - Xt|_F``, ``N = diag(nu, nu)``.
 
-    One pass over the frame, each quantity formed once: the divisors
-    ``nu_i nu_j -/+ 1`` and the vacuum modes (:func:`_block_eigenvalues`),
-    the four parity combinations of ``Xt`` as
-    two sums of its block rows, ``Yt`` written into one array, and the
-    residual ``|Gamma Y Gamma^T - w Y w^T - X|_F`` from ``Gamma Y Gamma^T``
-    updated in place by the four blocks of ``w Y w^T`` and by ``X``.
+    One pass over the frame: the divisors ``nu_i nu_j -/+ 1`` and the vacuum
+    modes (:func:`_block_eigenvalues`), the four parity combinations of
+    ``Xt`` as two sums of its block rows, whose parity-+ sums on vacuum
+    pairs give the residual, and ``Yt`` written into one array.
     """
-    nu, Si, Xt = frame.nu, frame.S_inv, frame.Xt
+    nu, Xt = frame.nu, frame.Xt
     n = nu.size
     lam, vacuum = _block_eigenvalues(nu, frame.rounding)
-    if vacuum.any():
-        lam[0][np.ix_(vacuum, vacuum)] = np.inf  # the kernel: its weight 0.5 / inf is 0
-    weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
     # Block rows [i, block, j]: top = [qq, qp], and bottom reversed = [pp, pq]
     blocks = Xt.reshape(2, n, 2, n)
     top, bottom = blocks[0], blocks[1, :, ::-1]
     even_odd = top + bottom  # [qq + pp, qp + pq], divided by [N - 1, N + 1]
-    even_odd *= weight
     odd_even = top - bottom  # [qq - pp, qp - pq], divided by [N + 1, N - 1]
+    residual = 0.0
+    if vacuum.any():
+        pair = np.ix_(vacuum, vacuum)
+        kernel = np.concatenate([even_odd[:, 0][pair], odd_even[:, 1][pair]], axis=None)
+        residual = math.sqrt(0.5 * float(kernel.dot(kernel)))
+        lam[0][pair] = np.inf  # the kernel: its weight 0.5 / inf is 0
+    weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
+    even_odd *= weight
     odd_even *= weight[:, ::-1]
     Yt = np.empty((2 * n, 2 * n))
     out = Yt.reshape(2, n, 2, n)
     np.add(even_odd, odd_even, out=out[0])
     np.subtract(even_odd[:, ::-1], odd_even[:, ::-1], out=out[1])
-    Y = Si.T @ Yt @ Si
-    R = gamma @ Y @ gamma.T
-    residual = R.reshape(2, n, 2, n)
-    residual += Y.reshape(2, n, 2, n)[::-1, :, ::-1] * _W_SIGNS  # w Y w = -w Y w^T
-    R -= X
-    r = R.reshape(-1)
-    return Y, math.sqrt(float(r.dot(r))), Yt
+    return Yt, residual
 
 
 def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -285,7 +278,9 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     X = np.asarray(X, dtype=float)
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
-    return _frame_solve(gamma, X, _williamson_frame(gamma, X))[:2]
+    frame = _williamson_frame(gamma, X)
+    Y = frame.S_inv.T @ _frame_solve(frame)[0] @ frame.S_inv
+    return Y, float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
 
 
 def stein_series_solve(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

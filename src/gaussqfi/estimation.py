@@ -59,7 +59,8 @@ class SLDCoefficients:
         c: constant offset ``-tr[L Gamma] / 2`` (zero-mean normalisation),
             read in the thermal frame as ``-tr[Yt N] / 2`` with
             ``Yt = S^T L S`` and ``N = diag(nu, nu)``.
-        range_residual: Frobenius norm of ``D(L) - dGamma``.  Nonzero means
+        range_residual: Frobenius norm of the kernel part of ``dGamma`` in
+            the thermal frame, ``|N Yt N - w Yt w^T - Xt|_F``.  Nonzero means
             ``dGamma`` overlaps the kernel of the superoperator (purity
             changing to first order at a purity boundary); the quadratic
             solve then only captures the range component and downstream
@@ -89,6 +90,11 @@ def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
     return 2.0 * _inverse_apply(frame.S_inv, frame.nu, point.dd)
 
 
+def _first_moment(point: GaussianModelPoint) -> float:
+    """``2 dd^T Gamma^-1 dd = dd . b``, the one first-moment term of every reader."""
+    return float(point.dd @ _linear_coefficients(point))
+
+
 def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """Solve for the centered SLD coefficients of a model point.
 
@@ -96,7 +102,8 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     in the point's Williamson frame, whose kernel is the parity-+ entries of
     vacuum mode pairs.  The solve's vacuum test and the state rule read the
     rounding scale ``eps |S|_F^2 tr Gamma`` of the point's frame record, and
-    ``b`` is read off the same frame.
+    ``b`` is read off the same frame.  It is the one reader that maps the
+    thermal-frame ``Yt`` to the lab ``L``, the symmetric part of ``S^-T Yt S^-1``.
 
     Args:
         point: model point with an admissible covariance matrix.
@@ -106,10 +113,11 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
             state (see ``validate_covariance``).
     """
     frame = point._frame
-    nu = frame.nu
-    Y, residual, Yt = _frame_solve(point.gamma, point.dgamma, frame)
+    nu, Si = frame.nu, frame.S_inv
+    Yt, residual = _frame_solve(frame)
     _require_state(float(nu[-1]), frame.rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
+    Y = Si.T @ Yt @ Si
     L = Y + Y.T
     L *= 0.5
     return SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
@@ -135,8 +143,9 @@ class FisherReport:
 
     ``qfi = first_moment_term + second_moment_term`` always.  ``method``
     records which route produced the value (``"general"`` or
-    ``"isothermal"``).  ``range_residual`` is inherited from the SLD solve;
-    see :class:`SLDCoefficients`.
+    ``"isothermal"``).  ``range_residual``, the frame norm of the kernel part
+    of ``dGamma`` (0 on the isothermal route), is the SLD solve's; see
+    :class:`SLDCoefficients`.
     """
 
     qfi: float
@@ -167,25 +176,19 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
-    Route: the solve of :func:`sld_coefficients` in the point's Williamson
-    frame.  A point of a built-in family carries its frame in closed form
-    (``S``, ``nu``, and ``Xt = A N + N A^T + diag(dnu, dnu)`` from
-    ``A = S^-1 dS``), so nothing is factorised and ``nu`` is exact however
-    strong the squeezing; any other point takes one Williamson factorisation
-    (a Cholesky factor and one Hermitian ``eigh``) and
-    ``Xt = S^-1 dGamma S^-T``, once per point.  The SLD solve divides the
-    entries of ``Xt`` by ``nu_i nu_j -/+ 1`` and gives ``L``, so the
-    second-moment term is ``tr[dGamma L] / 2``, and the first-moment term
-    ``2 dd^T Gamma^-1 dd`` is ``dd . b``, with ``b`` read off the same frame
-    as ``2 S^-T diag(nu, nu)^-1 S^-1 dd``: no second factorisation and no
-    solve.  The Wigner information divides ``Xt_ij Xt_ji`` by ``nu_i nu_j``
-    instead, as :func:`wigner_fisher` does.
-
-    Each quantity is formed once: the rounding scale
-    ``eps |S|_F^2 tr Gamma`` (the solve's vacuum test and the state rule)
-    with the point's frame, and per call the divisors ``nu_i nu_j -/+ 1``,
-    ``Yt`` and the residual ``Gamma Y Gamma^T - w Y w^T - dGamma`` in
-    :func:`sld_coefficients`; nothing is kept on the point beyond its frame.
+    Route: the SLD solve in the point's Williamson frame, read off its
+    ``nu`` and ``Xt`` alone.  A point of a built-in family carries its frame
+    in closed form (``S``, ``nu``, and ``Xt = A N + N A^T + diag(dnu, dnu)``
+    from ``A = S^-1 dS``), so nothing is factorised and ``nu`` is exact
+    however strong the squeezing; any other point takes one Williamson
+    factorisation and ``Xt = S^-1 dGamma S^-T``, once per point.  The solve
+    divides the entries of ``Xt`` by ``nu_i nu_j -/+ 1`` into
+    ``Yt = S^T L S``, so the second-moment term ``tr[dGamma L] / 2`` is
+    ``sum_ij Xt_ij Yt_ij / 2`` and the lab ``L`` is never formed; the
+    first-moment term ``2 dd^T Gamma^-1 dd`` is ``dd . b``, with ``b`` read
+    off the same frame.  The Wigner information divides ``Xt_ij Xt_ji`` by
+    ``nu_i nu_j`` instead, as :func:`wigner_fisher` does.  Nothing is kept
+    on the point beyond its frame.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
@@ -193,16 +196,18 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
         ConvergenceError: if a Fisher term comes out negative beyond
             rounding; the message names the term.
     """
-    coeffs = sld_coefficients(point)
-    second = _nonnegative(0.5 * float((point.dgamma * coeffs.L).sum()), "second-moment term")
-    first = _nonnegative(float(point.dd @ coeffs.b), "first-moment term")
+    frame = point._frame
+    Yt, residual = _frame_solve(frame)
+    _require_state(float(frame.nu[-1]), frame.rounding)
+    second = _nonnegative(0.5 * float(np.vdot(frame.Xt, Yt)), "second-moment term")
+    first = _nonnegative(_first_moment(point), "first-moment term")
     return FisherReport(
         qfi=first + second,
         wigner_fisher=_wigner_second(point) + first,
         first_moment_term=first,
         second_moment_term=second,
         method="general",
-        range_residual=coeffs.range_residual,
+        range_residual=residual,
     )
 
 
@@ -229,7 +234,7 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
     nu2 = chk.nu * chk.nu
     wigner_second = _wigner_second(point)
     second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
-    first = _nonnegative(float(point.dd @ _linear_coefficients(point)), "first-moment term")
+    first = _nonnegative(_first_moment(point), "first-moment term")
     return FisherReport(
         qfi=first + second,
         wigner_fisher=wigner_second + first,
@@ -268,7 +273,7 @@ def wigner_fisher(point: GaussianModelPoint) -> float:
         ValueError: if ``Gamma`` is not positive definite (a point without
             a factor).
     """
-    return _wigner_second(point) + float(point.dd @ _linear_coefficients(point))
+    return _wigner_second(point) + _first_moment(point)
 
 
 def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -398,7 +398,8 @@ def test_qfi_accepts_strongly_squeezed_pure_config(tmp_path, capsys):
 
 
 def test_oracle_check_strong_squeezing_exits_3_on_the_tail(tmp_path, capsys):
-    # r = 4 has no kernel-overlap flag (r = 5 has one and is refused on it).
+    # Neither point is flagged for kernel overlap: both reach the oracle and
+    # are refused on its tail.
     cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 4.0}, "theta": 0.3})
     assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
     err = capsys.readouterr().err
@@ -407,7 +408,9 @@ def test_oracle_check_strong_squeezing_exits_3_on_the_tail(tmp_path, capsys):
     assert "suggested cutoff is 13182 (2.8 GB dense state)" in err
     cfg = write_cfg(tmp_path, {"family": "phase_squeezed", "params": {"r": 5.0}, "theta": 0.3})
     assert cli.main(["oracle-check", cfg, "--cutoff", "10"]) == 3
-    assert capsys.readouterr().err.startswith("precondition failed: [kernel_overlap]")
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: [tail_mass]")
+    assert "suggested cutoff is 97403" in err
 
 
 def test_sweep_pure_explicit(tmp_path):

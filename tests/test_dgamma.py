@@ -352,11 +352,12 @@ def test_pseudoinverse_matches_block_loop_reference(seed):
     assert np.abs(Y - Yref).max() <= 1e-12 * np.abs(Yref).max()
 
 
-def _reference_frame_solve(gamma, X, frame):
+def _reference_frame_solve(gamma, frame):
     """Reference for ``dgamma._frame_solve``: the solve as first written, with
     the eigenvalues and kernel mask stacked as ``(2, n, n)`` arrays, the four
     parity combinations stacked by ``np.stack``, one ``np.divide(where=)``
-    off the kernel, and the residual through ``apply_dgamma``."""
+    off the kernel, and the residual ``|N Yt N - w Yt w^T - Xt|_F`` formed by
+    matrix products in the thermal frame, ``N = diag(nu, nu)``."""
     S, nu, Si, Xt, _ = frame
     n = len(nu)
     with np.errstate(over="raise"):
@@ -378,13 +379,14 @@ def _reference_frame_solve(gamma, X, frame):
     Yt[:n, n:] = a_odd + a_even
     Yt[n:, :n] = a_odd - a_even
     Yt[n:, n:] = s_even - s_odd
-    Y = Si.T @ Yt @ Si
-    residual = float(np.linalg.norm(gq.apply_dgamma(gamma, Y) - X))
-    return Y, residual, Yt
+    Nd = thermal_diag(nu)
+    w = gq.symplectic_form(n)
+    residual = float(np.linalg.norm(Nd @ Yt @ Nd - w @ Yt @ w.T - Xt))
+    return Yt, residual
 
 
 # Fixed before the rewrite: each array within 8 eps of its largest entry, and
-# the residual within 8 eps of the largest entry of Gamma Y Gamma^T.
+# the residual within 8 eps of the largest entry of N Yt N.
 _SOLVE_RTOL = 8 * np.finfo(float).eps
 _POINT_KINDS = ("mixed", "pure", "vacuum-modes", "below-vacuum")
 
@@ -419,17 +421,21 @@ def _kind_point(kind, n, seed):
 def test_frame_solve_matches_its_reference(n, kind, seed):
     pt, hamiltonian = _kind_point(kind, n, seed)
     S, nu, Si, W, rounding = frame = pt._frame
-    Y, residual, Yt = _frame_solve(pt.gamma, pt.dgamma, frame)
-    Y_ref, residual_ref, Yt_ref = _reference_frame_solve(pt.gamma, pt.dgamma, frame)
-    assert np.abs(Y - Y_ref).max() <= _SOLVE_RTOL * np.abs(Y_ref).max()
+    Yt, residual = _frame_solve(frame)
+    Yt_ref, residual_ref = _reference_frame_solve(pt.gamma, frame)
     assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
-    scale = np.abs(pt.gamma @ Y_ref @ pt.gamma).max()
+    scale = np.abs(thermal_diag(nu) @ Yt_ref @ thermal_diag(nu)).max()
     assert abs(residual - residual_ref) <= _SOLVE_RTOL * scale
+    # The lab L is the symmetric part of S^-T Yt S^-1.
+    Y_ref = Si.T @ Yt_ref @ Si
+    L_ref = 0.5 * (Y_ref + Y_ref.T)
+    L = gq.sld_coefficients(pt).L
+    assert np.abs(L - L_ref).max() <= _SOLVE_RTOL * np.abs(L_ref).max()
     # No order of nu is assumed: on the frame with its modes reversed, so the
     # vacuum modes come first, Yt is the same array with its modes reversed.
     rev = np.concatenate([np.arange(n)[::-1], np.arange(n, 2 * n)[::-1]])
     reversed_frame = _Frame(S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)], rounding)
-    Yt_rev = _frame_solve(pt.gamma, pt.dgamma, reversed_frame)[2]
+    Yt_rev = _frame_solve(reversed_frame)[0]
     assert np.array_equal(Yt_rev[np.ix_(rev, rev)], Yt)
     if hamiltonian:
         # The equal-temperature frame reads the same W as the public eigenframe.

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gaussqfi as gq
+from gaussqfi import cli
 from conftest import (
     BUILTIN_POINTS,
     explicit_doc,
@@ -430,6 +431,24 @@ def test_every_reader_of_the_first_moment_term_gives_one_float(pt, isothermal):
         assert gq.qfi_isothermal(pt).first_moment_term == first
 
 
+@pytest.mark.parametrize(
+    "pt",
+    [gq.builtin_family("two_mode_squeezed_phase", {"r": 0.7}).point(0.4),
+     random_model_point(3, seed=5)],
+    ids=["factored", "explicit"],
+)
+def test_qfi_general_does_not_form_the_lab_sld(pt, monkeypatch):
+    # The QFI is read off the frame, tr[Xt Yt] / 2: the lab L = S^-T Yt S^-1
+    # is formed only by sld_coefficients.
+    expected = gq.qfi_general(pt)
+
+    def refuse(point):
+        raise AssertionError("qfi_general formed the lab SLD")
+
+    monkeypatch.setattr(gq.estimation, "sld_coefficients", refuse)
+    assert gq.qfi_general(pt) == expected
+
+
 def _heated_point(gamma_diag, heating_diag):
     zero = np.zeros(len(gamma_diag))
     return gq.GaussianModelPoint(zero, np.diag(gamma_diag), zero, np.diag(heating_diag))
@@ -443,7 +462,7 @@ def test_cold_mode_beside_a_hot_one_keeps_its_qfi(cold, hot):
     pt = _heated_point([hot, cold, hot, cold], [0.0, 1.0, 0.0, 1.0])
     rep = gq.qfi_general(pt)
     assert rep.qfi == pytest.approx(1.0 / (cold * cold - 1.0), rel=1e-8)
-    assert rep.range_residual <= 1e-9 * (1.0 + np.linalg.norm(pt.dgamma))  # not flagged
+    assert not cli._kernel_overlap(rep, pt)
 
 
 def test_mode_accepted_below_the_vacuum_reads_as_vacuum():

@@ -9,12 +9,15 @@ reproducible from them through the ``conftest`` generators, and the search is
 derandomised so the suite runs the same cases every time.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
+from gaussqfi import cli
 from conftest import (
     explicit_doc,
     random_hamiltonian,
@@ -316,3 +319,46 @@ def test_no_homodyne_network_beats_the_optimum_or_the_qfi(n, seed, nu, seed_u):
     optimum = gq.optimal_homodyne_fisher(frame)
     assert gq.homodyne_fisher(frame, U) <= optimum + 1e-9
     assert optimum <= gq.qfi_general(pt).qfi + 1e-9
+
+
+# (family, nu, largest r, Wigner information over sinh^2(2r))
+_PHASE_FAMILIES = [
+    ("phase_squeezed", 1.0, 17.0, 4.0),
+    ("phase_squeezed", 1.5, 17.0, 4.0),
+    ("two_mode_squeezed_phase", 1.0, 14.0, 2.0),
+]
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=st.sampled_from(_PHASE_FAMILIES),
+    theta=st.floats(min_value=-10.0, max_value=10.0),
+    data=st.data(),
+)
+def test_strongly_squeezed_phase_families_are_exact_and_unflagged(case, theta, data):
+    # The phase of a squeezed state at nu in {1, 1.5} and of one arm of a
+    # two-mode squeezed vacuum.  In the frame the QFI reads nu and Xt alone,
+    # so it holds its closed form at any squeezing: nu^2 / (1 + nu^2) of the
+    # Wigner information, and optimal homodyne reaches half of that.
+    name, nu, r_max, per_sinh2 = case
+    r = data.draw(st.floats(min_value=0.05, max_value=r_max), label="r")
+    params = {"r": r} if name == "two_mode_squeezed_phase" else {"r": r, "nu": nu}
+    pt = gq.builtin_family(name, params).point(theta)
+    wigner = per_sinh2 * math.sinh(2.0 * r) ** 2
+    damping = nu * nu / (1.0 + nu * nu)
+    row, gate = cli._evaluate_point(pt, theta)
+    rep = row.report
+    assert gate is None
+    for value, exact in (
+        (rep.qfi, damping * wigner),
+        (rep.wigner_fisher, wigner),
+        (gq.qfi_isothermal(pt).qfi, damping * wigner),
+        (row.homodyne_opt, wigner / 2.0),
+    ):
+        assert abs(value - exact) <= 1e-12 * exact
+    assert abs(rep.ratio - damping) <= 1e-12
+    assert row.homodyne_opt <= rep.qfi * (1.0 + 1e-12)
+    assert rep.range_residual == 0.0
+    assert row.warnings == ""
+    co = gq.sld_coefficients(pt)
+    assert abs(co.c) <= 1e-12 * np.abs(co.L).max()
