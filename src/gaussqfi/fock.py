@@ -49,6 +49,13 @@ Python scalars (:func:`_ket_bytes`), and may take the same 2**28 bytes in
 all (at most 1364 levels on two modes, 115 on three, 33 on four or 16 on
 five).  A basis above its rule raises ``ConfigError`` naming its memory.
 
+Every dense ``rho`` that is read is held to the eigenvalue rule: a smallest
+eigenvalue below ``-1e-10`` raises ``ConvergenceError`` naming it.
+:func:`build_state`, :func:`sld_residual` and :func:`identity_checks` decide
+it by one Cholesky factor of ``rho + 1e-10 I``, and run ``eigvalsh`` only to
+name the eigenvalue of a refusal; :func:`qfi_fock` and
+:func:`qfi_fock_probe` read it off the ``eigh`` their QFI needs anyway.
+
 :func:`passive_unitary` and :func:`squeeze_unitary` form single Gaussian
 layers, for inspection, as truncated exponentials with one ``eigh`` per
 block of a label their generator conserves (total photon number, level
@@ -56,7 +63,9 @@ parity); :func:`displacement_unitary` is the Kronecker product of the
 one-mode Weyl factors.  Every operator the oracle reads is built from
 one-mode ``dim x dim`` factors: expectations contract them against
 ``rho``'s or, on a pure state, ``psi``'s index tensor, and the SLD
-observable sums their Kronecker products.
+observable sums their Kronecker products.  The Weyl factors are phased in
+place on the one array they are formed in, so :func:`identity_checks` on
+one mode peaks at about 28 dense ``cutoff x cutoff`` complex matrices.
 """
 
 from __future__ import annotations
@@ -613,9 +622,15 @@ def _require_psd(low: float) -> None:
 def _checked(
     point: GaussianModelPoint, rho: np.ndarray, cutoff: int, tail_bound: float = _TAIL_BOUND
 ) -> TruncatedState:
-    """:func:`_kept`, then the eigenvalue rule on the kept state."""
+    """:func:`_kept`, then the eigenvalue rule on the kept state: the
+    Cholesky factor of ``rho + 1e-10 I`` fails exactly when an eigenvalue is
+    below ``-1e-10`` (to its rounding, about ``dim eps |rho|``), and only
+    then does ``eigvalsh`` run, to name that eigenvalue."""
     state = _kept(point, rho, cutoff, tail_bound)
-    _require_psd(np.linalg.eigvalsh(state.rho)[0])
+    try:
+        np.linalg.cholesky(state.rho + 1e-10 * np.eye(len(state.rho)))
+    except np.linalg.LinAlgError:
+        _require_psd(np.linalg.eigvalsh(state.rho)[0])
     return state
 
 
@@ -652,7 +667,8 @@ def build_state(
             memory of a dense state at it, and says when that cutoff is
             above the size limit).
         ConvergenceError: if (after the tail) the constructed matrix has an
-            eigenvalue below ``-1e-10``.
+            eigenvalue below ``-1e-10``: the Cholesky factor of
+            ``rho + 1e-10 I`` fails, and ``eigvalsh`` names the eigenvalue.
     """
     _gate(point, cutoff, cutoff, dense=True)
     return _checked(point, _bargmann(point, cutoff)[0], cutoff, tail_bound)
@@ -916,9 +932,17 @@ def _ket_traces(psi: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return out.reshape(P, -1) @ psi.conj().ravel()
 
 
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs ``i <= j`` of ``m`` indices, in ``np.triu_indices``
+    order, from Python ranges, which at these sizes cost a few microseconds
+    where ``np.triu_indices`` costs tens."""
+    i, j = zip(*[(a, b) for a in range(m) for b in range(a, m)])
+    return np.array(i), np.array(j)
+
+
 def _moments(expect, norm: float, n: int, dim: int, centre: np.ndarray | None = None):
     """Mean ``d``, covariance, and the one-mode factors of the symmetrised
-    pairs ``(dR_i dR_j + dR_j dR_i)/2``, ``i <= j`` in ``np.triu_indices``
+    pairs ``(dR_i dR_j + dR_j dR_i)/2``, ``i <= j`` in :func:`_pairs`
     order, of the quadratures of :func:`_mode_quadratures` on ``n`` modes of
     ``dim`` levels centred at ``centre`` (default: the mean).  Each
     expectation is ``expect(factors) / norm``: ``tr[rho F]`` by
@@ -937,7 +961,7 @@ def _moments(expect, norm: float, n: int, dim: int, centre: np.ndarray | None = 
     centre = d if centre is None else centre
     R = R.copy()
     R[np.arange(m), np.arange(m) % n] -= centre[:, None, None] * np.eye(dim)
-    i, j = np.triu_indices(m)
+    i, j = _pairs(m)
     prod = R[i] @ R[j]
     pair = 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
     second = np.empty((m, m))
@@ -956,14 +980,18 @@ def _weyl_factors(beta: np.ndarray, dim: int) -> np.ndarray:
     ``(Lambda, V)`` of ``T`` (:func:`_ladder_chain`).  The one chain fills
     the matrix, so nothing is scattered, and ``V`` times the complex
     ``exp(-i |beta| Lambda) V^T`` is one real product over its interleaved
-    real and imaginary parts.
+    real and imaginary parts.  The phases ``D ... D^H`` are applied in place
+    on that product, so the stack holds two arrays of its size at most.
     """
     lam, V = _ladder_chain(dim)
     spread = np.exp(-1j * np.abs(beta)[..., None] * lam)[..., :, None]
     spread = np.multiply(spread, V.T, order="C")
     phase = np.exp(1j * np.angle(beta)[..., None] * np.arange(dim))
     core = (V @ spread.view(float)).view(complex)
-    return phase[..., :, None] * core * phase.conj()[..., None, :]
+    # D ... D^H in place.  Swapping the operands of a complex product can move
+    # its last bit in numpy, so they keep the order of phase * core * conj(phase).
+    np.multiply(phase[..., :, None], core, out=core)
+    return np.multiply(core, phase.conj()[..., None, :], out=core)
 
 
 def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
@@ -976,8 +1004,9 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
     pairs.  The state is read with no tail bound; truncation quality is
     part of the report.
 
-    A mixed point reads the dense ``rho`` of :func:`build_state`, and each
-    expectation is ``tr[rho F]``.  A pure point is read from its ket, the
+    A mixed point reads the dense ``rho`` of :func:`build_state`, held to
+    its eigenvalue rule by one Cholesky factor of ``rho + 1e-10 I``, and
+    each expectation is ``tr[rho F]``.  A pure point is read from its ket, the
     recurrence on its ``n`` ket indices (:func:`_ket`), and each expectation
     is ``<psi|F|psi>``, with ``tr rho = |psi|^2``: no ``cutoff**(2n)``
     entries are formed and nothing is diagonalised, as ``psi psi^H`` is
@@ -999,7 +1028,8 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see :func:`build_state`).
         ConvergenceError: on a mixed point, if the constructed matrix has
-            an eigenvalue below ``-1e-10``.
+            an eigenvalue below ``-1e-10`` (the Cholesky factor of
+            ``rho + 1e-10 I`` fails).
     """
     n, m = point.n, 2 * point.n
     if _gate(point, cutoff, cutoff, dense=True):
@@ -1009,7 +1039,7 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
         rho = _checked(point, _bargmann(point, cutoff)[0], cutoff, np.inf).rho
         expect, norm = functools.partial(_mode_traces, rho), np.trace(rho).real
     d_fock, gamma_fock, pair = _moments(expect, norm, n, cutoff, point.d)
-    i, j = np.triu_indices(m)
+    i, j = _pairs(m)
     displacement_dev = float(np.abs(d_fock - point.d).max())
     covariance_dev = float(np.abs(gamma_fock - point.gamma).max())
 
@@ -1028,7 +1058,7 @@ def identity_checks(point: GaussianModelPoint, cutoff: int) -> IdentityReport:
 
     # Re tr[rho A_ij A_kl] is symmetric under (ij) <-> (kl), so only one half
     # of the products is formed.
-    p, q = np.triu_indices(i.size)
+    p, q = _pairs(i.size)
     fourth = np.empty((i.size, i.size))
     fourth[p, q] = fourth[q, p] = expect(pair[p] @ pair[q]).real / norm
     i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]

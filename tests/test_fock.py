@@ -1015,6 +1015,58 @@ def test_eigenvalue_gate_fires_on_the_state_at_theta(monkeypatch):
         gq.qfi_fock(family, 2.0, 30)
 
 
+@pytest.mark.parametrize("caller", ["build_state", "identity_checks", "sld_residual"])
+def test_eigenvalue_rule_holds_its_bound_at_the_boundary(monkeypatch, caller):
+    # The thermal state at theta = 2 is diagonal, so setting the weight of
+    # level 25 sets one eigenvalue.  The Cholesky factor of rho + 1e-10 I
+    # decides, on every reader of a mixed rho: -2e-10 is refused, with the
+    # eigenvalue read by eigvalsh, and -5e-11 is accepted with no eigvalsh.
+    original = fock._bargmann
+    low = {}
+
+    def shifted(point, dim, tangent=False):
+        rho, drho = original(point, dim, tangent)
+        rho[25, 25] = low["value"]
+        return rho, drho
+
+    monkeypatch.setattr(fock, "_bargmann", shifted)
+    point = gq.builtin_family("thermal").point(2.0)
+    coeffs = gq.sld_coefficients(point)
+    call = {
+        "build_state": lambda: gq.build_state(point, 30),
+        "identity_checks": lambda: gq.identity_checks(point, 30),
+        "sld_residual": lambda: gq.sld_residual(point, coeffs, 30),
+    }[caller]
+    fock._ladder_chain(30)  # eigh'd once and cached, apart from any one call
+    calls = _count_decompositions(monkeypatch)[0]
+    low["value"] = -2e-10
+    with pytest.raises(gq.ConvergenceError, match=r"constructed state has eigenvalue -2\.000e-10 < 0"):
+        call()
+    assert calls == ["cholesky", "eigvalsh"]
+    calls.clear()
+    low["value"] = -5e-11
+    call()
+    assert [c for c in calls if c != "svd"] == ["cholesky"]
+
+
+def test_identity_checks_peak_memory_is_bounded_in_dense_matrices():
+    # One mode at cutoff 256: the 12 Weyl factors beside the 12-matrix array
+    # they are formed from set the traced peak, 28.2 dense cutoff^2 complex
+    # matrices on thermal and 27.2 on displacement.  Two more broadcast
+    # temporaries of the factors would read 52.
+    cutoff = 256
+    for family, theta in [("thermal", 2.0), ("displacement", 0.3)]:
+        point = gq.builtin_family(family).point(theta)
+        gq.identity_checks(point, cutoff)  # the ladder chain, cached apart from any one call
+        tracemalloc.start()
+        try:
+            gq.identity_checks(point, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 16 * cutoff**2, (family, peak / (16 * cutoff**2))
+
+
 def _add_raised(acc, X, axis, coef=1.0):
     """``acc[k] += coef sqrt(k) X[k - 1]`` along ``axis``, ``k >= 1``: the
     coefficients of ``coef v_axis F`` when those of ``F`` are ``X``."""
@@ -1369,11 +1421,11 @@ def test_mixed_points_keep_the_rho_route(point, cutoff):
 
 
 def _count_decompositions(monkeypatch):
-    """Record, from now on, each ``eigh``, ``eigvalsh`` and ``svd`` call by
-    name, and the index count of each ``_recurrence``: returns the two
-    lists."""
+    """Record, from now on, each ``eigh``, ``eigvalsh``, ``svd`` and
+    ``cholesky`` call by name, and the index count of each ``_recurrence``:
+    returns the two lists."""
     calls, indices = [], []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -1572,6 +1624,7 @@ def test_pure_identity_checks_diagonalise_nothing(monkeypatch):
         gq.identity_checks(point, cutoff)
         assert (calls, indices) == ([], [point.n])
         indices.clear()
-    # A mixed point reads rho, over 2n indices, and keeps its one eigvalsh.
+    # A mixed point reads rho, over 2n indices, and decides the eigenvalue
+    # rule by one Cholesky factor, with no eigvalsh.
     gq.identity_checks(mixed, 40)
-    assert (calls, indices) == (["eigvalsh"], [2])
+    assert (calls, indices) == (["cholesky"], [2])
