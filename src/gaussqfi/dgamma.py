@@ -30,9 +30,10 @@ Route: the solve reads ``(nu, Xt, rounding)`` off a Williamson frame record
 ``(S, nu, S^-1, Xt, rounding)`` of ``Gamma``, ``Xt = S^-1 X S^-T`` and
 ``rounding = eps |S|_F^2 tr Gamma``, formed once with the frame.  A model
 point forms that record once and every estimator reads it (see
-:class:`~gaussqfi.models.GaussianModelPoint`): a built-in family's point takes
-it from its closed-form factor and factorises nothing; any other point, and
-the public functions here, factorise ``Gamma`` once (see
+:class:`~gaussqfi.models.GaussianModelPoint`).  It has two constructors:
+:func:`_closed_form_frame` takes a built-in family's factor as the family
+wrote it and factorises nothing; :func:`_williamson_frame`, for any other
+point and the public functions here, factorises ``Gamma`` once (see
 :func:`~gaussqfi.symplectic.williamson`), and rounding in the stored ``Gamma``
 then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way the kernel
 rule and the state rule are the same.  The solve returns ``Yt`` and the range
@@ -64,6 +65,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, PreconditionError
 from .symplectic import (
+    _EPS,
     _VACUUM_ROUNDING,
     _check_even_square,
     _frame_rounding,
@@ -208,10 +210,38 @@ class _Frame(NamedTuple):
 
 def _williamson_frame(gamma: np.ndarray, X: np.ndarray) -> _Frame:
     """``williamson(gamma)`` and ``X`` read in it, ``Xt = S^-1 X S^-T``; the
-    frame of every point without a factor."""
+    frame of every point that is not a built-in family's."""
     dec = williamson(gamma)
     Si = dec.S_inv
     return _Frame(dec.S, dec.nu, Si, Si @ X @ Si.T, _frame_rounding(dec.S, gamma))
+
+
+def _closed_form_frame(
+    S: np.ndarray, nu: np.ndarray, A: np.ndarray, dnu: np.ndarray, gamma: np.ndarray
+) -> _Frame:
+    """The frame of a closed-form Williamson factor ``gamma = S diag(nu, nu) S^T``
+    (``nu`` descending, ``S`` symplectic) with ``A = S^-1 dS`` and ``dnu`` the
+    derivative of ``nu``: ``S^-1 = -w S^T w`` and
+    ``Xt = A N + N A^T + diag(dnu, dnu)``, ``N = diag(nu, nu)``.  Every reader
+    takes ``nu`` and ``Xt`` as the family wrote them, with none of the
+    ``eps cond(S)^2`` that factorising the rounded ``gamma`` puts into ``nu``.
+
+    Raises:
+        FloatingPointError: if ``eps |S|_F^2 >= 1``: ``S^-1 S = I`` then
+            holds to no digit in floating point, and nothing read in the
+            frame comes back to the stored moments (``phase_squeezed`` from
+            ``r ~ 18``).
+    """
+    spread = _EPS * float(np.vdot(S, S))
+    if spread >= 1.0:
+        raise FloatingPointError(
+            f"the symplectic frame of this point is beyond double precision "
+            f"(eps |S|_F^2 = {spread:.3g})"
+        )
+    half = A * np.concatenate([nu, nu])  # A N, and (A N)^T = N A^T
+    if dnu.any():
+        half += np.diag(0.5 * np.concatenate([dnu, dnu]))
+    return _Frame(S, nu, _w_right(_w_left(-S.T)), half + half.T, spread * float(gamma.trace()))
 
 
 def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float]:

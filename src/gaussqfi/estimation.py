@@ -177,11 +177,11 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     through ``range_residual``).
 
     Route: the SLD solve in the point's Williamson frame, read off its
-    ``nu`` and ``Xt`` alone.  A point of a built-in family carries its frame
-    in closed form (``S``, ``nu``, and ``Xt = A N + N A^T + diag(dnu, dnu)``
-    from ``A = S^-1 dS``), so nothing is factorised and ``nu`` is exact
-    however strong the squeezing; any other point takes one Williamson
-    factorisation and ``Xt = S^-1 dGamma S^-T``, once per point.  The solve
+    ``nu`` and ``Xt`` alone.  A point of a built-in family's ``fn`` has its
+    frame in closed form (:func:`~gaussqfi.dgamma._closed_form_frame`), so
+    nothing is factorised and ``nu`` is exact however strong the squeezing;
+    any other point takes one Williamson factorisation and
+    ``Xt = S^-1 dGamma S^-T``, once per point.  The solve
     divides the entries of ``Xt`` by ``nu_i nu_j -/+ 1`` into
     ``Yt = S^T L S``, so the second-moment term ``tr[dGamma L] / 2`` is
     ``sum_ij Xt_ij Yt_ij / 2`` and the lab ``L`` is never formed; the
@@ -270,8 +270,8 @@ def wigner_fisher(point: GaussianModelPoint) -> float:
     in the point's Williamson frame.
 
     Raises:
-        ValueError: if ``Gamma`` is not positive definite (a point without
-            a factor).
+        ValueError: if ``Gamma`` is not positive definite (a point that
+            takes ``williamson``).
     """
     return _wigner_second(point) + _first_moment(point)
 

@@ -19,13 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dgamma import _Frame, _williamson_frame
+from .dgamma import _closed_form_frame, _Frame, _williamson_frame
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import (
-    WilliamsonDecomposition,
     _ISOTHERMAL_TOL,
     _VACUUM_ROUNDING,
-    _frame_rounding,
     _hamiltonian_deviation,
     _is_state,
     _require_state,
@@ -69,11 +67,11 @@ class GaussianModelPoint:
     Every estimator reads the point through one Williamson frame record,
     ``Gamma = S diag(nu, nu) S^T`` with ``S^-1``, ``Xt = S^-1 dGamma S^-T``
     and the rounding scale ``eps |S|_F^2 tr Gamma``, formed once per point
-    and held privately outside the fields.  A point of a
-    built-in family takes it from the family's closed-form factor (see
-    :class:`_ModelFactor`) and factorises nothing; a point built from
-    arrays, or by ``dataclasses.replace``, takes one ``williamson(Gamma)``
-    on first read.
+    and held privately outside the fields.  :meth:`ModelFamily.point` of a
+    built-in family sets it from the family's closed-form factor (see
+    :func:`~gaussqfi.dgamma._closed_form_frame`), so nothing is factorised;
+    a point built from arrays, or by ``dataclasses.replace``, takes one
+    ``williamson(Gamma)`` on first read.
 
     Raises:
         ConfigError: on inconsistent shapes, non-finite entries, or a
@@ -84,7 +82,6 @@ class GaussianModelPoint:
     gamma: np.ndarray
     dd: np.ndarray
     dgamma: np.ndarray
-    _factor = None  # not a field: set only by ModelFamily.point
 
     def __post_init__(self):
         for name in ("d", "gamma", "dd", "dgamma"):
@@ -119,62 +116,30 @@ class GaussianModelPoint:
 
     @functools.cached_property
     def _frame(self) -> _Frame:
-        """The point's Williamson frame record ``(S, nu, S^-1, Xt, rounding)``,
-        ``nu`` descending, ``Xt = S^-1 dGamma S^-T`` and
-        ``rounding = eps |S|_F^2 tr Gamma``; the factor's when the point
-        carries one, else ``williamson(Gamma)``.
+        """The point's Williamson frame record (see :class:`~gaussqfi.dgamma._Frame`)
+        from ``williamson(Gamma)``; :meth:`ModelFamily.point` sets a built-in
+        point's in closed form.
 
         Raises:
-            ValueError: if ``Gamma`` is not positive definite (no factor).
-            ConvergenceError: if ``williamson`` misses its bound (no factor).
+            ValueError: if ``Gamma`` is not positive definite.
+            ConvergenceError: if ``williamson`` misses its bound.
         """
-        factor = self._factor
-        if factor is None:
-            return _williamson_frame(self.gamma, self.dgamma)
-        return _Frame(
-            factor.S, factor.nu, factor.S_inv, factor.Xt, _frame_rounding(factor.S, self.gamma)
-        )
+        return _williamson_frame(self.gamma, self.dgamma)
 
 
 @dataclass(frozen=True)
-class _ModelFactor(WilliamsonDecomposition):
-    """A Williamson factor in closed form, with its parameter derivative.
+class _FactoredFn:
+    """The ``fn`` of a built-in family: ``moments(theta) = (d, Gamma, dd,
+    dGamma)``, and ``factor(theta) = (S, nu, A, dnu)``, its Williamson factor
+    in closed form (see :func:`~gaussqfi.dgamma._closed_form_frame`), which
+    goes wherever this ``fn`` goes."""
 
-    ``Gamma = S diag(nu, nu) S^T`` (``nu`` descending, ``S`` symplectic),
-    ``A = S^-1 dS`` and ``dnu`` the derivative of ``nu``.  Then
-    ``dGamma = S Xt S^T`` with the thermal-frame input
+    # own lab formulas: S Xt S^T off the factor is asymmetric by 9.83 at two-mode r 10, theta 0
+    moments: Callable
+    factor: Callable
 
-        ``Xt = A N + N A^T + diag(dnu, dnu)``,   ``N = diag(nu, nu)``,
-
-    so every estimator reads ``nu`` and ``Xt`` as the family wrote them,
-    with none of the ``eps cond(S)^2`` that factorising the rounded
-    ``Gamma`` again puts into ``nu``.
-
-    Raises:
-        FloatingPointError: if ``eps |S|_F^2 >= 1``: ``S^-1 S = I`` then
-            holds to no digit in floating point, and nothing read in the
-            frame comes back to the stored moments (``phase_squeezed`` from
-            ``r ~ 18``).
-    """
-
-    A: np.ndarray
-    dnu: np.ndarray
-
-    def __post_init__(self):
-        spread = _EPS * float(np.vdot(self.S, self.S))
-        if spread >= 1.0:
-            raise FloatingPointError(
-                f"the symplectic frame of this point is beyond double precision "
-                f"(eps |S|_F^2 = {spread:.3g})"
-            )
-
-    @property
-    def Xt(self) -> np.ndarray:
-        """``A N + N A^T + diag(dnu, dnu)``."""
-        half = self.A * self.thermal_diagonal  # A N, and (A N)^T = N A^T
-        if self.dnu.any():
-            half += np.diag(0.5 * np.concatenate([self.dnu, self.dnu]))
-        return half + half.T
+    def __call__(self, theta: float):
+        return self.moments(theta)
 
 
 @dataclass
@@ -186,20 +151,22 @@ class ModelFamily:
         fn: callable ``theta -> (d, gamma, dd, dgamma)``, the moments at
             ``theta`` and their closed-form derivatives.
 
-    A built-in family also holds, outside the fields, ``theta -> factor``
-    for the ``fn`` it was built with (see :class:`_ModelFactor`); its points
-    carry that factor as long as ``fn`` is still that function.
+    The ``fn`` of a built-in family carries its Williamson factor in closed
+    form: a point of any family holding that ``fn`` (a renamed copy, or
+    another family given it) takes its frame from the factor.  Any other
+    ``fn``, a wrapper of a built-in one included, gives points that take one
+    ``williamson``.
     """
 
     name: str
     fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    _factor = None  # not a field: (fn, theta -> _ModelFactor) of a built-in family
 
     def point(self, theta: float) -> GaussianModelPoint:
         """Evaluate the family at ``theta``."""
-        point = GaussianModelPoint(*self.fn(theta))
-        if self._factor is not None and self._factor[0] is self.fn:
-            object.__setattr__(point, "_factor", self._factor[1](theta))
+        fn = self.fn
+        point = GaussianModelPoint(*fn(theta))
+        if isinstance(fn, _FactoredFn):  # fill the cached _frame
+            point.__dict__["_frame"] = _closed_form_frame(*fn.factor(theta), point.gamma)
         return point
 
 
@@ -266,13 +233,6 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 # ---------------------------------------------------------------------------
 
 
-def _factored(name: str, fn: Callable, factor: Callable[[float], _ModelFactor]) -> ModelFamily:
-    """A built-in family: ``fn`` and its closed-form factor ``theta -> factor``."""
-    family = ModelFamily(name, fn)
-    family._factor = (fn, factor)
-    return family
-
-
 def _family_displacement(params: dict) -> ModelFamily:
     """Shift of Q on the vacuum: ``S = I``, ``nu = 1``, ``A = 0``, ``dnu = 0``."""
     _family_params(params, "displacement")
@@ -280,10 +240,10 @@ def _family_displacement(params: dict) -> ModelFamily:
     def fn(theta: float):
         return np.array([theta, 0.0]), np.eye(2), np.array([1.0, 0.0]), np.zeros((2, 2))
 
-    def factor(theta: float) -> _ModelFactor:
-        return _ModelFactor(np.eye(2), np.ones(1), np.zeros((2, 2)), np.zeros(1))
+    def factor(theta: float):
+        return np.eye(2), np.ones(1), np.zeros((2, 2)), np.zeros(1)
 
-    return _factored("displacement", fn, factor)
+    return ModelFamily("displacement", _FactoredFn(fn, factor))
 
 
 def _family_thermal(params: dict) -> ModelFamily:
@@ -298,14 +258,14 @@ def _family_thermal(params: dict) -> ModelFamily:
                 "thermal family at theta = 1 is a pure state; its QFI "
                 "1/(theta^2 - 1) diverges here",
                 NearSingularWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of fn, past _FactoredFn.__call__
             )
         return np.zeros(2), theta * np.eye(2), np.zeros(2), np.eye(2)
 
-    def factor(theta: float) -> _ModelFactor:
-        return _ModelFactor(np.eye(2), np.array([theta]), np.zeros((2, 2)), np.ones(1))
+    def factor(theta: float):
+        return np.eye(2), np.array([theta]), np.zeros((2, 2)), np.ones(1)
 
-    return _factored("thermal", fn, factor)
+    return ModelFamily("thermal", _FactoredFn(fn, factor))
 
 
 def _squeeze_diag(r: float) -> np.ndarray:
@@ -321,11 +281,11 @@ def _family_squeezing(params: dict) -> ModelFamily:
         dgamma = nu * np.diag([2 * math.exp(2 * theta), -2 * math.exp(-2 * theta)])
         return np.zeros(2), nu * _squeeze_diag(theta), np.zeros(2), dgamma
 
-    def factor(theta: float) -> _ModelFactor:
+    def factor(theta: float):
         S = np.diag([math.exp(theta), math.exp(-theta)])
-        return _ModelFactor(S, np.array([nu]), np.diag([1.0, -1.0]), np.zeros(1))
+        return S, np.array([nu]), np.diag([1.0, -1.0]), np.zeros(1)
 
-    return _factored("squeezing", fn, factor)
+    return ModelFamily("squeezing", _FactoredFn(fn, factor))
 
 
 def _phase_family(name: str, gamma0: np.ndarray, S0: np.ndarray, nu: float) -> ModelFamily:
@@ -355,10 +315,10 @@ def _phase_family(name: str, gamma0: np.ndarray, S0: np.ndarray, nu: float) -> M
         g = R @ gamma0 @ R.T
         return np.zeros(2 * n), g, np.zeros(2 * n), J @ g - g @ J
 
-    def factor(theta: float) -> _ModelFactor:
-        return _ModelFactor(rotation(theta) @ S0, nus, A, dnus)
+    def factor(theta: float):
+        return rotation(theta) @ S0, nus, A, dnus
 
-    return _factored(name, fn, factor)
+    return ModelFamily(name, _FactoredFn(fn, factor))
 
 
 def _family_phase_squeezed(params: dict) -> ModelFamily:
@@ -498,8 +458,8 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     of ``W``.
 
     Raises:
-        ValueError: if ``Gamma`` is not positive definite (a point without
-            a factor).
+        ValueError: if ``Gamma`` is not positive definite (a point that
+            takes ``williamson``).
         PreconditionError: flag ``"nu_min"`` when the point is isothermal
             but not a state (see ``validate_covariance``); spread
             temperatures read ``is_isothermal=False`` first.

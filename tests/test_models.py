@@ -381,43 +381,72 @@ def test_point_arrays_are_read_only_copies():
 
 
 @pytest.mark.parametrize("name, params, theta", BUILTIN_POINTS)
-def test_builtin_factor_reproduces_the_moments(name, params, theta):
-    # Gamma = S diag(nu, nu) S^T and dGamma = S Xt S^T, with
-    # Xt = A N + N A^T + diag(dnu, dnu), against the family's own formulas.
-    pt = gq.builtin_family(name, params).point(theta)
-    f = pt._factor
+def test_builtin_factor_reproduces_the_moments(name, params, theta, williamson_calls):
+    # The frame of a built-in point is its closed-form factor: Gamma = S diag(nu, nu) S^T
+    # and dGamma = S Xt S^T, with Xt = A N + N A^T + diag(dnu, dnu), against the
+    # family's own formulas.
+    family = gq.builtin_family(name, params)
+    pt = family.point(theta)
+    f = pt._frame
     n = pt.n
     w = gq.symplectic_form(n)
     assert np.abs(f.S @ w @ f.S.T - w).max() <= 1e-12
     assert np.abs(f.S_inv @ f.S - np.eye(2 * n)).max() <= 1e-12
-    for got, want in ((f.reconstruct(), pt.gamma), (f.S @ f.Xt @ f.S.T, pt.dgamma)):
+    thermal = np.concatenate([f.nu, f.nu])
+    for got, want in (((f.S * thermal) @ f.S.T, pt.gamma), (f.S @ f.Xt @ f.S.T, pt.dgamma)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    # A = S^-1 dS, against a central difference of S
+    # A = S^-1 dS, against a central difference of the frame's S
     h = 1e-7
-    family = gq.builtin_family(name, params)
-    dS = (family.point(theta + h)._factor.S - family.point(theta - h)._factor.S) / (2 * h)
-    assert np.abs(f.S_inv @ dS - f.A).max() <= 1e-8 * (1.0 + np.abs(f.A).max())
+    dS = (family.point(theta + h)._frame.S - family.point(theta - h)._frame.S) / (2 * h)
+    _, _, A, _ = family.fn.factor(theta)
+    assert np.abs(f.S_inv @ dS - A).max() <= 1e-8 * (1.0 + np.abs(A).max())
+    assert williamson_calls[0] == 0
 
 
 def test_a_point_carries_the_factor_only_of_its_own_function(williamson_calls):
+    # The closed form travels with the built-in fn: a family rebuilt by
+    # dataclasses.replace keeps it, and a family whose fn was swapped takes
+    # the factor of the fn it now holds (the r = 1 factor would be wrong for
+    # it).  Moments built from arrays carry none and are factorised.
     fam = gq.builtin_family("phase_squeezed", {"r": 1.0})
-    assert fam.point(0.3)._factor is not None
-    # A family rebuilt by dataclasses.replace, a family whose fn was swapped
-    # (the r = 1 factor would be wrong for it), and moments built from
-    # arrays carry no factor and are factorised.
+    half = gq.builtin_family("phase_squeezed", {"r": 0.5})
+    swapped = gq.builtin_family("phase_squeezed", {"r": 1.0})
+    swapped.fn = half.fn
+    for pt in (fam.point(0.3), dataclasses.replace(fam).point(0.3), swapped.point(0.3)):
+        gq.qfi_general(pt)
+    assert williamson_calls[0] == 0
+    for got, want in zip(swapped.point(0.3)._frame, half.point(0.3)._frame):
+        assert_array_equal(got, want)
+    gq.qfi_general(gq.GaussianModelPoint(*fam.fn(0.3)))
+    assert williamson_calls[0] == 1
+
+
+@pytest.mark.parametrize("r", [9.0, 14.0])
+def test_a_renamed_builtin_family_keeps_its_exact_frame(r, williamson_calls):
+    # A renamed copy holds the same fn, so its points keep the closed-form
+    # frame and 2 sinh^2(2r) exactly; factorised, they are 5.7e-2 (r = 9) and
+    # 1.0 (r = 14) off.
+    fam = gq.builtin_family("phase_squeezed", {"r": r})
+    renamed = dataclasses.replace(fam, name="renamed")
+    exact = 2.0 * math.sinh(2.0 * r) ** 2
+    assert gq.qfi_general(renamed.point(0.3)).qfi == pytest.approx(exact, rel=1e-12, abs=0)
+    # An r = 1 family given the r = 0.5 fn brings the r = 0.5 closed form.
     swapped = gq.builtin_family("phase_squeezed", {"r": 1.0})
     swapped.fn = gq.builtin_family("phase_squeezed", {"r": 0.5}).fn
-    points = [dataclasses.replace(fam).point(0.3), swapped.point(0.3),
-              gq.GaussianModelPoint(*fam.fn(0.3))]
-    for pt in points:
-        assert pt._factor is None
-        gq.qfi_general(pt)
-    assert williamson_calls[0] == 3
+    exact_half = 2.0 * math.sinh(1.0) ** 2
+    assert gq.qfi_general(swapped.point(0.3)).qfi == pytest.approx(exact_half, rel=1e-12, abs=0)
+    assert williamson_calls[0] == 0
+    # A wrapper of fn, and the same moments as arrays, take one williamson each.
+    wrapped = gq.ModelFamily("wrapped", lambda t: fam.fn(t))
+    for count, pt in enumerate((wrapped.point(0.3), gq.GaussianModelPoint(*fam.fn(0.3))), 1):
+        pt._frame
+        assert williamson_calls[0] == count
 
 
-def test_factor_beyond_double_precision_is_refused():
+def test_factor_beyond_double_precision_is_refused(williamson_calls):
     # eps |S|_F^2 = eps (e^2r + e^-2r) reaches 1 near r = 18: S^-1 S = I holds
     # to no digit, and the point is refused before any solve.
-    assert gq.builtin_family("phase_squeezed", {"r": 17.0}).point(0.3)._factor is not None
+    gq.builtin_family("phase_squeezed", {"r": 17.0}).point(0.3)._frame
+    assert williamson_calls[0] == 0
     with pytest.raises(FloatingPointError, match="beyond double precision"):
         gq.builtin_family("phase_squeezed", {"r": 20.0}).point(0.3)
