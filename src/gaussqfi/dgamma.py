@@ -36,15 +36,19 @@ wrote it and factorises nothing; :func:`_williamson_frame`, for any other
 point and the public functions here, factorises ``Gamma`` once (see
 :func:`~gaussqfi.symplectic.williamson`), and rounding in the stored ``Gamma``
 then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way the kernel
-rule and the state rule are the same.  The solve returns ``Yt`` and the range
-residual, the frame norm of the kernel part of ``Xt`` (see
-:func:`_frame_solve`); only :func:`~gaussqfi.estimation.sld_coefficients` and
+rule and the state rule are the same.  The solve returns ``Yt``, the range
+residual (the frame norm of the kernel part of ``Xt``) and two Fisher sums
+(see :func:`_frame_solve`); only
+:func:`~gaussqfi.estimation.sld_coefficients` and
 :func:`dgamma_pseudoinverse_apply` form the lab ``Y = S^-T Yt S^-1``.
 
-The same ``Xt`` carries the Fisher information of the Wigner distribution,
-``tr[(Gamma^-1 X)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)`` with
-``nt = (nu, nu)``: the Wigner information pairs each entry with
-``nu_i nu_j``, where the SLD solve pairs it with ``nu_i nu_j -/+ 1``.
+The solve is the one reader of ``Xt``.  Each ordered mode pair carries two
+parity weights, ``4 w+ = (Xt_QQ + Xt_PP)^2 + (Xt_QP - Xt_PQ)^2`` and
+``4 w- = (Xt_QQ - Xt_PP)^2 + (Xt_QP + Xt_PQ)^2``, and both Fisher
+informations of the second moments are sums of them:
+``tr[X D^-1(X)] / 2 = sum w+ / (N - 1) + w- / (N + 1)`` off the kernel,
+and the Wigner information
+``tr[(Gamma^-1 X)^2] / 2 = sum (w+ + w-) / N``, ``N = nu_i nu_j``.
 
 :func:`dgamma_spectrum` returns those divisors and that mask as arrays:
 ``values[k, i, j]`` is ``nu_i nu_j - 1`` for ``k = 0`` (parity +) and
@@ -244,19 +248,28 @@ def _closed_form_frame(
     return _Frame(S, nu, _w_right(_w_left(-S.T)), half + half.T, spread * float(gamma.trace()))
 
 
-def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float]:
+def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float, float, float]:
     """:func:`dgamma_pseudoinverse_apply` in a Williamson frame, read off its
-    ``(nu, Xt, rounding)`` alone.
+    ``(nu, Xt, rounding)`` alone, and the Fisher sums of its parity weights.
 
-    Returns ``(Yt, residual)``: ``Yt = S^T Y S`` the solution in the thermal
-    frame, and ``residual`` the Frobenius norm of the kernel part of ``Xt``,
-    ``sqrt(sum [(Xt_QQ + Xt_PP)^2 + (Xt_QP - Xt_PQ)^2] / 2)`` over vacuum
-    pairs, in exact arithmetic ``|N Yt N - w Yt w^T - Xt|_F``, ``N = diag(nu, nu)``.
+    Returns ``(Yt, residual, second, wigner)``: ``Yt = S^T Y S`` the solution
+    in the thermal frame; ``residual = sqrt(sum 4 w+ / 2)`` over vacuum pairs,
+    the Frobenius norm of the kernel part of ``Xt``, in exact arithmetic
+    ``|N Yt N - w Yt w^T - Xt|_F`` with ``N = diag(nu, nu)``;
+    ``second = sum w+ / (N - 1) + w- / (N + 1)`` off the kernel, which is
+    ``sum Xt o Yt / 2``; and ``wigner = sum (w+ + w-) / N``, which is
+    ``tr[(Gamma^-1 X)^2] / 2``, with ``N = nu_i nu_j`` and the weights
+    ``w+/-`` of the module docstring.  Both sums add non-negative terms over
+    positive divisors, so neither comes out negative.
 
     One pass over the frame: the divisors ``nu_i nu_j -/+ 1`` and the vacuum
     modes (:func:`_block_eigenvalues`), the four parity combinations of
     ``Xt`` as two sums of its block rows, whose parity-+ sums on vacuum
-    pairs give the residual, and ``Yt`` written into one array.
+    pairs give the residual and whose squares give the weights, and ``Yt``
+    written into one array.
+
+    Raises:
+        FloatingPointError: if ``nu_i nu_j`` overflows.
     """
     nu, Xt = frame.nu, frame.Xt
     n = nu.size
@@ -266,20 +279,24 @@ def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float]:
     top, bottom = blocks[0], blocks[1, :, ::-1]
     even_odd = top + bottom  # [qq + pp, qp + pq], divided by [N - 1, N + 1]
     odd_even = top - bottom  # [qq - pp, qp - pq], divided by [N + 1, N - 1]
+    w4 = np.square(even_odd)
+    w4 += np.square(odd_even)[:, ::-1]  # [4 w+, 4 w-]
     residual = 0.0
     if vacuum.any():
         pair = np.ix_(vacuum, vacuum)
         kernel = np.concatenate([even_odd[:, 0][pair], odd_even[:, 1][pair]], axis=None)
         residual = math.sqrt(0.5 * float(kernel.dot(kernel)))
         lam[0][pair] = np.inf  # the kernel: its weight 0.5 / inf is 0
+    wigner = 0.25 * float((w4.sum(axis=1) / np.multiply.outer(nu, nu)).sum())
     weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
+    second = 0.5 * float(np.vdot(w4, weight))
     even_odd *= weight
     odd_even *= weight[:, ::-1]
     Yt = np.empty((2 * n, 2 * n))
     out = Yt.reshape(2, n, 2, n)
     np.add(even_odd, odd_even, out=out[0])
     np.subtract(even_odd[:, ::-1], odd_even[:, ::-1], out=out[1])
-    return Yt, residual
+    return Yt, residual, second, wigner
 
 
 def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:

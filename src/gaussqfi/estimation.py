@@ -20,7 +20,11 @@ information and the equal-temperature shortcut.
 Quantum Fisher information then splits into a first-moment term
 ``2 dd^T Gamma^-1 dd`` and a second-moment term ``tr[dGamma L] / 2``; the
 classical benchmark ``wigner_fisher`` is the Fisher information of the Wigner
-phase-space distribution itself.
+phase-space distribution itself.  In the frame each is a sum of non-negative
+terms over positive divisors: the second-moment terms are the parity weights
+``w+/-`` of ``Xt`` over ``nu_i nu_j -/+ 1`` (QFI) or ``nu_i nu_j`` (Wigner),
+both summed by the one solve :func:`~gaussqfi.dgamma._frame_solve`, and the
+first-moment term of both is ``2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgamma import _frame_solve
-from .exceptions import ConvergenceError, PreconditionError
+from .exceptions import PreconditionError
 from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import _require_state, williamson
 
@@ -81,18 +85,12 @@ def _inverse_apply(S_inv: np.ndarray, nu: np.ndarray, v: np.ndarray) -> np.ndarr
     return vt @ S_inv
 
 
-def _linear_coefficients(point: GaussianModelPoint) -> np.ndarray:
-    """``b = 2 Gamma^-1 dd``, read off the point's Williamson frame; zero
-    when ``dd = 0``."""
-    if not point.dd.any():
-        return np.zeros_like(point.dd)
-    frame = point._frame
-    return 2.0 * _inverse_apply(frame.S_inv, frame.nu, point.dd)
-
-
 def _first_moment(point: GaussianModelPoint) -> float:
-    """``2 dd^T Gamma^-1 dd = dd . b``, the one first-moment term of every reader."""
-    return float(point.dd @ _linear_coefficients(point))
+    """``2 dd^T Gamma^-1 dd = 2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``,
+    read in the point's frame: the one first-moment term of every reader."""
+    frame = point._frame
+    ddt = frame.S_inv @ point.dd
+    return 2.0 * float((np.square(ddt) / np.concatenate([frame.nu, frame.nu])).sum())
 
 
 def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
@@ -114,27 +112,14 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """
     frame = point._frame
     nu, Si = frame.nu, frame.S_inv
-    Yt, residual = _frame_solve(frame)
+    Yt, residual = _frame_solve(frame)[:2]
     _require_state(float(nu[-1]), frame.rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
     Y = Si.T @ Yt @ Si
     L = Y + Y.T
     L *= 0.5
-    return SLDCoefficients(L=L, b=_linear_coefficients(point), c=c, range_residual=residual)
-
-
-def _wigner_second(point: GaussianModelPoint) -> float:
-    """The second-moment part of the Wigner information,
-    ``tr[(Gamma^-1 dGamma)^2] / 2 = sum_ij Xt_ij Xt_ji / (2 nt_i nt_j)``
-    with ``nt = (nu, nu)``, read in the point's frame: each of the four
-    ``n x n`` blocks of ``Xt * Xt^T`` is divided by ``N = nu nu^T``."""
-    frame = point._frame
-    nu, Xt = frame.nu, frame.Xt
-    n = nu.size
-    terms = Xt * Xt.T
-    quarters = terms.reshape(2, n, 2, n)
-    quarters /= np.multiply.outer(nu, nu)[:, None, :]
-    return 0.5 * float(terms.sum())
+    b = 2.0 * _inverse_apply(Si, nu, point.dd) if point.dd.any() else np.zeros_like(point.dd)
+    return SLDCoefficients(L=L, b=b, c=c, range_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -163,12 +148,6 @@ class FisherReport:
         return self.qfi / self.wigner_fisher
 
 
-def _nonnegative(value: float, what: str) -> float:
-    if value < -1e-10 * (1.0 + abs(value)):
-        raise ConvergenceError(f"{what} came out negative ({value:.3e})")
-    return max(value, 0.0)
-
-
 def qfi_general(point: GaussianModelPoint) -> FisherReport:
     """Quantum Fisher information via the superoperator pseudoinverse.
 
@@ -181,29 +160,27 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     frame in closed form (:func:`~gaussqfi.dgamma._closed_form_frame`), so
     nothing is factorised and ``nu`` is exact however strong the squeezing;
     any other point takes one Williamson factorisation and
-    ``Xt = S^-1 dGamma S^-T``, once per point.  The solve
-    divides the entries of ``Xt`` by ``nu_i nu_j -/+ 1`` into
-    ``Yt = S^T L S``, so the second-moment term ``tr[dGamma L] / 2`` is
-    ``sum_ij Xt_ij Yt_ij / 2`` and the lab ``L`` is never formed; the
-    first-moment term ``2 dd^T Gamma^-1 dd`` is ``dd . b``, with ``b`` read
-    off the same frame.  The Wigner information divides ``Xt_ij Xt_ji`` by
-    ``nu_i nu_j`` instead, as :func:`wigner_fisher` does.  Nothing is kept
-    on the point beyond its frame.
+    ``Xt = S^-1 dGamma S^-T``, once per point.  The one pass of the solve
+    squares the parity combinations of ``Xt`` into the weights ``w+/-`` of
+    each mode pair and sums them: over ``nu_i nu_j -/+ 1`` into the
+    second-moment term ``tr[dGamma L] / 2``, and over ``nu_i nu_j`` into the
+    Wigner information, as :func:`wigner_fisher` reads it; the lab ``L`` is
+    never formed.  The first-moment term ``2 dd^T Gamma^-1 dd`` is
+    ``2 sum ddt^2 / (nu, nu)``, ``ddt = S^-1 dd``.  Nothing is kept on the
+    point beyond its frame.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
-        ConvergenceError: if a Fisher term comes out negative beyond
-            rounding; the message names the term.
+        FloatingPointError: if ``nu_i nu_j`` overflows.
     """
     frame = point._frame
-    Yt, residual = _frame_solve(frame)
+    _, residual, second, wigner = _frame_solve(frame)
     _require_state(float(frame.nu[-1]), frame.rounding)
-    second = _nonnegative(0.5 * float(np.vdot(frame.Xt, Yt)), "second-moment term")
-    first = _nonnegative(_first_moment(point), "first-moment term")
+    first = _first_moment(point)
     return FisherReport(
         qfi=first + second,
-        wigner_fisher=_wigner_second(point) + first,
+        wigner_fisher=wigner + first,
         first_moment_term=first,
         second_moment_term=second,
         method="general",
@@ -227,17 +204,16 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
         PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``) or
             ``"derivative_preserves_nu"``, in that order.
-        ConvergenceError: if a Fisher term comes out negative beyond
-            rounding.
+        FloatingPointError: if ``nu_i nu_j`` overflows.
     """
     chk = _require_isothermal(point)
     nu2 = chk.nu * chk.nu
-    wigner_second = _wigner_second(point)
-    second = _nonnegative(nu2 / (1.0 + nu2) * wigner_second, "second-moment term")
-    first = _nonnegative(_first_moment(point), "first-moment term")
+    wigner = _frame_solve(point._frame)[3]
+    second = nu2 / (1.0 + nu2) * wigner
+    first = _first_moment(point)
     return FisherReport(
         qfi=first + second,
-        wigner_fisher=wigner_second + first,
+        wigner_fisher=wigner + first,
         first_moment_term=first,
         second_moment_term=second,
         method="isothermal",
@@ -266,14 +242,16 @@ def gaussian_distribution_fisher(
 
 def wigner_fisher(point: GaussianModelPoint) -> float:
     """Fisher information of the model's Wigner (phase-space) distribution,
-    ``tr[(Gamma^-1 dGamma)^2] / 2 + 2 dd^T Gamma^-1 dd``, the first term read
-    in the point's Williamson frame.
+    ``tr[(Gamma^-1 dGamma)^2] / 2 + 2 dd^T Gamma^-1 dd``, both terms read
+    in the point's Williamson frame: the first is the Wigner sum of
+    :func:`~gaussqfi.dgamma._frame_solve`.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point that
             takes ``williamson``).
+        FloatingPointError: if ``nu_i nu_j`` overflows.
     """
-    return _wigner_second(point) + _first_moment(point)
+    return _frame_solve(point._frame)[3] + _first_moment(point)
 
 
 def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ from .dgamma import _vacuum_modes
 from .estimation import SLDCoefficients
 from .exceptions import ConfigError, ConvergenceError, PreconditionError
 from .models import GaussianModelPoint, ModelFamily
-from .symplectic import _passive, _require_state, symplectic_form
+from .symplectic import _EPS, _passive, _require_state, symplectic_form
 
 __all__ = [
     "passive_unitary",
@@ -102,7 +102,6 @@ _SQRT2 = np.sqrt(2.0)
 _PASSIVE_TOL = 1e-10  # passive_unitary's max-abs gate
 _TAIL_BOUND = 1e-3  # build_state's default bound on tail_mass, and every oracle call's
 _MAX_BYTES = 2**28  # the most a dense dim**n square complex matrix, or the ket route, may take
-_EPS = np.finfo(float).eps
 # Markov's inequality is tried at x = (1 + s)/(1 - s), s = u / lambda_max: u
 # runs from 0.034 to 1 - 2^-40, evenly in log(1 - u).
 _MARKOV_U = 1.0 - 2.0 ** -(np.arange(1, 801) / 20.0)

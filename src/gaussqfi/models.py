@@ -22,6 +22,7 @@ import numpy as np
 from .dgamma import _closed_form_frame, _Frame, _williamson_frame
 from .exceptions import ConfigError, NearSingularWarning, PreconditionError
 from .symplectic import (
+    _EPS,
     _ISOTHERMAL_TOL,
     _VACUUM_ROUNDING,
     _hamiltonian_deviation,
@@ -31,8 +32,6 @@ from .symplectic import (
     _w_left,
     _w_right,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "GaussianModelPoint",

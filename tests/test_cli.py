@@ -494,13 +494,18 @@ def test_well_conditioned_squeezed_explicit_config_sweeps(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-def test_negative_fisher_term_exits_3(tmp_path, capsys, monkeypatch):
+def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     from gaussqfi import estimation
 
-    monkeypatch.setattr(estimation, "_linear_coefficients", lambda point: -point.dd)
+    def fail(frame):
+        raise gq.ConvergenceError("the frame solve did not converge")
+
+    monkeypatch.setattr(estimation, "_frame_solve", fail)
     cfg = write_cfg(tmp_path, DISPLACEMENT)
     assert cli.main(["qfi", cfg]) == 3
-    assert "first-moment term" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: the frame solve did not converge\n"
 
 
 R20 = {"family": "phase_squeezed", "params": {"r": 20.0}, "theta": 0.3}

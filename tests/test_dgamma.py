@@ -421,11 +421,18 @@ def _kind_point(kind, n, seed):
 def test_frame_solve_matches_its_reference(n, kind, seed):
     pt, hamiltonian = _kind_point(kind, n, seed)
     S, nu, Si, W, rounding = frame = pt._frame
-    Yt, residual = _frame_solve(frame)
+    Yt, residual, second, wigner = _frame_solve(frame)
     Yt_ref, residual_ref = _reference_frame_solve(pt.gamma, frame)
     assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
     scale = np.abs(thermal_diag(nu) @ Yt_ref @ thermal_diag(nu)).max()
     assert abs(residual - residual_ref) <= _SOLVE_RTOL * scale
+    # The two Fisher sums of the parity weights: tr[X D^-1(X)] / 2 and the
+    # Wigner information sum_ij Xt_ij Xt_ji / (2 nt_i nt_j), nt = (nu, nu).
+    nt = np.concatenate([nu, nu])
+    second_ref = 0.5 * float(np.sum(W * Yt_ref))
+    wigner_ref = 0.5 * float(np.sum(W * W.T / np.outer(nt, nt)))
+    assert abs(second - second_ref) <= _SOLVE_RTOL * abs(second_ref)
+    assert abs(wigner - wigner_ref) <= _SOLVE_RTOL * abs(wigner_ref)
     # The lab L is the symmetric part of S^-T Yt S^-1.
     Y_ref = Si.T @ Yt_ref @ Si
     L_ref = 0.5 * (Y_ref + Y_ref.T)
@@ -435,8 +442,10 @@ def test_frame_solve_matches_its_reference(n, kind, seed):
     # vacuum modes come first, Yt is the same array with its modes reversed.
     rev = np.concatenate([np.arange(n)[::-1], np.arange(n, 2 * n)[::-1]])
     reversed_frame = _Frame(S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)], rounding)
-    Yt_rev = _frame_solve(reversed_frame)[0]
+    Yt_rev, _, second_rev, wigner_rev = _frame_solve(reversed_frame)
     assert np.array_equal(Yt_rev[np.ix_(rev, rev)], Yt)
+    assert abs(second_rev - second_ref) <= _SOLVE_RTOL * abs(second_ref)
+    assert abs(wigner_rev - wigner_ref) <= _SOLVE_RTOL * abs(wigner_ref)
     if hamiltonian:
         # The equal-temperature frame reads the same W as the public eigenframe.
         chk = gq.check_isothermal(pt)

@@ -2,6 +2,7 @@
 routes, and the photon-counting normal form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import gaussqfi as gq
 from gaussqfi import cli
+from gaussqfi.dgamma import _frame_solve
 from conftest import (
     BUILTIN_POINTS,
     explicit_doc,
@@ -335,10 +337,16 @@ def test_photon_counting_form_solves_only_with_L(linalg_calls):
     }
 
 
-def test_first_moment_term_is_read_off_b():
-    pt = random_model_point(3, seed=31)
-    assert np.any(pt.dd)
-    assert gq.qfi_general(pt).first_moment_term == float(pt.dd @ gq.sld_coefficients(pt).b)
+def test_overflowing_temperature_raises_in_every_frame_reader():
+    # thermal at theta = 1e300: nu^2 overflows.  qfi_general and
+    # wigner_fisher stop at the one overflow check of the frame solve, and
+    # neither writes a RuntimeWarning or returns a number first.
+    pt = gq.builtin_family("thermal").point(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reader in (gq.qfi_general, gq.wigner_fisher):
+            with pytest.raises(FloatingPointError, match="overflow encountered in nu_i nu_j"):
+                reader(pt)
 
 
 def test_qfi_general_factorises_once(williamson_calls):
@@ -416,15 +424,15 @@ def _moving(pt, seed):
     + [(_DISPLACEMENT_POINT, True), (_explicit(_DISPLACEMENT_POINT), True)],
 )
 def test_every_reader_of_the_first_moment_term_gives_one_float(pt, isothermal):
-    # qfi_general, wigner_fisher and qfi_isothermal all read b off the frame
-    # through _linear_coefficients, so each forms the same dd . b.
-    # wigner_fisher is compared as the sum it forms, as (a + b) - a need not
-    # be b in floating point.  test_frame_read_terms_match_solve_route holds
-    # the term to the LU solve.
+    # qfi_general, wigner_fisher and qfi_isothermal all read ddt = S^-1 dd
+    # off the frame through _first_moment, so each forms the same
+    # 2 sum ddt^2 / (nu, nu).  wigner_fisher is compared as the sum it forms,
+    # as (a + b) - a need not be b in floating point.
+    # test_frame_read_terms_match_solve_route holds the term to the LU solve.
     assert np.any(pt.dd)
     first = gq.qfi_general(pt).first_moment_term
     assert first > 0.0
-    assert gq.wigner_fisher(pt) == gq.estimation._wigner_second(pt) + first
+    assert gq.wigner_fisher(pt) == _frame_solve(pt._frame)[3] + first
     chk = gq.check_isothermal(pt)
     assert (chk.is_isothermal and chk.derivative_preserves_nu) == isothermal
     if isothermal:

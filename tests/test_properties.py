@@ -1,8 +1,8 @@
 """Property tests of the symplectic spectrum, the Williamson frame, the
 equal-temperature frame, the Hamiltonian eigenframe, the Euler
 factorisation, the photon-counting form, and the QFI (under loss, over
-independent systems and under a rescaled parameter), over seeded random
-states.
+independent systems, under a rescaled parameter and against the Wigner
+information), over seeded random states.
 
 Hypothesis draws the seeds, mode counts and squeeze caps; every drawn case is
 reproducible from them through the ``conftest`` generators, and the search is
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
@@ -275,6 +275,25 @@ def test_fisher_informations_scale_with_the_square_of_the_tangent(n, seed, k):
         hom = gq.optimal_homodyne_fisher(gq.isothermal_frame(pt))
         hom_k = gq.optimal_homodyne_fisher(gq.isothermal_frame(scaled))
         assert hom_k == pytest.approx(k2 * hom, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(min_value=1, max_value=5), seed=seeds, isothermal=st.booleans(),
+       nu=st.floats(min_value=1.0, max_value=3.0))
+def test_qfi_is_at_least_half_the_wigner_information(n, seed, isothermal, nu):
+    # Off the kernel both informations are sums of non-negative terms over
+    # positive divisors: the parity weights w+/- of Xt over nu_i nu_j -/+ 1
+    # (QFI) or nu_i nu_j (Wigner), and 2 ddt^2 / nu for the first moments.
+    # For N = nu_i nu_j >= 1, 1 / (N - 1) > 1 / (2N) and 1 / (N + 1) >= 1 / (2N),
+    # so qfi >= wigner_fisher / 2, with equality on pure points.
+    pt = random_isothermal_point(n, seed, nu=nu) if isothermal else random_model_point(n, seed)
+    rep = gq.qfi_general(pt)
+    assume(rep.range_residual == 0.0)
+    assert rep.first_moment_term >= 0.0
+    assert rep.second_moment_term >= 0.0
+    assert rep.qfi >= (1.0 - 1e-12) * rep.wigner_fisher / 2
+    if isothermal and nu == 1.0:
+        assert rep.qfi == pytest.approx(rep.wigner_fisher / 2, rel=1e-12, abs=0)
 
 
 @PROPERTY_SETTINGS
