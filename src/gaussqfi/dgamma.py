@@ -266,7 +266,9 @@ def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float, float, float]:
     modes (:func:`_block_eigenvalues`), the four parity combinations of
     ``Xt`` as two sums of its block rows, whose parity-+ sums on vacuum
     pairs give the residual and whose squares give the weights, and ``Yt``
-    written into one array.
+    written into one array.  The squares overflow before ``Yt`` does, so
+    every caller forms it under ``np.errstate``, and those that read the
+    sums check them (:func:`~gaussqfi.estimation._fisher_sums`).
 
     Raises:
         FloatingPointError: if ``nu_i nu_j`` overflows.
@@ -326,7 +328,8 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
     frame = _williamson_frame(gamma, X)
-    Y = frame.S_inv.T @ _frame_solve(frame)[0] @ frame.S_inv
+    with np.errstate(over="ignore", invalid="ignore"):  # the Fisher sums it drops
+        Y = frame.S_inv.T @ _frame_solve(frame)[0] @ frame.S_inv
     return Y, float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
 
 

@@ -29,6 +29,7 @@ first-moment term of both is ``2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,25 @@ def _inverse_apply(S_inv: np.ndarray, nu: np.ndarray, v: np.ndarray) -> np.ndarr
     return vt @ S_inv
 
 
-def _first_moment(point: GaussianModelPoint) -> float:
-    """``2 dd^T Gamma^-1 dd = 2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``,
-    read in the point's frame: the one first-moment term of every reader."""
+def _fisher_sums(point: GaussianModelPoint) -> tuple[float, float, float, float]:
+    """``(first, second, wigner, residual)`` of the point's frame, the one
+    reader of every Fisher term: the first-moment term ``2 dd^T Gamma^-1 dd
+    = 2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``, and the sums and
+    residual of :func:`~gaussqfi.dgamma._frame_solve`.  They are formed
+    under one ``np.errstate``, so an overflow raises here and is not warned.
+
+    Raises:
+        FloatingPointError: if ``nu_i nu_j`` overflows, or any of the four
+            is not finite.
+    """
     frame = point._frame
-    ddt = frame.S_inv @ point.dd
-    return 2.0 * float((np.square(ddt) / np.concatenate([frame.nu, frame.nu])).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, residual, second, wigner = _frame_solve(frame)
+        ddt = frame.S_inv @ point.dd
+        first = 2.0 * float((np.square(ddt) / np.concatenate([frame.nu, frame.nu])).sum())
+    if not math.isfinite(first + second + wigner + residual):  # each is >= 0
+        raise FloatingPointError("overflow encountered in the Fisher sums of this point")
+    return first, second, wigner, residual
 
 
 def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
@@ -112,7 +126,8 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """
     frame = point._frame
     nu, Si = frame.nu, frame.S_inv
-    Yt, residual = _frame_solve(frame)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):  # the Fisher sums it drops
+        Yt, residual = _frame_solve(frame)[:2]
     _require_state(float(nu[-1]), frame.rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
     Y = Si.T @ Yt @ Si
@@ -172,12 +187,12 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
             state (see ``validate_covariance``).
-        FloatingPointError: if ``nu_i nu_j`` overflows.
+        FloatingPointError: if ``nu_i nu_j`` overflows, or a Fisher term or
+            ``range_residual`` is not finite in floating point.
     """
     frame = point._frame
-    _, residual, second, wigner = _frame_solve(frame)
     _require_state(float(frame.nu[-1]), frame.rounding)
-    first = _first_moment(point)
+    first, second, wigner, residual = _fisher_sums(point)
     return FisherReport(
         qfi=first + second,
         wigner_fisher=wigner + first,
@@ -204,13 +219,13 @@ def qfi_isothermal(point: GaussianModelPoint) -> FisherReport:
         PreconditionError: flag ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``) or
             ``"derivative_preserves_nu"``, in that order.
-        FloatingPointError: if ``nu_i nu_j`` overflows.
+        FloatingPointError: if ``nu_i nu_j`` overflows, or a Fisher term is
+            not finite in floating point.
     """
     chk = _require_isothermal(point)
     nu2 = chk.nu * chk.nu
-    wigner = _frame_solve(point._frame)[3]
+    first, _, wigner, _ = _fisher_sums(point)
     second = nu2 / (1.0 + nu2) * wigner
-    first = _first_moment(point)
     return FisherReport(
         qfi=first + second,
         wigner_fisher=wigner + first,
@@ -249,9 +264,11 @@ def wigner_fisher(point: GaussianModelPoint) -> float:
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point that
             takes ``williamson``).
-        FloatingPointError: if ``nu_i nu_j`` overflows.
+        FloatingPointError: if ``nu_i nu_j`` overflows, or a term is not
+            finite in floating point.
     """
-    return _frame_solve(point._frame)[3] + _first_moment(point)
+    first, _, wigner, _ = _fisher_sums(point)
+    return wigner + first
 
 
 def _mean_photon(gamma: np.ndarray, d: np.ndarray) -> np.ndarray:

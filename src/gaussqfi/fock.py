@@ -38,11 +38,11 @@ Every oracle call and layer builder checks its size before it allocates,
 by the representation it builds.  A dense ``dim**n`` square complex matrix
 may take at most ``_MAX_BYTES`` (2**28 bytes, so at most 4096 levels
 on one mode, 64 on two or 16 on three); :func:`build_state` and the
-single layers build one on every state, :func:`sld_residual` its ``L`` on
-``cutoff + 2`` levels, and :func:`identity_checks`, :func:`qfi_fock` and
-:func:`qfi_fock_probe` one on a mixed state, on the cutoff and
-``cutoff + 10`` levels.  :func:`identity_checks` reads a pure state's ket
-but keeps the dense rule.  The ket route of :func:`qfi_fock` and
+single layers build one on every state, and :func:`sld_residual`,
+:func:`identity_checks`, :func:`qfi_fock` and :func:`qfi_fock_probe` one on
+a mixed state, on ``cutoff + 2``, the cutoff and ``cutoff + 10`` levels.
+:func:`sld_residual` and :func:`identity_checks` read a pure state's ket
+but keep the dense rule.  The ket route of :func:`qfi_fock` and
 :func:`qfi_fock_probe` holds at most ``2n + 5`` complex arrays of
 ``dim**n`` entries at once, and 128 bytes a level for the recurrence's
 Python scalars (:func:`_ket_bytes`), and may take the same 2**28 bytes in
@@ -63,9 +63,10 @@ parity); :func:`displacement_unitary` is the Kronecker product of the
 one-mode Weyl factors.  Every operator the oracle reads is built from
 one-mode ``dim x dim`` factors: expectations contract them against
 ``rho``'s or, on a pure state, ``psi``'s index tensor, and the SLD
-observable sums their Kronecker products.  The Weyl factors are phased in
-place on the one array they are formed in, so :func:`identity_checks` on
-one mode peaks at about 28 dense ``cutoff x cutoff`` complex matrices.
+observable acts on the same tensors, one mode at a time.  The Weyl factors
+are phased in place on the one array they are formed in, so
+:func:`identity_checks` on one mode peaks at about 28 dense
+``cutoff x cutoff`` complex matrices.
 """
 
 from __future__ import annotations
@@ -798,28 +799,27 @@ def _probe(point: GaussianModelPoint, cutoff: int) -> FockConvergence:
     return FockConvergence(value, cutoff_value, abs(cutoff_value - value))
 
 
-def _sld_matrix(coeffs: SLDCoefficients, d: np.ndarray, cutoff: int) -> np.ndarray:
-    """Assemble the SLD observable as a Fock matrix.
+def _apply_sld(coeffs: SLDCoefficients, d: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``L̂ T`` on the leading ``n`` axes of ``T``, one per mode, for the SLD
+    observable ``L̂ = sum_ij L_ij dR_i dR_j + sum_i b_i dR_i + c``, ``dR = R - d``.
 
-    Returns ``sum_ij L_ij (R-d)_i (R-d)_j + sum_i b_i (R-d)_i + c`` (the
-    quadratic term is automatically Hermitian because ``L`` is symmetric)
-    as ``c + sum_i dR_i B_i``: each ``B_i = sum_j L_ij dR_j + b_i`` is a sum
-    of one-mode terms, so ``L̂`` is a sum of Kronecker products of one-mode
-    factors, and no two ``cutoff**n`` square matrices are multiplied.
+    ``L̂ = c + sum_i dR_i B_i``, and each ``B_i = sum_j L_ij dR_j + b_i`` is a
+    sum of one-mode terms, so ``L̂ T`` is ``m (n + 1)`` one-mode products on
+    ``T``'s index tensor, and no ``dim**n`` square operator is formed.
     """
-    m, n, eye = d.size, d.size // 2, np.eye(cutoff)
-    own = np.arange(m) % n  # the mode of R_i
-    x = _mode_quadratures(n, cutoff)[np.arange(m), own] - d[:, None, None] * eye
+    m, n, dim = d.size, d.size // 2, T.shape[0]
+    own, eye = np.arange(m) % n, np.eye(dim)  # own[i]: the mode of R_i
+    x = _mode_quadratures(n, dim)[np.arange(m), own] - d[:, None, None] * eye
     # bracket[i, k]: B_i's mode-k term sum_s L_i(s,k) dR_(s,k), plus b_i on R_i's mode.
-    bracket = (coeffs.L.reshape(m, 2, n, 1, 1) * x.reshape(2, n, cutoff, cutoff)).sum(1)
+    bracket = (coeffs.L.reshape(m, 2, n, 1, 1) * x.reshape(2, n, dim, dim)).sum(1)
     bracket[np.arange(m), own] += coeffs.b[:, None, None] * eye
-    # dR_i times B_i's term on its own mode, summed per mode: one mode takes two products.
-    local = (x @ bracket[np.arange(m), own]).reshape(2, n, cutoff, cutoff).sum(0)
-    local[0] += coeffs.c * eye
-    # Each term maps modes to factors, the identity on the modes it omits.
-    terms = [{k: local[k]} for k in range(n)]
-    terms += [{own[i]: x[i], k: bracket[i, k]} for i in range(m) for k in range(n) if k != own[i]]
-    return sum(_kron_modes([t.get(k, eye) for k in range(n)]) for t in terms)
+
+    def on(F, S, k):  # F on mode k of S: the modes before k broadcast, those after are one axis
+        return (F @ S.reshape(dim**k, dim, -1)).reshape(S.shape)
+    out = coeffs.c * T
+    for i in range(m):
+        out += on(x[i], sum(on(F, T, k) for k, F in enumerate(bracket[i])), own[i])
+    return out
 
 
 def _ket_trace_norm(
@@ -848,34 +848,34 @@ def sld_residual(point: GaussianModelPoint, coeffs: SLDCoefficients, cutoff: int
     Reads the state and its exact derivative along the point's own tangent
     ``(dd, dgamma)`` from one Bargmann recurrence, and returns
     ``|| drho - (rho L + L rho)/2 ||_1`` on the leading ``cutoff`` levels.
-    ``L`` couples levels at most 2 apart, so it is formed on ``cutoff + 2``
-    levels, applied and cropped: every kept element is then exact, and a
-    correct coefficient set leaves rounding only (1e-14 on
+    ``L`` couples levels at most 2 apart, so it is applied on ``cutoff + 2``
+    levels (:func:`_apply_sld`) and cropped: every kept element is then
+    exact, and a correct coefficient set leaves rounding only (1e-14 on
     ``phase_squeezed`` r 1 at ``theta = 0.7``, pure and with ``nu = 1.5``,
     at :func:`suggested_cutoff`).  A wrong one leaves an O(1) defect, as
     does a tangent that leaves the state set, where no SLD exists (a pure
     state heated or cooled).  The kept state passes the gates of
     :func:`build_state`.
 
-    On a mixed state the defect is formed densely, ``drho - (rho L + L
-    rho)/2``, and its singular values summed.  On a pure state, with
-    ``u = dpsi - L psi / 2``, it is ``u psi^H + psi u^H`` plus the tangent's
-    bra-ket term of :func:`_ket`, and its trace norm is read from an
-    ``(n + 2)``-square problem (:func:`_ket_trace_norm`), with no dense
-    product and no SVD.
+    On a mixed state ``L`` acts on ``rho``'s ket indices, and as ``rho`` and
+    ``L`` are Hermitian, ``rho L = (L rho)^H``: the defect is
+    ``drho - (L rho + (L rho)^H)/2``, and its singular values are summed.
+    On a pure state, with ``u = dpsi - L psi / 2``, it is ``u psi^H + psi
+    u^H`` plus the tangent's bra-ket term of :func:`_ket`, and its trace
+    norm is read from an ``(n + 2)``-square problem
+    (:func:`_ket_trace_norm`), with no SVD.  Neither route forms a ``dim**n``
+    square operator or product.
     """
-    big = cutoff + 2
+    n, big = point.n, cutoff + 2
     if _gate(point, cutoff, big, dense=True):
-        psi, tangent = _ket(point, big, tangent=True)
-        Lpsi = (_sld_matrix(coeffs, point.d, big) @ psi.ravel()).reshape(psi.shape)
-        dpsi, raised, cross = tangent
-        kept = _kept_ket(point, psi, (dpsi - 0.5 * Lpsi, raised, cross), cutoff, ket=False)
-        return _ket_trace_norm(*kept)
+        psi, (dpsi, raised, cross) = _ket(point, big, tangent=True)
+        dpsi -= 0.5 * _apply_sld(coeffs, point.d, psi)
+        return _ket_trace_norm(*_kept_ket(point, psi, (dpsi, raised, cross), cutoff, ket=False))
     rho, drho = _bargmann(point, big, tangent=True)
     _checked(point, rho, cutoff)
-    Lhat = _sld_matrix(coeffs, point.d, big)
-    resid = _block(drho - 0.5 * (rho @ Lhat + Lhat @ rho), point.n, cutoff)
-    return float(np.linalg.svd(resid, compute_uv=False).sum())
+    Lrho = _apply_sld(coeffs, point.d, rho.reshape((big,) * n + (-1,))).reshape(rho.shape)
+    drho -= 0.5 * (Lrho + Lrho.conj().T)
+    return float(np.linalg.svd(_block(drho, n, cutoff), compute_uv=False).sum())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ states ``I*`` equals the quantum Fisher information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,15 @@ def optimal_homodyne_fisher(frame: IsothermalFrame) -> float:
     Attained by measuring the Q quadratures of the normal-frame modes; equals
     half the Wigner-distribution information of the second moments, and the
     full quantum Fisher information when ``nu = 1``.
+
+    Raises:
+        FloatingPointError: if the sum is not finite in floating point.
     """
-    return 0.5 * float(np.sum(frame.lam**2))
+    with np.errstate(over="ignore"):
+        best = 0.5 * float(np.sum(frame.lam**2))
+    if not math.isfinite(best):
+        raise FloatingPointError("overflow encountered in the optimal homodyne Fisher information")
+    return best
 
 
 def homodyne_fisher(frame: IsothermalFrame, U: np.ndarray) -> float:

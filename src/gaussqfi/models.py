@@ -200,8 +200,10 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
     0, negative, or positive but meaningless), or ``kappa`` overflows, the
     curve cannot be formed: building the family still succeeds, so the point
     itself stays readable, but evaluating the curve raises
-    ``PreconditionError`` (flag ``"ill_conditioned"``), giving the
-    eigenvalue and the bound, before any non-finite moment is formed.
+    ``PreconditionError`` (flag ``"ill_conditioned"``) before any
+    non-finite moment is formed, naming the condition that failed: the
+    eigenvalue and its bound, or the overflow of ``kappa`` with
+    ``|dGamma|_2`` and the eigenvalue.
     """
     eig_min, bound = _eigenvalue_floor(point.gamma)
     norm = float(np.linalg.norm(point.dgamma, 2))
@@ -211,11 +213,16 @@ def _linear_family(point: GaussianModelPoint) -> ModelFamily:
 
     def fn(t: float):
         if not math.isfinite(kappa):
+            cause = (
+                f"kappa = |dGamma|_2^2 / eig_min overflows, with |dGamma|_2 = {norm:.3g} and "
+                f"the smallest eigenvalue of Gamma {eig_min:.3g}"
+                if eig_min > bound
+                else f"the smallest eigenvalue of Gamma is {eig_min:.3g} in floating point, "
+                f"within its rounding bound 2n eps |Gamma|_2 = {bound:.3g}"
+            )
             raise PreconditionError(
                 "ill_conditioned",
-                f"the smallest eigenvalue of Gamma is {eig_min:.3g} in floating point, "
-                f"within its rounding bound 2n eps |Gamma|_2 = {bound:.3g}, so the "
-                "lifted tangent curve of this explicit model cannot be formed",
+                f"{cause}, so the lifted tangent curve of this explicit model cannot be formed",
             )
         return (
             point.d + t * point.dd,

@@ -512,6 +512,17 @@ R20 = {"family": "phase_squeezed", "params": {"r": 20.0}, "theta": 0.3}
 R1000 = {"family": "phase_squeezed", "params": {"r": 1000.0}, "theta": 0.3}
 
 
+def _overflow_doc(dd, dgamma):
+    """One mode at Gamma = 1.5 I whose Fisher information overflows."""
+    return {"explicit": {"n": 1, "d": [0, 0], "Gamma": [[1.5, 0], [0, 1.5]], "dd": dd,
+                         "dGamma": dgamma}}
+
+
+OVERFLOW_DGAMMA = _overflow_doc([0, 0], [[1e160, 0], [0, 1e160]])
+OVERFLOW_DD = _overflow_doc([1e200, 0], [[0, 0], [0, 0]])
+OVERFLOW_HOMODYNE = _overflow_doc([0, 0], [[1e160, 0], [0, -1e160]])
+
+
 @pytest.mark.parametrize(
     "doc, argv",
     [
@@ -522,9 +533,14 @@ R1000 = {"family": "phase_squeezed", "params": {"r": 1000.0}, "theta": 0.3}
         (R1000, ["qfi"]),
         (R1000, ["sweep", "--from", "0", "--to", "1", "--steps", "3"]),
         ({"family": "thermal", "theta": 1e300}, ["qfi"]),
+        (OVERFLOW_DGAMMA, ["qfi"]),
+        (OVERFLOW_DD, ["qfi"]),
+        (OVERFLOW_HOMODYNE, ["qfi"]),
+        (OVERFLOW_HOMODYNE, ["homodyne"]),
     ],
     ids=["r20-qfi", "r20-sld", "r20-homodyne", "r20-oracle", "r1000-qfi", "r1000-sweep",
-         "thermal-1e300-qfi"],
+         "thermal-1e300-qfi", "dgamma-1e160-qfi", "dd-1e200-qfi", "dgamma-pm-1e160-qfi",
+         "dgamma-pm-1e160-homodyne"],
 )
 def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
     # Gamma that is not positive definite in floating point, or an overflow:
@@ -533,6 +549,28 @@ def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_sld_on_an_overflowing_fisher_information_is_quiet(tmp_path, capsys):
+    # The SLD itself is finite; the Fisher sums the solve forms beside it are not.
+    for doc in (OVERFLOW_DGAMMA, OVERFLOW_HOMODYNE):
+        assert cli.main(["sld", write_cfg(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        assert "c (offset) = " in out and err == ""
+
+
+def test_sweep_refusal_names_the_overflowing_lift(tmp_path, capsys):
+    # Gamma's smallest eigenvalue, 1.5, is far above its rounding bound; it is
+    # kappa = |dGamma|_2^2 / 1.5 that overflows.
+    cfg = write_cfg(tmp_path, OVERFLOW_DGAMMA)
+    assert cli.main(["sweep", cfg, "--from", "0", "--to", "1", "--steps", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "precondition failed: [ill_conditioned] kappa = |dGamma|_2^2 / eig_min overflows, "
+        "with |dGamma|_2 = 1e+160 and the smallest eigenvalue of Gamma 1.5, so the lifted "
+        "tangent curve of this explicit model cannot be formed"
+    )
 
 
 def test_nearly_symmetric_gamma_reads_as_its_symmetric_part(tmp_path, capsys):

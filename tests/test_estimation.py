@@ -349,6 +349,52 @@ def test_overflowing_temperature_raises_in_every_frame_reader():
                 reader(pt)
 
 
+def _one_mode(dd, dgamma):
+    """A one-mode point at Gamma = 1.5 I with the given tangent."""
+    return gq.GaussianModelPoint(np.zeros(2), 1.5 * np.eye(2), np.array(dd), np.array(dgamma))
+
+
+@pytest.mark.parametrize(
+    "pt, readers",
+    [
+        (_one_mode([0.0, 0.0], 1e160 * np.eye(2)), (gq.qfi_general, gq.wigner_fisher)),
+        (_one_mode([1e200, 0.0], np.zeros((2, 2))), (gq.qfi_general, gq.wigner_fisher)),
+        (_one_mode([0.0, 0.0], np.diag([1e160, -1e160])), (gq.qfi_isothermal,)),
+    ],
+    ids=["dgamma-1e160", "dd-1e200", "isothermal-dgamma-1e160"],
+)
+def test_overflowing_fisher_sums_raise_in_every_reader(pt, readers):
+    # Finite moments whose Fisher information overflows: each reader raises
+    # one FloatingPointError, with no RuntimeWarning and no inf returned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reader in readers:
+            with pytest.raises(FloatingPointError, match="overflow encountered in the Fisher sums"):
+                reader(pt)
+        # The solve itself stays finite and quiet.
+        gq.sld_coefficients(pt)
+        gq.dgamma_pseudoinverse_apply(pt.gamma, pt.dgamma)
+
+
+def test_optimal_homodyne_fisher_raises_on_overflow():
+    frame = gq.isothermal_frame(_one_mode([0.0, 0.0], np.diag([1e160, -1e160])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="optimal homodyne Fisher information"):
+            gq.optimal_homodyne_fisher(frame)
+
+
+def test_closed_form_frame_rounding_scales_with_the_trace():
+    # thermal at theta = 1 + 48 eps: nu - 1 = 48 eps is within the vacuum
+    # rule's 16 eps |S|_F^2 tr Gamma = 64 eps, so the point is pure and the
+    # tangent dGamma = I lies in the kernel.  A rounding scale without the
+    # trace (32 eps) would read a mode at 1 + 48 eps and qfi = 4.69e13.
+    pt = gq.builtin_family("thermal").point(1.0 + 48 * np.finfo(float).eps)
+    rep = gq.qfi_general(pt)
+    assert rep.qfi == 0.0
+    assert rep.range_residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
 def test_qfi_general_factorises_once(williamson_calls):
     gq.qfi_general(random_model_point(3, seed=6))
     assert williamson_calls[0] == 1
@@ -425,7 +471,7 @@ def _moving(pt, seed):
 )
 def test_every_reader_of_the_first_moment_term_gives_one_float(pt, isothermal):
     # qfi_general, wigner_fisher and qfi_isothermal all read ddt = S^-1 dd
-    # off the frame through _first_moment, so each forms the same
+    # off the frame through _fisher_sums, so each forms the same
     # 2 sum ddt^2 / (nu, nu).  wigner_fisher is compared as the sum it forms,
     # as (a + b) - a need not be b in floating point.
     # test_frame_read_terms_match_solve_route holds the term to the LU solve.

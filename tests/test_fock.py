@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import gaussqfi as gq
 from conftest import PURE_THREE_MODE, explicit_doc
 from gaussqfi import fock
-from gaussqfi.fock import _destroy, _sld_matrix
+from gaussqfi.fock import _destroy
 
 
 def _quadrature_operators(n, dim):
@@ -568,7 +568,7 @@ def test_sld_observable_moments_match_engine():
     co = gq.sld_coefficients(pt)
     state = gq.build_state(pt, 40)
     norm = np.trace(state.rho).real
-    Lhat = _sld_matrix(co, pt.d, 40)
+    Lhat = _loop_sld_matrix(co, pt.d, 40)
     mean = np.trace(state.rho @ Lhat).real / norm
     second = np.trace(state.rho @ Lhat @ Lhat).real / norm
     assert mean == pytest.approx(0.0, abs=1e-6)
@@ -685,7 +685,8 @@ def _loop_state_moments(state):
 
 
 def _loop_sld_matrix(coeffs, d, cutoff):
-    """``sld_matrix`` one term ``L_ij dR_i dR_j`` at a time."""
+    """The SLD observable as a dense Fock matrix, one term ``L_ij dR_i dR_j``
+    at a time: the reference :func:`fock._apply_sld` is checked against."""
     n = d.size // 2
     eye = np.eye(cutoff**n)
     delta = _quadrature_operators(n, cutoff) - d[:, None, None] * eye
@@ -724,11 +725,16 @@ def test_state_moments_and_sld_matrix_match_term_by_term_loops(point, cutoff):
     assert np.abs(d - d_loop).max() <= tol * np.abs(d_loop).max()
     assert np.abs(gamma - gamma_loop).max() <= tol * np.abs(gamma_loop).max()
     rng = np.random.default_rng(3)
-    m = 2 * point.n
+    n, m = point.n, 2 * point.n
     L = rng.standard_normal((m, m))
     co = gq.SLDCoefficients(L=L + L.T, b=rng.standard_normal(m), c=0.7, range_residual=0.0)
-    ref = _loop_sld_matrix(co, point.d, cutoff)
-    assert np.abs(_sld_matrix(co, point.d, cutoff) - ref).max() <= tol * np.abs(ref).max()
+    Lhat = _loop_sld_matrix(co, point.d, cutoff)
+    # L̂ on a ket and on rho's ket indices (the bra indices one trailing axis).
+    for shape in [(cutoff,) * n, (cutoff,) * n + (cutoff**n,)]:
+        T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = (Lhat @ T.reshape(cutoff**n, -1)).reshape(shape)
+        got = fock._apply_sld(co, point.d, T)
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(
@@ -1336,22 +1342,21 @@ def test_ket_qfi_agrees_with_the_engine_up_to_five_modes(n, cutoff, tol, seed):
     assert value == pytest.approx(gq.qfi_general(point).qfi, rel=tol, abs=0)
 
 
-def _dense_sld_residual(point, coeffs, cutoff):
-    """sld_residual's rho route: the dense defect on cutoff + 2 levels,
+def _dense_sld_residual(point, Lhat, cutoff):
+    """The rho route with the dense observable ``Lhat`` on cutoff + 2 levels
+    (:func:`_loop_sld_matrix`): the defect ``drho - (rho L + L rho)/2``,
     cropped, and its singular values summed."""
-    big = cutoff + 2
-    rho, drho = fock._bargmann(point, big, tangent=True)
-    Lhat = _sld_matrix(coeffs, point.d, big)
+    rho, drho = fock._bargmann(point, cutoff + 2, tangent=True)
     resid = fock._block(drho - 0.5 * (rho @ Lhat + Lhat @ rho), point.n, cutoff)
     return float(np.linalg.svd(resid, compute_uv=False).sum())
 
 
-def _dense_ket_residual(point, coeffs, cutoff):
+def _dense_ket_residual(point, Lhat, cutoff):
     """The ket route's defect ``u psi^H + psi u^H`` plus its bra-ket term,
-    ``u = dpsi - L psi / 2``, formed densely and its singular values summed."""
-    big = cutoff + 2
-    psi, (dpsi, raised, cross) = fock._ket(point, big, tangent=True)
-    u = dpsi - 0.5 * (_sld_matrix(coeffs, point.d, big) @ psi.ravel()).reshape(psi.shape)
+    ``u = dpsi - L psi / 2`` with the dense observable ``Lhat`` on cutoff + 2
+    levels, formed densely and its singular values summed."""
+    psi, (dpsi, raised, cross) = fock._ket(point, cutoff + 2, tangent=True)
+    u = dpsi - 0.5 * (Lhat @ psi.ravel()).reshape(psi.shape)
     block = (slice(cutoff),) * point.n
     psi, u = psi[block].ravel(), u[block].ravel()
     raised = raised[(slice(None),) + block].reshape(point.n, -1)
@@ -1366,10 +1371,11 @@ def test_pure_sld_residual_matches_the_dense_residual(point, dim, keeps_pure):
     wrong = gq.SLDCoefficients(L=co.L, b=co.b + 0.5, c=co.c, range_residual=0.0)
     for coeffs in (co, wrong):
         value = gq.sld_residual(point, coeffs, cutoff)
-        assert abs(value - _dense_ket_residual(point, coeffs, cutoff)) <= 1e-15 + 1e-13 * value
+        Lhat = _loop_sld_matrix(coeffs, point.d, dim)
+        assert abs(value - _dense_ket_residual(point, Lhat, cutoff)) <= 1e-15 + 1e-13 * value
         # The rho route: at rounding level both (1.5e-15 apart at most here),
         # else equal to rounding.
-        dense = _dense_sld_residual(point, coeffs, cutoff)
+        dense = _dense_sld_residual(point, Lhat, cutoff)
         if keeps_pure and coeffs is co:
             assert max(value, dense) <= 1e-14
         else:
@@ -1402,7 +1408,8 @@ def test_ket_trace_norm_is_that_of_the_dense_matrix():
     ids=["thermal", "phase-squeezed-mixed", "n2-random"],
 )
 def test_mixed_points_keep_the_rho_route(point, cutoff):
-    # Every oracle function on a mixed point is the rho route, to the bit.
+    # Every oracle function on a mixed point is the rho route, to the bit, and
+    # sld_residual is the dense defect on rho to rounding.
     point = _with_tangent(point, np.full(2 * point.n, 0.3), np.eye(2 * point.n))
     fam = _explicit_family(point)
     rho, drho = fock._bargmann(point, cutoff + 10, tangent=True)
@@ -1417,7 +1424,25 @@ def test_mixed_points_keep_the_rho_route(point, cutoff):
     want = (eigenbasis_qfi(cutoff), eigenbasis_qfi(cutoff + 10))
     assert (probe.value, probe.cutoff_value) == want
     co = gq.sld_coefficients(point)
-    assert gq.sld_residual(point, co, cutoff) == _dense_sld_residual(point, co, cutoff)
+    value = gq.sld_residual(point, co, cutoff)
+    dense = _dense_sld_residual(point, _loop_sld_matrix(co, point.d, cutoff + 2), cutoff)
+    assert abs(value - dense) <= 1e-15 + 1e-13 * value
+
+
+def test_pure_sld_residual_forms_no_dense_operator():
+    # Two modes at cutoff 30: one dense 32**2-square complex matrix is 16.8 MB,
+    # and the residual is read from kets of 32**2 entries.
+    point = gq.builtin_family("two_mode_squeezed_phase", {"r": 0.3}).point(0.4)
+    co = gq.sld_coefficients(point)
+    gq.sld_residual(point, co, 30)  # the cached one-mode tables, apart from any one call
+    tracemalloc.start()
+    try:
+        value = gq.sld_residual(point, co, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value < 1e-10
+    assert peak < 16 * 32**4
 
 
 def _count_decompositions(monkeypatch):
