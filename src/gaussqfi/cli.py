@@ -89,7 +89,8 @@ class SweepRow:
 def _kernel_overlap(rep: FisherReport, point: GaussianModelPoint) -> bool:
     """The kernel-overlap flag: ``D(L) = dGamma`` is unsolved, its residual
     above ``_OVERLAP_TOL (1 + |Xt|_F)``, both in the point's frame, so the point has no SLD."""
-    return rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point._frame.Xt))
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf: no overlap
+        return rep.range_residual > _OVERLAP_TOL * (1.0 + np.linalg.norm(point._frame.Xt))
 
 
 def _evaluate_point(point: GaussianModelPoint, theta: float) -> tuple[SweepRow, str | None]:
@@ -227,6 +228,7 @@ def _cmd_sld(argv: list[str]) -> int:
     args = p.parse_args(argv)
     cfg = load_model_config(args.config)
     coeffs = sld_coefficients(cfg.point)
+    form = photon_counting_form(coeffs, cfg.point)  # before any output: it may refuse
     print("# gaussqfi sld")
     print(f"model = {cfg.label} (n = {cfg.point.n})")
     print("L (quadratic coefficients, centered variables):")
@@ -234,7 +236,6 @@ def _cmd_sld(argv: list[str]) -> int:
     print(f"b (linear coefficients) = {_vector_line(coeffs.b)}")
     print(f"c (offset) = {coeffs.c:.12g}")
     print(f"range_residual = {coeffs.range_residual:.6g}")
-    form = photon_counting_form(coeffs, cfg.point)
     if form is None:
         print("photon-counting form: none (linear model, or L indefinite or singular)")
     else:

@@ -36,13 +36,14 @@ wrote it and factorises nothing; :func:`_williamson_frame`, for any other
 point and the public functions here, factorises ``Gamma`` once (see
 :func:`~gaussqfi.symplectic.williamson`), and rounding in the stored ``Gamma``
 then moves ``nu`` by up to ``eps |S|_F^2 tr Gamma``.  Either way the kernel
-rule and the state rule are the same.  The solve returns ``Yt``, the range
-residual (the frame norm of the kernel part of ``Xt``) and two Fisher sums
-(see :func:`_frame_solve`); only
-:func:`~gaussqfi.estimation.sld_coefficients` and
-:func:`dgamma_pseudoinverse_apply` form the lab ``Y = S^-T Yt S^-1``.
+rule and the state rule are the same.  One pass, :func:`_parity_split`,
+forms the parity combinations and the range residual (the frame norm of the
+kernel part of ``Xt``); :func:`_frame_sums` squares them into two Fisher
+sums, and :func:`_frame_solve` weights them into ``Yt`` for the two readers
+that form the lab ``Y = S^-T Yt S^-1``, :func:`dgamma_pseudoinverse_apply`
+and :func:`~gaussqfi.estimation.sld_coefficients`.
 
-The solve is the one reader of ``Xt``.  Each ordered mode pair carries two
+That pass is the one reader of ``Xt``.  Each ordered mode pair carries two
 parity weights, ``4 w+ = (Xt_QQ + Xt_PP)^2 + (Xt_QP - Xt_PQ)^2`` and
 ``4 w- = (Xt_QQ - Xt_PP)^2 + (Xt_QP + Xt_PQ)^2``, and both Fisher
 informations of the second moments are sums of them:
@@ -248,57 +249,64 @@ def _closed_form_frame(
     return _Frame(S, nu, _w_right(_w_left(-S.T)), half + half.T, spread * float(gamma.trace()))
 
 
-def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float, float, float]:
-    """:func:`dgamma_pseudoinverse_apply` in a Williamson frame, read off its
-    ``(nu, Xt, rounding)`` alone, and the Fisher sums of its parity weights.
-
-    Returns ``(Yt, residual, second, wigner)``: ``Yt = S^T Y S`` the solution
-    in the thermal frame; ``residual = sqrt(sum 4 w+ / 2)`` over vacuum pairs,
-    the Frobenius norm of the kernel part of ``Xt``, in exact arithmetic
-    ``|N Yt N - w Yt w^T - Xt|_F`` with ``N = diag(nu, nu)``;
-    ``second = sum w+ / (N - 1) + w- / (N + 1)`` off the kernel, which is
-    ``sum Xt o Yt / 2``; and ``wigner = sum (w+ + w-) / N``, which is
-    ``tr[(Gamma^-1 X)^2] / 2``, with ``N = nu_i nu_j`` and the weights
-    ``w+/-`` of the module docstring.  Both sums add non-negative terms over
-    positive divisors, so neither comes out negative.
-
-    One pass over the frame: the divisors ``nu_i nu_j -/+ 1`` and the vacuum
-    modes (:func:`_block_eigenvalues`), the four parity combinations of
-    ``Xt`` as two sums of its block rows, whose parity-+ sums on vacuum
-    pairs give the residual and whose squares give the weights, and ``Yt``
-    written into one array.  The squares overflow before ``Yt`` does, so
-    every caller forms it under ``np.errstate``, and those that read the
-    sums check them (:func:`~gaussqfi.estimation._fisher_sums`).
-
-    Raises:
-        FloatingPointError: if ``nu_i nu_j`` overflows.
-    """
+def _parity_split(frame: _Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The one pass over a frame's ``(nu, Xt, rounding)`` that :func:`_frame_sums`
+    and :func:`_frame_solve` share: the parity combinations
+    ``[qq + pp, qp + pq]`` and ``[qq - pp, qp - pq]`` of the block rows
+    ``[i, block, j]`` of ``Xt``, the weights ``0.5 / (nu_i nu_j -/+ 1)`` as
+    ``[i, parity, j]``, 0 on the kernel, and the range residual
+    ``sqrt(sum 4 w+ / 2)`` over vacuum pairs (in exact arithmetic
+    ``|N Yt N - w Yt w^T - Xt|_F``, ``N = diag(nu, nu)``); a pure point's
+    kernel is read by slices.  Raises ``FloatingPointError`` if ``nu_i nu_j``
+    overflows."""
     nu, Xt = frame.nu, frame.Xt
     n = nu.size
     lam, vacuum = _block_eigenvalues(nu, frame.rounding)
     # Block rows [i, block, j]: top = [qq, qp], and bottom reversed = [pp, pq]
     blocks = Xt.reshape(2, n, 2, n)
     top, bottom = blocks[0], blocks[1, :, ::-1]
-    even_odd = top + bottom  # [qq + pp, qp + pq], divided by [N - 1, N + 1]
-    odd_even = top - bottom  # [qq - pp, qp - pq], divided by [N + 1, N - 1]
-    w4 = np.square(even_odd)
-    w4 += np.square(odd_even)[:, ::-1]  # [4 w+, 4 w-]
+    even_odd = top + bottom  # divided by [N - 1, N + 1]
+    odd_even = top - bottom  # divided by [N + 1, N - 1]
     residual = 0.0
     if vacuum.any():
-        pair = np.ix_(vacuum, vacuum)
+        pair = np.s_[:, :] if vacuum.all() else np.ix_(vacuum, vacuum)
         kernel = np.concatenate([even_odd[:, 0][pair], odd_even[:, 1][pair]], axis=None)
         residual = math.sqrt(0.5 * float(kernel.dot(kernel)))
+        if residual == math.inf:  # the squares overflow; hypot does not
+            residual = math.sqrt(0.5) * float(np.hypot.reduce(kernel))
         lam[0][pair] = np.inf  # the kernel: its weight 0.5 / inf is 0
-    wigner = 0.25 * float((w4.sum(axis=1) / np.multiply.outer(nu, nu)).sum())
     weight = np.divide(0.5, lam, out=lam).transpose(1, 0, 2)  # [i, parity, j]
-    second = 0.5 * float(np.vdot(w4, weight))
+    return even_odd, odd_even, weight, residual
+
+
+def _frame_sums(frame: _Frame) -> tuple[float, float, float]:
+    """``(residual, second, wigner)`` of :func:`_parity_split`'s pass, and no
+    solve: ``second = sum w+ / (N - 1) + w- / (N + 1)`` off the kernel
+    (``sum Xt o Yt / 2``) and ``wigner = sum (w+ + w-) / N``
+    (``tr[(Gamma^-1 X)^2] / 2``), ``N = nu_i nu_j``, non-negative terms over
+    positive divisors.  The squares ``4 w+/-`` overflow first: callers sum
+    under ``np.errstate`` and check (:func:`~gaussqfi.estimation._fisher_sums`)."""
+    even_odd, odd_even, weight, residual = _parity_split(frame)
+    w4 = np.square(even_odd, out=even_odd)
+    w4 += np.square(odd_even, out=odd_even)[:, ::-1]  # [4 w+, 4 w-]
+    wigner = 0.25 * float((w4.sum(axis=1) / np.multiply.outer(frame.nu, frame.nu)).sum())
+    return residual, 0.5 * float(np.vdot(w4, weight)), wigner
+
+
+def _frame_solve(frame: _Frame) -> tuple[np.ndarray, float]:
+    """``(Yt, residual)``: :func:`dgamma_pseudoinverse_apply` in a frame,
+    ``Yt = S^T Y S`` the parity combinations of :func:`_parity_split` times
+    their weights, and no Fisher sum.  Raises as that pass.
+    """
+    even_odd, odd_even, weight, residual = _parity_split(frame)
+    n = frame.nu.size
     even_odd *= weight
     odd_even *= weight[:, ::-1]
     Yt = np.empty((2 * n, 2 * n))
     out = Yt.reshape(2, n, 2, n)
     np.add(even_odd, odd_even, out=out[0])
     np.subtract(even_odd[:, ::-1], odd_even[:, ::-1], out=out[1])
-    return Yt, residual, second, wigner
+    return Yt, residual
 
 
 def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -328,7 +336,7 @@ def dgamma_pseudoinverse_apply(gamma: np.ndarray, X: np.ndarray) -> tuple[np.nda
     if X.shape != gamma.shape:
         raise ValueError(f"X has shape {X.shape}, expected {gamma.shape}")
     frame = _williamson_frame(gamma, X)
-    with np.errstate(over="ignore", invalid="ignore"):  # the Fisher sums it drops
+    with np.errstate(over="ignore", invalid="ignore"):  # the residual or Yt may overflow
         Y = frame.S_inv.T @ _frame_solve(frame)[0] @ frame.S_inv
     return Y, float(np.linalg.norm(apply_dgamma(gamma, Y) - X))
 

@@ -23,7 +23,7 @@ classical benchmark ``wigner_fisher`` is the Fisher information of the Wigner
 phase-space distribution itself.  In the frame each is a sum of non-negative
 terms over positive divisors: the second-moment terms are the parity weights
 ``w+/-`` of ``Xt`` over ``nu_i nu_j -/+ 1`` (QFI) or ``nu_i nu_j`` (Wigner),
-both summed by the one solve :func:`~gaussqfi.dgamma._frame_solve`, and the
+both summed by the one pass :func:`~gaussqfi.dgamma._frame_sums`, and the
 first-moment term of both is ``2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgamma import _frame_solve
+from .dgamma import _frame_solve, _frame_sums
 from .exceptions import PreconditionError
 from .models import GaussianModelPoint, _require_isothermal
 from .symplectic import _require_state, williamson
@@ -90,8 +90,9 @@ def _fisher_sums(point: GaussianModelPoint) -> tuple[float, float, float, float]
     """``(first, second, wigner, residual)`` of the point's frame, the one
     reader of every Fisher term: the first-moment term ``2 dd^T Gamma^-1 dd
     = 2 sum ddt^2 / (nu, nu)`` with ``ddt = S^-1 dd``, and the sums and
-    residual of :func:`~gaussqfi.dgamma._frame_solve`.  They are formed
-    under one ``np.errstate``, so an overflow raises here and is not warned.
+    residual of :func:`~gaussqfi.dgamma._frame_sums`, which solves nothing.
+    They are formed under one ``np.errstate``, so an overflow raises here
+    and is not warned.
 
     Raises:
         FloatingPointError: if ``nu_i nu_j`` overflows, or any of the four
@@ -99,7 +100,7 @@ def _fisher_sums(point: GaussianModelPoint) -> tuple[float, float, float, float]
     """
     frame = point._frame
     with np.errstate(over="ignore", invalid="ignore"):
-        _, residual, second, wigner = _frame_solve(frame)
+        residual, second, wigner = _frame_sums(frame)
         ddt = frame.S_inv @ point.dd
         first = 2.0 * float((np.square(ddt) / np.concatenate([frame.nu, frame.nu])).sum())
     if not math.isfinite(first + second + wigner + residual):  # each is >= 0
@@ -126,8 +127,8 @@ def sld_coefficients(point: GaussianModelPoint) -> SLDCoefficients:
     """
     frame = point._frame
     nu, Si = frame.nu, frame.S_inv
-    with np.errstate(over="ignore", invalid="ignore"):  # the Fisher sums it drops
-        Yt, residual = _frame_solve(frame)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):  # the residual or Yt may overflow
+        Yt, residual = _frame_solve(frame)
     _require_state(float(nu[-1]), frame.rounding)
     c = -0.5 * float(Yt.diagonal() @ np.concatenate([nu, nu])) + 0.0  # no -0.0
     Y = Si.T @ Yt @ Si
@@ -170,19 +171,14 @@ def qfi_general(point: GaussianModelPoint) -> FisherReport:
     the kernel components of ``dGamma`` are projected out and reported
     through ``range_residual``).
 
-    Route: the SLD solve in the point's Williamson frame, read off its
-    ``nu`` and ``Xt`` alone.  A point of a built-in family's ``fn`` has its
-    frame in closed form (:func:`~gaussqfi.dgamma._closed_form_frame`), so
-    nothing is factorised and ``nu`` is exact however strong the squeezing;
-    any other point takes one Williamson factorisation and
-    ``Xt = S^-1 dGamma S^-T``, once per point.  The one pass of the solve
-    squares the parity combinations of ``Xt`` into the weights ``w+/-`` of
-    each mode pair and sums them: over ``nu_i nu_j -/+ 1`` into the
-    second-moment term ``tr[dGamma L] / 2``, and over ``nu_i nu_j`` into the
-    Wigner information, as :func:`wigner_fisher` reads it; the lab ``L`` is
-    never formed.  The first-moment term ``2 dd^T Gamma^-1 dd`` is
-    ``2 sum ddt^2 / (nu, nu)``, ``ddt = S^-1 dd``.  Nothing is kept on the
-    point beyond its frame.
+    Route: the point's Williamson frame, formed once per point: in closed
+    form for a built-in family's ``fn`` (:func:`~gaussqfi.dgamma._closed_form_frame`,
+    ``nu`` exact however strong the squeezing), else by one Williamson
+    factorisation.  One pass over ``Xt`` (:func:`~gaussqfi.dgamma._frame_sums`)
+    sums the parity weights ``w+/-`` of each mode pair over ``nu_i nu_j -/+ 1``
+    into ``tr[dGamma L] / 2`` and over ``nu_i nu_j`` into the Wigner
+    information; no ``Yt`` and no lab ``L`` is formed.  The first-moment term
+    ``2 dd^T Gamma^-1 dd`` is ``2 sum ddt^2 / (nu, nu)``, ``ddt = S^-1 dd``.
 
     Raises:
         PreconditionError: flag ``"nu_min"`` when the moments are not a
@@ -259,7 +255,7 @@ def wigner_fisher(point: GaussianModelPoint) -> float:
     """Fisher information of the model's Wigner (phase-space) distribution,
     ``tr[(Gamma^-1 dGamma)^2] / 2 + 2 dd^T Gamma^-1 dd``, both terms read
     in the point's Williamson frame: the first is the Wigner sum of
-    :func:`~gaussqfi.dgamma._frame_solve`.
+    :func:`~gaussqfi.dgamma._frame_sums`.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point that
@@ -313,7 +309,8 @@ def photon_counting_form(
     ``L`` exceeds ``1e-9 max|L|`` in one sign.  Returns None otherwise: for a
     purely linear model (``max|L| <= 1e-9``, first moments carry all
     information), and when ``L`` is indefinite or singular (no strictly
-    symplectic normal form).
+    symplectic normal form).  Raises ``FloatingPointError`` if a mean photon
+    number of the form overflows.
     """
     scaleL = float(np.abs(coeffs.L).max())
     if scaleL <= _DEFINITE_TOL:
@@ -330,9 +327,10 @@ def photon_counting_form(
     # (R-d) L (R-d) + b.(R-d) is (R-d*) L (R-d*) up to a constant, d - d* = L^-1 b / 2,
     # read off the frame sign L = S diag(nu, nu) S^T with no solve
     shift = 0.5 * sign * _inverse_apply(dec.S_inv, dec.nu, coeffs.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_photon = _mean_photon(T @ point.gamma @ T.T, T @ shift)
+    if not np.isfinite(mean_photon).all():
+        raise FloatingPointError("overflow encountered in the mean photon numbers")
     return PhotonCountingForm(
-        T=T,
-        alpha=sign * dec.nu,
-        displacement=point.d - shift,
-        mean_photon=_mean_photon(T @ point.gamma @ T.T, T @ shift),
+        T=T, alpha=sign * dec.nu, displacement=point.d - shift, mean_photon=mean_photon
     )

@@ -175,8 +175,9 @@ def _passive_deviation(O: np.ndarray) -> float:
     """Max-abs distance of the ``2n x 2n`` matrix ``O`` from the form
     ``[[c, s], [-s, c]]`` with ``u = c - i s`` unitary."""
     n = O.shape[0] // 2
-    u = O[:n, :n] - 1j * O[:n, n:]
-    return float(max(np.abs(O - _passive(u)).max(), np.abs(u @ u.conj().T - np.eye(n)).max()))
+    c, s = O[:n, :n], O[:n, n:]
+    u = c - 1j * s
+    return float(max(np.abs(O - _passive(c, s)).max(), np.abs(u @ u.conj().T - np.eye(n)).max()))
 
 
 def passive_unitary(O: np.ndarray, dim: int) -> np.ndarray:

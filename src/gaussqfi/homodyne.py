@@ -31,7 +31,8 @@ from .symplectic import (
     _ISOTHERMAL_TOL,
     _direct_sum,
     _direct_sum_vector,
-    hamiltonian_eigenframe,
+    _eigenframe,
+    _symmetric_part,
     is_symplectic,
     validate_covariance,
 )
@@ -77,9 +78,10 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
     module docstring.
 
     Route: the gate and the frame read ``nu``, ``S^-1`` and ``W = Xt`` off
-    the point's Williamson frame, and the frame costs one ``eigh``, of
-    ``W``, in :func:`~gaussqfi.symplectic.hamiltonian_eigenframe`.  ``O`` is
-    checked in that frame, not through the stored moments:
+    the point's Williamson frame.  The gate holds ``W`` to the anticommutation
+    rule of :func:`~gaussqfi.symplectic.hamiltonian_eigenframe` (its symmetric
+    part deviates no more), so only the symmetry rule runs again before that
+    function's frame, one ``eigh``.  ``O`` is checked in that frame:
     ``O diag(nu, nu) O^T`` must be ``nu I`` and ``O Xt O^T`` must be
     ``diag(nu lam, -nu lam)``, within ``1e-5 (1 + nu + nu max lam)``
     (max-abs); each product has its diagonal target taken off in place.
@@ -88,8 +90,8 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
         PreconditionError: flags ``"is_isothermal"``, ``"nu_min"`` (not a
             state; see ``validate_covariance``), ``"derivative_preserves_nu"``,
             or ``"static_first_moments"``, in that order.
-        ValueError: if ``W`` fails a rule of ``hamiltonian_eigenframe``
-            (symmetry, or a zero eigenspace too small).
+        ValueError: if ``W`` fails the symmetry rule, or its zero
+            eigenspace is too small (the rules of ``hamiltonian_eigenframe``).
         ConvergenceError: if ``O`` misses that residual bound.
     """
     chk = _require_isothermal(point)
@@ -98,11 +100,9 @@ def isothermal_frame(point: GaussianModelPoint) -> IsothermalFrame:
             "static_first_moments",
             "homodyne normal-frame analysis assumes dd = 0",
         )
-    frame = point._frame
-    nus, Si, W = frame.nu, frame.S_inv, frame.Xt
-    nu = chk.nu
-    O, wlam = hamiltonian_eigenframe(W)
-    n = nus.size
+    nus, Si, W = point._frame.nu, point._frame.S_inv, point._frame.Xt
+    nu, n = chk.nu, nus.size
+    O, wlam = _eigenframe(_symmetric_part(W, "W"))
     scale = 1.0 + abs(nu) + float(wlam[0])  # lam >= 0, descending
     state = (O * np.concatenate([nus, nus])) @ O.T
     state.reshape(-1)[:: 2 * n + 1] -= nu

@@ -458,10 +458,9 @@ def check_isothermal(point: GaussianModelPoint) -> IsothermalCheck:
     must be a state, and its derivative ``W = Xt`` preserves ``nu`` iff it
     anticommutes with ``w`` within ``1e-8 (1 + max|W|)``.
 
-    The spread and the state rule read the frame's rounding scale
-    ``eps |S|_F^2 tr Gamma``; ``max|W|`` and the deviation
-    ``max(|W_QQ + W_PP|, |W_QP - W_PQ|)`` are formed once, from the blocks
-    of ``W``.
+    The deviation ``max(|W_QQ + W_PP|, |W_QP - W_PQ|)`` is read from the
+    blocks of ``W``; :func:`~gaussqfi.homodyne.isothermal_frame` gates by
+    this function and does not form it again.
 
     Raises:
         ValueError: if ``Gamma`` is not positive definite (a point that

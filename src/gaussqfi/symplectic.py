@@ -286,14 +286,14 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     return dec
 
 
-def _passive(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic ``[[Re u, -Im u], [Im u, Re u]]`` of an n x n
-    unitary ``u``: the passive network ``[[c, s], [-s, c]]`` of ``u = c - i s``."""
-    n = u.shape[0]
+def _passive(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The passive network ``[[c, s], [-s, c]]`` of the n x n unitary
+    ``u = c - i s``, an orthogonal symplectic."""
+    n = c.shape[0]
     out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = out[n:, n:] = u.real
-    out[:n, n:] = -u.imag
-    out[n:, :n] = u.imag
+    out[:n, :n] = out[n:, n:] = c
+    out[:n, n:] = s
+    out[n:, :n] = -s
     return out
 
 
@@ -308,7 +308,8 @@ def random_orthogonal_symplectic(n: int, rng: np.random.Generator | int | None =
     Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     Qc, R = np.linalg.qr(Z)
     diag = np.diagonal(R)
-    return _passive(Qc * (diag / np.abs(diag))[None, :])
+    u = Qc * (diag / np.abs(diag))[None, :]
+    return _passive(u.real, -u.imag)
 
 
 def random_symplectic(
@@ -347,43 +348,45 @@ def hamiltonian_eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A symmetric ``W`` with ``W w + w W = 0`` has spectrum symmetric about 0;
     this returns ``(O, lam)`` with ``O`` orthogonal *and* symplectic,
-    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``.
-
-    ``w`` acts on ``(x, y)`` as ``-i`` on the mode ``x + i y``, and it maps
-    the ``+lam`` eigenvectors of ``W`` to the ``-lam`` ones, so the
-    eigenvectors of the ``n`` largest eigenvalues, read as modes, are
-    orthonormal in ``C^n``.  Eigenvalues within ``1e-8 (1 + max|W|)`` of 0
-    count as zero; they span a ``w``-invariant, i.e. complex, subspace, and
-    the ``m`` modes it contributes are the leading left singular vectors of
-    its eigenvectors read the same way.  ``O`` is the passive image of the
-    unitary whose rows are the conjugated modes.  ``W`` is held to the
-    symmetry rule of :func:`validate_covariance` and read as its symmetric
-    part.
+    ``lam >= 0`` descending, and ``O @ W @ O.T = diag(lam, -lam)``, built by
+    :func:`_eigenframe` from one ``eigh``.  ``W`` is held to the symmetry
+    rule of :func:`validate_covariance` and read as its symmetric part.
 
     Raises:
         ValueError: if ``W`` fails the symmetry rule, does not anticommute
             with ``w`` within ``1e-8 (1 + max|W|)``, or its zero eigenspace
             has fewer than ``2 m`` dimensions.
     """
-    n = _check_even_square(W, "W")
+    _check_even_square(W, "W")
     W = _symmetric_part(W, "W")
-    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
-    if _hamiltonian_deviation(W) > cut:
+    if _hamiltonian_deviation(W) > _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max())):
         raise ValueError("W does not anticommute with the symplectic form")
+    return _eigenframe(W)
+
+
+def _eigenframe(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hamiltonian_eigenframe`'s frame of a ``W`` that meets its rules.
+    ``w`` maps the eigenvectors ``(V_Q; V_P)`` of the ``n`` largest
+    eigenvalues to those of their negatives, so as modes ``V_Q + i V_P`` they
+    are orthonormal, and ``O = [[V_Q^T, V_P^T], [-V_P^T, V_Q^T]]``.
+    Eigenvalues within ``1e-8 (1 + max|W|)`` of 0 span a complex subspace,
+    whose ``m`` modes are the leading left singular vectors of its
+    eigenvectors read the same way."""
+    n = W.shape[0] // 2
+    cut = _ISOTHERMAL_TOL * (1.0 + float(np.abs(W).max()))
     ev, V = np.linalg.eigh(W)
     order = np.argsort(-ev)
     pos = order[ev[order] > cut][:n]
-    modes = V[:n, pos] + 1j * V[n:, pos]
-    lam = ev[pos]
+    modes, lam = V[:, pos], ev[pos]  # columns (Re; Im) of the modes
     m = n - pos.size
     if m:
         zero = np.abs(ev) <= cut
         if np.count_nonzero(zero) < 2 * m:
             raise ValueError("failed to build a symplectic basis of the null space")
         null = np.linalg.svd(V[:n, zero] + 1j * V[n:, zero], full_matrices=False)[0][:, :m]
-        modes = np.concatenate([modes, null], axis=1)
+        modes = np.concatenate([modes, np.concatenate([null.real, null.imag])], axis=1)
         lam = np.concatenate([lam, np.zeros(m)])
-    return _passive(modes.conj().T), lam
+    return _passive(modes[:n].T, modes[n:].T), lam
 
 
 def _direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:

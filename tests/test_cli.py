@@ -1,17 +1,23 @@
 """Tests for the command-line front end: exit codes, output formats, and
 CSV determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gaussqfi as gq
-from conftest import PURE_THREE_MODE, explicit_doc
+from conftest import PURE_THREE_MODE, explicit_doc, random_isothermal_point, random_model_point
 from gaussqfi import cli
 
 THERMAL = {"family": "thermal", "theta": 2.0}
@@ -500,7 +506,7 @@ def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     def fail(frame):
         raise gq.ConvergenceError("the frame solve did not converge")
 
-    monkeypatch.setattr(estimation, "_frame_solve", fail)
+    monkeypatch.setattr(estimation, "_frame_sums", fail)
     cfg = write_cfg(tmp_path, DISPLACEMENT)
     assert cli.main(["qfi", cfg]) == 3
     out, err = capsys.readouterr()
@@ -521,6 +527,7 @@ def _overflow_doc(dd, dgamma):
 OVERFLOW_DGAMMA = _overflow_doc([0, 0], [[1e160, 0], [0, 1e160]])
 OVERFLOW_DD = _overflow_doc([1e200, 0], [[0, 0], [0, 0]])
 OVERFLOW_HOMODYNE = _overflow_doc([0, 0], [[1e160, 0], [0, -1e160]])
+OVERFLOW_PHOTONS = _overflow_doc([1e160, 0], [[1, 0], [0, 1]])  # the form's mean photon numbers
 
 
 @pytest.mark.parametrize(
@@ -537,10 +544,11 @@ OVERFLOW_HOMODYNE = _overflow_doc([0, 0], [[1e160, 0], [0, -1e160]])
         (OVERFLOW_DD, ["qfi"]),
         (OVERFLOW_HOMODYNE, ["qfi"]),
         (OVERFLOW_HOMODYNE, ["homodyne"]),
+        (OVERFLOW_PHOTONS, ["sld"]),
     ],
     ids=["r20-qfi", "r20-sld", "r20-homodyne", "r20-oracle", "r1000-qfi", "r1000-sweep",
          "thermal-1e300-qfi", "dgamma-1e160-qfi", "dd-1e200-qfi", "dgamma-pm-1e160-qfi",
-         "dgamma-pm-1e160-homodyne"],
+         "dgamma-pm-1e160-homodyne", "dd-1e160-sld"],
 )
 def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
     # Gamma that is not positive definite in floating point, or an overflow:
@@ -552,11 +560,43 @@ def test_numerical_failures_exit_3(tmp_path, capsys, doc, argv):
 
 
 def test_sld_on_an_overflowing_fisher_information_is_quiet(tmp_path, capsys):
-    # The SLD itself is finite; the Fisher sums the solve forms beside it are not.
+    # The SLD itself is finite; the Fisher sums of the same frame are not.
     for doc in (OVERFLOW_DGAMMA, OVERFLOW_HOMODYNE):
         assert cli.main(["sld", write_cfg(tmp_path, doc)]) == 0
         out, err = capsys.readouterr()
         assert "c (offset) = " in out and err == ""
+
+
+def test_sld_range_residual_of_a_huge_kernel_part_is_finite(tmp_path, capsys):
+    # Vacuum heated at rate 1e170: the kernel part of dGamma has the finite
+    # norm sqrt(2) 1e170, whose squares overflow.  The Fisher information
+    # (1e340) does overflow.
+    doc = {"explicit": {**VACUUM_HEATING["explicit"], "dGamma": [[1e170, 0.0], [0.0, 1e170]]}}
+    cfg = write_cfg(tmp_path, doc)
+    assert cli.main(["sld", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert get_value(out, "range_residual") == "1.41421e+170"
+    assert cli.main(["qfi", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: overflow encountered in the Fisher sums of this point\n"
+
+
+def test_kernel_overlap_flag_of_a_huge_tangent_is_quiet(tmp_path, capsys):
+    # |Xt|_F overflows while the Fisher sums, divided by nu_i nu_j = 1e20, do
+    # not: the flag reads an infinite norm as no overlap, with no warning.
+    n = 8
+    doc = {"explicit": {"n": n, "d": [0.0] * (2 * n), "Gamma": (1e10 * np.eye(2 * n)).tolist(),
+                        "dd": [0.0] * (2 * n), "dGamma": np.full((2 * n, 2 * n), 1e153).tolist()}}
+    assert cli.main(["qfi", write_cfg(tmp_path, doc)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "# gaussqfi qfi\nmodel = explicit (n = 8)\nqfi = 1.28e+288\nqfi_first_moment = 0\n"
+        "qfi_second_moment = 1.28e+288\nwigner_fisher = 1.28e+288\nratio = 1\nmethod = general\n"
+        "range_residual = 0\nhomodyne_opt = unavailable (derivative_preserves_nu)\n"
+    )
 
 
 def test_sweep_refusal_names_the_overflowing_lift(tmp_path, capsys):
@@ -688,3 +728,74 @@ def test_explicit_oracle_check_factorises_once(tmp_path, capsys, williamson_call
     assert cli.main(["oracle-check", write_cfg(tmp_path, PURE_EXPLICIT), "--cutoff", "40"]) == 0
     assert float(get_value(capsys.readouterr().out, "rel_diff")) < 1e-4
     assert williamson_calls[0] == 1
+
+
+# The CLI contract: every run exits 0 with finite numbers, or 2 or 3 with one
+# line that names the gate.  Explicit documents of n <= 2 modes, mixed or
+# equal-temperature, with dGamma and dd scaled by 10^U(-200, 200).
+_CONTRACT_RUNS = (
+    ["qfi"], ["sld"], ["homodyne"], ["sweep", "--from", "0", "--to", "1", "--steps", "3"]
+)
+_REFUSALS = ("precondition failed: [", "numerical failure: ", "error: ")
+_CSV_NUMBERS = slice(1, 5)  # qfi, its two terms and wigner_fisher: always printed
+
+
+def _run_quietly(argv):
+    """``cli.main(argv)`` with every Python warning an error: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _printed_numbers_are_finite(out):
+    lines = out.splitlines()
+    for line in lines:
+        if line.startswith("theta,"):
+            continue
+        if line == "ratio = nan":  # documented where wigner_fisher = 0
+            assert "wigner_fisher = 0" in lines
+            continue
+        if line.count(",") == 8:  # a CSV row: an empty cell is a number that was not finite
+            cells = line.split(",")
+            assert all(cells[_CSV_NUMBERS]), line
+            assert cells[6] or float(cells[4]) == 0.0, line  # ratio, as above
+            continue
+        for token in re.split(r"[\s,=()\[\]]+", line):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    isothermal=st.booleans(),
+    nu=st.floats(min_value=1.0, max_value=3.0),
+    dgamma_exp=st.floats(min_value=-200.0, max_value=200.0),
+    dd_exp=st.floats(min_value=-200.0, max_value=200.0),
+)
+def test_every_run_keeps_the_cli_contract(tmp_path, n, seed, isothermal, nu, dgamma_exp, dd_exp):
+    # the equal-temperature points have static first moments, so homodyne may run
+    pt = random_isothermal_point(n, seed, nu=nu) if isothermal else random_model_point(n, seed)
+    doc = explicit_doc(gq.GaussianModelPoint(
+        pt.d, pt.gamma, pt.dd * 10.0**dd_exp, pt.dgamma * 10.0**dgamma_exp
+    ))
+    cfg = write_cfg(tmp_path, doc)
+    for run in _CONTRACT_RUNS:
+        code, out, err = _run_quietly([run[0], cfg, *run[1:]])
+        lines = err.splitlines()
+        if run[0] == "sweep":  # the run banner, written before the grid
+            assert lines[0].startswith("# gaussqfi sweep: ")
+            lines = lines[1:]
+        assert code in (0, 2, 3), (run, code, err)
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in lines), (run, err)
+            _printed_numbers_are_finite(out)
+        else:
+            assert len(lines) == 1 and lines[0].startswith(_REFUSALS), (run, err)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_discrete_lyapunov
 
 import gaussqfi as gq
-from gaussqfi.dgamma import _Frame, _frame_solve
+from gaussqfi.dgamma import _Frame, _frame_solve, _frame_sums
 from conftest import (
     random_hamiltonian,
     random_model_point,
@@ -421,7 +421,10 @@ def _kind_point(kind, n, seed):
 def test_frame_solve_matches_its_reference(n, kind, seed):
     pt, hamiltonian = _kind_point(kind, n, seed)
     S, nu, Si, W, rounding = frame = pt._frame
-    Yt, residual, second, wigner = _frame_solve(frame)
+    Yt, residual = _frame_solve(frame)
+    # The sums come from the same pass as the solve, with the same residual.
+    residual_sums, second, wigner = _frame_sums(frame)
+    assert residual_sums == residual
     Yt_ref, residual_ref = _reference_frame_solve(pt.gamma, frame)
     assert np.abs(Yt - Yt_ref).max() <= _SOLVE_RTOL * np.abs(Yt_ref).max()
     scale = np.abs(thermal_diag(nu) @ Yt_ref @ thermal_diag(nu)).max()
@@ -442,7 +445,8 @@ def test_frame_solve_matches_its_reference(n, kind, seed):
     # vacuum modes come first, Yt is the same array with its modes reversed.
     rev = np.concatenate([np.arange(n)[::-1], np.arange(n, 2 * n)[::-1]])
     reversed_frame = _Frame(S[:, rev], nu[::-1], Si[rev], W[np.ix_(rev, rev)], rounding)
-    Yt_rev, _, second_rev, wigner_rev = _frame_solve(reversed_frame)
+    Yt_rev = _frame_solve(reversed_frame)[0]
+    _, second_rev, wigner_rev = _frame_sums(reversed_frame)
     assert np.array_equal(Yt_rev[np.ix_(rev, rev)], Yt)
     assert abs(second_rev - second_ref) <= _SOLVE_RTOL * abs(second_ref)
     assert abs(wigner_rev - wigner_ref) <= _SOLVE_RTOL * abs(wigner_ref)

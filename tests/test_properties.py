@@ -133,6 +133,41 @@ def test_hamiltonian_eigenframe_with_a_planted_zero_block(n, data, seed, repeat)
 
 @PROPERTY_SETTINGS
 @given(
+    n=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+    seed=seeds,
+    nu=st.floats(min_value=1.0, max_value=3.0),
+    planted=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_normal_frame_is_the_public_eigenframe_bit_for_bit(n, data, seed, nu, planted, repeat):
+    # isothermal_frame skips the rules its gates already applied, but its O
+    # is hamiltonian_eigenframe's of sym(Xt), and its lam that one's over nu.
+    # Planted derivatives cover the zero eigenspace and repeated spectra.
+    if planted:
+        zeros = data.draw(st.integers(min_value=0, max_value=n))
+        rng = np.random.default_rng(seed)
+        lam_in = _spectrum_with_zeros(rng, n, zeros, repeat)
+        O = gq.random_orthogonal_symplectic(n, rng)
+        S = gq.random_symplectic(n, seed=rng, squeeze_cap=0.8)
+        H = O @ np.diag(np.concatenate([lam_in, -lam_in])) @ O.T
+        dgamma = nu * S @ (0.5 * (H + H.T)) @ S.T
+        pt = gq.GaussianModelPoint(
+            np.zeros(2 * n), nu * S @ S.T, np.zeros(2 * n), 0.5 * (dgamma + dgamma.T)
+        )
+    else:
+        pt = random_isothermal_point(n, seed, nu=nu)
+    frame = gq.isothermal_frame(pt)
+    Xt = pt._frame.Xt
+    O, wlam = gq.hamiltonian_eigenframe(0.5 * (Xt + Xt.T))
+    assert frame.T.tobytes() == (O @ pt._frame.S_inv).tobytes()
+    assert frame.lam.tobytes() == (wlam / gq.check_isothermal(pt).nu).tobytes()
+    if planted:
+        assert np.count_nonzero(frame.lam == 0.0) == zeros
+
+
+@PROPERTY_SETTINGS
+@given(
     n=st.integers(min_value=1, max_value=4),
     seed=seeds,
     isothermal=st.booleans(),
